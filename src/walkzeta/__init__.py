@@ -1,18 +1,16 @@
 """Exact quantum-walk transition matrices, graph zeta functions and spectra."""
 
 from .exact import (
-    BoundTooSmallError,
     ExactDivisionError,
     Matrix,
     Poly,
     Rational,
     RationalFunction,
     charpoly_exact,
-    det_exact,
     interpolate,
     poly_divexact,
     poly_gcd,
-    polymat_det,
+    quadratic_charpoly,
     square_free_decomposition,
 )
 from .graphs import (

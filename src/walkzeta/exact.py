@@ -1,17 +1,22 @@
-"""Exact rational linear algebra: polynomials, matrices, determinants.
+"""Exact rational linear algebra: polynomials, matrices, one determinant kernel.
 
 Everything here works over arbitrary-precision rationals
-(``fractions.Fraction``), so determinants, characteristic polynomials and
-polynomial divisions are exact.  Large determinants go through a
-fraction-free Bareiss elimination on an integer lift of the matrix;
-characteristic polynomials and determinants of polynomial matrices are
-recovered by evaluating at small integer nodes and interpolating.
+(``fractions.Fraction``), so characteristic polynomials and polynomial
+divisions are exact.  There is one determinant kernel, ``charpoly_exact``:
+fraction-free Bareiss elimination on an integer lift of the matrix,
+evaluated at small integer nodes and interpolated.  Every determinant the
+package needs is fed to it as one constant matrix.  An arc-level
+determinant det(I - tM) is the coefficient reversal of char(M), and a
+vertex-level quadratic determinant det(x^2 I - xA + C) is the
+characteristic polynomial of the 2n x 2n linearisation [[A, -C], [I, 0]]
+(``quadratic_charpoly``), as in the proofs of the Ihara-Bass formula by
+Bass (1992) and Kotani-Sunada (2000).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -23,10 +28,6 @@ class ExactDivisionError(ArithmeticError):
     def __init__(self, message: str, remainder: "Poly"):
         super().__init__(f"{message}; remainder {remainder!r}")
         self.remainder = remainder
-
-
-class BoundTooSmallError(ValueError):
-    """A caller-supplied degree bound was below the true degree."""
 
 
 class Poly:
@@ -60,12 +61,6 @@ class Poly:
     @classmethod
     def constant(cls, c) -> "Poly":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff=1) -> "Poly":
-        if degree < 0:
-            raise ValueError("monomial degree must be >= 0")
-        return cls((0,) * degree + (coeff,))
 
     @classmethod
     def from_strings(cls, items: Sequence[str]) -> "Poly":
@@ -190,13 +185,9 @@ class Poly:
                     rem[k + j] -= c * b
         return Poly(quo), Poly(rem[: other.degree if other.degree > 0 else 0])
 
-    def reversed_coeffs(self, size: int | None = None) -> tuple:
-        """Coefficient tuple read back to front, padded to the given length."""
-        width = (size if size is not None else self.degree) + 1
-        if width < len(self.coeffs):
-            raise ValueError("size below actual degree")
-        padded = self.coeffs + (Fraction(0),) * (width - len(self.coeffs))
-        return tuple(reversed(padded))
+    def reversed_coeffs(self) -> tuple:
+        """Coefficient tuple read back to front: x^deg p(1/x), ascending."""
+        return self.coeffs[::-1]
 
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -244,15 +235,7 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
 def _int_coeffs(p: Poly) -> list[int]:
     """Primitive integer coefficient list with positive leading coefficient."""
     scale = lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    ints = [int(c * scale) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    if ints and ints[-1] < 0:
-        ints = [-v for v in ints]
-    return ints
+    return _int_primitive([int(c * scale) for c in p.coeffs])
 
 
 def _int_primitive(ints: list[int]) -> list[int]:
@@ -560,20 +543,6 @@ def _bareiss_det(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_exact(m: Matrix) -> Fraction:
-    """Exact determinant via Bareiss elimination on an integer lift."""
-    if not m.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    if m.rows == 0:
-        return Fraction(1)
-    lifted, scales = _integer_lift(m.data)
-    det = _bareiss_det(lifted)
-    scale = 1
-    for s in scales:
-        scale *= s
-    return Fraction(det, scale)
-
-
 def interpolate(points: Sequence[tuple]) -> Poly:
     """Unique polynomial through the given (x, y) points (Newton form)."""
     xs = [Fraction(x) for x, _ in points]
@@ -605,9 +574,7 @@ def charpoly_exact(m: Matrix) -> Poly:
     if size == 0:
         return Poly.one()
     lifted, scales = _integer_lift(m.data)
-    scale = 1
-    for s in scales:
-        scale *= s
+    scale = prod(scales)
     negated = [[-x for x in row] for row in lifted]
     points = []
     for c in range(size + 1):
@@ -621,29 +588,16 @@ def charpoly_exact(m: Matrix) -> Poly:
     return poly
 
 
-def polymat_det(entries: Sequence[Sequence[Poly]], degree_bound: int) -> Poly:
-    """Determinant of a square matrix of polynomials.
+def quadratic_charpoly(a: Matrix, c: Sequence) -> Poly:
+    """det(x^2 I - xA + diag(c)), monic of degree 2n.
 
-    Evaluates the matrix at the integer nodes 0..degree_bound, interpolates,
-    then checks one extra probe node.  A probe mismatch means the supplied
-    bound was below the true degree and raises BoundTooSmallError.
+    Computed as the characteristic polynomial of the 2n x 2n block matrix
+    L = [[A, -diag(c)], [I, 0]]: taking the Schur complement of the
+    lower-right block xI gives det(xI - L) = x^n det(xI - A + diag(c)/x).
     """
-    n = len(entries)
-    for row in entries:
-        if len(row) != n:
-            raise ValueError("polynomial matrix must be square")
-    if degree_bound < 0:
-        raise ValueError("degree bound must be >= 0")
-
-    def det_at(c: int) -> Fraction:
-        point = Fraction(c)
-        return det_exact(Matrix([[p(point) for p in row] for row in entries]))
-
-    points = [(c, det_at(c)) for c in range(degree_bound + 1)]
-    poly = interpolate(points)
-    probe = degree_bound + 1
-    if poly(Fraction(probe)) != det_at(probe):
-        raise BoundTooSmallError(
-            f"degree bound {degree_bound} too small for polynomial determinant"
-        )
-    return poly
+    if not a.is_square or len(c) != a.rows:
+        raise ValueError("quadratic charpoly needs a square matrix and one diagonal entry per row")
+    n = a.rows
+    top = [list(row) + [-c[i] if j == i else 0 for j in range(n)] for i, row in enumerate(a.data)]
+    bottom = [[1 if j == i else 0 for j in range(2 * n)] for i in range(n)]
+    return charpoly_exact(Matrix(top + bottom))

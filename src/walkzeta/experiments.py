@@ -45,7 +45,7 @@ from .operators import (
     transition_matrix,
     verify_support_identity,
 )
-from .zeta import weighted_zeta_reciprocal
+from .zeta import ihara_reciprocal_bass_form, ihara_reciprocal_edge_form, weighted_zeta_reciprocal
 
 DEFAULT_SEED = 42
 DEFAULT_WEIGHT_TRIALS = 10
@@ -311,10 +311,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _poly_witness(left: Poly, right: Poly) -> str:
-    return f"difference {(left - right)!r}"
-
-
 def _entry_checks(entry: CorpusEntry, seed: int, weight_trials: int) -> list[IdentityCheck]:
     """All identity checks for one corpus entry, in a fixed order.
 
@@ -344,20 +340,14 @@ def _entry_checks(entry: CorpusEntry, seed: int, weight_trials: int) -> list[Ide
     u = transition_matrix(g, arcs)
     char_u = charpoly_exact(u)
 
-    def check_walk_form():
-        expected = charpoly_u_via_walk_form(g)
-        return char_u == expected, _poly_witness(char_u, expected)
+    def same_charpoly(actual: Poly, closed_form):
+        expected = closed_form(g)
+        return actual == expected, f"difference {(actual - expected)!r}"
 
-    def check_degree_form():
-        expected = charpoly_u_via_degree_form(g)
-        return char_u == expected, _poly_witness(char_u, expected)
-
-    record("u_charpoly_walk_form", check_walk_form)
-    record("u_charpoly_degree_form", check_degree_form)
+    record("u_charpoly_walk_form", lambda: same_charpoly(char_u, charpoly_u_via_walk_form))
+    record("u_charpoly_degree_form", lambda: same_charpoly(char_u, charpoly_u_via_degree_form))
 
     def check_zeta():
-        from .zeta import ihara_reciprocal_bass_form, ihara_reciprocal_edge_form
-
         edge = ihara_reciprocal_edge_form(arcs)
         vertex = ihara_reciprocal_bass_form(g)
         same = vertex == RationalFunction(edge)
@@ -386,13 +376,12 @@ def _entry_checks(entry: CorpusEntry, seed: int, weight_trials: int) -> list[Ide
         record("support_identity", check_support)
 
     if entry.md2:
-
-        def check_support_charpoly():
-            actual = charpoly_exact(positive_support(u.transpose()))
-            expected = charpoly_support_via_adjacency_form(g)
-            return actual == expected, _poly_witness(actual, expected)
-
-        record("support_charpoly_form", check_support_charpoly)
+        record(
+            "support_charpoly_form",
+            lambda: same_charpoly(
+                charpoly_exact(positive_support(u.transpose())), charpoly_support_via_adjacency_form
+            ),
+        )
 
     return checks
 

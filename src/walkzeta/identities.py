@@ -1,19 +1,22 @@
 """Closed vertex-level forms for arc-operator characteristic polynomials.
 
 The characteristic polynomial of the 2m x 2m transition matrix collapses
-to an n x n determinant in the random-walk matrix, with a circle factor
-(x^2 - 1) accounting for the dimension gap: one copy per independent
-cycle beyond a spanning tree.  For trees the gap is negative one and the
-circle factor divides out exactly.  A parallel form exists for the
-positive support of U-transpose on graphs of minimum degree 2.
+to an n x n quadratic determinant in the random-walk matrix, with a circle
+factor (x^2 - 1) accounting for the dimension gap: one copy per
+independent cycle beyond a spanning tree.  For trees the gap is negative
+one and the circle factor divides out exactly.  A parallel form exists for
+the positive support of U-transpose on graphs of minimum degree 2.
+
+Each quadratic determinant det(x^2 I - xA + C) is evaluated by the one
+exact kernel as the characteristic polynomial of its 2n x 2n
+linearisation (``exact.quadratic_charpoly``), the device of Bass (1992)
+and Kotani-Sunada (2000) in their proofs of the Ihara-Bass formula.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exact import Poly, RationalFunction, poly_divexact, polymat_det
-from .graphs import Graph, adjacency_matrix, degree_info
+from .exact import Matrix, Poly, RationalFunction, poly_divexact, quadratic_charpoly
+from .graphs import Graph, adjacency_matrix, build_arcs, degree_info
 from .operators import random_walk_matrix
 
 CIRCLE = Poly((-1, 0, 1))  # x^2 - 1
@@ -28,55 +31,26 @@ def apply_circle_prefactor(det_poly: Poly, exponent: int) -> Poly:
 
 def walk_determinant_form(g: Graph) -> Poly:
     """det((x^2 + 1) I - 2x T) with T the random-walk matrix."""
-    t = random_walk_matrix(g)
-    entries = [
-        [
-            Poly((1 if i == j else 0, -2 * t[i, j], 1 if i == j else 0))
-            for j in range(g.n)
-        ]
-        for i in range(g.n)
-    ]
-    return polymat_det(entries, 2 * g.n)
+    return quadratic_charpoly(random_walk_matrix(g) * 2, [1] * g.n)
 
 
 def degree_adjacency_determinant_form(g: Graph) -> Poly:
-    """det((x^2 + 1) D - 2x A) divided by the product of the degrees."""
+    """det((x^2 + 1) D - 2x A) divided by the product of the degrees.
+
+    Equal to det((x^2 + 1) I - 2x A D^-1); A D^-1 is the transpose of T, so
+    this form does not share its matrix with ``walk_determinant_form``.
+    """
     adj = adjacency_matrix(g)
     degs = degree_info(g).degrees
     if min(degs) < 1:
         raise ValueError("needs every vertex to have an arc")
-    entries = [
-        [
-            Poly((degs[i] if i == j else 0, -2 * adj[i, j], degs[i] if i == j else 0))
-            for j in range(g.n)
-        ]
-        for i in range(g.n)
-    ]
-    det = polymat_det(entries, 2 * g.n)
-    denom = Fraction(1)
-    for d in degs:
-        denom *= d
-    return det * (1 / denom)
+    scaled = Matrix([[2 * adj[i, j] / degs[j] for j in range(g.n)] for i in range(g.n)])
+    return quadratic_charpoly(scaled, [1] * g.n)
 
 
 def support_determinant_form(g: Graph) -> Poly:
     """det((x^2 - 1) I - x A + D)."""
-    adj = adjacency_matrix(g)
-    degs = degree_info(g).degrees
-    entries = [
-        [
-            Poly(
-                (
-                    degs[i] - 1 if i == j else 0,
-                    -adj[i, j],
-                    1 if i == j else 0,
-                )
-            )
-            for j in range(g.n)
-        ]
-        for i in range(g.n)
-    ]
-    return polymat_det(entries, 2 * g.n)
+    return quadratic_charpoly(adjacency_matrix(g), [d - 1 for d in degree_info(g).degrees])
 
 
 def charpoly_u_via_walk_form(g: Graph) -> Poly:
@@ -107,7 +81,6 @@ def charpoly_support_via_adjacency_form(g: Graph) -> Poly:
 
 def bass_identity_holds(g: Graph) -> bool:
     """Edge-determinant and vertex-determinant zeta reciprocals agree."""
-    from .graphs import build_arcs
     from .zeta import ihara_reciprocal_bass_form, ihara_reciprocal_edge_form
 
     edge = ihara_reciprocal_edge_form(build_arcs(g))

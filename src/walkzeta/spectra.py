@@ -11,6 +11,7 @@ adjacency) into arc-operator spectra for cross-checking.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,19 +81,28 @@ def _fujiwara_bound(monic_coeffs: np.ndarray) -> float:
     return bound if bound > 0 else 1.0
 
 
-def _aberth(p: Poly, newton_tol: float = 1e-12, max_iter: int = 400) -> np.ndarray:
-    """All roots of a square-free polynomial by Aberth's method.
+def _relative_residuals(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|p(z)| / sum |a_i| |z|^i at each point, 0 where both vanish (z = 0 = a_0).
+
+    The backward error of z as a root of p: double precision cannot place
+    a root below about machine epsilon on this scale.
+    """
+    num = np.abs(npoly.polyval(z, coeffs))
+    den = npoly.polyval(np.abs(z), np.abs(coeffs))
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _aberth(coeffs: np.ndarray, newton_tol: float = 1e-12, max_iter: int = 400) -> np.ndarray:
+    """All roots of a square-free monic polynomial (ascending array) by Aberth's method.
 
     A point is accepted when its Newton correction |p/p'| drops below
     newton_tol (relative to max(1, |z|)), or when |p(z)| falls under the
     round-off bound eps * sum |a_i| |z|^i, past which double precision
     cannot place the root any better.
     """
-    monic = p.monic()
-    coeffs = np.array([float(c) for c in monic.coeffs], dtype=np.float64)
-    deg = monic.degree
+    deg = len(coeffs) - 1
     if deg == 1:
-        return np.array([complex(-monic.coeffs[0])])
+        return np.array([complex(-coeffs[0])])
     dcoeffs = npoly.polyder(coeffs)
     abs_coeffs = np.abs(coeffs)
     noise_scale = 4.0 * np.finfo(np.float64).eps
@@ -128,19 +138,22 @@ def roots(p: Poly, tolerance: float = DEFAULT_TOLERANCE) -> SpectrumMultiset:
 
     Exact square-free factors are extracted first (so multiple roots are
     never iterated on), then each factor is solved numerically.  The
-    reported residual is max |p(z)| over returned roots, normalized by the
-    Cauchy bound raised to the degree.
+    reported residual is the largest relative residual |f(z)| / sum |f_i| |z|^i
+    over the roots z of each square-free factor f: about machine epsilon
+    for a root placed to full double precision.
     """
     if p.degree < 1:
         raise ValueError("roots of a constant polynomial are undefined")
     vals: list[complex] = []
+    residual = 0.0
     for factor, multiplicity in square_free_decomposition(p):
-        for z in _aberth(factor):
+        coeffs = np.array([float(c) for c in factor.coeffs], dtype=np.float64)
+        factor_roots = _aberth(coeffs)
+        if coeffs[0] == 0:  # the simple root at zero is exact; Aberth lands within round-off
+            factor_roots[np.argmin(np.abs(factor_roots))] = 0
+        residual = max(residual, float(np.max(_relative_residuals(coeffs, factor_roots))))
+        for z in factor_roots:
             vals.extend([complex(z)] * multiplicity)
-    monic = p.monic()
-    coeffs = np.array([float(c) for c in monic.coeffs], dtype=np.float64)
-    scale = max(1.0, _fujiwara_bound(coeffs)) ** monic.degree
-    residual = float(np.max(np.abs(npoly.polyval(np.array(vals), coeffs)))) / scale
     return SpectrumMultiset(_sorted_values(vals), tolerance, residual)
 
 
@@ -222,19 +235,58 @@ def map_adjacency_spectrum(
     return SpectrumMultiset(_sorted_values(vals), tolerance)
 
 
+def _has_perfect_matching(neighbours: list[list[int]]) -> bool:
+    """Kuhn's augmenting-path test on a square bipartite graph."""
+    size = len(neighbours)
+    match_left = [-1] * size
+    match_right = [-1] * size
+    for root in range(size):
+        reached_from = [-1] * size  # left vertex that reached each right vertex
+        stack = [root]
+        free = -1
+        while stack and free < 0:
+            u = stack.pop()
+            for v in neighbours[u]:
+                if reached_from[v] >= 0:
+                    continue
+                reached_from[v] = u
+                if match_right[v] < 0:
+                    free = v
+                    break
+                stack.append(match_right[v])
+        if free < 0:
+            return False
+        v = free
+        while v >= 0:  # flip the path back to the root, which had no partner
+            u = reached_from[v]
+            previous = match_left[u]
+            match_left[u], match_right[v] = v, u
+            v = previous
+    return True
+
+
 def compare(
     left: SpectrumMultiset, right: SpectrumMultiset, tolerance: float | None = None
 ) -> CompareResult:
-    """Multiset comparison by greedy nearest-neighbor pairing."""
+    """Multiset comparison by the optimal (bottleneck) pairing.
+
+    max_pair_distance is the least d for which the values can be paired
+    one to one with every pair within d: a binary search over the sorted
+    pair distances, each step tested for a perfect matching.
+    """
     if tolerance is None:
         tolerance = max(left.tolerance, right.tolerance)
     if len(left) != len(right):
         return CompareResult(False, math.inf)
-    remaining = list(right.values)
-    worst = 0.0
-    for z in left.values:
-        best_idx = min(range(len(remaining)), key=lambda i: abs(z - remaining[i]))
-        worst = max(worst, abs(z - remaining.pop(best_idx)))
+    if not left.values:
+        return CompareResult(True, 0.0)
+    dist = np.abs(np.subtract.outer(np.array(left.values), np.array(right.values)))
+    candidates = np.sort(dist, axis=None)  # the largest always admits a pairing
+
+    def feasible(d) -> bool:
+        return _has_perfect_matching([np.flatnonzero(row <= d).tolist() for row in dist])
+
+    worst = float(candidates[bisect_left(candidates, True, key=feasible)])
     return CompareResult(worst <= tolerance, worst)
 
 

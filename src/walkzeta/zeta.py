@@ -2,9 +2,13 @@
 
 The reciprocal of the zeta function is computed two independent ways: as
 the arc-level determinant det(I - t(B - J0)) and through the vertex-level
-three-term determinant with its (1 - t^2) prefactor.  A brute-force Euler
-product over equivalence classes of prime reduced cycles serves as a
-combinatorial cross-check on small graphs.
+three-term determinant with its (1 - t^2) prefactor.  Both go through the
+one exact kernel: det(I - tM) is the coefficient reversal of char(M), and
+the vertex determinant is the reversal of det(x^2 I - xA + D - I), the
+characteristic polynomial of its 2n x 2n linearisation (Bass 1992,
+Kotani-Sunada 2000).  A brute-force Euler product over equivalence classes
+of prime reduced cycles serves as a combinatorial cross-check on small
+graphs.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .exact import Matrix, Poly, RationalFunction, polymat_det
-from .graphs import ArcSet, Graph, adjacency_matrix, betti, degree_info
+from .exact import Matrix, Poly, RationalFunction, charpoly_exact, quadratic_charpoly
+from .graphs import ArcSet, Graph, betti
+from .identities import support_determinant_form
 from .operators import nonbacktracking_matrix, weighted_edge_matrix, arc_matrices
 
 MAX_ORACLE_ARCS = 20
@@ -135,32 +140,18 @@ class CycleClass:
 
 
 def ihara_reciprocal_edge_form(arcs: ArcSet) -> Poly:
-    """1/zeta as det(I - t(B - J0)) over the arcs."""
-    nb = nonbacktracking_matrix(arcs)
-    size = len(arcs)
-    entries = [
-        [Poly((1 if i == j else 0, -nb[i, j])) for j in range(size)]
-        for i in range(size)
-    ]
-    return polymat_det(entries, size)
+    """1/zeta as det(I - t(B - J0)) over the arcs: char(B - J0) reversed."""
+    return Poly(charpoly_exact(nonbacktracking_matrix(arcs)).reversed_coeffs())
 
 
 def ihara_reciprocal_bass_form(g: Graph) -> RationalFunction:
     """1/zeta as (1 - t^2)^(r - 1) det(I - tA + t^2 (D - I)).
 
     r is the first Betti number; for trees the exponent is negative and the
-    result is a genuine rational function.
+    result is a genuine rational function.  The determinant is the
+    reversal of the support form det(x^2 I - xA + D - I).
     """
-    adj = adjacency_matrix(g)
-    degs = degree_info(g).degrees
-    entries = [
-        [
-            Poly((1 if i == j else 0, -adj[i, j], degs[i] - 1 if i == j else 0))
-            for j in range(g.n)
-        ]
-        for i in range(g.n)
-    ]
-    det = polymat_det(entries, 2 * g.n)
+    det = Poly(support_determinant_form(g).reversed_coeffs())
     prefactor = RationalFunction.from_power(ONE_MINUS_T_SQUARED, betti(g) - 1)
     return prefactor * det
 
@@ -181,32 +172,11 @@ def weighted_zeta_reciprocal(arcs: ArcSet, weights: Matrix) -> WeightedZetaForms
     """
     n = weights.rows
     bw = weighted_edge_matrix(arcs, weights)  # validates the weight support
-    inv = arc_matrices(arcs).inversion
-    size = len(arcs)
-    wm = bw - inv
-    edge_entries = [
-        [Poly((1 if i == j else 0, -wm[i, j])) for j in range(size)]
-        for i in range(size)
-    ]
-    edge = polymat_det(edge_entries, size)
-
-    out_sums = [Fraction(0)] * n
-    for a in range(size):
-        out_sums[arcs.origin(a)] += weights[arcs.origin(a), arcs.terminus(a)]
-    vertex_entries = [
-        [
-            Poly(
-                (
-                    1 if i == j else 0,
-                    -weights[i, j],
-                    out_sums[i] - 1 if i == j else 0,
-                )
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    det = polymat_det(vertex_entries, 2 * n)
+    edge = Poly(charpoly_exact(bw - arc_matrices(arcs).inversion).reversed_coeffs())
+    shifted_sums = [Fraction(-1)] * n  # diagonal of D_w - I
+    for a in range(len(arcs)):
+        shifted_sums[arcs.origin(a)] += weights[arcs.origin(a), arcs.terminus(a)]
+    det = Poly(quadratic_charpoly(weights, shifted_sums).reversed_coeffs())
     prefactor = RationalFunction.from_power(ONE_MINUS_T_SQUARED, arcs.m - n)
     return WeightedZetaForms(edge, prefactor * det)
 

@@ -4,17 +4,15 @@ from fractions import Fraction
 import pytest
 
 from walkzeta.exact import (
-    BoundTooSmallError,
     ExactDivisionError,
     Matrix,
     Poly,
     RationalFunction,
     charpoly_exact,
-    det_exact,
     interpolate,
     poly_divexact,
     poly_gcd,
-    polymat_det,
+    quadratic_charpoly,
     square_free_decomposition,
 )
 
@@ -29,6 +27,11 @@ def _rand_fraction(rng):
 
 def _rand_matrix(rng, n):
     return Matrix([[_rand_fraction(rng) for _ in range(n)] for _ in range(n)])
+
+
+def _det(m):
+    """Determinant read off the constant term of the characteristic polynomial."""
+    return (-1) ** m.rows * charpoly_exact(m).coeffs[0]
 
 
 def test_poly_basics():
@@ -115,27 +118,27 @@ def test_square_free_random_products():
 
 
 def test_det_fixtures():
-    assert det_exact(Matrix.identity(3)) == 1
-    assert det_exact(Matrix([[0, 1], [1, 0]])) == -1
+    assert _det(Matrix.identity(3)) == 1
+    assert _det(Matrix([[0, 1], [1, 0]])) == -1
     a_k4 = Matrix([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
-    assert det_exact(a_k4) == -3
-    assert det_exact(Matrix([])) == 1
+    assert _det(a_k4) == -3
+    assert _det(Matrix([])) == 1
 
 
 def test_det_rational_entries():
     m = Matrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]])
-    assert det_exact(m) == Fraction(1, 10) - Fraction(1, 12)
+    assert _det(m) == Fraction(1, 10) - Fraction(1, 12)
 
 
 def test_det_singular():
     m = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    assert det_exact(m) == 0
+    assert _det(m) == 0
 
 
 def test_det_needs_pivoting():
     # zero leading principal minors force row/column swaps
     m = Matrix([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
-    assert det_exact(m) == -6
+    assert _det(m) == -6
 
 
 def test_det_matches_permutation_expansion():
@@ -143,7 +146,7 @@ def test_det_matches_permutation_expansion():
     for n in (2, 3, 4, 5):
         for _ in range(8):
             m = _rand_matrix(rng, n)
-            assert det_exact(m) == perm_det(m)
+            assert _det(m) == perm_det(m)
 
 
 def test_det_multiplicative():
@@ -151,12 +154,12 @@ def test_det_multiplicative():
     for _ in range(100):
         a = _rand_matrix(rng, 5)
         b = _rand_matrix(rng, 5)
-        assert det_exact(a * b) == det_exact(a) * det_exact(b)
+        assert _det(a * b) == _det(a) * _det(b)
 
 
 def test_det_nonsquare():
     with pytest.raises(ValueError):
-        det_exact(Matrix([[1, 2, 3], [4, 5, 6]]))
+        _det(Matrix([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_charpoly_fixtures():
@@ -179,7 +182,7 @@ def test_charpoly_constant_term_is_det():
         n = rng.randint(2, 5)
         m = _rand_matrix(rng, n)
         p = charpoly_exact(m)
-        assert p.coeffs[0] == (-1) ** n * det_exact(m)
+        assert p.coeffs[0] == (-1) ** n * perm_det(m)
         assert p.degree == n and p.leading() == 1
 
 
@@ -193,30 +196,44 @@ def test_interpolate():
         interpolate([(0, 1), (0, 2)])
 
 
-def test_polymat_det_fixtures():
-    t = Poly.x()
-    assert polymat_det([[1 - t, Poly.zero()], [Poly.zero(), 1 + t]], 2) == 1 - t**2
-    # 2x2 walk determinant of K_2: (x^2+1)I - 2x * offdiag
-    entries = [[t**2 + 1, -2 * t], [-2 * t, t**2 + 1]]
-    assert polymat_det(entries, 4) == (t**2 - 1) ** 2
-    # K_2 edge matrix is zero, so I - t(B - J0) has determinant 1
-    zero = Poly.zero()
-    assert polymat_det([[Poly.one(), zero], [zero, Poly.one()]], 2) == Poly.one()
+def _check_quadratic_charpoly(a, c):
+    n = a.rows
+    p = quadratic_charpoly(a, c)
+    assert p.degree == 2 * n and p.leading() == 1
+    for x in range(-n, n + 1):
+        x = Fraction(x)
+        direct = Matrix(
+            [[(x * x + c[i] if i == j else 0) - x * a[i, j] for j in range(n)] for i in range(n)]
+        )
+        assert p(x) == perm_det(direct)
 
 
-def test_polymat_det_scalar_entries_match_det_exact():
-    rng = random.Random(4)
-    m = _rand_matrix(rng, 4)
-    entries = [[Poly.constant(m[i, j]) for j in range(4)] for i in range(4)]
-    assert polymat_det(entries, 0) == Poly.constant(det_exact(m))
+def test_quadratic_charpoly_matches_permutation_expansion():
+    rng = random.Random(23)
+    for _ in range(12):
+        n = rng.randint(1, 5)
+        if rng.random() < 0.5:
+            a = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            c = [rng.randint(-3, 3) for _ in range(n)]
+        else:
+            a = _rand_matrix(rng, n)
+            c = [_rand_fraction(rng) for _ in range(n)]
+        _check_quadratic_charpoly(a, c)
 
 
-def test_polymat_det_bound_probe():
-    t = Poly.x()
-    with pytest.raises(BoundTooSmallError):
-        polymat_det([[t**2]], 1)
-    # an honest bound larger than the true degree is fine
-    assert polymat_det([[t**2]], 5) == t**2
+def test_quadratic_charpoly_degenerate_cases():
+    for n in (1, 3, 5):
+        # A = 0, c = 0: a root of multiplicity 2n at zero
+        assert quadratic_charpoly(Matrix.zeros(n), [0] * n) == X ** (2 * n)
+        # A = J: eigenvalue 0 repeated n - 1 times
+        ones = Matrix([[1] * n for _ in range(n)])
+        _check_quadratic_charpoly(ones, [Fraction(k, 2) for k in range(n)])
+    singular = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    _check_quadratic_charpoly(singular, [0, 1, Fraction(-1, 3)])
+    _check_quadratic_charpoly(singular, [0, 0, 0])
+    assert quadratic_charpoly(Matrix([]), []) == Poly.one()
+    with pytest.raises(ValueError):
+        quadratic_charpoly(Matrix.identity(2), [1])
 
 
 def test_rational_function_reduction():

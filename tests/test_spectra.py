@@ -1,11 +1,13 @@
 import cmath
 import math
+import random
 
 import pytest
 
 from walkzeta.exact import Poly, charpoly_exact
 from walkzeta.graphs import build_arcs
 from walkzeta.identities import charpoly_support_via_adjacency_form
+from walkzeta import spectra
 from walkzeta.operators import nonbacktracking_matrix, transition_matrix
 from walkzeta.spectra import (
     SpectrumDomainError,
@@ -50,6 +52,21 @@ def test_roots_with_multiplicity():
     triple = roots((X - 1) ** 3)
     assert triple.values == (complex(1),) * 3
     assert triple.max_residual == 0.0
+
+
+def test_residual_flags_a_misplaced_root(monkeypatch):
+    p = charpoly_exact(transition_matrix(complete_graph(4)))
+    assert roots(p).max_residual < 1e-14
+    aberth = spectra._aberth
+    monkeypatch.setattr(spectra, "_aberth", lambda *args, **kwargs: aberth(*args, **kwargs) + 1e-3)
+    assert roots(p).max_residual >= 1e-6
+
+
+def test_zero_root_is_exact():
+    # Aberth alone leaves the zero root near 1e-27, where the relative residual reads 1
+    got = roots(X * (X**2 - 3 * X + 4) * (X + 2) ** 2)
+    assert got.values.count(0j) == 1
+    assert got.max_residual < 1e-14
 
 
 def test_roots_rejects_constant():
@@ -149,6 +166,24 @@ def test_compare_fixtures():
     assert mismatch.max_pair_distance == math.inf
     far = compare(_multiset(0), _multiset(1e-6))
     assert not far.equal
+
+
+def test_compare_pairs_optimally():
+    # greedy nearest-neighbour pairing takes 0 -> 0.1 and is left with 1 -> -0.9
+    left, right = _multiset(0, 1), _multiset(-0.9, 0.1)
+    got = compare(left, right, tolerance=0.95)
+    assert got.equal
+    assert got.max_pair_distance == pytest.approx(0.9)
+    assert compare(right, left, tolerance=0.95) == got
+
+
+def test_compare_is_symmetric():
+    rng = random.Random(5)
+    for _ in range(40):
+        size = rng.randint(1, 8)
+        a = _multiset(*(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(size)))
+        b = _multiset(*(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(size)))
+        assert compare(a, b) == compare(b, a)
 
 
 def test_compare_respects_explicit_tolerance():
