@@ -7,7 +7,6 @@ from .exact import (
     Rational,
     RationalFunction,
     charpoly_exact,
-    interpolate,
     poly_divexact,
     poly_gcd,
     quadratic_charpoly,

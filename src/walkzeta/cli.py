@@ -47,7 +47,13 @@ from .zeta import (
     ihara_reciprocal_bass_form,
     ihara_reciprocal_edge_form,
 )
-from .experiments import builtin_corpus, named_graph, run_identity_suite, srg_distinguish
+from .experiments import (
+    DEFAULT_WEIGHT_TRIALS,
+    builtin_corpus,
+    named_graph,
+    run_identity_suite,
+    srg_distinguish,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -79,11 +85,15 @@ def _load_graph(args) -> Graph:
         raise GraphFormatError("provide exactly one of --graph6 or --input")
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
-    with open(args.input, encoding="utf-8") as fh:
+    return _read_graph_file(args.input, args.input_format)
+
+
+def _read_graph_file(path: str, fmt: str = "auto") -> Graph:
+    """Parse a graph file; "auto" means graph6 for .g6/.graph6, else an edge list."""
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    fmt = args.input_format
     if fmt == "auto":
-        fmt = "graph6" if args.input.endswith((".g6", ".graph6")) else "edgelist"
+        fmt = "graph6" if path.endswith((".g6", ".graph6")) else "edgelist"
     return parse_graph6(text) if fmt == "graph6" else parse_edge_list(text)
 
 
@@ -94,11 +104,7 @@ def _resolve_graph_spec(spec: str) -> Graph:
     except KeyError:
         pass
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
-        if spec.endswith((".g6", ".graph6")):
-            return parse_graph6(text)
-        return parse_edge_list(text)
+        return _read_graph_file(spec)
     return parse_graph6(spec)
 
 
@@ -343,8 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run the identity suite on the corpus")
     p.add_argument("--corpus", choices=("builtin", "smoke"), default="builtin")
-    p.add_argument("--trials", type=int, default=10,
-                   help="random weight matrices per graph (default 10)")
+    p.add_argument("--trials", type=int, default=DEFAULT_WEIGHT_TRIALS,
+                   help=f"random weight matrices per graph (default {DEFAULT_WEIGHT_TRIALS})")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -365,6 +371,8 @@ def main(argv=None) -> int:
             raise ValueError("tolerance must be positive")
         if args.order < 1:
             raise ValueError("order must be >= 1")
+        if getattr(args, "trials", 0) < 0:
+            raise ValueError("trials must be >= 0")
         return args.func(args)
     except OracleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)

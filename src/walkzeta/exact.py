@@ -3,20 +3,21 @@
 Everything here works over arbitrary-precision rationals
 (``fractions.Fraction``), so characteristic polynomials and polynomial
 divisions are exact.  There is one determinant kernel, ``charpoly_exact``:
-fraction-free Bareiss elimination on an integer lift of the matrix,
-evaluated at small integer nodes and interpolated.  Every determinant the
-package needs is fed to it as one constant matrix.  An arc-level
-determinant det(I - tM) is the coefficient reversal of char(M), and a
-vertex-level quadratic determinant det(x^2 I - xA + C) is the
-characteristic polynomial of the 2n x 2n linearisation [[A, -C], [I, 0]]
-(``quadratic_charpoly``), as in the proofs of the Ihara-Bass formula by
-Bass (1992) and Kotani-Sunada (2000).
+Berkowitz's division-free algorithm on the matrix scaled to integers by
+the lcm of its denominators.  Every determinant the package needs is fed
+to it as one constant matrix.  An arc-level determinant det(I - tM) is
+the coefficient reversal of char(M), and a vertex-level quadratic
+determinant det(x^2 I - xA + C) is the characteristic polynomial of the
+2n x 2n linearisation [[A, -C], [I, 0]] (``quadratic_charpoly``), as in
+the proofs of the Ihara-Bass formula by Bass (1992) and Kotani-Sunada
+(2000).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -232,10 +233,16 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
     return quo
 
 
+def integer_lift(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The rows times s as Python ints, and s, the lcm of all denominators."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
 def _int_coeffs(p: Poly) -> list[int]:
     """Primitive integer coefficient list with positive leading coefficient."""
-    scale = lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    return _int_primitive([int(c * scale) for c in p.coeffs])
+    (ints,), _ = integer_lift([p.coeffs])
+    return _int_primitive(ints)
 
 
 def _int_primitive(ints: list[int]) -> list[int]:
@@ -485,106 +492,32 @@ class Matrix:
         return "\n".join("  ".join(str(x) for x in row) for row in self.data)
 
 
-def _integer_lift(data) -> tuple[list[list[int]], list[int]]:
-    """Scale each row to integers; returns (integer rows, per-row scales)."""
-    lifted = []
-    scales = []
-    for row in data:
-        scale = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                scale = lcm(scale, d)
-        lifted.append([int(x * scale) for x in row])
-        scales.append(scale)
-    return lifted, scales
-
-
-def _bareiss_det(a: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix; mutates its input.
-
-    Row and column swaps supply nonzero pivots, so the exact divisions of
-    the Bareiss recurrence stay valid for singular leading minors.
-    """
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pr = pc = -1
-            for i in range(k, n):
-                for j in range(k, n):
-                    if a[i][j] != 0:
-                        pr, pc = i, j
-                        break
-                if pr >= 0:
-                    break
-            if pr < 0:
-                return 0
-            if pr != k:
-                a[k], a[pr] = a[pr], a[k]
-                sign = -sign
-            if pc != k:
-                for row in a:
-                    row[k], row[pc] = row[pc], row[k]
-                sign = -sign
-        piv = a[k][k]
-        rowk = a[k]
-        for i in range(k + 1, n):
-            rowi = a[i]
-            aik = rowi[k]
-            a[i] = rowi[: k + 1] + [
-                (x * piv - aik * y) // prev
-                for x, y in zip(rowi[k + 1 :], rowk[k + 1 :])
-            ]
-        prev = piv
-    return sign * a[n - 1][n - 1]
-
-
-def interpolate(points: Sequence[tuple]) -> Poly:
-    """Unique polynomial through the given (x, y) points (Newton form)."""
-    xs = [Fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    coefs = [Fraction(y) for _, y in points]
-    n = len(points)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - level])
-    poly = Poly.zero()
-    basis = Poly.one()
-    for i in range(n):
-        poly = poly + coefs[i] * basis
-        basis = basis * Poly((-xs[i], 1))
-    return poly
-
-
 def charpoly_exact(m: Matrix) -> Poly:
-    """det(xI - M), monic of degree m.rows, by evaluation and interpolation.
+    """det(xI - M), monic of degree m.rows, by Berkowitz's algorithm (1984).
 
-    The matrix is lifted to integers once (per-row denominators), then the
-    integer determinant of (cI - M) is taken at the nodes c = 0..rows and
-    the results are interpolated.
+    M is lifted once to L = sM with integer entries.  The leading block of L
+    grows one row and column at a time: with A the current k x k block, a
+    the new diagonal entry, C the column above it and R the row to its left,
+    char of the grown block is the Toeplitz matrix of
+    (1, -a, -RC, -RAC, ..., -RA^(k-1)C) times char(A), by integer products
+    and sums only.  Then char(M)(x) = s^-n char(L)(sx).
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    size = m.rows
-    if size == 0:
-        return Poly.one()
-    lifted, scales = _integer_lift(m.data)
-    scale = prod(scales)
-    negated = [[-x for x in row] for row in lifted]
-    points = []
-    for c in range(size + 1):
-        work = [row[:] for row in negated]
-        for i in range(size):
-            work[i][i] += c * scales[i]
-        points.append((c, Fraction(_bareiss_det(work), scale)))
-    poly = interpolate(points)
-    if poly.degree != size or poly.leading() != 1:
-        raise AssertionError("interpolated characteristic polynomial is malformed")
+    lifted, scale = integer_lift(m.data)
+    p = [1]  # descending coefficients of char of the leading k x k block
+    for k, row in enumerate(lifted):
+        block = [r[:k] for r in lifted[:k]]
+        left = row[:k]
+        q = [1, -row[k]]
+        v = [r[k] for r in lifted[:k]]
+        for _ in range(k):
+            q.append(-sum(map(mul, left, v)))
+            v = [sum(map(mul, b, v)) for b in block]
+        p = [sum(q[i - j] * p[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    poly = Poly([Fraction(c, scale**i) for i, c in enumerate(p)][::-1])
+    if poly.degree != m.rows or poly.leading() != 1:
+        raise AssertionError("characteristic polynomial is malformed")
     return poly
 
 

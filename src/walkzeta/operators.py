@@ -10,10 +10,9 @@ variants, the random-walk matrix and exact positive supports of powers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
-from .exact import Matrix
+from .exact import Matrix, integer_lift
 from .graphs import ArcSet, Graph, adjacency_matrix, build_arcs, degree_info, validate
 
 
@@ -148,12 +147,7 @@ def power_support(m: Matrix, k: int) -> Matrix:
         raise ValueError("power_support needs a square matrix")
     if k == 1:
         return positive_support(m)
-    scale = 1
-    for row in m.data:
-        for x in row:
-            if x.denominator != 1:
-                scale = lcm(scale, x.denominator)
-    lifted = [[int(x * scale) for x in row] for row in m.data]
+    lifted, _ = integer_lift(m.data)
     power = _int_matmul(lifted, lifted)
     if k == 3:
         power = _int_matmul(power, lifted)

@@ -4,6 +4,8 @@ Roots are found by the Aberth simultaneous iteration in double precision.
 The polynomial is first split into exact square-free factors, so the
 iteration only ever sees simple roots and converges quadratically; the
 multiplicities come from the exact decomposition, not from clustering.
+A factor with a coefficient outside the double range is first rescaled
+exactly by x = 2^e y, so its coefficients fit in doubles.
 Closed-form eigenvalue maps translate vertex spectra (random walk or
 adjacency) into arc-operator spectra for cross-checking.
 """
@@ -11,8 +13,10 @@ adjacency) into arc-operator spectra for cross-checking.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -133,6 +137,23 @@ def _aberth(coeffs: np.ndarray, newton_tol: float = 1e-12, max_iter: int = 400) 
     )
 
 
+def _power_of_two_scaling(f: Poly) -> tuple[Poly, int]:
+    """(g, e) with g(y) = 2^(-e deg f) f(2^e y), for the monic f.
+
+    e = 0 unless a nonzero coefficient lies outside the double range.  Then
+    e = max ceil(b_i / i), with b_i the bit-length estimate of log2|a_(n-i)|
+    (within 1), so every coefficient of g is below 2 in modulus.
+    """
+    if all(c == 0 or sys.float_info.min <= abs(c) <= sys.float_info.max for c in f.coeffs):
+        return f, 0
+    e = max(
+        -((c.denominator.bit_length() - c.numerator.bit_length()) // i)
+        for i, c in enumerate(reversed(f.coeffs))
+        if i and c
+    )
+    return Poly(c * Fraction(2) ** (e * (k - f.degree)) for k, c in enumerate(f.coeffs)), e
+
+
 def roots(p: Poly, tolerance: float = DEFAULT_TOLERANCE) -> SpectrumMultiset:
     """All complex roots of p with multiplicity.
 
@@ -147,11 +168,14 @@ def roots(p: Poly, tolerance: float = DEFAULT_TOLERANCE) -> SpectrumMultiset:
     vals: list[complex] = []
     residual = 0.0
     for factor, multiplicity in square_free_decomposition(p):
+        factor, e = _power_of_two_scaling(factor)
         coeffs = np.array([float(c) for c in factor.coeffs], dtype=np.float64)
         factor_roots = _aberth(coeffs)
         if coeffs[0] == 0:  # the simple root at zero is exact; Aberth lands within round-off
             factor_roots[np.argmin(np.abs(factor_roots))] = 0
         residual = max(residual, float(np.max(_relative_residuals(coeffs, factor_roots))))
+        if e:
+            factor_roots = np.ldexp(factor_roots.real, e) + 1j * np.ldexp(factor_roots.imag, e)
         for z in factor_roots:
             vals.extend([complex(z)] * multiplicity)
     return SpectrumMultiset(_sorted_values(vals), tolerance, residual)

@@ -1,8 +1,9 @@
 """Independent slow oracles used only by the tests.
 
-These deliberately use different algorithms from the package: permutation
-expansion instead of elimination for determinants, the Faddeev-LeVerrier
-trace recursion instead of interpolation for characteristic polynomials.
+These deliberately use different algorithms from the package, which reads
+every determinant off a characteristic polynomial by Berkowitz's algorithm:
+permutation expansion for determinants and the Faddeev-LeVerrier trace
+recursion for characteristic polynomials.
 """
 
 from fractions import Fraction

@@ -216,6 +216,7 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         ("charpoly", "--graph6", K4, "--tolerance", "0"),
         ("zeta", "--graph6", C3, "--order", "0"),
         ("distinguish", "nosuchname", "K4"),
+        ("verify", "--corpus", "smoke", "--trials", "-3"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

@@ -9,7 +9,6 @@ from walkzeta.exact import (
     Poly,
     RationalFunction,
     charpoly_exact,
-    interpolate,
     poly_divexact,
     poly_gcd,
     quadratic_charpoly,
@@ -136,7 +135,7 @@ def test_det_singular():
 
 
 def test_det_needs_pivoting():
-    # zero leading principal minors force row/column swaps
+    # zero leading principal minors, around which elimination must pivot
     m = Matrix([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
     assert _det(m) == -6
 
@@ -171,8 +170,15 @@ def test_charpoly_fixtures():
 
 def test_charpoly_matches_faddeev_leverrier():
     rng = random.Random(11)
-    for n in (2, 3, 4, 6, 8):
-        m = _rand_matrix(rng, n)
+    cases = [_rand_matrix(rng, n) for n in (0, 1, 2, 3, 4, 6, 8)]
+    cases += [
+        Matrix.zeros(4),
+        Matrix([[1, 1, 0, 1], [1, 1, 0, 1], [0, 0, 1, 0], [1, 0, 1, 0]]),  # singular 0/1
+        Matrix([[1] * 5 for _ in range(5)]),  # J: eigenvalue 0 repeated 4 times
+        Matrix([[0, 2, -1], [3, 0, 5], [-4, 1, 0]]),  # zero diagonal
+        Matrix([[Fraction(1, d), Fraction(-d, 3), 1, 0] for d in (2, 3, 5, 7)]),  # lcm 210 lift
+    ]
+    for m in cases:
         assert charpoly_exact(m) == faddeev_leverrier(m)
 
 
@@ -184,16 +190,6 @@ def test_charpoly_constant_term_is_det():
         p = charpoly_exact(m)
         assert p.coeffs[0] == (-1) ** n * perm_det(m)
         assert p.degree == n and p.leading() == 1
-
-
-def test_interpolate():
-    rng = random.Random(9)
-    for _ in range(10):
-        p = Poly([_rand_fraction(rng) for _ in range(rng.randint(1, 7))])
-        pts = [(c, p(Fraction(c))) for c in range(p.degree + 2)]
-        assert interpolate(pts) == p
-    with pytest.raises(ValueError):
-        interpolate([(0, 1), (0, 2)])
 
 
 def _check_quadratic_charpoly(a, c):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -67,6 +68,14 @@ def test_zero_root_is_exact():
     got = roots(X * (X**2 - 3 * X + 4) * (X + 2) ** 2)
     assert got.values.count(0j) == 1
     assert got.max_residual < 1e-14
+
+
+def test_roots_outside_double_range():
+    # 10**400 overflows a double and 10**-400 underflows to zero
+    for constant, modulus in ((10**400, 1e200), (Fraction(1, 10**400), 1e-200)):
+        got = roots(Poly([constant, 0, 1]))
+        assert compare(got, _multiset(modulus * 1j, -modulus * 1j), modulus * 1e-12).equal
+        assert got.max_residual < 1e-14
 
 
 def test_roots_rejects_constant():
