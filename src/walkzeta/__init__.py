@@ -38,6 +38,7 @@ from .operators import (
     arc_matrices,
     coin_weight_matrix,
     nonbacktracking_matrix,
+    operator_matrix,
     positive_support,
     power_support,
     random_walk_matrix,

@@ -8,9 +8,11 @@ Usage examples::
     walkzeta verify --corpus builtin
     walkzeta distinguish shrikhande rook44
 
-Exit codes: 0 success, 2 bad input or failed validation, 3 identity
-violation, 4 size-guard violation.  JSON output has a fixed key order and
-no wall-clock data, so identical invocations are byte identical.
+Exit codes: 0 success, 2 bad input or failed validation (including
+``--format csv`` for any command but ``spectrum``), 3 identity violation,
+4 size-guard violation, 5 numeric root finding did not converge.  JSON
+output has a fixed key order and no wall-clock data, so identical
+invocations are byte identical.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ import json
 import os
 import sys
 
-from .exact import Poly, RationalFunction, charpoly_exact
+from .exact import RationalFunction, charpoly_exact
 from .graphs import (
     Graph,
     GraphFormatError,
-    adjacency_matrix,
     build_arcs,
     degree_info,
     parse_edge_list,
@@ -32,14 +33,9 @@ from .graphs import (
     validate,
 )
 from .identities import charpoly_u_factored
-from .operators import (
-    nonbacktracking_matrix,
-    positive_support,
-    power_support,
-    random_walk_matrix,
-    transition_matrix,
-)
-from .spectra import compare, map_adjacency_spectrum, map_random_walk_spectrum, real_roots, roots
+from .operators import TARGETS, operator_matrix
+from .spectra import DEFAULT_TOLERANCE, RootConvergenceError, compare, real_roots, roots
+from .spectra import map_adjacency_spectrum, map_random_walk_spectrum
 from .zeta import (
     OracleSizeError,
     PowerSeries,
@@ -48,6 +44,7 @@ from .zeta import (
     ihara_reciprocal_edge_form,
 )
 from .experiments import (
+    DEFAULT_SEED,
     DEFAULT_WEIGHT_TRIALS,
     builtin_corpus,
     named_graph,
@@ -59,12 +56,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IDENTITY = 3
 EXIT_SIZE = 4
+EXIT_ROOTS = 5
 
-DEFAULT_TOLERANCE = 1e-8
 DEFAULT_ORDER = 8
-DEFAULT_SEED = 42
-
-TARGETS = ("U", "U+", "U2+", "U3+", "A", "T", "B-J0")
 
 
 def _settings(args) -> dict:
@@ -77,6 +71,12 @@ def _settings(args) -> dict:
 
 def _envelope(command: str, args) -> dict:
     return {"command": command, "settings": _settings(args)}
+
+
+def _settings_text(args) -> str:
+    """The settings as the text header prints them."""
+    s = _settings(args)
+    return f"tolerance={s['tolerance']:g} order={s['order']} seed={s['seed']}"
 
 
 def _load_graph(args) -> Graph:
@@ -108,34 +108,13 @@ def _resolve_graph_spec(spec: str) -> Graph:
     return parse_graph6(spec)
 
 
-def _target_matrix(g: Graph, target: str):
-    if target == "A":
-        return adjacency_matrix(g)
-    if target == "T":
-        return random_walk_matrix(g)
-    if target == "B-J0":
-        return nonbacktracking_matrix(build_arcs(g))
-    u = transition_matrix(g)
-    if target == "U":
-        return u
-    if target == "U+":
-        return positive_support(u)
-    if target == "U2+":
-        return power_support(u, 2)
-    if target == "U3+":
-        return power_support(u, 3)
-    raise ValueError(f"unknown target {target!r}")
-
-
 def _print_json(doc: dict):
     print(json.dumps(doc, indent=2))
 
 
 def cmd_charpoly(args) -> int:
     g = _load_graph(args)
-    if args.format == "csv":
-        raise ValueError("csv output applies to spectra only")
-    poly = charpoly_exact(_target_matrix(g, args.target))
+    poly = charpoly_exact(operator_matrix(g, args.target))
     doc = _envelope("charpoly", args)
     doc["target"] = args.target
     doc["n"] = g.n
@@ -150,19 +129,16 @@ def cmd_charpoly(args) -> int:
     if args.format == "json":
         _print_json(doc)
     else:
-        print(f"charpoly target={args.target} n={g.n} m={g.m} "
-              f"tolerance={args.tolerance:g} order={args.order} seed={args.seed}")
+        print(f"charpoly target={args.target} n={g.n} m={g.m} {_settings_text(args)}")
         print(poly.format("x"))
         if args.target == "U":
-            print(f"factored: (x^2 - 1)^{doc['factored']['circle_exponent']} "
-                  f"* ({Poly.from_strings(doc['factored']['walk_determinant']).format('x')})")
+            print(f"factored: (x^2 - 1)^{exponent} * ({det.format('x')})")
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
     g = _load_graph(args)
-    matrix = _target_matrix(g, args.target)
-    poly = charpoly_exact(matrix)
+    poly = charpoly_exact(operator_matrix(g, args.target))
     spectrum = roots(poly, args.tolerance)
     info = degree_info(g)
     rep = validate(g)
@@ -170,7 +146,7 @@ def cmd_spectrum(args) -> int:
     mapped = None
     verdict = None
     if args.target == "U" and g.m >= g.n:
-        walk_eigs = real_roots(charpoly_exact(random_walk_matrix(g)), args.tolerance)
+        walk_eigs = real_roots(charpoly_exact(operator_matrix(g, "T")), args.tolerance)
         mapped = map_random_walk_spectrum(walk_eigs, g.m, g.n, args.tolerance)
         verdict = compare(spectrum, mapped, args.tolerance)
     elif (
@@ -180,7 +156,7 @@ def cmd_spectrum(args) -> int:
         and rep.md2
         and info.regular_degree is not None
     ):
-        adj_eigs = real_roots(charpoly_exact(adjacency_matrix(g)), args.tolerance)
+        adj_eigs = real_roots(charpoly_exact(operator_matrix(g, "A")), args.tolerance)
         mapped = map_adjacency_spectrum(
             adj_eigs, info.regular_degree, g.m, g.n, args.tolerance
         )
@@ -210,8 +186,7 @@ def cmd_spectrum(args) -> int:
     if args.format == "json":
         _print_json(doc)
     else:
-        print(f"spectrum target={args.target} n={g.n} m={g.m} "
-              f"tolerance={args.tolerance:g} order={args.order} seed={args.seed}")
+        print(f"spectrum target={args.target} n={g.n} m={g.m} {_settings_text(args)}")
         for z, count in spectrum.clustered():
             print(f"  {z.real:+.10f} {z.imag:+.10f}i  x{count}")
         if verdict is not None:
@@ -224,8 +199,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_zeta(args) -> int:
     g = _load_graph(args)
-    if args.format == "csv":
-        raise ValueError("csv output applies to spectra only")
     arcs = build_arcs(g)
     edge = ihara_reciprocal_edge_form(arcs)
     bass = ihara_reciprocal_bass_form(g)
@@ -252,8 +225,7 @@ def cmd_zeta(args) -> int:
     if args.format == "json":
         _print_json(doc)
     else:
-        print(f"zeta n={g.n} m={g.m} "
-              f"tolerance={args.tolerance:g} order={args.order} seed={args.seed}")
+        print(f"zeta n={g.n} m={g.m} {_settings_text(args)}")
         print(f"edge form: {edge.format('t')}")
         print(f"vertex form: ({bass.num.format('t')}) / ({bass.den.format('t')})")
         print(f"forms agree: {agree}")
@@ -277,8 +249,7 @@ def cmd_verify(args) -> int:
         doc["report"] = report.to_dict(include_timings=False)
         _print_json(doc)
     else:
-        print(f"verify corpus={args.corpus} "
-              f"tolerance={args.tolerance:g} order={args.order} seed={args.seed}")
+        print(f"verify corpus={args.corpus} {_settings_text(args)}")
         print(report.to_text())
     return EXIT_OK if report.passed else EXIT_IDENTITY
 
@@ -294,8 +265,7 @@ def cmd_distinguish(args) -> int:
         doc["result"] = result.to_dict()
         _print_json(doc)
     else:
-        print(f"distinguish {args.left} vs {args.right} "
-              f"tolerance={args.tolerance:g} order={args.order} seed={args.seed}")
+        print(f"distinguish {args.left} vs {args.right} {_settings_text(args)}")
         if result.distinguished:
             print(f"distinguished at level {result.level} ({result.level_name})")
         else:
@@ -363,10 +333,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
+        if args.format == "csv" and args.command != "spectrum":
+            raise ValueError("csv output applies to spectra only")
         if args.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if args.order < 1:
@@ -374,12 +348,11 @@ def main(argv=None) -> int:
         if getattr(args, "trials", 0) < 0:
             raise ValueError("trials must be >= 0")
         return args.func(args)
-    except OracleSizeError as exc:
+    except (GraphFormatError, ValueError, KeyError, OSError, RootConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except (GraphFormatError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, OracleSizeError):
+            return EXIT_SIZE
+        return EXIT_ROOTS if isinstance(exc, RootConvergenceError) else EXIT_INPUT
 
 
 def entry_point():

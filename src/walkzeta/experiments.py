@@ -21,7 +21,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,8 +39,8 @@ from .identities import (
     charpoly_u_via_walk_form,
 )
 from .operators import (
+    operator_matrix,
     positive_support,
-    power_support,
     transition_matrix,
     verify_support_identity,
 )
@@ -411,6 +410,8 @@ def run_identity_suite(
     suite_start = time.perf_counter()
     task = functools.partial(_entry_checks, seed=seed, weight_trials=weight_trials)
     if workers > 1 and len(corpus) > 1:
+        # imported here: it takes about a tenth of the package's import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_entry = list(pool.map(task, corpus))
     else:
@@ -421,7 +422,12 @@ def run_identity_suite(
     return report
 
 
-DISTINGUISH_LEVELS = ("adjacency", "support_u", "support_u2", "support_u3")
+DISTINGUISH_LEVELS = (  # (level name, operator_matrix target), level 0 first
+    ("adjacency", "A"),
+    ("support_u", "U+"),
+    ("support_u2", "U2+"),
+    ("support_u3", "U3+"),
+)
 
 
 @dataclass
@@ -469,19 +475,10 @@ def srg_distinguish(g: Graph, h: Graph) -> DistinguishResult:
     """
     _check_srg_hypotheses(g, "left graph")
     _check_srg_hypotheses(h, "right graph")
-    u_g = transition_matrix(g)
-    u_h = transition_matrix(h)
-
-    def level_matrix(graph, u, name):
-        if name == "adjacency":
-            return adjacency_matrix(graph)
-        k = {"support_u": 1, "support_u2": 2, "support_u3": 3}[name]
-        return power_support(u, k)
-
     charpolys: dict[str, tuple[list[str], list[str]]] = {}
-    for idx, name in enumerate(DISTINGUISH_LEVELS):
-        left = charpoly_exact(level_matrix(g, u_g, name))
-        right = charpoly_exact(level_matrix(h, u_h, name))
+    for idx, (name, target) in enumerate(DISTINGUISH_LEVELS):
+        left = charpoly_exact(operator_matrix(g, target))
+        right = charpoly_exact(operator_matrix(h, target))
         charpolys[name] = (left.to_strings(), right.to_strings())
         if left != right:
             return DistinguishResult(idx, name, charpolys)

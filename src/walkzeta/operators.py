@@ -154,6 +154,27 @@ def power_support(m: Matrix, k: int) -> Matrix:
     return Matrix([[1 if x > 0 else 0 for x in row] for row in power])
 
 
+TARGETS = ("U", "U+", "U2+", "U3+", "A", "T", "B-J0")
+
+
+def operator_matrix(g: Graph, target: str) -> Matrix:
+    """The matrix a target name stands for.
+
+    U is the transition matrix and U+, U2+, U3+ the positive supports of
+    U, U^2, U^3; A is adjacency, T the random walk, B-J0 the edge matrix.
+    """
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}")
+    if target == "A":
+        return adjacency_matrix(g)
+    if target == "T":
+        return random_walk_matrix(g)
+    if target == "B-J0":
+        return nonbacktracking_matrix(build_arcs(g))
+    u = transition_matrix(g)
+    return u if target == "U" else power_support(u, {"U+": 1, "U2+": 2, "U3+": 3}[target])
+
+
 def verify_support_identity(g: Graph, arcs: ArcSet | None = None) -> bool:
     """Check that the positive support of U-transpose is the edge matrix.
 

@@ -5,7 +5,8 @@ The polynomial is first split into exact square-free factors, so the
 iteration only ever sees simple roots and converges quadratically; the
 multiplicities come from the exact decomposition, not from clustering.
 A factor with a coefficient outside the double range is first rescaled
-exactly by x = 2^e y, so its coefficients fit in doubles.
+exactly by x = 2^e y, so its coefficients fit in doubles; a root that is
+itself outside the double range raises SpectrumDomainError.
 Closed-form eigenvalue maps translate vertex spectra (random walk or
 adjacency) into arc-operator spectra for cross-checking.
 """
@@ -175,7 +176,10 @@ def roots(p: Poly, tolerance: float = DEFAULT_TOLERANCE) -> SpectrumMultiset:
             factor_roots[np.argmin(np.abs(factor_roots))] = 0
         residual = max(residual, float(np.max(_relative_residuals(coeffs, factor_roots))))
         if e:
-            factor_roots = np.ldexp(factor_roots.real, e) + 1j * np.ldexp(factor_roots.imag, e)
+            with np.errstate(over="ignore"):
+                factor_roots = np.ldexp(factor_roots.real, e) + 1j * np.ldexp(factor_roots.imag, e)
+        if not np.all(np.isfinite(factor_roots)) or (factor.coeffs[0] and not np.all(factor_roots)):
+            raise SpectrumDomainError("a root lies outside the double range")
         for z in factor_roots:
             vals.extend([complex(z)] * multiplicity)
     return SpectrumMultiset(_sorted_values(vals), tolerance, residual)

@@ -233,16 +233,18 @@ def prime_cycle_classes(arcs: ArcSet, order: int) -> list[CycleClass]:
 
 
 def euler_product_oracle(arcs: ArcSet, order: int) -> PowerSeries:
-    """Truncated Euler product over prime cycle classes up to the order."""
-    series = PowerSeries.one(order)
+    """Truncated Euler product over prime cycle classes up to the order.
+
+    Each class of length L multiplies the integer coefficients in place by
+    1 / (1 - t^L) = 1 + t^L + t^(2L) + ...
+    """
+    coeffs = [1] + [0] * order
     for cls in prime_cycle_classes(arcs, order):
         if not cls.prime:
             continue
-        geometric = PowerSeries(
-            (1 if k % cls.length == 0 else 0 for k in range(order + 1)), order
-        )
-        series = series * geometric
-    return series
+        for k in range(cls.length, order + 1):
+            coeffs[k] += coeffs[k - cls.length]
+    return PowerSeries(coeffs, order)
 
 
 def cycle_norm(cycle: CycleClass, weights: Matrix, arcs: ArcSet) -> Fraction:

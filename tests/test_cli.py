@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from walkzeta import spectra
 from walkzeta.cli import main
 from walkzeta.exact import charpoly_exact
 from walkzeta.graphs import encode_graph6
@@ -103,8 +104,25 @@ def test_csv_rejected_outside_spectrum(capsys):
     code, _, err = run_cli(capsys, "charpoly", "--graph6", K4, "--format", "csv")
     assert code == 2
     assert "csv" in err
-    code, _, err = run_cli(capsys, "zeta", "--graph6", C3, "--format", "csv")
-    assert code == 2
+    for argv in (
+        ("zeta", "--graph6", C3),
+        ("verify", "--corpus", "smoke"),
+        ("distinguish", "K4", "K4"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2, argv
+        assert out == "" and "csv" in err, argv
+
+
+def test_root_finding_failure_exit_5(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spectra.RootConvergenceError("Aberth did not converge in 400 iterations")
+
+    monkeypatch.setattr(spectra, "_aberth", no_convergence)
+    code, out, err = run_cli(capsys, "spectrum", "--graph6", K4)
+    assert code == 5
+    assert out == ""
+    assert "error:" in err
 
 
 def test_zeta_c3_with_oracle(capsys):

@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from walkzeta import experiments
 from walkzeta.exact import Matrix, charpoly_exact
-from walkzeta.graphs import Graph, build_arcs
+from walkzeta.graphs import Graph, adjacency_matrix, build_arcs
 from walkzeta.operators import (
+    TARGETS,
     arc_matrices,
     coin_weight_matrix,
     nonbacktracking_matrix,
+    operator_matrix,
     positive_support,
     power_support,
     random_walk_matrix,
@@ -21,6 +24,10 @@ from walkzeta.experiments import (
     complete_graph,
     cycle_graph,
     path_graph,
+    petersen_graph,
+    rook_graph_4x4,
+    shrikhande_graph,
+    srg_distinguish,
     triangle_with_doubled_edge,
 )
 
@@ -203,3 +210,41 @@ def test_power_support_matches_rational_power():
     assert power_support(u, 3) == positive_support(cube)
     square = u * u
     assert power_support(u, 2) == positive_support(square)
+
+
+def test_operator_matrix_table_and_distinguish_levels(monkeypatch):
+    for g in (complete_graph(4), cycle_graph(5), petersen_graph(), triangle_with_doubled_edge()):
+        u = transition_matrix(g)
+        definitions = {
+            "U": u,
+            "U+": power_support(u, 1),
+            "U2+": power_support(u, 2),
+            "U3+": power_support(u, 3),
+            "A": adjacency_matrix(g),
+            "T": random_walk_matrix(g),
+            "B-J0": nonbacktracking_matrix(build_arcs(g)),
+        }
+        assert tuple(definitions) == TARGETS
+        for target, matrix in definitions.items():
+            assert operator_matrix(g, target) == matrix, target
+    with pytest.raises(ValueError):
+        operator_matrix(complete_graph(4), "U4+")
+
+    # Each level's charpoly is charpoly_exact of that level's target matrix:
+    # record what srg_distinguish feeds the kernel, so the 96-dim charpolys
+    # are computed once.
+    fed = []
+
+    def recording_charpoly(m):
+        fed.append((m, charpoly_exact(m)))
+        return fed[-1][1]
+
+    monkeypatch.setattr(experiments, "charpoly_exact", recording_charpoly)
+    g, h = shrikhande_graph(), rook_graph_4x4()
+    result = srg_distinguish(g, h)
+    assert result.level_name == "support_u3"
+    assert len(fed) == 2 * len(experiments.DISTINGUISH_LEVELS)
+    for idx, (name, target) in enumerate(experiments.DISTINGUISH_LEVELS):
+        (m_g, p_g), (m_h, p_h) = fed[2 * idx : 2 * idx + 2]
+        assert m_g == operator_matrix(g, target) and m_h == operator_matrix(h, target), name
+        assert result.charpolys[name] == (p_g.to_strings(), p_h.to_strings()), name

@@ -78,6 +78,14 @@ def test_roots_outside_double_range():
         assert got.max_residual < 1e-14
 
 
+def test_roots_rejects_root_outside_double_range():
+    # the roots are about -1e400 and 3e-400: neither is a double
+    with pytest.raises(SpectrumDomainError):
+        roots(Poly([-3, 10**400, 1]))
+    with pytest.raises(SpectrumDomainError):
+        roots(Poly([Fraction(1, 10**700), 1]))
+
+
 def test_roots_rejects_constant():
     with pytest.raises(ValueError):
         roots(Poly.one())
