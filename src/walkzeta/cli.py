@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -341,8 +342,8 @@ def main(argv=None) -> int:
     try:
         if args.format == "csv" and args.command != "spectrum":
             raise ValueError("csv output applies to spectra only")
-        if args.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive")
         if args.order < 1:
             raise ValueError("order must be >= 1")
         if getattr(args, "trials", 0) < 0:

@@ -377,15 +377,16 @@ class RationalFunction:
 class Matrix:
     """Dense matrix of Fractions, row major.
 
-    Construction copies and normalizes every entry; treat instances as
-    immutable afterwards.  Multiplication dispatches on the operand: matrix
+    Construction copies the rows and makes every entry a Fraction (entries
+    that already are pass through); treat instances as immutable
+    afterwards.  Multiplication dispatches on the operand: matrix
     times matrix is the product, matrix times scalar is elementwise.
     """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence]):
-        self.data = [[Fraction(x) for x in row] for row in data]
+        self.data = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in data]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
         for row in self.data:

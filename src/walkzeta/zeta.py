@@ -8,7 +8,7 @@ the vertex determinant is the reversal of det(x^2 I - xA + D - I), the
 characteristic polynomial of its 2n x 2n linearisation (Bass 1992,
 Kotani-Sunada 2000).  A brute-force Euler product over equivalence classes
 of prime reduced cycles serves as a combinatorial cross-check on small
-graphs.
+graphs; each class is enumerated once, from its least arc.
 """
 
 from __future__ import annotations
@@ -198,14 +198,20 @@ def prime_cycle_classes(arcs: ArcSet, order: int) -> list[CycleClass]:
 
     Reduced means no step backtracks, including around the wrap.  Classes
     are canonicalized by least rotation and marked prime when the sequence
-    is not a power of a shorter one.  Guarded to 2m <= 20 arcs and length
-    <= 12; cost grows exponentially past that.
+    is not a power of a shorter one.  Each class is enumerated from its
+    least arc: from start arc s the walk takes only arcs >= s.  The least
+    arc can recur in a cycle (powers, figure-eights), so every closed walk
+    is still canonicalized.  Order 0 gives no classes; a negative order is
+    a ValueError.  Guarded to 2m <= 20 arcs and length <= 12; cost grows
+    exponentially past that.
     """
     size = len(arcs)
     if size > MAX_ORACLE_ARCS:
         raise OracleSizeError(f"cycle oracle limited to {MAX_ORACLE_ARCS} arcs, got {size}")
     if order > MAX_ORACLE_ORDER:
         raise OracleSizeError(f"cycle oracle limited to length {MAX_ORACLE_ORDER}, got {order}")
+    if order < 0:
+        raise ValueError(f"cycle order must be >= 0, got {order}")
     successors = [
         [f for f in range(size) if arcs.terminus(e) == arcs.origin(f) and f != arcs.inverse(e)]
         for e in range(size)
@@ -213,23 +219,21 @@ def prime_cycle_classes(arcs: ArcSet, order: int) -> list[CycleClass]:
     seen: set[tuple[int, ...]] = set()
     path: list[int] = []
 
-    def grow():
-        last = path[-1]
-        first = path[0]
-        if arcs.terminus(last) == arcs.origin(first) and first != arcs.inverse(last):
+    def grow(last: int):
+        if closes[last]:
             seen.add(_least_rotation(tuple(path)))
-        if len(path) == order:
-            return
-        for nxt in successors[last]:
-            path.append(nxt)
-            grow()
-            path.pop()
+        if len(path) < order:
+            for nxt in upward[last]:
+                path.append(nxt)
+                grow(nxt)
+                path.pop()
 
-    for start in range(size):
+    for start in range(size if order else 0):
+        closes = [start in succ for succ in successors]
+        upward = [[f for f in succ if f >= start] for succ in successors]
         path = [start]
-        grow()
-    classes = [CycleClass(c, _is_primitive(c)) for c in sorted(seen)]
-    return classes
+        grow(start)
+    return [CycleClass(c, _is_primitive(c)) for c in sorted(seen)]
 
 
 def euler_product_oracle(arcs: ArcSet, order: int) -> PowerSeries:

@@ -3,13 +3,16 @@
 These deliberately use different algorithms from the package, which reads
 every determinant off a characteristic polynomial by Berkowitz's algorithm:
 permutation expansion for determinants and the Faddeev-LeVerrier trace
-recursion for characteristic polynomials.
+recursion for characteristic polynomials, and an unpruned walk from every
+start arc for the reduced cycle classes.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
 from walkzeta.exact import Matrix, Poly
+from walkzeta.graphs import ArcSet
+from walkzeta.zeta import CycleClass
 
 
 def perm_det(m: Matrix) -> Fraction:
@@ -39,3 +42,34 @@ def faddeev_leverrier(a: Matrix) -> Poly:
         work = a if k == 1 else a * (work + descending[-1] * ident)
         descending.append(-work.trace() / k)
     return Poly(list(reversed(descending)))
+
+
+def reduced_cycle_classes_bruteforce(arcs: ArcSet, order: int) -> list[CycleClass]:
+    """Rotation classes of reduced closed cycles of length 1..order.
+
+    Walks every non-backtracking path from every one of the 2m start arcs,
+    so each class is found once per arc it contains, and keeps the least
+    rotation of each closed one.  A class is prime when no nontrivial
+    rotation of it equals itself.
+    """
+    size = len(arcs)
+    successors = [
+        [f for f in range(size) if arcs.terminus(e) == arcs.origin(f) and f != arcs.inverse(e)]
+        for e in range(size)
+    ]
+    seen = set()
+
+    def grow(path):
+        last, first = path[-1], path[0]
+        if arcs.terminus(last) == arcs.origin(first) and first != arcs.inverse(last):
+            seen.add(min(path[i:] + path[:i] for i in range(len(path))))
+        if len(path) < order:
+            for nxt in successors[last]:
+                grow(path + (nxt,))
+
+    for start in range(size if order > 0 else 0):
+        grow((start,))
+    return [
+        CycleClass(c, all(c != c[p:] + c[:p] for p in range(1, len(c))))
+        for c in sorted(seen)
+    ]

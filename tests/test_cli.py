@@ -232,6 +232,8 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         ("charpoly", "--graph6", ")"),  # byte below the graph6 range
         ("charpoly", "--input", str(tmp_path / "missing.edges")),
         ("charpoly", "--graph6", K4, "--tolerance", "0"),
+        ("spectrum", "--graph6", K4, "--tolerance", "nan"),
+        ("spectrum", "--graph6", K4, "--tolerance", "inf"),
         ("zeta", "--graph6", C3, "--order", "0"),
         ("distinguish", "nosuchname", "K4"),
         ("verify", "--corpus", "smoke", "--trials", "-3"),

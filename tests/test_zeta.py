@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walkzeta.exact import Matrix, Poly, RationalFunction
 from walkzeta.graphs import Graph, build_arcs
 from walkzeta.operators import nonbacktracking_matrix
 from walkzeta.zeta import (
+    MAX_ORACLE_ARCS,
     CycleClass,
     OracleSizeError,
     PowerSeries,
@@ -27,7 +29,7 @@ from walkzeta.experiments import (
     triangle_with_doubled_edge,
 )
 
-from oracles import perm_det
+from oracles import perm_det, reduced_cycle_classes_bruteforce
 
 T = Poly.x()
 
@@ -237,6 +239,74 @@ def test_oracle_size_guard():
         prime_cycle_classes(build_arcs(big), 4)
     with pytest.raises(OracleSizeError):
         euler_product_oracle(build_arcs(cycle_graph(3)), 13)
+
+
+def test_oracle_order_zero_and_negative():
+    arcs = build_arcs(cycle_graph(3))
+    assert prime_cycle_classes(arcs, 0) == []
+    assert euler_product_oracle(arcs, 0) == PowerSeries.one(0)
+    with pytest.raises(ValueError):
+        prime_cycle_classes(arcs, -1)
+    with pytest.raises(ValueError):
+        euler_product_oracle(arcs, -1)
+
+
+def test_prime_cycle_classes_match_bruteforce_on_corpus():
+    # the doubled-edge triangle and K4 have figure-eight classes that pass
+    # through their least arc twice
+    for entry in builtin_corpus():
+        arcs = build_arcs(entry.graph)
+        if len(arcs) > MAX_ORACLE_ARCS:
+            continue
+        for order in range(9):
+            expected = reduced_cycle_classes_bruteforce(arcs, order)
+            assert prime_cycle_classes(arcs, order) == expected, (entry.name, order)
+
+
+@st.composite
+def relabelled_multigraphs(draw):
+    """A connected multigraph with at most 20 arcs, and a relabelling of it."""
+    n = draw(st.integers(1, 7))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    if n > 1:
+        edges += draw(st.lists(pair, max_size=10 - len(edges)))
+    perm = draw(st.permutations(range(n)))
+    shuffled = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    relabelled = [
+        (perm[v], perm[u]) if flip else (perm[u], perm[v])
+        for (u, v), flip in zip(shuffled, flips)
+    ]
+    return Graph(n, tuple(edges)), Graph(n, tuple(relabelled))
+
+
+def _affordable_order(arcs, order, budget=10_000):
+    """The largest order <= the given one at which the brute force walks at
+    most `budget` paths; 20 parallel arcs reach 4.8 million paths at order 7."""
+    nb = nonbacktracking_matrix(arcs).data
+    walks = [1] * len(arcs)
+    total = len(arcs)
+    for k in range(2, order + 1):
+        walks = [sum(b * w for b, w in zip(row, walks)) for row in nb]
+        total += sum(walks)
+        if total > budget:
+            return k - 1
+    return order
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_multigraphs(), st.integers(1, 7))
+def test_prime_cycle_classes_match_bruteforce_under_relabelling(graphs, order):
+    g, h = graphs
+    arcs = build_arcs(h)
+    order = _affordable_order(arcs, order)
+    classes = prime_cycle_classes(arcs, order)
+    assert classes == reduced_cycle_classes_bruteforce(arcs, order)
+    shape = sorted((c.length, c.prime) for c in classes)
+    assert shape == sorted((c.length, c.prime) for c in prime_cycle_classes(build_arcs(g), order))
 
 
 def test_corpus_small_members_satisfy_series_identity():
