@@ -12,8 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .exact import Matrix, integer_lift
 from .graphs import ArcSet, Graph, adjacency_matrix, build_arcs, degree_info, validate
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class ArcMatrices(NamedTuple):
@@ -103,43 +108,31 @@ def coin_weight_matrix(g: Graph) -> Matrix:
 
 
 def random_walk_matrix(g: Graph) -> Matrix:
-    """Simple random-walk matrix T with T[u][v] = multiplicity(u,v)/deg(u).
-
-    Built twice, from the entry table and as D^-1 A, and the two must agree;
-    this pins down the multigraph convention.
-    """
+    """Simple random-walk matrix T with T[u][v] = multiplicity(u,v)/deg(u)."""
     info = degree_info(g)
     if info.min_degree < 1:
         raise ValueError("random walk needs every vertex to have an arc")
     adj = adjacency_matrix(g)
-    table = Matrix(
+    return Matrix(
         [
             [Fraction(int(adj[u, v]), info.degrees[u]) for v in range(g.n)]
             for u in range(g.n)
         ]
     )
-    dinv = Matrix.diagonal([Fraction(1, d) for d in info.degrees])
-    product = dinv * adj
-    if table != product:
-        raise AssertionError("random-walk matrix construction paths disagree")
-    return table
 
 
 def positive_support(m: Matrix) -> Matrix:
     """0/1 matrix marking the strictly positive entries."""
-    return Matrix([[1 if x > 0 else 0 for x in row] for row in m.data])
-
-
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return Matrix([[_ONE if x > 0 else _ZERO for x in row] for row in m.data])
 
 
 def power_support(m: Matrix, k: int) -> Matrix:
     """Positive support of m**k for k in {1, 2, 3}, computed exactly.
 
-    The matrix is scaled to integers first so the k-th power sign pattern
-    comes out of exact integer arithmetic.
+    The matrix is scaled to integers L first, so the sign pattern of L^k is
+    that of m**k.  L^k is one numpy product: in int64 when no entry can
+    reach 2^63, that is max|L|^k * n^(k-1) < 2^63, and in Python ints
+    (dtype=object) otherwise.
     """
     if k not in (1, 2, 3):
         raise ValueError("power_support supports k in {1, 2, 3}")
@@ -148,10 +141,11 @@ def power_support(m: Matrix, k: int) -> Matrix:
     if k == 1:
         return positive_support(m)
     lifted, _ = integer_lift(m.data)
-    power = _int_matmul(lifted, lifted)
-    if k == 3:
-        power = _int_matmul(power, lifted)
-    return Matrix([[1 if x > 0 else 0 for x in row] for row in power])
+    top = max((abs(x) for row in lifted for x in row), default=0)
+    fits = top**k * m.rows ** (k - 1) < 2**63
+    lift = np.array(lifted, dtype=np.int64 if fits else object)
+    power = lift @ lift if k == 2 else lift @ lift @ lift
+    return Matrix([[_ONE if x else _ZERO for x in row] for row in (power > 0).tolist()])
 
 
 TARGETS = ("U", "U+", "U2+", "U3+", "A", "T", "B-J0")

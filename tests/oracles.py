@@ -1,7 +1,8 @@
 """Independent slow oracles used only by the tests.
 
 These deliberately use different algorithms from the package, which reads
-every determinant off a characteristic polynomial by Berkowitz's algorithm:
+every determinant off a characteristic polynomial computed by Berkowitz's
+algorithm or, from 16 rows on, by a multimodular Hessenberg kernel:
 permutation expansion for determinants and the Faddeev-LeVerrier trace
 recursion for characteristic polynomials, and an unpruned walk from every
 start arc for the reduced cycle classes.

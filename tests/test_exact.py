@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+from walkzeta import exact
 from walkzeta.exact import (
+    HESSENBERG_MIN_DIM,
     ExactDivisionError,
     Matrix,
     Poly,
     RationalFunction,
     charpoly_exact,
+    integer_lift,
     poly_divexact,
     poly_gcd,
     quadratic_charpoly,
@@ -50,7 +54,7 @@ def test_poly_basics():
 
 def test_poly_string_roundtrip():
     p = Poly((Fraction(1, 3), -2, Fraction(7, 5)))
-    assert Poly.from_strings(p.to_strings()) == p
+    assert Poly(Fraction(c) for c in p.to_strings()) == p
     assert p.to_strings() == ["1/3", "-2", "7/5"]
 
 
@@ -266,7 +270,7 @@ def test_matrix_ops():
         Matrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         a * Matrix([[1, 2, 3]])
-    assert Matrix.from_strings([["1/2", "-3"]]).data[0] == [Fraction(1, 2), Fraction(-3)]
+    assert Matrix([["1/2", -3]]).data[0] == [Fraction(1, 2), Fraction(-3)]
 
 
 def test_charpoly_matches_faddeev_leverrier_on_small_walk_matrices():
@@ -281,3 +285,108 @@ def test_charpoly_matches_faddeev_leverrier_on_small_walk_matrices():
         assert charpoly_exact(u) == faddeev_leverrier(u), entry.name
         covered += 1
     assert covered >= 4
+
+
+def _kernel_poly(kernel, m):
+    """char(M) from one integer kernel, scaled back as charpoly_exact does."""
+    lifted, scale = integer_lift(m.data)
+    return Poly([Fraction(c, scale**i) for i, c in enumerate(kernel(lifted))][::-1])
+
+
+def _check_kernels_agree(m):
+    lifted, _ = integer_lift(m.data)
+    coeffs = exact._hessenberg_charpoly(lifted)
+    assert coeffs == exact._berkowitz(lifted)
+    return coeffs
+
+
+def _random_kernel_inputs(rng, n):
+    """Seeded random 0/1, integer and rational n x n matrices."""
+    return [
+        Matrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]),
+        Matrix([[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]),
+        _rand_matrix(rng, n),
+    ]
+
+
+def test_hessenberg_kernel_matches_berkowitz_and_faddeev_leverrier():
+    rng = random.Random(17)
+    for n in (0, 1, 2, 3, 5, 8, HESSENBERG_MIN_DIM - 1, HESSENBERG_MIN_DIM, 17, 24):
+        for m in _random_kernel_inputs(rng, n):
+            _check_kernels_agree(m)
+            if n <= 8:
+                assert _kernel_poly(exact._hessenberg_charpoly, m) == faddeev_leverrier(m)
+            assert charpoly_exact(m) == _kernel_poly(exact._berkowitz, m)
+
+
+def test_hessenberg_kernel_special_matrices():
+    n = 20
+    rng = random.Random(31)
+    ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    # singular: two equal rows
+    singular = Matrix(ints[:-1] + [ints[0]])
+    assert _check_kernels_agree(singular)[-1] == 0
+    # nilpotent: u v^T with v.u = 0, and a shift conjugated by a permutation
+    u = [rng.randint(-9, 9) for _ in range(n - 1)] + [1]
+    v = [rng.randint(-9, 9) for _ in range(n - 1)]
+    v.append(-sum(a * b for a, b in zip(u, v)))
+    perm = rng.sample(range(n), n)
+    for m in (
+        Matrix([[a * b for b in v] for a in u]),
+        Matrix([[1 if perm[j] == perm[i] + 1 else 0 for j in range(n)] for i in range(n)]),
+    ):
+        assert _check_kernels_agree(m) == [1] + [0] * n
+        assert charpoly_exact(m) == X**n
+    # repeated eigenvalues: J, 3I + J, and a block-diagonal copy of one block
+    ones = Matrix([[1] * n for _ in range(n)])
+    assert charpoly_exact(ones) == X ** (n - 1) * (X - n)
+    shifted = Matrix([[1 + 3 * (i == j) for j in range(n)] for i in range(n)])
+    assert charpoly_exact(shifted) == (X - 3) ** (n - 1) * (X - 3 - n)
+    block = [[_rand_fraction(rng) for _ in range(10)] for _ in range(10)]
+    zeros = [Fraction(0)] * 10
+    twice = Matrix([row + zeros for row in block] + [zeros + row for row in block])
+    assert charpoly_exact(twice) == charpoly_exact(Matrix(block)) ** 2
+    for m in (ones, shifted, twice):
+        _check_kernels_agree(m)
+    # entries above 2^63
+    huge = Matrix([[rng.randint(2**63, 2**70) * rng.choice((-1, 1)) for _ in range(16)] for _ in range(16)])
+    _check_kernels_agree(huge)
+
+
+def test_hessenberg_pivot_vanishing_mod_first_prime():
+    first = exact._primes_exceeding(1)[0]
+    rng = random.Random(37)
+    rows = [[rng.randint(1, 9) for _ in range(HESSENBERG_MIN_DIM)] for _ in range(HESSENBERG_MIN_DIM)]
+    rows[1][0] = first  # the first subdiagonal entry is 0 mod the first prime only
+    m = Matrix(rows)
+    assert exact._primes_exceeding(2 * exact._coefficient_bound(rows))[0] == first
+    _check_kernels_agree(m)
+
+
+def test_hessenberg_kernel_on_hadamard_matrix():
+    h = [[1]]
+    while len(h) < 16:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    m = Matrix(h)
+    # H^2 = 16 I and trace 0: eigenvalues +-4, eight of each, |det| = 4^16
+    assert charpoly_exact(m) == (X**2 - 16) ** 8
+    assert _check_kernels_agree(m)[-1] == 4**16
+    assert exact._coefficient_bound(h) >= 4**16
+
+
+def test_coefficient_bound_and_primes_on_corpus_operators():
+    from walkzeta.experiments import builtin_corpus
+    from walkzeta.operators import TARGETS, operator_matrix
+
+    largest = 0
+    for entry in builtin_corpus():
+        for target in TARGETS:
+            lifted, _ = integer_lift(operator_matrix(entry.graph, target).data)
+            bound = exact._coefficient_bound(lifted)
+            top = max(abs(c) for c in exact._berkowitz(lifted))
+            assert top <= bound and top.bit_length() <= bound.bit_length(), (entry.name, target)
+            largest = max(largest, bound)
+    primes = exact._primes_exceeding(2 * largest)
+    assert len(set(primes)) == len(primes) > 1
+    for q in primes:
+        assert 2**30 < q < 2**31 and q % 2 and all(q % d for d in range(3, isqrt(q) + 1, 2))

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from walkzeta import experiments
-from walkzeta.exact import Matrix, charpoly_exact
-from walkzeta.graphs import Graph, adjacency_matrix, build_arcs
+from walkzeta.exact import Matrix, charpoly_exact, integer_lift
+from walkzeta.graphs import Graph, adjacency_matrix, build_arcs, degree_info, validate
 from walkzeta.operators import (
     TARGETS,
     arc_matrices,
@@ -176,6 +176,15 @@ def test_random_walk_matrix_fixtures():
     assert t.data[0] == [0, Fraction(2, 3), Fraction(1, 3)]
 
 
+def test_random_walk_matrix_is_inverse_degree_times_adjacency():
+    corpus = builtin_corpus()
+    assert any(not validate(entry.graph).simple for entry in corpus)
+    for entry in corpus:
+        g = entry.graph
+        dinv = Matrix.diagonal([Fraction(1, d) for d in degree_info(g).degrees])
+        assert random_walk_matrix(g) == dinv * adjacency_matrix(g), entry.name
+
+
 def test_random_walk_rows_sum_to_one():
     for entry in builtin_corpus()[:15]:
         assert random_walk_matrix(entry.graph).row_sums() == [1] * entry.graph.n
@@ -204,12 +213,30 @@ def test_power_support_k4_row_sums_equal():
     assert len(set(sums)) == 1  # vertex-transitive graph
 
 
+def _multigraph_with_degrees(degrees):
+    """A loopless multigraph with this degree sequence: join the two largest, repeat."""
+    left, edges = list(degrees), []
+    while any(left):
+        a, b = sorted(range(len(left)), key=lambda v: -left[v])[:2]
+        edges.append((a, b))
+        left[a] -= 1
+        left[b] -= 1
+    return Graph(len(degrees), tuple(edges))
+
+
 def test_power_support_matches_rational_power():
-    u = transition_matrix(cycle_graph(4))
-    cube = u * u * u
-    assert power_support(u, 3) == positive_support(cube)
-    square = u * u
-    assert power_support(u, 2) == positive_support(square)
+    # C4 and Petersen: the lifted U^3 fits int64.  Degrees 5..17: 70 arcs and
+    # lift scale 4 * 9 * 5 * 7 * 11 * 13 * 17 = 3063060, so some entries of
+    # the lifted U^3 need 65 bits and int64 would wrap.
+    irregular = _multigraph_with_degrees((5, 7, 8, 9, 11, 13, 17))
+    for g, fits in ((cycle_graph(4), True), (petersen_graph(), True), (irregular, False)):
+        u = transition_matrix(g)
+        lifted, _ = integer_lift(u.data)
+        top = max(abs(x) for row in lifted for x in row)
+        assert (top**3 * u.rows**2 < 2**63) == fits
+        square = u * u
+        assert power_support(u, 2) == positive_support(square)
+        assert power_support(u, 3) == positive_support(square * u)
 
 
 def test_operator_matrix_table_and_distinguish_levels(monkeypatch):
