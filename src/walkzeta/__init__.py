@@ -35,8 +35,7 @@ from .identities import (
     charpoly_u_via_walk_form,
 )
 from .operators import (
-    arc_matrices,
-    coin_weight_matrix,
+    arc_operator,
     nonbacktracking_matrix,
     operator_matrix,
     positive_support,
@@ -44,7 +43,6 @@ from .operators import (
     random_walk_matrix,
     transition_matrix,
     verify_support_identity,
-    weighted_edge_matrix,
 )
 from .spectra import (
     CompareResult,
@@ -59,7 +57,6 @@ from .zeta import (
     CycleClass,
     OracleSizeError,
     PowerSeries,
-    cycle_norm,
     euler_product_oracle,
     ihara_reciprocal_bass_form,
     ihara_reciprocal_edge_form,

@@ -34,7 +34,7 @@ from .graphs import (
     validate,
 )
 from .identities import charpoly_u_factored
-from .operators import TARGETS, operator_matrix
+from .operators import TARGETS, nonbacktracking_matrix, operator_matrix
 from .spectra import DEFAULT_TOLERANCE, RootConvergenceError, compare, real_roots, roots
 from .spectra import map_adjacency_spectrum, map_random_walk_spectrum
 from .zeta import (
@@ -218,7 +218,8 @@ def cmd_zeta(args) -> int:
     doc["series"] = [str(c) for c in series.coeffs]
     oracle_matches = None
     if args.oracle:
-        oracle = euler_product_oracle(arcs, args.order)  # may raise OracleSizeError
+        # may raise OracleSizeError
+        oracle = euler_product_oracle(nonbacktracking_matrix(arcs), args.order)
         oracle_matches = oracle == series
         doc["oracle_series"] = [str(c) for c in oracle.coeffs]
         doc["oracle_matches"] = oracle_matches

@@ -487,9 +487,6 @@ class Matrix:
             raise ValueError("trace of a non-square matrix")
         return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
-    def row_sums(self) -> list[Fraction]:
-        return [sum(row, Fraction(0)) for row in self.data]
-
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.data]
 

@@ -15,8 +15,8 @@ and Kotani-Sunada (2000) in their proofs of the Ihara-Bass formula.
 
 from __future__ import annotations
 
-from .exact import Matrix, Poly, RationalFunction, poly_divexact, quadratic_charpoly
-from .graphs import Graph, adjacency_matrix, build_arcs, degree_info
+from .exact import Matrix, Poly, poly_divexact, quadratic_charpoly
+from .graphs import Graph, adjacency_matrix, degree_info
 from .operators import random_walk_matrix
 
 CIRCLE = Poly((-1, 0, 1))  # x^2 - 1
@@ -77,11 +77,3 @@ def charpoly_support_via_adjacency_form(g: Graph) -> Poly:
     if degree_info(g).min_degree < 2:
         raise ValueError("support closed form requires minimum degree 2")
     return apply_circle_prefactor(support_determinant_form(g), g.m - g.n)
-
-
-def bass_identity_holds(g: Graph) -> bool:
-    """Edge-determinant and vertex-determinant zeta reciprocals agree."""
-    from .zeta import ihara_reciprocal_bass_form, ihara_reciprocal_edge_form
-
-    edge = ihara_reciprocal_edge_form(build_arcs(g))
-    return ihara_reciprocal_bass_form(g) == RationalFunction(edge)

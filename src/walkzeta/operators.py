@@ -1,16 +1,19 @@
 """Arc-indexed walk operators and their vertex-level companions.
 
-The central object is the Grover-coined quantum-walk transition matrix on
-arcs: a step from arc f to arc e is allowed when f feeds into the origin
-of e, carries amplitude 2/deg, and the backtracking transition pays an
-extra -1.  Alongside it live the non-backtracking arc matrices, weighted
-variants, the random-walk matrix and exact positive supports of powers.
+Every arc matrix comes from one builder, ``arc_operator(arcs, weights,
+backtrack)``: arc e feeds arc f when terminus(e) = origin(f), the step
+weighs w(f), and the step onto inverse(e) pays ``backtrack`` on top.  The
+Grover-coined quantum-walk transition matrix U is the transpose of the
+weighted edge matrix B_w - J0 for the coin weights 2/deg(o(f)), and the
+non-backtracking matrix B - J0 is the same builder with unit weights.
+Alongside them live the random-walk matrix, the operator table and exact
+positive supports of powers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Sequence
 
 import numpy as np
 
@@ -21,90 +24,52 @@ from .graphs import ArcSet, Graph, adjacency_matrix, build_arcs, degree_info, va
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-class ArcMatrices(NamedTuple):
-    adjacency: Matrix  # entry (e, f) is 1 iff terminus(e) == origin(f)
-    inversion: Matrix  # entry (e, f) is 1 iff f is the inverse arc of e
+def arc_operator(arcs: ArcSet, weights: Sequence, backtrack) -> Matrix:
+    """The arc matrix with entry (e, f) = weights[f] when e feeds f.
+
+    Arc e feeds arc f when terminus(e) = origin(f); the step onto
+    inverse(e) adds ``backtrack`` to its weight.  This is the one place
+    that decides how arcs connect: B - J0 is (1, -1), the weighted edge
+    matrix B_w - J0 is (w(f), -1), and U is the transpose of
+    (2/deg(o(f)), -1).  Each row is built from the arcs leaving terminus(e).
+    """
+    size = len(arcs)
+    if len(weights) != size:
+        raise ValueError(f"need one weight per arc: {len(weights)} for {size} arcs")
+    weights = [w if type(w) is Fraction else Fraction(w) for w in weights]
+    backtrack = Fraction(backtrack)
+    leaving: dict[int, list[int]] = {}
+    for f in range(size):
+        leaving.setdefault(arcs.origin(f), []).append(f)
+    data = []
+    for e in range(size):
+        row = [_ZERO] * size
+        for f in leaving[arcs.terminus(e)]:
+            row[f] = weights[f]
+        row[arcs.inverse(e)] += backtrack
+        data.append(row)
+    return Matrix(data)
 
 
 def transition_matrix(g: Graph, arcs: ArcSet | None = None) -> Matrix:
     """Quantum-walk transition matrix U on the 2m arcs.
 
     U[e][f] is 2/deg(o(e)) when arc f ends at the origin of e, with 1
-    subtracted on the backtracking arc f = inverse(e), and 0 elsewhere.
-    Rows and columns follow the arc order of build_arcs.
+    subtracted on the backtracking arc f = inverse(e), and 0 elsewhere:
+    U^T = B_w - J0 for the coin weights w(e) = 2/deg(o(e)).  Rows and
+    columns follow the arc order of build_arcs.
     """
     info = degree_info(g)
     if info.min_degree < 1:
         raise ValueError("transition matrix needs every vertex to have an arc")
     arcs = build_arcs(g) if arcs is None else arcs
-    size = len(arcs)
-    data = [[Fraction(0)] * size for _ in range(size)]
-    for e in range(size):
-        oe = arcs.origin(e)
-        coin = Fraction(2, info.degrees[oe])
-        inv = arcs.inverse(e)
-        row = data[e]
-        for f in range(size):
-            if arcs.terminus(f) == oe:
-                row[f] = coin - 1 if f == inv else coin
-    return Matrix(data)
-
-
-def arc_matrices(arcs: ArcSet) -> ArcMatrices:
-    """The 0/1 arc-adjacency matrix and the arc-inversion matrix."""
-    size = len(arcs)
-    adj = [
-        [1 if arcs.terminus(e) == arcs.origin(f) else 0 for f in range(size)]
-        for e in range(size)
-    ]
-    inv = [
-        [1 if arcs.inverse(e) == f else 0 for f in range(size)]
-        for e in range(size)
-    ]
-    return ArcMatrices(Matrix(adj), Matrix(inv))
+    coins = [Fraction(2, info.degrees[arcs.origin(e)]) for e in range(len(arcs))]
+    return arc_operator(arcs, coins, -1).transpose()
 
 
 def nonbacktracking_matrix(arcs: ArcSet) -> Matrix:
     """Arc adjacency minus arc inversion (the Hashimoto edge matrix)."""
-    adj, inv = arc_matrices(arcs)
-    return adj - inv
-
-
-def weighted_edge_matrix(arcs: ArcSet, weights: Matrix) -> Matrix:
-    """Weighted arc adjacency: entry (e, f) is w(f) when e feeds into f.
-
-    ``weights`` is an n x n matrix whose support must lie on arc positions;
-    a nonzero weight anywhere else is rejected.
-    """
-    if not weights.is_square:
-        raise ValueError("weight matrix must be square")
-    positions = {(arcs.origin(a), arcs.terminus(a)) for a in range(len(arcs))}
-    for i in range(weights.rows):
-        for j in range(weights.cols):
-            if weights[i, j] != 0 and (i, j) not in positions:
-                raise ValueError(f"weight on non-arc position ({i}, {j})")
-    size = len(arcs)
-    data = [[Fraction(0)] * size for _ in range(size)]
-    for e in range(size):
-        te = arcs.terminus(e)
-        row = data[e]
-        for f in range(size):
-            if arcs.origin(f) == te:
-                row[f] = weights[arcs.origin(f), arcs.terminus(f)]
-    return Matrix(data)
-
-
-def coin_weight_matrix(g: Graph) -> Matrix:
-    """Vertex weight matrix with 2/deg(u) on every adjacent pair (u, v)."""
-    info = degree_info(g)
-    if info.min_degree < 1:
-        raise ValueError("coin weights need every vertex to have an arc")
-    adj = adjacency_matrix(g)
-    data = [
-        [Fraction(2, info.degrees[u]) if adj[u, v] != 0 else Fraction(0) for v in range(g.n)]
-        for u in range(g.n)
-    ]
-    return Matrix(data)
+    return arc_operator(arcs, [_ONE] * len(arcs), -1)
 
 
 def random_walk_matrix(g: Graph) -> Matrix:

@@ -6,21 +6,33 @@ three-term determinant with its (1 - t^2) prefactor.  Both go through the
 one exact kernel: det(I - tM) is the coefficient reversal of char(M), and
 the vertex determinant is the reversal of det(x^2 I - xA + D - I), the
 characteristic polynomial of its 2n x 2n linearisation (Bass 1992,
-Kotani-Sunada 2000).  A brute-force Euler product over equivalence classes
-of prime reduced cycles serves as a combinatorial cross-check on small
-graphs; each class is enumerated once, from its least arc.
+Kotani-Sunada 2000).  A brute-force Euler product serves as a
+combinatorial cross-check on small matrices: by Amitsur's identity, in the
+combinatorial proof of Foata and Zeilberger (Trans. AMS 1999),
+1/det(I - tM) is a product over the prime cycle classes of the digraph of
+any square matrix M, each weighted by the product of M's entries around
+it.  The oracle reads the matrix it is given, so it checks B - J0, U and
+B_w - J0 alike; each class is enumerated once, from its least index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, NamedTuple
 
-from .exact import Matrix, Poly, RationalFunction, charpoly_exact, quadratic_charpoly
+from .exact import (
+    Matrix,
+    Poly,
+    RationalFunction,
+    charpoly_exact,
+    integer_lift,
+    quadratic_charpoly,
+)
 from .graphs import ArcSet, Graph, betti
 from .identities import support_determinant_form
-from .operators import nonbacktracking_matrix, weighted_edge_matrix, arc_matrices
+from .operators import arc_operator, nonbacktracking_matrix
 
 MAX_ORACLE_ARCS = 20
 MAX_ORACLE_ORDER = 12
@@ -61,40 +73,6 @@ class PowerSeries:
     def __hash__(self):
         return hash((self.coeffs, self.order))
 
-    def _check_order(self, other: "PowerSeries"):
-        if self.order != other.order:
-            raise ValueError("series orders differ")
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_order(other)
-        return PowerSeries(
-            (a + b for a, b in zip(self.coeffs, other.coeffs)), self.order
-        )
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_order(other)
-        return PowerSeries(
-            (a - b for a, b in zip(self.coeffs, other.coeffs)), self.order
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries((c * other for c in self.coeffs), self.order)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._check_order(other)
-        out = [Fraction(0)] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(out, self.order)
-
-    __rmul__ = __mul__
-
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
         a0 = self.coeffs[0]
@@ -109,27 +87,13 @@ class PowerSeries:
             out[k] = -acc * inv0
         return PowerSeries(out, self.order)
 
-    def log(self) -> "PowerSeries":
-        """Series logarithm; requires constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log needs constant term 1")
-        # d/dt log f = f'/f, integrated back with zero constant term
-        deriv = PowerSeries(
-            (k * c for k, c in enumerate(self.coeffs) if k), self.order
-        )
-        quotient = deriv * self.inverse()
-        out = [Fraction(0)] * (self.order + 1)
-        for k in range(1, self.order + 1):
-            out[k] = quotient.coeffs[k - 1] / k
-        return PowerSeries(out, self.order)
-
     def __repr__(self) -> str:
         return f"PowerSeries({[str(c) for c in self.coeffs]}, order={self.order})"
 
 
 @dataclass(frozen=True)
 class CycleClass:
-    """Rotation class of a reduced closed arc sequence, canonical form."""
+    """Rotation class of a closed walk in a matrix's digraph, canonical form."""
 
     arcs: tuple[int, ...]
     prime: bool
@@ -164,18 +128,27 @@ class WeightedZetaForms(NamedTuple):
 def weighted_zeta_reciprocal(arcs: ArcSet, weights: Matrix) -> WeightedZetaForms:
     """Both determinant forms of the second weighted zeta reciprocal.
 
-    The edge form is det(I - t(B_w - J0)) on arcs; the vertex form is
+    The edge form is det(I - t(B_w - J0)) on arcs, where the step onto arc f
+    weighs W[o(f), t(f)]; the vertex form is
     (1 - t^2)^(m - n) det(I - tW + t^2 (D_w - I)) with D_w the diagonal of
-    out-arc weight sums.  The two agree on simple graphs; an n x n weight
+    out-arc weight sums.  A nonzero weight off the arc positions is a
+    ValueError.  The two agree on simple graphs; an n x n weight
     matrix cannot see parallel-edge multiplicity, so on multigraphs the
     forms genuinely differ.
     """
+    if not weights.is_square:
+        raise ValueError("weight matrix must be square")
     n = weights.rows
-    bw = weighted_edge_matrix(arcs, weights)  # validates the weight support
-    edge = Poly(charpoly_exact(bw - arc_matrices(arcs).inversion).reversed_coeffs())
+    positions = set(arcs.arcs)
+    for i in range(n):
+        for j in range(n):
+            if weights[i, j] != 0 and (i, j) not in positions:
+                raise ValueError(f"weight on non-arc position ({i}, {j})")
+    arc_weights = [weights[o, t] for o, t in arcs.arcs]
+    edge = Poly(charpoly_exact(arc_operator(arcs, arc_weights, -1)).reversed_coeffs())
     shifted_sums = [Fraction(-1)] * n  # diagonal of D_w - I
-    for a in range(len(arcs)):
-        shifted_sums[arcs.origin(a)] += weights[arcs.origin(a), arcs.terminus(a)]
+    for (o, _), w in zip(arcs.arcs, arc_weights):
+        shifted_sums[o] += w
     det = Poly(quadratic_charpoly(weights, shifted_sums).reversed_coeffs())
     prefactor = RationalFunction.from_power(ONE_MINUS_T_SQUARED, arcs.m - n)
     return WeightedZetaForms(edge, prefactor * det)
@@ -193,29 +166,28 @@ def _is_primitive(seq: tuple[int, ...]) -> bool:
     return True
 
 
-def prime_cycle_classes(arcs: ArcSet, order: int) -> list[CycleClass]:
-    """All rotation classes of reduced closed cycles up to the given length.
+def prime_cycle_classes(m: Matrix, order: int) -> list[CycleClass]:
+    """All rotation classes of closed walks up to the given length in the
+    digraph of m, which has an edge e -> f wherever m[e][f] is nonzero.
 
-    Reduced means no step backtracks, including around the wrap.  Classes
-    are canonicalized by least rotation and marked prime when the sequence
-    is not a power of a shorter one.  Each class is enumerated from its
-    least arc: from start arc s the walk takes only arcs >= s.  The least
-    arc can recur in a cycle (powers, figure-eights), so every closed walk
-    is still canonicalized.  Order 0 gives no classes; a negative order is
-    a ValueError.  Guarded to 2m <= 20 arcs and length <= 12; cost grows
+    For an arc matrix such as B - J0 these are the reduced cycles: no step
+    backtracks, including around the wrap.  Classes are canonicalized by
+    least rotation and marked prime when the sequence is not a power of a
+    shorter one.  Each class is enumerated from its least index: from start
+    s the walk takes only indices >= s.  The least index can recur in a
+    cycle (powers, figure-eights), so every closed walk is still
+    canonicalized.  Order 0 gives no classes; a negative order is a
+    ValueError.  Guarded to 20 rows and length <= 12; cost grows
     exponentially past that.
     """
-    size = len(arcs)
+    size = m.rows
     if size > MAX_ORACLE_ARCS:
-        raise OracleSizeError(f"cycle oracle limited to {MAX_ORACLE_ARCS} arcs, got {size}")
+        raise OracleSizeError(f"cycle oracle limited to {MAX_ORACLE_ARCS} rows, got {size}")
     if order > MAX_ORACLE_ORDER:
         raise OracleSizeError(f"cycle oracle limited to length {MAX_ORACLE_ORDER}, got {order}")
     if order < 0:
         raise ValueError(f"cycle order must be >= 0, got {order}")
-    successors = [
-        [f for f in range(size) if arcs.terminus(e) == arcs.origin(f) and f != arcs.inverse(e)]
-        for e in range(size)
-    ]
+    successors = [[f for f, x in enumerate(row) if x] for row in m.data]
     seen: set[tuple[int, ...]] = set()
     path: list[int] = []
 
@@ -236,30 +208,24 @@ def prime_cycle_classes(arcs: ArcSet, order: int) -> list[CycleClass]:
     return [CycleClass(c, _is_primitive(c)) for c in sorted(seen)]
 
 
-def euler_product_oracle(arcs: ArcSet, order: int) -> PowerSeries:
-    """Truncated Euler product over prime cycle classes up to the order.
+def euler_product_oracle(m: Matrix, order: int) -> PowerSeries:
+    """The series of 1/det(I - tm) to the order, as an Euler product.
 
-    Each class of length L multiplies the integer coefficients in place by
-    1 / (1 - t^L) = 1 + t^L + t^(2L) + ...
+    Amitsur's identity, proved combinatorially by Foata and Zeilberger
+    (Trans. AMS 1999): 1/det(I - tM) is the product over prime classes C
+    of 1/(1 - w(C) t^|C|), with w(C) the product of M's entries around C.
+    M is lifted to L = sM first, so each class multiplies the integer
+    coefficients in place by 1 + w t^l + w^2 t^(2l) + ... with w its
+    weight in L, and coefficient k is divided by s^k at the end.
     """
+    classes = prime_cycle_classes(m, order)
+    lifted, scale = integer_lift(m.data)
     coeffs = [1] + [0] * order
-    for cls in prime_cycle_classes(arcs, order):
+    for cls in classes:
         if not cls.prime:
             continue
+        walk = cls.arcs
+        weight = prod(lifted[e][f] for e, f in zip(walk, walk[1:] + walk[:1]))
         for k in range(cls.length, order + 1):
-            coeffs[k] += coeffs[k - cls.length]
-    return PowerSeries(coeffs, order)
-
-
-def cycle_norm(cycle: CycleClass, weights: Matrix, arcs: ArcSet) -> Fraction:
-    """Product of the arc weights along the cycle."""
-    norm = Fraction(1)
-    for a in cycle.arcs:
-        norm *= weights[arcs.origin(a), arcs.terminus(a)]
-    return norm
-
-
-def inverse_cycle_class(cycle: CycleClass, arcs: ArcSet) -> CycleClass:
-    """The class of the reversed cycle (inverse arcs in opposite order)."""
-    rev = tuple(arcs.inverse(a) for a in reversed(cycle.arcs))
-    return CycleClass(_least_rotation(rev), cycle.prime)
+            coeffs[k] += weight * coeffs[k - cls.length]
+    return PowerSeries((Fraction(c, scale**k) for k, c in enumerate(coeffs)), order)

@@ -2,17 +2,19 @@
 
 These deliberately use different algorithms from the package, which reads
 every determinant off a characteristic polynomial computed by Berkowitz's
-algorithm or, from 16 rows on, by a multimodular Hessenberg kernel:
-permutation expansion for determinants and the Faddeev-LeVerrier trace
-recursion for characteristic polynomials, and an unpruned walk from every
-start arc for the reduced cycle classes.
+algorithm or, from 16 rows on, by a multimodular Hessenberg kernel, and
+builds every arc matrix from per-vertex lists of leaving arcs: permutation
+expansion for determinants, the Faddeev-LeVerrier trace recursion for
+characteristic polynomials, U and B - J0 entry by entry from their
+definitions over all arc pairs, and an unpruned walk from every start
+index for the cycle classes of a matrix.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
 from walkzeta.exact import Matrix, Poly
-from walkzeta.graphs import ArcSet
+from walkzeta.graphs import ArcSet, Graph, build_arcs, degree_info
 from walkzeta.zeta import CycleClass
 
 
@@ -45,27 +47,51 @@ def faddeev_leverrier(a: Matrix) -> Poly:
     return Poly(list(reversed(descending)))
 
 
-def reduced_cycle_classes_bruteforce(arcs: ArcSet, order: int) -> list[CycleClass]:
-    """Rotation classes of reduced closed cycles of length 1..order.
-
-    Walks every non-backtracking path from every one of the 2m start arcs,
-    so each class is found once per arc it contains, and keeps the least
-    rotation of each closed one.  A class is prime when no nontrivial
-    rotation of it equals itself.
-    """
+def transition_matrix_by_definition(g: Graph) -> Matrix:
+    """U entry by entry: U[e][f] = 2/deg(o(e)) when f ends at the origin of
+    e, less 1 when f is the inverse of e."""
+    arcs = build_arcs(g)
+    degrees = degree_info(g).degrees
     size = len(arcs)
-    successors = [
-        [f for f in range(size) if arcs.terminus(e) == arcs.origin(f) and f != arcs.inverse(e)]
-        for e in range(size)
-    ]
+    data = [[Fraction(0)] * size for _ in range(size)]
+    for e in range(size):
+        coin = Fraction(2, degrees[arcs.origin(e)])
+        for f in range(size):
+            if arcs.terminus(f) == arcs.origin(e):
+                data[e][f] = coin - 1 if f == arcs.inverse(e) else coin
+    return Matrix(data)
+
+
+def nonbacktracking_by_definition(arcs: ArcSet) -> Matrix:
+    """B - J0 as the 0/1 arc adjacency B minus the arc inversion J0."""
+    size = len(arcs)
+    adjacency = Matrix(
+        [[int(arcs.terminus(e) == arcs.origin(f)) for f in range(size)] for e in range(size)]
+    )
+    inversion = Matrix(
+        [[int(arcs.inverse(e) == f) for f in range(size)] for e in range(size)]
+    )
+    return adjacency - inversion
+
+
+def reduced_cycle_classes_bruteforce(m: Matrix, order: int) -> list[CycleClass]:
+    """Rotation classes of closed walks of length 1..order in the digraph of
+    m, which has an edge e -> f wherever m[e][f] is nonzero.
+
+    Walks every path from every start index, so each class is found once
+    per index it contains, and keeps the least rotation of each closed one.
+    A class is prime when no nontrivial rotation of it equals itself.  On
+    B - J0 the closed walks are the reduced cycles of the graph.
+    """
+    size = m.rows
+    successors = [[f for f in range(size) if m[e, f] != 0] for e in range(size)]
     seen = set()
 
     def grow(path):
-        last, first = path[-1], path[0]
-        if arcs.terminus(last) == arcs.origin(first) and first != arcs.inverse(last):
+        if path[0] in successors[path[-1]]:
             seen.add(min(path[i:] + path[:i] for i in range(len(path))))
         if len(path) < order:
-            for nxt in successors[last]:
+            for nxt in successors[path[-1]]:
                 grow(path + (nxt,))
 
     for start in range(size if order > 0 else 0):

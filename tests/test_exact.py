@@ -260,7 +260,6 @@ def test_matrix_ops():
     a = Matrix([[1, 2], [3, 4]])
     assert a.transpose() == Matrix([[1, 3], [2, 4]])
     assert a.trace() == 5
-    assert a.row_sums() == [3, 7]
     assert a * Matrix.identity(2) == a
     assert (a * a)[0, 0] == 7
     assert 2 * a == Matrix([[2, 4], [6, 8]])

@@ -1,10 +1,9 @@
 import pytest
 
-from walkzeta.exact import ExactDivisionError, Poly, charpoly_exact
+from walkzeta.exact import ExactDivisionError, Poly, RationalFunction, charpoly_exact
 from walkzeta.graphs import Graph, build_arcs
 from walkzeta.identities import (
     apply_circle_prefactor,
-    bass_identity_holds,
     charpoly_support_via_adjacency_form,
     charpoly_u_factored,
     charpoly_u_via_degree_form,
@@ -17,6 +16,7 @@ from walkzeta.operators import (
     positive_support,
     transition_matrix,
 )
+from walkzeta.zeta import ihara_reciprocal_bass_form, ihara_reciprocal_edge_form
 from walkzeta.experiments import (
     complete_bipartite_graph,
     complete_graph,
@@ -118,4 +118,5 @@ def test_support_determinant_degree():
 
 @pytest.mark.parametrize("g", SAMPLE_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
 def test_bass_identity_holds_on_samples(g):
-    assert bass_identity_holds(g)
+    edge = ihara_reciprocal_edge_form(build_arcs(g))
+    assert ihara_reciprocal_bass_form(g) == RationalFunction(edge)

@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 
 from walkzeta import experiments
-from walkzeta.exact import Matrix, charpoly_exact, integer_lift
+from walkzeta.exact import Matrix, Poly, charpoly_exact, integer_lift
 from walkzeta.graphs import Graph, adjacency_matrix, build_arcs, degree_info, validate
 from walkzeta.operators import (
     TARGETS,
-    arc_matrices,
-    coin_weight_matrix,
+    arc_operator,
     nonbacktracking_matrix,
     operator_matrix,
     positive_support,
@@ -16,9 +15,9 @@ from walkzeta.operators import (
     random_walk_matrix,
     transition_matrix,
     verify_support_identity,
-    weighted_edge_matrix,
 )
 from walkzeta.spectra import real_roots
+from walkzeta.zeta import weighted_zeta_reciprocal
 from walkzeta.experiments import (
     builtin_corpus,
     complete_graph,
@@ -30,6 +29,8 @@ from walkzeta.experiments import (
     srg_distinguish,
     triangle_with_doubled_edge,
 )
+
+from oracles import nonbacktracking_by_definition, transition_matrix_by_definition
 
 
 def test_transition_matrix_k2():
@@ -89,20 +90,29 @@ def test_positive_support():
     assert positive_support(Matrix.zeros(2)) == Matrix.zeros(2)
 
 
+def test_operators_match_definitions_on_corpus():
+    corpus = builtin_corpus()
+    assert any(not validate(entry.graph).simple for entry in corpus)
+    for entry in corpus:
+        g = entry.graph
+        arcs = build_arcs(g)
+        assert transition_matrix(g, arcs) == transition_matrix_by_definition(g), entry.name
+        assert nonbacktracking_matrix(arcs) == nonbacktracking_by_definition(arcs), entry.name
+
+
 def test_arc_matrices_k2():
     arcs = build_arcs(complete_graph(2))
-    b, j0 = arc_matrices(arcs)
+    b = arc_operator(arcs, [1, 1], 0)
+    j0 = arc_operator(arcs, [0, 0], 1)
     assert b == j0 == Matrix([[0, 1], [1, 0]])
     assert nonbacktracking_matrix(arcs) == Matrix.zeros(2)
 
 
 def test_arc_matrices_row_sums():
     # each arc has deg(terminus) - 1 non-backtracking successors
-    for g in (cycle_graph(3), complete_graph(4)):
+    for g in (cycle_graph(3), complete_graph(4), triangle_with_doubled_edge()):
         arcs = build_arcs(g)
         nb = nonbacktracking_matrix(arcs)
-        from walkzeta.graphs import degree_info
-
         degs = degree_info(g).degrees
         for e in range(len(arcs)):
             assert sum(nb.data[e]) == degs[arcs.terminus(e)] - 1
@@ -124,41 +134,48 @@ def test_support_of_u_transpose_equals_edge_matrix_k4():
 
 
 def test_weighted_edge_matrix_unit_weights():
-    g = cycle_graph(3)
-    arcs = build_arcs(g)
-    ones = Matrix([[0 if i == j else 1 for j in range(3)] for i in range(3)])
-    assert weighted_edge_matrix(arcs, ones) == arc_matrices(arcs).adjacency
+    for g in (cycle_graph(3), triangle_with_doubled_edge()):
+        arcs = build_arcs(g)
+        ones = Matrix([[int(u != v) for v in range(3)] for u in range(3)])
+        unit = [ones[o, t] for o, t in arcs.arcs]
+        assert arc_operator(arcs, unit, -1) == nonbacktracking_by_definition(arcs)
 
 
 def test_weighted_edge_matrix_k2():
     arcs = build_arcs(complete_graph(2))
     w = Matrix([[0, 5], [7, 0]])
     # the only transitions are onto the respective inverse arcs
-    assert weighted_edge_matrix(arcs, w) == Matrix([[0, 7], [5, 0]])
+    assert arc_operator(arcs, [w[o, t] for o, t in arcs.arcs], 0) == Matrix([[0, 7], [5, 0]])
+    with pytest.raises(ValueError):
+        arc_operator(arcs, [5], 0)
 
 
 def test_weighted_edge_matrix_rejects_off_support():
     arcs = build_arcs(path_graph(3))
     bad = Matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])  # (0,2) is not an arc
     with pytest.raises(ValueError):
-        weighted_edge_matrix(arcs, bad)
+        weighted_zeta_reciprocal(arcs, bad)
+    with pytest.raises(ValueError):
+        weighted_zeta_reciprocal(arcs, Matrix([[0, 1, 0], [1, 0, 1]]))
 
 
 def test_coin_weights_recover_transition_matrix():
-    # U = transpose(B_w) - transpose(J0) when the weights are the coin weights
+    # U = transpose(B_w - J0) when the weights are the coin weights 2/deg(o(f))
     for g in (cycle_graph(4), complete_graph(4), triangle_with_doubled_edge()):
         arcs = build_arcs(g)
-        bw = weighted_edge_matrix(arcs, coin_weight_matrix(g))
-        j0 = arc_matrices(arcs).inversion
-        assert (bw - j0).transpose() == transition_matrix(g, arcs)
+        degs = degree_info(g).degrees
+        coins = [Fraction(2, degs[o]) for o, _ in arcs.arcs]
+        assert arc_operator(arcs, coins, -1).transpose() == transition_matrix_by_definition(g)
 
 
 def test_coin_weights_are_doubled_walk_matrix():
-    # simple graphs only: T carries edge multiplicity, per-pair coin weights do not
-    for g in (cycle_graph(5), complete_graph(3), path_graph(4)):
-        assert coin_weight_matrix(g) == random_walk_matrix(g) * 2
-    dt = triangle_with_doubled_edge()
-    assert coin_weight_matrix(dt) != random_walk_matrix(dt) * 2
+    # simple graphs only: T carries edge multiplicity, per-pair coin weights
+    # do not, so the weighted edge form at W = 2T is det(I - tU) exactly
+    # when no edge is repeated
+    for g in (cycle_graph(5), complete_graph(3), path_graph(4), triangle_with_doubled_edge()):
+        forms = weighted_zeta_reciprocal(build_arcs(g), random_walk_matrix(g) * 2)
+        det_u = Poly(charpoly_exact(transition_matrix(g)).reversed_coeffs())
+        assert (forms.edge_form == det_u) == validate(g).simple
 
 
 def test_random_walk_matrix_fixtures():
@@ -187,7 +204,7 @@ def test_random_walk_matrix_is_inverse_degree_times_adjacency():
 
 def test_random_walk_rows_sum_to_one():
     for entry in builtin_corpus()[:15]:
-        assert random_walk_matrix(entry.graph).row_sums() == [1] * entry.graph.n
+        assert [sum(row) for row in random_walk_matrix(entry.graph).data] == [1] * entry.graph.n
 
 
 def test_random_walk_spectrum_in_unit_interval():
@@ -209,8 +226,8 @@ def test_power_support_fixtures():
 
 def test_power_support_k4_row_sums_equal():
     u = transition_matrix(complete_graph(4))
-    sums = power_support(u, 3).row_sums()
-    assert len(set(sums)) == 1  # vertex-transitive graph
+    sums = {sum(row) for row in power_support(u, 3).data}
+    assert len(sums) == 1  # vertex-transitive graph
 
 
 def _multigraph_with_degrees(degrees):

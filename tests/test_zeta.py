@@ -4,19 +4,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walkzeta.exact import Matrix, Poly, RationalFunction
+from walkzeta.exact import Matrix, Poly, RationalFunction, charpoly_exact
 from walkzeta.graphs import Graph, build_arcs
-from walkzeta.operators import nonbacktracking_matrix
+from walkzeta.operators import (
+    arc_operator,
+    nonbacktracking_matrix,
+    random_walk_matrix,
+    transition_matrix,
+)
 from walkzeta.zeta import (
     MAX_ORACLE_ARCS,
     CycleClass,
     OracleSizeError,
     PowerSeries,
-    cycle_norm,
     euler_product_oracle,
     ihara_reciprocal_bass_form,
     ihara_reciprocal_edge_form,
-    inverse_cycle_class,
     prime_cycle_classes,
     weighted_zeta_reciprocal,
 )
@@ -29,32 +32,51 @@ from walkzeta.experiments import (
     triangle_with_doubled_edge,
 )
 
-from oracles import perm_det, reduced_cycle_classes_bruteforce
+from oracles import nonbacktracking_by_definition, perm_det, reduced_cycle_classes_bruteforce
 
 T = Poly.x()
 
 
+def _series_log(series):
+    """log of a series with constant term 1: the integral of f'/f."""
+    if series.coeffs[0] != 1:
+        raise ValueError("log needs constant term 1")
+    inverse = series.inverse().coeffs
+    deriv = [k * c for k, c in enumerate(series.coeffs)][1:]
+    quotient = [
+        sum(deriv[i] * inverse[k - i] for i in range(k + 1)) for k in range(series.order)
+    ]
+    return PowerSeries([0] + [q / (k + 1) for k, q in enumerate(quotient)], series.order)
+
+
+def _oracle_expected(poly, order):
+    """The series of 1/poly, poly being det(I - tM) with constant term 1."""
+    return PowerSeries.from_poly(poly, order).inverse()
+
+
 def test_power_series_arithmetic():
-    a = PowerSeries((1, 1), 4)
-    b = PowerSeries((1, -1), 4)
-    assert a * b == PowerSeries((1, 0, -1), 4)
-    assert a + b == PowerSeries((2,), 4)
-    assert a - b == PowerSeries((0, 2), 4)
-    assert 3 * a == PowerSeries((3, 3), 4)
+    assert PowerSeries((1, 1, 1, 1), 2) == PowerSeries((1, 1, 1), 2)
+    assert PowerSeries((3,), 2).coeffs == (3, 0, 0)
+    assert PowerSeries.from_poly(1 - T**2, 3) == PowerSeries((1, 0, -1, 0), 3)
     geo = PowerSeries((1, -1), 6).inverse()
     assert geo == PowerSeries([1] * 7, 6)
+    assert PowerSeries((2, 0, -2), 4).inverse() == PowerSeries(
+        [Fraction(1, 2), 0, Fraction(1, 2), 0, Fraction(1, 2)], 4
+    )
     with pytest.raises(ZeroDivisionError):
         PowerSeries((0, 1), 3).inverse()
+    with pytest.raises(ValueError):
+        PowerSeries((1,), -1)
 
 
 def test_power_series_log():
     # log(1/(1-t)) = sum t^k / k
-    series = PowerSeries((1, -1), 6).inverse().log()
+    series = _series_log(PowerSeries((1, -1), 6).inverse())
     assert series.coeffs == tuple(
         Fraction(0) if k == 0 else Fraction(1, k) for k in range(7)
     )
     with pytest.raises(ValueError):
-        PowerSeries((2, 1), 3).log()
+        _series_log(PowerSeries((2, 1), 3))
 
 
 def test_edge_form_fixtures():
@@ -109,11 +131,10 @@ def test_weighted_k2_hand_fixture():
 
 
 def test_weighted_coin_weights_on_c3():
-    from walkzeta.operators import coin_weight_matrix, random_walk_matrix
-
+    # on a simple graph the coin weights 2/deg(u) on each pair (u, v) are 2T
     g = cycle_graph(3)
     arcs = build_arcs(g)
-    forms = weighted_zeta_reciprocal(arcs, coin_weight_matrix(g))
+    forms = weighted_zeta_reciprocal(arcs, random_walk_matrix(g) * 2)
     assert forms.bass_form.is_polynomial() and forms.bass_form.num.degree <= 6
     # m = n, so the vertex form is det(I - 2tT + t^2 I) with no prefactor
     t_matrix = random_walk_matrix(g)
@@ -155,18 +176,19 @@ def test_weighted_forms_differ_on_multigraph():
 
 def test_oracle_fixtures():
     # C_3: two prime classes (the two orientations), series of (1-t^3)^-2
-    series = euler_product_oracle(build_arcs(cycle_graph(3)), 8)
+    series = euler_product_oracle(nonbacktracking_matrix(build_arcs(cycle_graph(3))), 8)
     assert series == PowerSeries((1, 0, 0, 2, 0, 0, 3, 0, 0), 8)
     # K_2 is a tree: no reduced cycles at all
-    assert euler_product_oracle(build_arcs(complete_graph(2)), 8) == PowerSeries.one(8)
+    k2 = nonbacktracking_matrix(build_arcs(complete_graph(2)))
+    assert euler_product_oracle(k2, 8) == PowerSeries.one(8)
 
 
 def test_oracle_matches_series_inversion():
     for g in (cycle_graph(3), cycle_graph(5), complete_graph(4), path_graph(5),
               triangle_with_doubled_edge()):
         arcs = build_arcs(g)
-        inverted = PowerSeries.from_poly(ihara_reciprocal_edge_form(arcs), 8).inverse()
-        assert euler_product_oracle(arcs, 8) == inverted
+        inverted = _oracle_expected(ihara_reciprocal_edge_form(arcs), 8)
+        assert euler_product_oracle(nonbacktracking_matrix(arcs), 8) == inverted
 
 
 def test_k4_reduced_three_walk_count():
@@ -180,9 +202,7 @@ def test_trace_identity():
     order = 8
     for g in (cycle_graph(3), complete_graph(4), triangle_with_doubled_edge()):
         arcs = build_arcs(g)
-        series = PowerSeries.from_poly(
-            ihara_reciprocal_edge_form(arcs), order
-        ).inverse().log()
+        series = _series_log(_oracle_expected(ihara_reciprocal_edge_form(arcs), order))
         nb = nonbacktracking_matrix(arcs)
         power = Matrix.identity(len(arcs))
         expected = [Fraction(0)]
@@ -193,7 +213,7 @@ def test_trace_identity():
 
 
 def test_prime_cycle_classes_c3():
-    classes = prime_cycle_classes(build_arcs(cycle_graph(3)), 8)
+    classes = prime_cycle_classes(nonbacktracking_matrix(build_arcs(cycle_graph(3))), 8)
     primes = [c for c in classes if c.prime]
     assert {c.length for c in primes} == {3}
     assert len(primes) == 2
@@ -204,51 +224,62 @@ def test_prime_cycle_classes_c3():
 def test_prime_classes_pair_under_inversion():
     for g in (cycle_graph(3), complete_graph(4), triangle_with_doubled_edge()):
         arcs = build_arcs(g)
-        classes = prime_cycle_classes(arcs, 6)
+        classes = prime_cycle_classes(nonbacktracking_matrix(arcs), 6)
         primes = {c.arcs for c in classes if c.prime}
         self_inverse = 0
-        for c in classes:
-            if not c.prime:
-                continue
-            inv = inverse_cycle_class(c, arcs)
-            assert inv.arcs in primes  # closed under inversion
-            if inv.arcs == c.arcs:
+        for c in primes:
+            # the reversed cycle: inverse arcs in the opposite order
+            rev = tuple(arcs.inverse(a) for a in reversed(c))
+            inv = min(rev[i:] + rev[:i] for i in range(len(rev)))
+            assert inv in primes  # closed under inversion
+            if inv == c:
                 self_inverse += 1
         assert (len(primes) - self_inverse) % 2 == 0
 
 
 def test_cycle_norm_fixtures():
-    g = cycle_graph(3)
-    arcs = build_arcs(g)
-    classes = prime_cycle_classes(arcs, 3)
-    primes = [c for c in classes if c.prime]
-    weights = Matrix([[0, 2, 13], [7, 0, 3], [5, 11, 0]])
-    # one orientation walks 0->1->2->0 (weights 2, 3, 5), the other the reverse
-    norms = {cycle_norm(c, weights, arcs) for c in primes}
-    assert norms == {Fraction(30), Fraction(1001)}
-    ones = Matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    assert all(cycle_norm(c, ones, arcs) == 1 for c in primes)
-    forward = [c for c in primes if cycle_norm(c, weights, arcs) == 30][0]
-    backward = inverse_cycle_class(forward, arcs)
-    assert cycle_norm(backward, weights, arcs) == 7 * 11 * 13
+    # C_3 with one orientation 0->1->2->0 of norm 2 * 3 * 5 = 30 and the
+    # reverse of norm 13 * 11 * 7 = 1001.  The reduced weighted matrix puts
+    # W[o(f), t(f)] on each non-backtracking step e -> f and 0 elsewhere.
+    arcs = build_arcs(cycle_graph(3))
+    w = Matrix([[0, 2, 13], [7, 0, 3], [5, 11, 0]])
+    reduced = Matrix(
+        [
+            [
+                w[arcs.origin(f), arcs.terminus(f)]
+                if arcs.terminus(e) == arcs.origin(f) and f != arcs.inverse(e)
+                else 0
+                for f in range(6)
+            ]
+            for e in range(6)
+        ]
+    )
+    expected = _oracle_expected((1 - 30 * T**3) * (1 - 1001 * T**3), 6)
+    assert euler_product_oracle(reduced, 6) == expected
+    # halving the weights divides each norm by 2^3 through the integer lift
+    halved = _oracle_expected((1 - Fraction(30, 8) * T**3) * (1 - Fraction(1001, 8) * T**3), 6)
+    assert euler_product_oracle(reduced * Fraction(1, 2), 6) == halved
+    # unit weights: both classes have norm 1
+    unit = _oracle_expected((1 - T**3) ** 2, 6)
+    assert euler_product_oracle(nonbacktracking_matrix(arcs), 6) == unit
 
 
 def test_oracle_size_guard():
     big = cycle_graph(12)  # 24 arcs
     with pytest.raises(OracleSizeError):
-        prime_cycle_classes(build_arcs(big), 4)
+        prime_cycle_classes(nonbacktracking_matrix(build_arcs(big)), 4)
     with pytest.raises(OracleSizeError):
-        euler_product_oracle(build_arcs(cycle_graph(3)), 13)
+        euler_product_oracle(nonbacktracking_matrix(build_arcs(cycle_graph(3))), 13)
 
 
 def test_oracle_order_zero_and_negative():
-    arcs = build_arcs(cycle_graph(3))
-    assert prime_cycle_classes(arcs, 0) == []
-    assert euler_product_oracle(arcs, 0) == PowerSeries.one(0)
+    nb = nonbacktracking_matrix(build_arcs(cycle_graph(3)))
+    assert prime_cycle_classes(nb, 0) == []
+    assert euler_product_oracle(nb, 0) == PowerSeries.one(0)
     with pytest.raises(ValueError):
-        prime_cycle_classes(arcs, -1)
+        prime_cycle_classes(nb, -1)
     with pytest.raises(ValueError):
-        euler_product_oracle(arcs, -1)
+        euler_product_oracle(nb, -1)
 
 
 def test_prime_cycle_classes_match_bruteforce_on_corpus():
@@ -258,9 +289,10 @@ def test_prime_cycle_classes_match_bruteforce_on_corpus():
         arcs = build_arcs(entry.graph)
         if len(arcs) > MAX_ORACLE_ARCS:
             continue
+        nb, by_definition = nonbacktracking_matrix(arcs), nonbacktracking_by_definition(arcs)
         for order in range(9):
-            expected = reduced_cycle_classes_bruteforce(arcs, order)
-            assert prime_cycle_classes(arcs, order) == expected, (entry.name, order)
+            expected = reduced_cycle_classes_bruteforce(by_definition, order)
+            assert prime_cycle_classes(nb, order) == expected, (entry.name, order)
 
 
 @st.composite
@@ -303,10 +335,11 @@ def test_prime_cycle_classes_match_bruteforce_under_relabelling(graphs, order):
     g, h = graphs
     arcs = build_arcs(h)
     order = _affordable_order(arcs, order)
-    classes = prime_cycle_classes(arcs, order)
-    assert classes == reduced_cycle_classes_bruteforce(arcs, order)
+    classes = prime_cycle_classes(nonbacktracking_matrix(arcs), order)
+    assert classes == reduced_cycle_classes_bruteforce(nonbacktracking_by_definition(arcs), order)
     shape = sorted((c.length, c.prime) for c in classes)
-    assert shape == sorted((c.length, c.prime) for c in prime_cycle_classes(build_arcs(g), order))
+    unrelabelled = prime_cycle_classes(nonbacktracking_matrix(build_arcs(g)), order)
+    assert shape == sorted((c.length, c.prime) for c in unrelabelled)
 
 
 def test_corpus_small_members_satisfy_series_identity():
@@ -314,7 +347,34 @@ def test_corpus_small_members_satisfy_series_identity():
         if entry.graph.n > 4:
             continue
         arcs = build_arcs(entry.graph)
-        inverted = PowerSeries.from_poly(
-            ihara_reciprocal_edge_form(arcs), 6
-        ).inverse()
-        assert euler_product_oracle(arcs, 6) == inverted
+        inverted = _oracle_expected(ihara_reciprocal_edge_form(arcs), 6)
+        assert euler_product_oracle(nonbacktracking_matrix(arcs), 6) == inverted
+
+
+def _guarded_corpus():
+    entries = [e for e in builtin_corpus() if 2 * e.graph.m <= MAX_ORACLE_ARCS]
+    assert len(entries) == 31 and any(not e.simple for e in entries)
+    return entries
+
+
+def test_oracle_matches_reversed_charpoly_of_u_on_corpus():
+    # Amitsur's identity on the paper's main closed form: 1/det(I - tU) is
+    # the Euler product over U's prime cycle classes, whose backtracking
+    # steps weigh 2/deg - 1 (zero, so absent, only at degree 2)
+    order = 8
+    for entry in _guarded_corpus():
+        u = transition_matrix(entry.graph)
+        det_u = Poly(charpoly_exact(u).reversed_coeffs())
+        assert euler_product_oracle(u, order) == _oracle_expected(det_u, order), entry.name
+
+
+def test_oracle_matches_weighted_edge_form_on_corpus():
+    order = 8
+    for seed, entry in enumerate(_guarded_corpus()):
+        if not entry.simple:
+            continue
+        arcs = build_arcs(entry.graph)
+        w = random_weight_matrix(entry.graph, random.Random(seed))
+        bw = arc_operator(arcs, [w[o, t] for o, t in arcs.arcs], -1)
+        edge = weighted_zeta_reciprocal(arcs, w).edge_form
+        assert euler_product_oracle(bw, order) == _oracle_expected(edge, order), entry.name
