@@ -1,9 +1,8 @@
 """Arc-indexed walk operators and their vertex-level companions.
 
-Every arc matrix comes from one builder, ``arc_operator(arcs, weights,
-backtrack)``: arc e feeds arc f when terminus(e) = origin(f), the step
-weighs w(f), and the step onto inverse(e) pays ``backtrack`` on top.  The
-Grover-coined quantum-walk transition matrix U is the transpose of the
+Every arc matrix comes from one builder, ``arc_operator(arcs, weights)``:
+arc e feeds arc f when terminus(e) = origin(f), the step weighs w(f), and
+the step onto inverse(e) pays 1 less.  The Grover-coined quantum-walk transition matrix U is the transpose of the
 weighted edge matrix B_w - J0 for the coin weights 2/deg(o(f)), and the
 non-backtracking matrix B - J0 is the same builder with unit weights.
 Alongside them live the random-walk matrix, the operator table and exact
@@ -24,20 +23,19 @@ from .graphs import ArcSet, Graph, adjacency_matrix, build_arcs, degree_info, va
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def arc_operator(arcs: ArcSet, weights: Sequence, backtrack) -> Matrix:
-    """The arc matrix with entry (e, f) = weights[f] when e feeds f.
+def arc_operator(arcs: ArcSet, weights: Sequence) -> Matrix:
+    """The weighted edge matrix B_w - J0 on the arcs.
 
-    Arc e feeds arc f when terminus(e) = origin(f); the step onto
-    inverse(e) adds ``backtrack`` to its weight.  This is the one place
-    that decides how arcs connect: B - J0 is (1, -1), the weighted edge
-    matrix B_w - J0 is (w(f), -1), and U is the transpose of
-    (2/deg(o(f)), -1).  Each row is built from the arcs leaving terminus(e).
+    Entry (e, f) is weights[f] when arc e feeds arc f, that is when
+    terminus(e) = origin(f), minus 1 when f = inverse(e).  This is the one
+    place that decides how arcs connect: B - J0 has unit weights, and U is
+    the transpose for the coin weights 2/deg(o(f)).  Each row is built from
+    the arcs leaving terminus(e).
     """
     size = len(arcs)
     if len(weights) != size:
         raise ValueError(f"need one weight per arc: {len(weights)} for {size} arcs")
     weights = [w if type(w) is Fraction else Fraction(w) for w in weights]
-    backtrack = Fraction(backtrack)
     leaving: dict[int, list[int]] = {}
     for f in range(size):
         leaving.setdefault(arcs.origin(f), []).append(f)
@@ -46,7 +44,7 @@ def arc_operator(arcs: ArcSet, weights: Sequence, backtrack) -> Matrix:
         row = [_ZERO] * size
         for f in leaving[arcs.terminus(e)]:
             row[f] = weights[f]
-        row[arcs.inverse(e)] += backtrack
+        row[arcs.inverse(e)] -= 1
         data.append(row)
     return Matrix(data)
 
@@ -64,12 +62,12 @@ def transition_matrix(g: Graph, arcs: ArcSet | None = None) -> Matrix:
         raise ValueError("transition matrix needs every vertex to have an arc")
     arcs = build_arcs(g) if arcs is None else arcs
     coins = [Fraction(2, info.degrees[arcs.origin(e)]) for e in range(len(arcs))]
-    return arc_operator(arcs, coins, -1).transpose()
+    return arc_operator(arcs, coins).transpose()
 
 
 def nonbacktracking_matrix(arcs: ArcSet) -> Matrix:
     """Arc adjacency minus arc inversion (the Hashimoto edge matrix)."""
-    return arc_operator(arcs, [_ONE] * len(arcs), -1)
+    return arc_operator(arcs, [_ONE] * len(arcs))
 
 
 def random_walk_matrix(g: Graph) -> Matrix:

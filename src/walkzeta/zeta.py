@@ -131,21 +131,23 @@ def weighted_zeta_reciprocal(arcs: ArcSet, weights: Matrix) -> WeightedZetaForms
     The edge form is det(I - t(B_w - J0)) on arcs, where the step onto arc f
     weighs W[o(f), t(f)]; the vertex form is
     (1 - t^2)^(m - n) det(I - tW + t^2 (D_w - I)) with D_w the diagonal of
-    out-arc weight sums.  A nonzero weight off the arc positions is a
-    ValueError.  The two agree on simple graphs; an n x n weight
-    matrix cannot see parallel-edge multiplicity, so on multigraphs the
-    forms genuinely differ.
+    out-arc weight sums.  A nonzero weight off the arc positions, or an arc
+    outside the matrix, is a ValueError.  The two agree on simple graphs; an
+    n x n weight matrix cannot see parallel-edge multiplicity, so on
+    multigraphs the forms genuinely differ.
     """
     if not weights.is_square:
         raise ValueError("weight matrix must be square")
     n = weights.rows
+    if any(max(arc) >= n for arc in arcs.arcs):
+        raise ValueError(f"an arc leaves the {n} x {n} weight matrix")
     positions = set(arcs.arcs)
     for i in range(n):
         for j in range(n):
             if weights[i, j] != 0 and (i, j) not in positions:
                 raise ValueError(f"weight on non-arc position ({i}, {j})")
     arc_weights = [weights[o, t] for o, t in arcs.arcs]
-    edge = Poly(charpoly_exact(arc_operator(arcs, arc_weights, -1)).reversed_coeffs())
+    edge = Poly(charpoly_exact(arc_operator(arcs, arc_weights)).reversed_coeffs())
     shifted_sums = [Fraction(-1)] * n  # diagonal of D_w - I
     for (o, _), w in zip(arcs.arcs, arc_weights):
         shifted_sums[o] += w
@@ -176,10 +178,12 @@ def prime_cycle_classes(m: Matrix, order: int) -> list[CycleClass]:
     shorter one.  Each class is enumerated from its least index: from start
     s the walk takes only indices >= s.  The least index can recur in a
     cycle (powers, figure-eights), so every closed walk is still
-    canonicalized.  Order 0 gives no classes; a negative order is a
-    ValueError.  Guarded to 20 rows and length <= 12; cost grows
+    canonicalized.  Order 0 gives no classes; a negative order or a
+    non-square matrix is a ValueError.  Guarded to 20 rows and length <= 12; cost grows
     exponentially past that.
     """
+    if not m.is_square:
+        raise ValueError("cycle oracle needs a square matrix")
     size = m.rows
     if size > MAX_ORACLE_ARCS:
         raise OracleSizeError(f"cycle oracle limited to {MAX_ORACLE_ARCS} rows, got {size}")

@@ -17,7 +17,7 @@ from walkzeta.operators import (
     verify_support_identity,
 )
 from walkzeta.spectra import real_roots
-from walkzeta.zeta import weighted_zeta_reciprocal
+from walkzeta.zeta import ihara_reciprocal_edge_form, weighted_zeta_reciprocal
 from walkzeta.experiments import (
     builtin_corpus,
     complete_graph,
@@ -101,11 +101,10 @@ def test_operators_match_definitions_on_corpus():
 
 
 def test_arc_matrices_k2():
+    # on K2 each arc feeds only its inverse, so B = J0 and B - J0 vanishes
     arcs = build_arcs(complete_graph(2))
-    b = arc_operator(arcs, [1, 1], 0)
-    j0 = arc_operator(arcs, [0, 0], 1)
-    assert b == j0 == Matrix([[0, 1], [1, 0]])
-    assert nonbacktracking_matrix(arcs) == Matrix.zeros(2)
+    assert nonbacktracking_by_definition(arcs) == Matrix.zeros(2)
+    assert nonbacktracking_matrix(arcs) == arc_operator(arcs, [1, 1]) == Matrix.zeros(2)
 
 
 def test_arc_matrices_row_sums():
@@ -134,20 +133,19 @@ def test_support_of_u_transpose_equals_edge_matrix_k4():
 
 
 def test_weighted_edge_matrix_unit_weights():
-    for g in (cycle_graph(3), triangle_with_doubled_edge()):
+    # unit W gives B_w - J0 = B - J0, so the weighted edge form is 1/zeta
+    for g in (cycle_graph(3), complete_graph(4), path_graph(4), triangle_with_doubled_edge()):
         arcs = build_arcs(g)
-        ones = Matrix([[int(u != v) for v in range(3)] for u in range(3)])
-        unit = [ones[o, t] for o, t in arcs.arcs]
-        assert arc_operator(arcs, unit, -1) == nonbacktracking_by_definition(arcs)
+        edge = weighted_zeta_reciprocal(arcs, positive_support(adjacency_matrix(g))).edge_form
+        assert edge == ihara_reciprocal_edge_form(arcs)
 
 
 def test_weighted_edge_matrix_k2():
     arcs = build_arcs(complete_graph(2))
-    w = Matrix([[0, 5], [7, 0]])
-    # the only transitions are onto the respective inverse arcs
-    assert arc_operator(arcs, [w[o, t] for o, t in arcs.arcs], 0) == Matrix([[0, 7], [5, 0]])
+    # the only transitions are onto the respective inverse arcs, which pay 1
+    assert arc_operator(arcs, [5, 7]) == Matrix([[0, 6], [4, 0]])
     with pytest.raises(ValueError):
-        arc_operator(arcs, [5], 0)
+        arc_operator(arcs, [5])
 
 
 def test_weighted_edge_matrix_rejects_off_support():
@@ -157,6 +155,8 @@ def test_weighted_edge_matrix_rejects_off_support():
         weighted_zeta_reciprocal(arcs, bad)
     with pytest.raises(ValueError):
         weighted_zeta_reciprocal(arcs, Matrix([[0, 1, 0], [1, 0, 1]]))
+    with pytest.raises(ValueError):
+        weighted_zeta_reciprocal(arcs, Matrix([[0, 1], [1, 0]]))  # vertex 2 is missing
 
 
 def test_coin_weights_recover_transition_matrix():
@@ -165,7 +165,7 @@ def test_coin_weights_recover_transition_matrix():
         arcs = build_arcs(g)
         degs = degree_info(g).degrees
         coins = [Fraction(2, degs[o]) for o, _ in arcs.arcs]
-        assert arc_operator(arcs, coins, -1).transpose() == transition_matrix_by_definition(g)
+        assert arc_operator(arcs, coins).transpose() == transition_matrix_by_definition(g)
 
 
 def test_coin_weights_are_doubled_walk_matrix():

@@ -49,11 +49,6 @@ def _series_log(series):
     return PowerSeries([0] + [q / (k + 1) for k, q in enumerate(quotient)], series.order)
 
 
-def _oracle_expected(poly, order):
-    """The series of 1/poly, poly being det(I - tM) with constant term 1."""
-    return PowerSeries.from_poly(poly, order).inverse()
-
-
 def test_power_series_arithmetic():
     assert PowerSeries((1, 1, 1, 1), 2) == PowerSeries((1, 1, 1), 2)
     assert PowerSeries((3,), 2).coeffs == (3, 0, 0)
@@ -187,7 +182,7 @@ def test_oracle_matches_series_inversion():
     for g in (cycle_graph(3), cycle_graph(5), complete_graph(4), path_graph(5),
               triangle_with_doubled_edge()):
         arcs = build_arcs(g)
-        inverted = _oracle_expected(ihara_reciprocal_edge_form(arcs), 8)
+        inverted = PowerSeries.from_poly(ihara_reciprocal_edge_form(arcs), 8).inverse()
         assert euler_product_oracle(nonbacktracking_matrix(arcs), 8) == inverted
 
 
@@ -202,7 +197,7 @@ def test_trace_identity():
     order = 8
     for g in (cycle_graph(3), complete_graph(4), triangle_with_doubled_edge()):
         arcs = build_arcs(g)
-        series = _series_log(_oracle_expected(ihara_reciprocal_edge_form(arcs), order))
+        series = _series_log(PowerSeries.from_poly(ihara_reciprocal_edge_form(arcs), order).inverse())
         nb = nonbacktracking_matrix(arcs)
         power = Matrix.identity(len(arcs))
         expected = [Fraction(0)]
@@ -254,13 +249,15 @@ def test_cycle_norm_fixtures():
             for e in range(6)
         ]
     )
-    expected = _oracle_expected((1 - 30 * T**3) * (1 - 1001 * T**3), 6)
+    expected = PowerSeries.from_poly((1 - 30 * T**3) * (1 - 1001 * T**3), 6).inverse()
     assert euler_product_oracle(reduced, 6) == expected
     # halving the weights divides each norm by 2^3 through the integer lift
-    halved = _oracle_expected((1 - Fraction(30, 8) * T**3) * (1 - Fraction(1001, 8) * T**3), 6)
+    halved = PowerSeries.from_poly(
+        (1 - Fraction(30, 8) * T**3) * (1 - Fraction(1001, 8) * T**3), 6
+    ).inverse()
     assert euler_product_oracle(reduced * Fraction(1, 2), 6) == halved
     # unit weights: both classes have norm 1
-    unit = _oracle_expected((1 - T**3) ** 2, 6)
+    unit = PowerSeries.from_poly((1 - T**3) ** 2, 6).inverse()
     assert euler_product_oracle(nonbacktracking_matrix(arcs), 6) == unit
 
 
@@ -270,6 +267,9 @@ def test_oracle_size_guard():
         prime_cycle_classes(nonbacktracking_matrix(build_arcs(big)), 4)
     with pytest.raises(OracleSizeError):
         euler_product_oracle(nonbacktracking_matrix(build_arcs(cycle_graph(3))), 13)
+    for wide in (Matrix([[0, 1, 1], [1, 0, 1]]), Matrix([[0, 1], [1, 0], [1, 1]])):
+        with pytest.raises(ValueError):
+            euler_product_oracle(wide, 4)
 
 
 def test_oracle_order_zero_and_negative():
@@ -347,7 +347,7 @@ def test_corpus_small_members_satisfy_series_identity():
         if entry.graph.n > 4:
             continue
         arcs = build_arcs(entry.graph)
-        inverted = _oracle_expected(ihara_reciprocal_edge_form(arcs), 6)
+        inverted = PowerSeries.from_poly(ihara_reciprocal_edge_form(arcs), 6).inverse()
         assert euler_product_oracle(nonbacktracking_matrix(arcs), 6) == inverted
 
 
@@ -365,7 +365,8 @@ def test_oracle_matches_reversed_charpoly_of_u_on_corpus():
     for entry in _guarded_corpus():
         u = transition_matrix(entry.graph)
         det_u = Poly(charpoly_exact(u).reversed_coeffs())
-        assert euler_product_oracle(u, order) == _oracle_expected(det_u, order), entry.name
+        inverted = PowerSeries.from_poly(det_u, order).inverse()
+        assert euler_product_oracle(u, order) == inverted, entry.name
 
 
 def test_oracle_matches_weighted_edge_form_on_corpus():
@@ -375,6 +376,7 @@ def test_oracle_matches_weighted_edge_form_on_corpus():
             continue
         arcs = build_arcs(entry.graph)
         w = random_weight_matrix(entry.graph, random.Random(seed))
-        bw = arc_operator(arcs, [w[o, t] for o, t in arcs.arcs], -1)
+        bw = arc_operator(arcs, [w[o, t] for o, t in arcs.arcs])
         edge = weighted_zeta_reciprocal(arcs, w).edge_form
-        assert euler_product_oracle(bw, order) == _oracle_expected(edge, order), entry.name
+        inverted = PowerSeries.from_poly(edge, order).inverse()
+        assert euler_product_oracle(bw, order) == inverted, entry.name
