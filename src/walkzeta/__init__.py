@@ -4,8 +4,6 @@ from .exact import (
     ExactDivisionError,
     Matrix,
     Poly,
-    Rational,
-    RationalFunction,
     charpoly_exact,
     poly_divexact,
     poly_gcd,
@@ -22,7 +20,6 @@ from .graphs import (
     betti,
     build_arcs,
     degree_info,
-    degree_matrix,
     encode_graph6,
     parse_edge_list,
     parse_graph6,

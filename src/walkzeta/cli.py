@@ -23,7 +23,7 @@ import math
 import os
 import sys
 
-from .exact import RationalFunction, charpoly_exact
+from .exact import charpoly_exact
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -203,17 +203,15 @@ def cmd_zeta(args) -> int:
     arcs = build_arcs(g)
     edge = ihara_reciprocal_edge_form(arcs)
     bass = ihara_reciprocal_bass_form(g)
-    agree = bass == RationalFunction(edge)
+    agree = bass == edge
     series = PowerSeries.from_poly(edge, args.order).inverse()
 
     doc = _envelope("zeta", args)
     doc["n"] = g.n
     doc["m"] = g.m
     doc["edge_form"] = edge.to_strings()
-    doc["bass_form"] = {
-        "numerator": bass.num.to_strings(),
-        "denominator": bass.den.to_strings(),
-    }
+    # always a polynomial; both formats keep a denominator of 1 for readers of the zeta output
+    doc["bass_form"] = {"numerator": bass.to_strings(), "denominator": ["1"]}
     doc["forms_agree"] = agree
     doc["series"] = [str(c) for c in series.coeffs]
     oracle_matches = None
@@ -229,7 +227,7 @@ def cmd_zeta(args) -> int:
     else:
         print(f"zeta n={g.n} m={g.m} {_settings_text(args)}")
         print(f"edge form: {edge.format('t')}")
-        print(f"vertex form: ({bass.num.format('t')}) / ({bass.den.format('t')})")
+        print(f"vertex form: ({bass.format('t')}) / (1)")
         print(f"forms agree: {agree}")
         print("series:", " ".join(str(c) for c in series.coeffs))
         if args.oracle:

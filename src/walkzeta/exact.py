@@ -35,8 +35,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-Rational = Fraction
-
 
 class ExactDivisionError(ArithmeticError):
     """Polynomial division that was expected to be exact left a remainder."""
@@ -197,9 +195,9 @@ class Poly:
                     rem[k + j] -= c * b
         return Poly(quo), Poly(rem[: other.degree if other.degree > 0 else 0])
 
-    def reversed_coeffs(self) -> tuple:
-        """Coefficient tuple read back to front: x^deg p(1/x), ascending."""
-        return self.coeffs[::-1]
+    def reversed(self) -> "Poly":
+        """x^deg p(1/x): the coefficients read back to front."""
+        return Poly(self.coeffs[::-1])
 
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -320,69 +318,6 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
         d = poly_divexact(d, f) - c.derivative()
         i += 1
     return out
-
-
-class RationalFunction:
-    """Quotient of two polynomials, kept reduced with a monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly | None = None):
-        den = Poly.one() if den is None else den
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = Poly()
-            self.den = Poly.one()
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = poly_divexact(num, g)
-            den = poly_divexact(den, g)
-        lead = den.leading()
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num = num * inv
-            den = den * inv
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_power(cls, base: Poly, exponent: int) -> "RationalFunction":
-        """base**exponent as a rational function; the exponent may be negative."""
-        if exponent >= 0:
-            return cls(base**exponent)
-        return cls(Poly.one(), base ** (-exponent))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            other = RationalFunction(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction, Poly)):
-            other = RationalFunction(_as_poly(other))
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def is_polynomial(self) -> bool:
-        return self.den == Poly.one()
-
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise ValueError(f"not a polynomial: denominator {self.den!r}")
-        return self.num
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
 class Matrix:

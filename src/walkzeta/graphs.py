@@ -256,10 +256,6 @@ def adjacency_matrix(g: Graph) -> Matrix:
     return Matrix(a)
 
 
-def degree_matrix(g: Graph) -> Matrix:
-    return Matrix.diagonal(degree_info(g).degrees)
-
-
 def betti(g: Graph) -> int:
     """First Betti number m - n + 1 of a connected graph."""
     if not validate(g).connected:

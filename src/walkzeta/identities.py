@@ -6,6 +6,8 @@ factor (x^2 - 1) accounting for the dimension gap: one copy per
 independent cycle beyond a spanning tree.  For trees the gap is negative
 one and the circle factor divides out exactly.  A parallel form exists for
 the positive support of U-transpose on graphs of minimum degree 2.
+``apply_circle_prefactor`` is the one place the circle factor is applied;
+the zeta vertex forms are its results with the coefficients reversed.
 
 Each quadratic determinant det(x^2 I - xA + C) is evaluated by the one
 exact kernel as the characteristic polynomial of its 2n x 2n

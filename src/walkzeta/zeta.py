@@ -4,11 +4,14 @@ The reciprocal of the zeta function is computed two independent ways: as
 the arc-level determinant det(I - t(B - J0)) and through the vertex-level
 three-term determinant with its (1 - t^2) prefactor.  Both go through the
 one exact kernel: det(I - tM) is the coefficient reversal of char(M), and
-the vertex determinant is the reversal of det(x^2 I - xA + D - I), the
+the vertex form is the reversal of det(x^2 I - xA + D - I), the
 characteristic polynomial of its 2n x 2n linearisation (Bass 1992,
-Kotani-Sunada 2000).  A brute-force Euler product serves as a
-combinatorial cross-check on small matrices: by Amitsur's identity, in the
-combinatorial proof of Foata and Zeilberger (Trans. AMS 1999),
+Kotani-Sunada 2000), times the circle factor (x^2 - 1)^k.  Reversal is
+multiplicative and takes x^2 - 1 to 1 - t^2, so the factor is applied in
+one place, ``identities.apply_circle_prefactor``.  A brute-force Euler
+product serves as a combinatorial cross-check on small matrices: by
+Amitsur's identity, in the combinatorial proof of Foata and Zeilberger
+(Trans. AMS 1999),
 1/det(I - tM) is a product over the prime cycle classes of the digraph of
 any square matrix M, each weighted by the product of M's entries around
 it.  The oracle reads the matrix it is given, so it checks B - J0, U and
@@ -22,22 +25,13 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, NamedTuple
 
-from .exact import (
-    Matrix,
-    Poly,
-    RationalFunction,
-    charpoly_exact,
-    integer_lift,
-    quadratic_charpoly,
-)
+from .exact import Matrix, Poly, charpoly_exact, integer_lift, quadratic_charpoly
 from .graphs import ArcSet, Graph, betti
-from .identities import support_determinant_form
+from .identities import apply_circle_prefactor, support_determinant_form
 from .operators import arc_operator, nonbacktracking_matrix
 
 MAX_ORACLE_ARCS = 20
 MAX_ORACLE_ORDER = 12
-
-ONE_MINUS_T_SQUARED = Poly((1, 0, -1))
 
 
 class OracleSizeError(ValueError):
@@ -105,24 +99,24 @@ class CycleClass:
 
 def ihara_reciprocal_edge_form(arcs: ArcSet) -> Poly:
     """1/zeta as det(I - t(B - J0)) over the arcs: char(B - J0) reversed."""
-    return Poly(charpoly_exact(nonbacktracking_matrix(arcs)).reversed_coeffs())
+    return charpoly_exact(nonbacktracking_matrix(arcs)).reversed()
 
 
-def ihara_reciprocal_bass_form(g: Graph) -> RationalFunction:
+def ihara_reciprocal_bass_form(g: Graph) -> Poly:
     """1/zeta as (1 - t^2)^(r - 1) det(I - tA + t^2 (D - I)).
 
-    r is the first Betti number; for trees the exponent is negative and the
-    result is a genuine rational function.  The determinant is the
-    reversal of the support form det(x^2 I - xA + D - I).
+    r is the first Betti number, so a disconnected graph is a ValueError.
+    The form is the reversal of (x^2 - 1)^(r - 1) det(x^2 I - xA + D - I).
+    It is always a polynomial: r - 1 >= 0 on every connected graph except
+    a tree, and on a tree det(I - tA + t^2 (D - I)) = 1 - t^2, so the
+    negative power divides exactly.
     """
-    det = Poly(support_determinant_form(g).reversed_coeffs())
-    prefactor = RationalFunction.from_power(ONE_MINUS_T_SQUARED, betti(g) - 1)
-    return prefactor * det
+    return apply_circle_prefactor(support_determinant_form(g), betti(g) - 1).reversed()
 
 
 class WeightedZetaForms(NamedTuple):
     edge_form: Poly
-    bass_form: RationalFunction
+    bass_form: Poly
 
 
 def weighted_zeta_reciprocal(arcs: ArcSet, weights: Matrix) -> WeightedZetaForms:
@@ -135,6 +129,12 @@ def weighted_zeta_reciprocal(arcs: ArcSet, weights: Matrix) -> WeightedZetaForms
     outside the matrix, is a ValueError.  The two agree on simple graphs; an
     n x n weight matrix cannot see parallel-edge multiplicity, so on
     multigraphs the forms genuinely differ.
+
+    The vertex form is a polynomial: the determinant and the prefactor
+    split over components.  A component with a cycle or a parallel edge
+    has m_i - n_i >= 0, and a tree component, an isolated vertex included,
+    is simple, satisfies the weighted identity and has a polynomial edge
+    side, so its factor 1 - t^2 divides exactly.
     """
     if not weights.is_square:
         raise ValueError("weight matrix must be square")
@@ -147,17 +147,21 @@ def weighted_zeta_reciprocal(arcs: ArcSet, weights: Matrix) -> WeightedZetaForms
             if weights[i, j] != 0 and (i, j) not in positions:
                 raise ValueError(f"weight on non-arc position ({i}, {j})")
     arc_weights = [weights[o, t] for o, t in arcs.arcs]
-    edge = Poly(charpoly_exact(arc_operator(arcs, arc_weights)).reversed_coeffs())
+    edge = charpoly_exact(arc_operator(arcs, arc_weights)).reversed()
     shifted_sums = [Fraction(-1)] * n  # diagonal of D_w - I
     for (o, _), w in zip(arcs.arcs, arc_weights):
         shifted_sums[o] += w
-    det = Poly(quadratic_charpoly(weights, shifted_sums).reversed_coeffs())
-    prefactor = RationalFunction.from_power(ONE_MINUS_T_SQUARED, arcs.m - n)
-    return WeightedZetaForms(edge, prefactor * det)
+    det = quadratic_charpoly(weights, shifted_sums)
+    return WeightedZetaForms(edge, apply_circle_prefactor(det, arcs.m - n).reversed())
 
 
 def _least_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
-    return min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
+    """Least rotation of a closed walk whose first entry is its least index.
+
+    The least rotation then begins at an occurrence of seq[0], so only
+    those rotations are compared; seq[0] can recur (powers, figure-eights).
+    """
+    return min(seq[i:] + seq[:i] for i, x in enumerate(seq) if x == seq[0])
 
 
 def _is_primitive(seq: tuple[int, ...]) -> bool:

@@ -10,7 +10,6 @@ from walkzeta.exact import (
     ExactDivisionError,
     Matrix,
     Poly,
-    RationalFunction,
     charpoly_exact,
     integer_lift,
     poly_divexact,
@@ -50,6 +49,8 @@ def test_poly_basics():
     assert (X + 1) ** 3 == Poly((1, 3, 3, 1))
     assert 2 * p == Poly((2, 4, 6))
     assert p - p == Poly.zero()
+    assert (X**2 - 1).reversed() == 1 - X**2
+    assert Poly((0, 1, 2)).reversed() == Poly((2, 1))
 
 
 def test_poly_string_roundtrip():
@@ -234,26 +235,6 @@ def test_quadratic_charpoly_degenerate_cases():
     assert quadratic_charpoly(Matrix([]), []) == Poly.one()
     with pytest.raises(ValueError):
         quadratic_charpoly(Matrix.identity(2), [1])
-
-
-def test_rational_function_reduction():
-    rf = RationalFunction(X**2 - 1, X - 1)
-    assert rf.is_polynomial() and rf.as_poly() == X + 1
-    assert RationalFunction(X**2 - 1, X + 1) == X - 1
-    assert RationalFunction(2 * X, Poly((2,))) == X
-    assert RationalFunction(X, X**2) == RationalFunction(Poly.one(), X)
-    with pytest.raises(ValueError):
-        RationalFunction(Poly.one(), X).as_poly()
-
-
-def test_rational_function_from_power_and_mul():
-    circle = X**2 - 1
-    down = RationalFunction.from_power(circle, -2)
-    assert down.den == (circle**2).monic()
-    assert down * circle**2 == Poly.one()
-    up = RationalFunction.from_power(circle, 3)
-    assert up.is_polynomial() and up.as_poly() == circle**3
-    assert RationalFunction.from_power(circle, 0) == Poly.one()
 
 
 def test_matrix_ops():

@@ -8,7 +8,6 @@ from walkzeta.graphs import (
     betti,
     build_arcs,
     degree_info,
-    degree_matrix,
     encode_graph6,
     parse_edge_list,
     parse_graph6,
@@ -172,11 +171,9 @@ def test_arc_involution_over_corpus():
 def test_vertex_matrices():
     k2 = complete_graph(2)
     assert adjacency_matrix(k2).data == [[0, 1], [1, 0]]
-    assert degree_matrix(k2).data == [[1, 0], [0, 1]]
     assert betti(k2) == 0
     c3 = cycle_graph(3)
     assert adjacency_matrix(c3).data == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-    assert degree_matrix(c3).data == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
     assert betti(c3) == 1
     assert betti(complete_graph(4)) == 3
     dt = triangle_with_doubled_edge()

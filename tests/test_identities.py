@@ -1,6 +1,6 @@
 import pytest
 
-from walkzeta.exact import ExactDivisionError, Poly, RationalFunction, charpoly_exact
+from walkzeta.exact import ExactDivisionError, Poly, charpoly_exact
 from walkzeta.graphs import Graph, build_arcs
 from walkzeta.identities import (
     apply_circle_prefactor,
@@ -119,4 +119,4 @@ def test_support_determinant_degree():
 @pytest.mark.parametrize("g", SAMPLE_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
 def test_bass_identity_holds_on_samples(g):
     edge = ihara_reciprocal_edge_form(build_arcs(g))
-    assert ihara_reciprocal_bass_form(g) == RationalFunction(edge)
+    assert ihara_reciprocal_bass_form(g) == edge

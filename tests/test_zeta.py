@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walkzeta.exact import Matrix, Poly, RationalFunction, charpoly_exact
+from walkzeta.exact import Matrix, Poly, charpoly_exact
 from walkzeta.graphs import Graph, build_arcs
 from walkzeta.operators import (
     arc_operator,
@@ -25,6 +25,7 @@ from walkzeta.zeta import (
 )
 from walkzeta.experiments import (
     builtin_corpus,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -93,7 +94,7 @@ def test_bass_form_fixtures():
     c3 = ihara_reciprocal_bass_form(cycle_graph(3))
     assert c3 == (1 - T**3) ** 2
     k4_edge = ihara_reciprocal_edge_form(build_arcs(complete_graph(4)))
-    assert ihara_reciprocal_bass_form(complete_graph(4)) == RationalFunction(k4_edge)
+    assert ihara_reciprocal_bass_form(complete_graph(4)) == k4_edge
 
 
 def test_bass_identity_on_samples():
@@ -105,7 +106,35 @@ def test_bass_identity_on_samples():
         Graph(2, ((0, 1), (0, 1))),
     ):
         edge = ihara_reciprocal_edge_form(build_arcs(g))
-        assert ihara_reciprocal_bass_form(g) == RationalFunction(edge)
+        assert ihara_reciprocal_bass_form(g) == edge
+
+
+def test_bass_form_rejects_disconnected_graph():
+    with pytest.raises(ValueError):
+        ihara_reciprocal_bass_form(Graph(4, ((0, 1), (2, 3))))
+
+
+def test_weighted_forms_divide_exactly_on_forests():
+    # m - n < 0 on each graph; the prefactor divides, so both forms are Polys
+    forests = (
+        Graph(5, ((0, 1), (2, 3))),  # two K2 and an isolated vertex, exponent -3
+        path_graph(5),
+        complete_bipartite_graph(1, 3),
+        Graph(1, ()),
+    )
+    for g in forests:
+        arcs = build_arcs(g)
+        for seed in range(3):
+            forms = weighted_zeta_reciprocal(arcs, random_weight_matrix(g, random.Random(seed)))
+            assert isinstance(forms.bass_form, Poly)
+            assert forms.bass_form == forms.edge_form, (g, seed)
+    p4 = path_graph(4)
+    w = random_weight_matrix(p4, random.Random(7))
+    o, t = build_arcs(p4).arcs[0]
+    w = Matrix([[0 if (i, j) == (o, t) else w[i, j] for j in range(4)] for i in range(4)])
+    forms = weighted_zeta_reciprocal(build_arcs(p4), w)
+    assert isinstance(forms.bass_form, Poly)
+    assert forms.bass_form == forms.edge_form
 
 
 def test_weighted_unit_weights_reduce_to_ihara():
@@ -122,7 +151,7 @@ def test_weighted_k2_hand_fixture():
     w = Matrix([[0, 5], [7, 0]])
     forms = weighted_zeta_reciprocal(arcs, w)
     assert forms.edge_form == 1 - 24 * T**2
-    assert forms.bass_form == RationalFunction(forms.edge_form)
+    assert forms.bass_form == forms.edge_form
 
 
 def test_weighted_coin_weights_on_c3():
@@ -130,7 +159,7 @@ def test_weighted_coin_weights_on_c3():
     g = cycle_graph(3)
     arcs = build_arcs(g)
     forms = weighted_zeta_reciprocal(arcs, random_walk_matrix(g) * 2)
-    assert forms.bass_form.is_polynomial() and forms.bass_form.num.degree <= 6
+    assert forms.bass_form.degree <= 6
     # m = n, so the vertex form is det(I - 2tT + t^2 I) with no prefactor
     t_matrix = random_walk_matrix(g)
     for node in range(7):
@@ -141,7 +170,7 @@ def test_weighted_coin_weights_on_c3():
                 for i in range(3)
             ]
         )
-        assert forms.bass_form.num(t) == perm_det(direct)
+        assert forms.bass_form(t) == perm_det(direct)
 
 
 def test_weighted_random_on_k4():
@@ -149,7 +178,7 @@ def test_weighted_random_on_k4():
     for seed in range(5):
         w = random_weight_matrix(complete_graph(4), random.Random(seed))
         forms = weighted_zeta_reciprocal(arcs, w)
-        assert forms.bass_form == RationalFunction(forms.edge_form)
+        assert forms.bass_form == forms.edge_form
 
 
 def test_weighted_forms_differ_on_multigraph():
@@ -161,12 +190,12 @@ def test_weighted_forms_differ_on_multigraph():
     )
     assert forms.edge_form == (1 - T**2) ** 2
     assert forms.bass_form == Poly((1, 0, 1, 0, 1))
-    assert forms.bass_form != RationalFunction(forms.edge_form)
+    assert forms.bass_form != forms.edge_form
     dt = triangle_with_doubled_edge()
     forms = weighted_zeta_reciprocal(
         build_arcs(dt), random_weight_matrix(dt, random.Random(0))
     )
-    assert forms.bass_form != RationalFunction(forms.edge_form)
+    assert forms.bass_form != forms.edge_form
 
 
 def test_oracle_fixtures():
@@ -364,7 +393,7 @@ def test_oracle_matches_reversed_charpoly_of_u_on_corpus():
     order = 8
     for entry in _guarded_corpus():
         u = transition_matrix(entry.graph)
-        det_u = Poly(charpoly_exact(u).reversed_coeffs())
+        det_u = charpoly_exact(u).reversed()
         inverted = PowerSeries.from_poly(det_u, order).inverse()
         assert euler_product_oracle(u, order) == inverted, entry.name
 
