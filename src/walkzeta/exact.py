@@ -1,8 +1,12 @@
 """Exact rational linear algebra: polynomials, matrices, one determinant kernel.
 
-Everything here works over arbitrary-precision rationals
-(``fractions.Fraction``), so characteristic polynomials and polynomial
-divisions are exact.  There is one determinant kernel, ``charpoly_exact``,
+``Poly`` and ``Matrix`` hold arbitrary-precision rationals
+(``fractions.Fraction``); the kernels behind them work in Python ints on
+integer lifts, so every result is exact.  ``poly_gcd`` and
+``square_free_decomposition`` (Yun 1976) run on primitive integer
+coefficient lists: each divisor is a primitive gcd, so each quotient is
+integral by Gauss's lemma, and only the returned factors are made monic
+Fraction polynomials.  There is one determinant kernel, ``charpoly_exact``,
 which lifts the matrix to integers by the lcm s of its denominators and
 takes one of two paths, split at HESSENBERG_MIN_DIM = 16 rows:
 
@@ -274,48 +278,93 @@ def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     while len(rem) >= len(b) and rem:
         shift = len(rem) - len(b)
         lead_r = rem[-1]
-        rem = [c * lead_b for c in rem]
-        for j, v in enumerate(b):
-            rem[shift + j] -= lead_r * v
+        if lead_b != 1:
+            rem[:shift] = [c * lead_b for c in rem[:shift]]
+        rem[shift:] = [c * lead_b - lead_r * v for c, v in zip(rem[shift:], b)]
         while rem and rem[-1] == 0:
             rem.pop()
     return rem
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor via a primitive remainder sequence."""
-    if a.is_zero():
-        return Poly() if b.is_zero() else b.monic()
-    if b.is_zero():
-        return a.monic()
-    x, y = _int_coeffs(a), _int_coeffs(b)
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd, leading coefficient positive, by a primitive remainder sequence.
+
+    a and b are integer coefficient lists, not both zero.
+    """
+    x, y = _int_primitive(list(a)), _int_primitive(list(b))
     while y:
         x, y = y, _int_primitive(_int_pseudo_rem(x, y))
-    return Poly(x).monic()
+    return x
+
+
+def _int_divexact(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[x] for a primitive b; ExactDivisionError unless b divides a.
+
+    By Gauss's lemma a quotient by a primitive divisor is integral whenever
+    it exists in Q[x], so a leading coefficient that does not divide, or a
+    nonzero remainder, means b does not divide a at all.
+    """
+    rem = list(a)
+    lead = b[-1]
+    tail = len(b) - 1
+    quo = [0] * max(len(rem) - tail, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + tail], lead)
+        if r:
+            break
+        quo[k] = c
+        if c:
+            rem[k : k + tail] = [x - c * v for x, v in zip(rem[k : k + tail], b)]
+    else:
+        if not any(rem[:tail]):
+            return quo
+    raise ExactDivisionError("inexact polynomial division", Poly(a).divmod(Poly(b))[1])
+
+
+def _int_derivative(a: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _int_sub(a: list[int], b: list[int]) -> list[int]:
+    out = [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor via a primitive remainder sequence."""
+    if a.is_zero() and b.is_zero():
+        return Poly()
+    return Poly(_int_gcd(_int_coeffs(a), _int_coeffs(b))).monic()
 
 
 def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: monic square-free factors with multiplicities.
+    """Yun's algorithm (1976) on primitive integer coefficient lists.
 
     Returns pairs (factor, multiplicity) with each factor monic, square free
     and pairwise coprime; the product of factor**multiplicity is p.monic().
+    p is lifted once to a primitive f in Z[x].  Every divisor is a primitive
+    gcd, so every quotient is integral (Gauss's lemma) and each step stays
+    in Python ints; a factor becomes a monic Poly only when it is returned.
     """
     if p.is_zero():
         raise ValueError("square-free decomposition of the zero polynomial")
-    p = p.monic()
-    if p.degree < 1:
+    f = _int_coeffs(p)
+    if len(f) < 2:
         return []
     out: list[tuple[Poly, int]] = []
-    g = poly_gcd(p, p.derivative())
-    c = poly_divexact(p, g)
-    d = poly_divexact(p.derivative(), g) - c.derivative()
+    df = _int_derivative(f)
+    g = _int_gcd(f, df)
+    c = _int_divexact(f, g)
+    d = _int_sub(_int_divexact(df, g), _int_derivative(c))
     i = 1
-    while c.degree > 0:
-        f = poly_gcd(c, d)
-        if f.degree > 0:
-            out.append((f, i))
-        c = poly_divexact(c, f)
-        d = poly_divexact(d, f) - c.derivative()
+    while len(c) > 1:
+        a = _int_gcd(c, d)
+        if len(a) > 1:
+            out.append((Poly(a).monic(), i))
+        c = _int_divexact(c, a)
+        d = _int_sub(_int_divexact(d, a), _int_derivative(c))
         i += 1
     return out
 
@@ -347,11 +396,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "Matrix":
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def is_square(self) -> bool:

@@ -1,9 +1,12 @@
 """Numeric spectra of exact characteristic polynomials.
 
 Roots are found by the Aberth simultaneous iteration in double precision.
-The polynomial is first split into exact square-free factors, so the
-iteration only ever sees simple roots and converges quadratically; the
+The polynomial is first split into exact square-free factors by Yun's
+algorithm in Z[x] (``exact.square_free_decomposition``), so the iteration
+only ever sees simple roots and converges quadratically; the
 multiplicities come from the exact decomposition, not from clustering.
+Each Aberth step evaluates p, p' and the round-off floor sum |a_i| |z|^i
+in one Horner sweep, bit-identical to three ``polyval`` calls.
 A factor with a coefficient outside the double range is first rescaled
 exactly by x = 2^e y, so its coefficients fit in doubles; a root that is
 itself outside the double range raises SpectrumDomainError.
@@ -26,6 +29,8 @@ from .exact import Poly, square_free_decomposition
 
 DEFAULT_TOLERANCE = 1e-8
 RADICAND_SNAP = 1e-11  # below this, a radicand is treated as exactly zero
+# the least normal and the largest double, exactly, so range tests take no float conversions
+_DOUBLE_MIN, _DOUBLE_MAX = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
 
 
 class RootConvergenceError(RuntimeError):
@@ -97,34 +102,67 @@ def _relative_residuals(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
+def _horner_columns(coeffs: np.ndarray) -> tuple[list[np.ndarray], list[float]]:
+    """The coefficients _horner sweeps, top power first, for an ascending array of degree d.
+
+    Column i is a_i repeated d times and then b_i repeated d times, with
+    p' = sum b_i x^i (b_d = 0); the second list holds |a_i|.
+    """
+    deg = len(coeffs) - 1
+    deriv = np.append(np.arange(1, deg + 1) * coeffs[1:], 0.0)  # as npoly.polyder
+    columns = np.repeat(np.stack([coeffs, deriv], axis=1)[::-1], deg, axis=1)
+    return list(columns.astype(np.complex128)), np.abs(coeffs)[::-1].tolist()
+
+
+def _horner(columns: tuple[list[np.ndarray], list[float]], z: np.ndarray, az: np.ndarray):
+    """p(z), p'(z) and sum |a_i| az^i at the d points z, in one Horner sweep.
+
+    Each value is computed element by element in the order of
+    npoly.polyval, so all three are bit-identical to it: starting from 0
+    rather than from the top coefficient only adds an exact 0 * z step, as
+    does the leading 0 of p'.  p and p' share one complex row of 2d values;
+    the floor stays a real row, since in a complex one an overflow
+    inf * (b + 0j) would turn into nan.
+    """
+    coeff_columns, abs_coeffs = columns
+    z2 = np.concatenate([z, z])
+    values = np.zeros(len(z2), dtype=np.complex128)
+    floor = np.zeros(len(az))
+    for column, a in zip(coeff_columns, abs_coeffs):
+        values *= z2
+        values += column
+        floor *= az
+        floor += a
+    return values[: len(z)], values[len(z) :], floor
+
+
 def _aberth(coeffs: np.ndarray, newton_tol: float = 1e-12, max_iter: int = 400) -> np.ndarray:
     """All roots of a square-free monic polynomial (ascending array) by Aberth's method.
 
     A point is accepted when its Newton correction |p/p'| drops below
     newton_tol (relative to max(1, |z|)), or when |p(z)| falls under the
     round-off bound eps * sum |a_i| |z|^i, past which double precision
-    cannot place the root any better.
+    cannot place the root any better.  p, p' and that bound come from one
+    Horner sweep per iteration.
     """
     deg = len(coeffs) - 1
     if deg == 1:
         return np.array([complex(-coeffs[0])])
-    dcoeffs = npoly.polyder(coeffs)
-    abs_coeffs = np.abs(coeffs)
+    columns = _horner_columns(coeffs)
     noise_scale = 4.0 * np.finfo(np.float64).eps
     radius = _fujiwara_bound(coeffs)
     # slight angular offset so the start is not symmetric about the real axis
     angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.45
     z = radius * np.exp(1j * angles)
     for _ in range(max_iter):
-        pv = npoly.polyval(z, coeffs)
-        dv = npoly.polyval(z, dcoeffs)
+        az = np.abs(z)
+        pv, dv, floor = _horner(columns, z, az)
         dv = np.where(dv == 0, 1e-300, dv)
         newton = pv / dv
-        floor = noise_scale * npoly.polyval(np.abs(z), abs_coeffs)
-        done = (np.abs(newton) <= newton_tol * np.maximum(1.0, np.abs(z))) | (
-            np.abs(pv) <= floor
+        done = (np.abs(newton) <= newton_tol * np.maximum(1.0, az)) | (
+            np.abs(pv) <= noise_scale * floor
         )
-        if np.all(done):
+        if done.all():
             return z - newton
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
@@ -145,7 +183,7 @@ def _power_of_two_scaling(f: Poly) -> tuple[Poly, int]:
     e = max ceil(b_i / i), with b_i the bit-length estimate of log2|a_(n-i)|
     (within 1), so every coefficient of g is below 2 in modulus.
     """
-    if all(c == 0 or sys.float_info.min <= abs(c) <= sys.float_info.max for c in f.coeffs):
+    if all(c == 0 or _DOUBLE_MIN <= abs(c) <= _DOUBLE_MAX for c in f.coeffs):
         return f, 0
     e = max(
         -((c.denominator.bit_length() - c.numerator.bit_length()) // i)

@@ -7,7 +7,9 @@ builds every arc matrix from per-vertex lists of leaving arcs: permutation
 expansion for determinants, the Faddeev-LeVerrier trace recursion for
 characteristic polynomials, U and B - J0 entry by entry from their
 definitions over all arc pairs, and an unpruned walk from every start
-index for the cycle classes of a matrix.
+index for the cycle classes of a matrix, and Yun's square-free split in
+Fraction arithmetic with a Euclidean gcd over Q, where the package splits
+in Z[x] with a primitive remainder sequence.
 """
 
 from fractions import Fraction
@@ -100,3 +102,37 @@ def reduced_cycle_classes_bruteforce(m: Matrix, order: int) -> list[CycleClass]:
         CycleClass(c, all(c != c[p:] + c[:p] for p in range(1, len(c))))
         for c in sorted(seen)
     ]
+
+
+def fraction_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm with Fraction remainders."""
+    while b:
+        a, b = b, a.divmod(b)[1]
+    return a.monic() if a else a
+
+
+def fraction_divexact(p: Poly, q: Poly) -> Poly:
+    quo, rem = p.divmod(q)
+    assert rem.is_zero(), f"inexact division, remainder {rem!r}"
+    return quo
+
+
+def square_free_by_fractions(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's algorithm on monic Fraction polynomials: (factor, multiplicity)
+    pairs, each factor monic and square free."""
+    p = p.monic()
+    if p.degree < 1:
+        return []
+    out = []
+    g = fraction_gcd(p, p.derivative())
+    c = fraction_divexact(p, g)
+    d = fraction_divexact(p.derivative(), g) - c.derivative()
+    i = 1
+    while c.degree > 0:
+        f = fraction_gcd(c, d)
+        if f.degree > 0:
+            out.append((f, i))
+        c = fraction_divexact(c, f)
+        d = fraction_divexact(d, f) - c.derivative()
+        i += 1
+    return out

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walkzeta import exact
 from walkzeta.exact import (
@@ -18,7 +19,7 @@ from walkzeta.exact import (
     square_free_decomposition,
 )
 
-from oracles import faddeev_leverrier, perm_det
+from oracles import faddeev_leverrier, perm_det, square_free_by_fractions
 
 X = Poly.x()
 
@@ -119,6 +120,61 @@ def test_square_free_random_products():
             rebuilt = rebuilt * f**mult
         assert rebuilt == p
         assert sum(f.degree * mult for f, mult in parts) == p.degree
+
+
+_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_NONZERO = _RATIONALS.filter(bool)
+
+
+@st.composite
+def _factored_polys(draw):
+    """Pairs (f, m): non-monic rational linear factors and quadratics
+    lead * (x^2 + bx + c) with c > b^2 / 4, so without a rational root."""
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        lead, b = draw(_NONZERO), draw(_RATIONALS)
+        if draw(st.booleans()):
+            f = lead * X + b
+        else:
+            gap = draw(st.fractions(min_value=Fraction(1, 12), max_value=20, max_denominator=12))
+            f = lead * (X**2 + b * X + b * b / 4 + gap)
+        factors.append((f, draw(st.integers(1, 4))))
+    return factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factored_polys(), _NONZERO)
+def test_square_free_matches_fraction_oracle(factors, scale):
+    p = Poly.constant(scale)
+    for f, mult in factors:
+        p = p * f**mult
+    parts = square_free_decomposition(p)
+    assert parts == square_free_by_fractions(p)
+    rebuilt = Poly.one()
+    for f, mult in parts:
+        assert f.leading() == 1 and poly_gcd(f, f.derivative()) == 1
+        rebuilt = rebuilt * f**mult
+    assert rebuilt == p.monic()
+
+
+def test_integer_division_by_a_non_divisor_raises():
+    assert exact._int_divexact([-2, 1, 1], [-1, 1]) == [2, 1]  # (x + 2)(x - 1)
+    assert exact._int_divexact([], [-1, 1]) == []
+    # x^2 + 1 by x + 1: every quotient coefficient integral, remainder 2
+    with pytest.raises(ExactDivisionError) as err:
+        exact._int_divexact([1, 0, 1], [1, 1])
+    assert err.value.remainder == Poly((2,))
+    # 3x^2 + 1 by 2x + 1: the leading coefficient does not divide
+    with pytest.raises(ExactDivisionError) as err:
+        exact._int_divexact([1, 0, 3], [1, 2])
+    assert err.value.remainder == Poly((Fraction(7, 4),))
+    # 3x + 1 by 2x + 1: the floor quotient 1 would leave a zero remainder
+    with pytest.raises(ExactDivisionError) as err:
+        exact._int_divexact([1, 3], [1, 2])
+    assert err.value.remainder == Poly((Fraction(-1, 2),))
+    # a divisor of higher degree than a nonzero dividend
+    with pytest.raises(ExactDivisionError):
+        exact._int_divexact([3], [1, 1])
 
 
 def test_det_fixtures():

@@ -198,7 +198,8 @@ def test_random_walk_matrix_is_inverse_degree_times_adjacency():
     assert any(not validate(entry.graph).simple for entry in corpus)
     for entry in corpus:
         g = entry.graph
-        dinv = Matrix.diagonal([Fraction(1, d) for d in degree_info(g).degrees])
+        degrees = degree_info(g).degrees
+        dinv = Matrix([[Fraction(1, d) if i == j else 0 for j in range(g.n)] for i, d in enumerate(degrees)])
         assert random_walk_matrix(g) == dinv * adjacency_matrix(g), entry.name
 
 

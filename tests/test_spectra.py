@@ -1,9 +1,12 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from walkzeta.exact import Poly, charpoly_exact
 from walkzeta.graphs import build_arcs
@@ -61,6 +64,32 @@ def test_residual_flags_a_misplaced_root(monkeypatch):
     aberth = spectra._aberth
     monkeypatch.setattr(spectra, "_aberth", lambda *args, **kwargs: aberth(*args, **kwargs) + 1e-3)
     assert roots(p).max_residual >= 1e-6
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).tobytes()
+
+
+def test_horner_sweep_matches_polyval_bit_for_bit():
+    rng = np.random.default_rng(17)
+    cases = []
+    for deg in (2, 3, 5, 8, 13, 21, 40):
+        coeffs = np.append(rng.normal(size=deg) * 10.0 ** rng.integers(-6, 7, deg), 1.0)
+        z = (rng.normal(size=deg) + 1j * rng.normal(size=deg)) * 10.0 ** rng.integers(-2, 3, deg)
+        cases.append((coeffs, z))
+    # near the top of the double range p overflows to inf and nan, and the floor to inf
+    big = sys.float_info.max
+    coeffs = np.array([0.9 * big, -0.7 * big, 0.5 * big, 0.3 * big, 1.0])
+    cases.append((coeffs, np.array([0.5 + 2j, -3 + 0.25j, 1e-3 - 1j, 0.1j])))
+    for coeffs, z in cases:
+        az = np.abs(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pv, dv, floor = spectra._horner(spectra._horner_columns(coeffs), z, az)
+            assert _bits(pv) == _bits(npoly.polyval(z, coeffs))
+            assert _bits(dv) == _bits(npoly.polyval(z, npoly.polyder(coeffs)))
+            assert _bits(floor) == _bits(npoly.polyval(az, np.abs(coeffs)))
+    assert np.isinf(floor).any() and not np.isnan(floor).any()
+    assert not np.isfinite(pv).all()
 
 
 def test_zero_root_is_exact():
