@@ -15,14 +15,16 @@ Amitsur's identity, in the combinatorial proof of Foata and Zeilberger
 1/det(I - tM) is a product over the prime cycle classes of the digraph of
 any square matrix M, each weighted by the product of M's entries around
 it.  The oracle reads the matrix it is given, so it checks B - J0, U and
-B_w - J0 alike; each class is enumerated once, from its least index.
+B_w - J0 alike.  The walk extends only prenecklaces, by Duval's rule from
+the FKM necklace algorithm, so each class is enumerated once, as its least
+rotation, with its primality known.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import getitem
 from typing import Iterable, NamedTuple
 
 from .exact import Matrix, Poly, charpoly_exact, integer_lift, quadratic_charpoly
@@ -85,9 +87,9 @@ class PowerSeries:
         return f"PowerSeries({[str(c) for c in self.coeffs]}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class CycleClass:
-    """Rotation class of a closed walk in a matrix's digraph, canonical form."""
+class CycleClass(NamedTuple):
+    """Rotation class of a closed walk in a matrix's digraph, as its least
+    rotation."""
 
     arcs: tuple[int, ...]
     prime: bool
@@ -155,36 +157,23 @@ def weighted_zeta_reciprocal(arcs: ArcSet, weights: Matrix) -> WeightedZetaForms
     return WeightedZetaForms(edge, apply_circle_prefactor(det, arcs.m - n).reversed())
 
 
-def _least_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """Least rotation of a closed walk whose first entry is its least index.
-
-    The least rotation then begins at an occurrence of seq[0], so only
-    those rotations are compared; seq[0] can recur (powers, figure-eights).
-    """
-    return min(seq[i:] + seq[:i] for i, x in enumerate(seq) if x == seq[0])
-
-
-def _is_primitive(seq: tuple[int, ...]) -> bool:
-    length = len(seq)
-    for period in range(1, length):
-        if length % period == 0 and seq == seq[period:] + seq[:period]:
-            return False
-    return True
-
-
 def prime_cycle_classes(m: Matrix, order: int) -> list[CycleClass]:
     """All rotation classes of closed walks up to the given length in the
     digraph of m, which has an edge e -> f wherever m[e][f] is nonzero.
 
     For an arc matrix such as B - J0 these are the reduced cycles: no step
-    backtracks, including around the wrap.  Classes are canonicalized by
-    least rotation and marked prime when the sequence is not a power of a
-    shorter one.  Each class is enumerated from its least index: from start
-    s the walk takes only indices >= s.  The least index can recur in a
-    cycle (powers, figure-eights), so every closed walk is still
-    canonicalized.  Order 0 gives no classes; a negative order or a
-    non-square matrix is a ValueError.  Guarded to 20 rows and length <= 12; cost grows
-    exponentially past that.
+    backtracks, including around the wrap.  Each class is represented by
+    its least rotation, a necklace, and is marked prime when it is not a
+    power of a shorter walk.  The walk only extends prenecklaces, by the
+    rule of the FKM necklace algorithm (Cattell, Ruskey, Sawada, Serra and
+    Miers, J. Algorithms 2000): with p the length of the longest Lyndon
+    prefix of the path, the next index must be >= the one p steps back; p
+    stays when it equals that index and becomes the new length otherwise.
+    A closed path is a necklace exactly when p divides its length, and
+    prime exactly when p is its length, so each class comes out once, in
+    sorted order.  Order 0 gives no classes; a negative order or a
+    non-square matrix is a ValueError.  Guarded to 20 rows and length <= 12;
+    cost grows exponentially past that.
     """
     if not m.is_square:
         raise ValueError("cycle oracle needs a square matrix")
@@ -196,24 +185,26 @@ def prime_cycle_classes(m: Matrix, order: int) -> list[CycleClass]:
     if order < 0:
         raise ValueError(f"cycle order must be >= 0, got {order}")
     successors = [[f for f, x in enumerate(row) if x] for row in m.data]
-    seen: set[tuple[int, ...]] = set()
+    classes: list[CycleClass] = []
     path: list[int] = []
 
-    def grow(last: int):
-        if closes[last]:
-            seen.add(_least_rotation(tuple(path)))
-        if len(path) < order:
-            for nxt in upward[last]:
-                path.append(nxt)
-                grow(nxt)
-                path.pop()
+    def grow(last: int, period: int):
+        length = len(path)
+        if closes[last] and length % period == 0:
+            classes.append(CycleClass(tuple(path), period == length))
+        if length < order:
+            floor = path[length - period]
+            for nxt in successors[last]:
+                if nxt >= floor:
+                    path.append(nxt)
+                    grow(nxt, period if nxt == floor else length + 1)
+                    path.pop()
 
     for start in range(size if order else 0):
         closes = [start in succ for succ in successors]
-        upward = [[f for f in succ if f >= start] for succ in successors]
         path = [start]
-        grow(start)
-    return [CycleClass(c, _is_primitive(c)) for c in sorted(seen)]
+        grow(start, 1)
+    return classes
 
 
 def euler_product_oracle(m: Matrix, order: int) -> PowerSeries:
@@ -229,11 +220,11 @@ def euler_product_oracle(m: Matrix, order: int) -> PowerSeries:
     classes = prime_cycle_classes(m, order)
     lifted, scale = integer_lift(m.data)
     coeffs = [1] + [0] * order
-    for cls in classes:
-        if not cls.prime:
+    for walk, prime in classes:
+        if not prime:
             continue
-        walk = cls.arcs
-        weight = prod(lifted[e][f] for e, f in zip(walk, walk[1:] + walk[:1]))
-        for k in range(cls.length, order + 1):
-            coeffs[k] += weight * coeffs[k - cls.length]
+        length = len(walk)
+        weight = prod(map(getitem, map(lifted.__getitem__, walk), walk[1:] + walk[:1]))
+        for k in range(length, order + 1):
+            coeffs[k] += weight * coeffs[k - length]
     return PowerSeries((Fraction(c, scale**k) for k, c in enumerate(coeffs)), order)

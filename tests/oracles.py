@@ -6,10 +6,14 @@ algorithm or, from 16 rows on, by a multimodular Hessenberg kernel, and
 builds every arc matrix from per-vertex lists of leaving arcs: permutation
 expansion for determinants, the Faddeev-LeVerrier trace recursion for
 characteristic polynomials, U and B - J0 entry by entry from their
-definitions over all arc pairs, and an unpruned walk from every start
-index for the cycle classes of a matrix, and Yun's square-free split in
-Fraction arithmetic with a Euclidean gcd over Q, where the package splits
-in Z[x] with a primitive remainder sequence.
+definitions over all arc pairs, and Yun's square-free split in Fraction
+arithmetic with a Euclidean gcd over Q, where the package splits in Z[x]
+with a primitive remainder sequence.
+
+The cycle classes of a matrix come from an unpruned walk from every start
+index that takes the minimum over all rotations of each closed walk and
+tests primality by comparing rotations.  The package prunes its walk to
+necklaces; this one stays unpruned so that it shares no rule with it.
 """
 
 from fractions import Fraction

@@ -371,6 +371,54 @@ def test_prime_cycle_classes_match_bruteforce_under_relabelling(graphs, order):
     assert shape == sorted((c.length, c.prime) for c in unrelabelled)
 
 
+@st.composite
+def square_matrices(draw):
+    """A square matrix of 1-6 rows with small rational entries of either
+    sign, about half of them zero, the diagonal included."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
+    return Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(), st.integers(0, 6))
+def test_oracle_matches_bruteforce_and_charpoly_on_square_matrices(m, order):
+    # arc matrices have zero diagonals; loops and their powers are where the
+    # necklace walk's period bookkeeping matters
+    assert prime_cycle_classes(m, order) == reduced_cycle_classes_bruteforce(m, order)
+    inverted = PowerSeries.from_poly(charpoly_exact(m).reversed(), order).inverse()
+    assert euler_product_oracle(m, order) == inverted
+
+
+def _moebius(n):
+    result, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return result
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_prime_class_counts_of_all_ones_matrix_are_lyndon_word_counts(k):
+    # every word over k letters is a closed walk, so the prime classes of
+    # length l are the Lyndon words, (1/l) sum over d | l of mu(d) k^(l/d)
+    # (Moreau), and all classes of length l are the powers of those of
+    # each length d | l
+    order = 8
+    classes = prime_cycle_classes(Matrix([[1] * k for _ in range(k)]), order)
+    lyndon = {}
+    for length in range(1, order + 1):
+        divisors = [d for d in range(1, length + 1) if length % d == 0]
+        lyndon[length] = sum(_moebius(d) * k ** (length // d) for d in divisors) // length
+        of_length = [c for c in classes if c.length == length]
+        assert sum(c.prime for c in of_length) == lyndon[length], (k, length)
+        assert len(of_length) == sum(lyndon[d] for d in divisors), (k, length)
+
+
 def test_corpus_small_members_satisfy_series_identity():
     for entry in builtin_corpus():
         if entry.graph.n > 4:
