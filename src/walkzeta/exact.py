@@ -1,14 +1,15 @@
 """Exact rational linear algebra: polynomials, matrices, one determinant kernel.
 
-``Poly`` and ``Matrix`` hold arbitrary-precision rationals
-(``fractions.Fraction``); the kernels behind them work in Python ints on
-integer lifts, so every result is exact.  ``poly_gcd`` and
-``square_free_decomposition`` (Yun 1976) run on primitive integer
-coefficient lists: each divisor is a primitive gcd, so each quotient is
-integral by Gauss's lemma, and only the returned factors are made monic
-Fraction polynomials.  There is one determinant kernel, ``charpoly_exact``,
-which lifts the matrix to integers by the lcm s of its denominators and
-takes one of two paths, split at HESSENBERG_MIN_DIM = 16 rows:
+``Poly`` holds arbitrary-precision rational coefficients
+(``fractions.Fraction``).  ``Matrix`` holds integer rows L over one
+positive scale s, the lcm of its entries' denominators, made once when
+the matrix is built; M = L / s.  The kernels work in Python ints, so every
+result is exact.  ``poly_gcd`` and ``square_free_decomposition`` (Yun
+1976) run on primitive integer coefficient lists: each divisor is a
+primitive gcd, so each quotient is integral by Gauss's lemma, and only the
+returned factors are made monic Fraction polynomials.  There is one
+determinant kernel, ``charpoly_exact``, which reads L and s and takes one
+of two paths, split at HESSENBERG_MIN_DIM = 16 rows:
 
 - below 16 rows, Berkowitz's division-free algorithm in Python ints;
 - from 16 rows on, Hessenberg reduction mod primes just below 2^31, all
@@ -33,6 +34,7 @@ of the Ihara-Bass formula by Bass (1992) and Kotani-Sunada (2000).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -246,15 +248,17 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
     return quo
 
 
-def integer_lift(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """The rows times s as Python ints, and s, the lcm of all denominators."""
+def _lift(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
+    """The rational rows times s as Python ints, and s, the lcm of their
+    reduced denominators; no prime divides s and every entry."""
+    rows = [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in rows]
     scale = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
 def _int_coeffs(p: Poly) -> list[int]:
     """Primitive integer coefficient list with positive leading coefficient."""
-    (ints,), _ = integer_lift([p.coeffs])
+    (ints,), _ = _lift([p.coeffs])
     return _int_primitive(ints)
 
 
@@ -370,32 +374,43 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 
 class Matrix:
-    """Dense matrix of Fractions, row major.
+    """Dense rational matrix: integer rows ``ints`` over one positive ``scale``.
 
-    Construction copies the rows and makes every entry a Fraction (entries
-    that already are pass through); treat instances as immutable
-    afterwards.  Multiplication dispatches on the operand: matrix
-    times matrix is the product, matrix times scalar is elementwise.
+    Entry (i, j) is ints[i][j] / scale, and the pair is canonical: scale is
+    the lcm of the reduced entry denominators, so no prime divides it and
+    every entry.  ``Matrix(rows)`` lifts rational rows; ``from_ints`` takes
+    integer rows over a scale and reduces them.  Treat as immutable.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "ints", "scale")
 
-    def __init__(self, data: Sequence[Sequence]):
-        self.data = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        for row in self.data:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
+    def __init__(self, data: Iterable[Iterable]):
+        self._fill(*_lift(data))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int | None = None) -> "Matrix":
-        cols = rows if cols is None else cols
-        return cls([[0] * cols for _ in range(rows)])
+    def from_ints(cls, ints: Iterable[Iterable[int]], scale: int = 1) -> "Matrix":
+        """The matrix ints / scale, for rows of Python ints and a positive scale."""
+        if scale < 1:
+            raise ValueError(f"scale must be a positive int, got {scale}")
+        ints = [list(row) for row in ints]
+        g = gcd(scale, *chain.from_iterable(ints)) if scale > 1 else 1
+        if g > 1:
+            ints, scale = [[x // g for x in row] for row in ints], scale // g
+        m = cls.__new__(cls)
+        m._fill(ints, scale)
+        return m
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    def _fill(self, ints: list[list[int]], scale: int):
+        self.ints, self.scale = ints, scale
+        self.rows = len(ints)
+        self.cols = len(ints[0]) if ints else 0
+        if any(len(row) != self.cols for row in ints):
+            raise ValueError("ragged rows")
+
+    @property
+    def data(self) -> list[list[Fraction]]:
+        """The entries as Fractions, computed afresh on each read."""
+        return [[Fraction(x, self.scale) for x in row] for row in self.ints]
 
     @property
     def is_square(self) -> bool:
@@ -403,77 +418,21 @@ class Matrix:
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self.data[i][j]
+        return Fraction(self.ints[i][j], self.scale)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.data == other.data
+        return self.scale == other.scale and self.ints == other.ints
 
     def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.data))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in row] for row in self.data])
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError("inner dimensions do not match")
-            cols = list(zip(*other.data))
-            return Matrix(
-                [
-                    [sum(a * b for a, b in zip(row, col)) for col in cols]
-                    for row in self.data
-                ]
-            )
-        if isinstance(other, (int, Fraction)):
-            return Matrix([[x * other for x in row] for row in self.data])
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def _check_same_shape(self, other: "Matrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
+        return hash((self.scale, tuple(map(tuple, self.ints))))
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.data))) if self.data else Matrix([])
-
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
-
-    def to_strings(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.data]
+        return Matrix.from_ints(zip(*self.ints), self.scale)
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
-
-    def __str__(self) -> str:
-        return "\n".join("  ".join(str(x) for x in row) for row in self.data)
 
 
 HESSENBERG_MIN_DIM = 16  # Berkowitz below, the numpy kernel from here on (module docstring)
@@ -622,16 +581,15 @@ def _hessenberg_charpoly(lifted: list[list[int]]) -> list[int]:
 def charpoly_exact(m: Matrix) -> Poly:
     """det(xI - M), monic of degree m.rows.
 
-    M is lifted once to L = sM with integer entries, char(L) comes from
+    M is L / s with L = m.ints and s = m.scale; char(L) comes from
     Berkowitz below HESSENBERG_MIN_DIM rows and from the multimodular
     Hessenberg kernel from there on, and char(M)(x) = s^-n char(L)(sx).
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    lifted, scale = integer_lift(m.data)
     kernel = _berkowitz if m.rows < HESSENBERG_MIN_DIM else _hessenberg_charpoly
-    p = kernel(lifted)
-    poly = Poly([Fraction(c, scale**i) for i, c in enumerate(p)][::-1])
+    p = kernel(m.ints)
+    poly = Poly([Fraction(c, m.scale**i) for i, c in enumerate(p)][::-1])
     if poly.degree != m.rows or poly.leading() != 1:
         raise AssertionError("characteristic polynomial is malformed")
     return poly
@@ -647,6 +605,11 @@ def quadratic_charpoly(a: Matrix, c: Sequence) -> Poly:
     if not a.is_square or len(c) != a.rows:
         raise ValueError("quadratic charpoly needs a square matrix and one diagonal entry per row")
     n = a.rows
-    top = [list(row) + [-c[i] if j == i else 0 for j in range(n)] for i, row in enumerate(a.data)]
-    bottom = [[1 if j == i else 0 for j in range(2 * n)] for i in range(n)]
-    return charpoly_exact(Matrix(top + bottom))
+    (c_ints,), c_scale = _lift([c])
+    scale = a.scale * c_scale  # from_ints reduces it to the lcm
+    top = [
+        [x * c_scale for x in row] + [-c_ints[i] * a.scale if j == i else 0 for j in range(n)]
+        for i, row in enumerate(a.ints)
+    ]
+    bottom = [[scale if j == i else 0 for j in range(2 * n)] for i in range(n)]
+    return charpoly_exact(Matrix.from_ints(top + bottom, scale))

@@ -230,14 +230,13 @@ def named_graph(name: str) -> Graph:
 
 def random_weight_matrix(g: Graph, rng: random.Random) -> Matrix:
     """Nonzero random rational weight on every arc position, zero elsewhere."""
-    adj = adjacency_matrix(g)
-    data = [[Fraction(0)] * g.n for _ in range(g.n)]
     numerators = [x for x in range(-9, 10) if x]
-    for u in range(g.n):
-        for v in range(g.n):
-            if adj[u, v] != 0:
-                data[u][v] = Fraction(rng.choice(numerators), rng.randint(1, 9))
-    return Matrix(data)
+    return Matrix(
+        [
+            [Fraction(rng.choice(numerators), rng.randint(1, 9)) if x else 0 for x in row]
+            for row in adjacency_matrix(g).ints
+        ]
+    )
 
 
 @dataclass

@@ -253,7 +253,7 @@ def adjacency_matrix(g: Graph) -> Matrix:
     for u, v in g.edges:
         a[u][v] += 1
         a[v][u] += 1
-    return Matrix(a)
+    return Matrix.from_ints(a)
 
 
 def betti(g: Graph) -> int:

@@ -17,6 +17,8 @@ and Kotani-Sunada (2000) in their proofs of the Ihara-Bass formula.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .exact import Matrix, Poly, poly_divexact, quadratic_charpoly
 from .graphs import Graph, adjacency_matrix, degree_info
 from .operators import random_walk_matrix
@@ -33,7 +35,9 @@ def apply_circle_prefactor(det_poly: Poly, exponent: int) -> Poly:
 
 def walk_determinant_form(g: Graph) -> Poly:
     """det((x^2 + 1) I - 2x T) with T the random-walk matrix."""
-    return quadratic_charpoly(random_walk_matrix(g) * 2, [1] * g.n)
+    t = random_walk_matrix(g)
+    doubled = Matrix.from_ints([[2 * x for x in row] for row in t.ints], t.scale)
+    return quadratic_charpoly(doubled, [1] * g.n)
 
 
 def degree_adjacency_determinant_form(g: Graph) -> Poly:
@@ -42,11 +46,11 @@ def degree_adjacency_determinant_form(g: Graph) -> Poly:
     Equal to det((x^2 + 1) I - 2x A D^-1); A D^-1 is the transpose of T, so
     this form does not share its matrix with ``walk_determinant_form``.
     """
-    adj = adjacency_matrix(g)
     degs = degree_info(g).degrees
     if min(degs) < 1:
         raise ValueError("needs every vertex to have an arc")
-    scaled = Matrix([[2 * adj[i, j] / degs[j] for j in range(g.n)] for i in range(g.n)])
+    rows = adjacency_matrix(g).ints
+    scaled = Matrix([[Fraction(2 * x, d) for x, d in zip(row, degs)] for row in rows])
     return quadratic_charpoly(scaled, [1] * g.n)
 
 

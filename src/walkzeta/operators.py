@@ -16,11 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import Matrix, integer_lift
+from .exact import Matrix
 from .graphs import ArcSet, Graph, adjacency_matrix, build_arcs, degree_info, validate
-
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def arc_operator(arcs: ArcSet, weights: Sequence) -> Matrix:
@@ -30,23 +27,25 @@ def arc_operator(arcs: ArcSet, weights: Sequence) -> Matrix:
     terminus(e) = origin(f), minus 1 when f = inverse(e).  This is the one
     place that decides how arcs connect: B - J0 has unit weights, and U is
     the transpose for the coin weights 2/deg(o(f)).  Each row is built from
-    the arcs leaving terminus(e).
+    the arcs leaving terminus(e), in integers over the lcm s of the weight
+    denominators, so the step onto inverse(e) pays s.
     """
     size = len(arcs)
     if len(weights) != size:
         raise ValueError(f"need one weight per arc: {len(weights)} for {size} arcs")
-    weights = [w if type(w) is Fraction else Fraction(w) for w in weights]
+    lifted = Matrix([weights])
+    scaled, scale = lifted.ints[0], lifted.scale
     leaving: dict[int, list[int]] = {}
     for f in range(size):
         leaving.setdefault(arcs.origin(f), []).append(f)
     data = []
     for e in range(size):
-        row = [_ZERO] * size
+        row = [0] * size
         for f in leaving[arcs.terminus(e)]:
-            row[f] = weights[f]
-        row[arcs.inverse(e)] -= 1
+            row[f] = scaled[f]
+        row[arcs.inverse(e)] -= scale
         data.append(row)
-    return Matrix(data)
+    return Matrix.from_ints(data, scale)
 
 
 def transition_matrix(g: Graph, arcs: ArcSet | None = None) -> Matrix:
@@ -67,7 +66,7 @@ def transition_matrix(g: Graph, arcs: ArcSet | None = None) -> Matrix:
 
 def nonbacktracking_matrix(arcs: ArcSet) -> Matrix:
     """Arc adjacency minus arc inversion (the Hashimoto edge matrix)."""
-    return arc_operator(arcs, [_ONE] * len(arcs))
+    return arc_operator(arcs, [1] * len(arcs))
 
 
 def random_walk_matrix(g: Graph) -> Matrix:
@@ -75,40 +74,35 @@ def random_walk_matrix(g: Graph) -> Matrix:
     info = degree_info(g)
     if info.min_degree < 1:
         raise ValueError("random walk needs every vertex to have an arc")
-    adj = adjacency_matrix(g)
-    return Matrix(
-        [
-            [Fraction(int(adj[u, v]), info.degrees[u]) for v in range(g.n)]
-            for u in range(g.n)
-        ]
-    )
+    rows = adjacency_matrix(g).ints
+    return Matrix([[Fraction(x, d) for x in row] for row, d in zip(rows, info.degrees)])
 
 
 def positive_support(m: Matrix) -> Matrix:
     """0/1 matrix marking the strictly positive entries."""
-    return Matrix([[_ONE if x > 0 else _ZERO for x in row] for row in m.data])
+    return Matrix.from_ints([[int(x > 0) for x in row] for row in m.ints])
 
 
 def power_support(m: Matrix, k: int) -> Matrix:
     """Positive support of m**k for k in {1, 2, 3}, computed exactly.
 
-    The matrix is scaled to integers L first, so the sign pattern of L^k is
-    that of m**k.  L^k is one numpy product: in int64 when no entry can
-    reach 2^63, that is max|L|^k * n^(k-1) < 2^63, and in Python ints
-    (dtype=object) otherwise.
+    The integer rows L = m.ints are m times a positive scale, so the sign
+    pattern of L^k is that of m**k.  L^k is one numpy product: in int64
+    when no entry can reach 2^63, that is max|L|^k * n^(k-1) < 2^63, and in
+    Python ints (dtype=object) otherwise.  A 0 x 0 matrix is its own
+    support at every k.
     """
     if k not in (1, 2, 3):
         raise ValueError("power_support supports k in {1, 2, 3}")
     if not m.is_square:
         raise ValueError("power_support needs a square matrix")
-    if k == 1:
+    if k == 1 or not m.rows:
         return positive_support(m)
-    lifted, _ = integer_lift(m.data)
-    top = max((abs(x) for row in lifted for x in row), default=0)
+    top = max(abs(x) for row in m.ints for x in row)
     fits = top**k * m.rows ** (k - 1) < 2**63
-    lift = np.array(lifted, dtype=np.int64 if fits else object)
+    lift = np.array(m.ints, dtype=np.int64 if fits else object)
     power = lift @ lift if k == 2 else lift @ lift @ lift
-    return Matrix([[_ONE if x else _ZERO for x in row] for row in (power > 0).tolist()])
+    return Matrix.from_ints((power > 0).astype(int).tolist())
 
 
 TARGETS = ("U", "U+", "U2+", "U3+", "A", "T", "B-J0")

@@ -27,7 +27,7 @@ from math import prod
 from operator import getitem
 from typing import Iterable, NamedTuple
 
-from .exact import Matrix, Poly, charpoly_exact, integer_lift, quadratic_charpoly
+from .exact import Matrix, Poly, charpoly_exact, quadratic_charpoly
 from .graphs import ArcSet, Graph, betti
 from .identities import apply_circle_prefactor, support_determinant_form
 from .operators import arc_operator, nonbacktracking_matrix
@@ -144,9 +144,9 @@ def weighted_zeta_reciprocal(arcs: ArcSet, weights: Matrix) -> WeightedZetaForms
     if any(max(arc) >= n for arc in arcs.arcs):
         raise ValueError(f"an arc leaves the {n} x {n} weight matrix")
     positions = set(arcs.arcs)
-    for i in range(n):
-        for j in range(n):
-            if weights[i, j] != 0 and (i, j) not in positions:
+    for i, row in enumerate(weights.ints):
+        for j, x in enumerate(row):
+            if x and (i, j) not in positions:
                 raise ValueError(f"weight on non-arc position ({i}, {j})")
     arc_weights = [weights[o, t] for o, t in arcs.arcs]
     edge = charpoly_exact(arc_operator(arcs, arc_weights)).reversed()
@@ -184,7 +184,7 @@ def prime_cycle_classes(m: Matrix, order: int) -> list[CycleClass]:
         raise OracleSizeError(f"cycle oracle limited to length {MAX_ORACLE_ORDER}, got {order}")
     if order < 0:
         raise ValueError(f"cycle order must be >= 0, got {order}")
-    successors = [[f for f, x in enumerate(row) if x] for row in m.data]
+    successors = [[f for f, x in enumerate(row) if x] for row in m.ints]
     classes: list[CycleClass] = []
     path: list[int] = []
 
@@ -213,12 +213,12 @@ def euler_product_oracle(m: Matrix, order: int) -> PowerSeries:
     Amitsur's identity, proved combinatorially by Foata and Zeilberger
     (Trans. AMS 1999): 1/det(I - tM) is the product over prime classes C
     of 1/(1 - w(C) t^|C|), with w(C) the product of M's entries around C.
-    M is lifted to L = sM first, so each class multiplies the integer
-    coefficients in place by 1 + w t^l + w^2 t^(2l) + ... with w its
-    weight in L, and coefficient k is divided by s^k at the end.
+    With L = m.ints and s = m.scale, so M = L / s, each class multiplies
+    the integer coefficients in place by 1 + w t^l + w^2 t^(2l) + ... with
+    w its weight in L, and coefficient k is divided by s^k at the end.
     """
     classes = prime_cycle_classes(m, order)
-    lifted, scale = integer_lift(m.data)
+    lifted, scale = m.ints, m.scale
     coeffs = [1] + [0] * order
     for walk, prime in classes:
         if not prime:

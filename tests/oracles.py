@@ -14,14 +14,34 @@ The cycle classes of a matrix come from an unpruned walk from every start
 index that takes the minimum over all rotations of each closed walk and
 tests primality by comparing rotations.  The package prunes its walk to
 necklaces; this one stays unpruned so that it shares no rule with it.
+
+``matmul`` and ``trace`` are the tests' only matrix arithmetic, on integer
+rows and scales; ``relabelled_multigraphs`` draws a graph and a relabelling.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
+
+import numpy as np
+from hypothesis import strategies as st
 
 from walkzeta.exact import Matrix, Poly
 from walkzeta.graphs import ArcSet, Graph, build_arcs, degree_info
 from walkzeta.zeta import CycleClass
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product ab."""
+    if a.cols != b.rows:
+        raise ValueError("inner dimensions do not match")
+    cols = list(zip(*b.ints))
+    product = [[sum(map(mul, row, col)) for col in cols] for row in a.ints]
+    return Matrix.from_ints(product, a.scale * b.scale)
+
+
+def trace(a: Matrix) -> Fraction:
+    return Fraction(sum(a.ints[i][i] for i in range(a.rows)), a.scale)
 
 
 def perm_det(m: Matrix) -> Fraction:
@@ -42,13 +62,12 @@ def perm_det(m: Matrix) -> Fraction:
 
 
 def faddeev_leverrier(a: Matrix) -> Poly:
-    """Characteristic polynomial via the Faddeev-LeVerrier recursion (n <= 8)."""
+    """char(a) by the Faddeev-LeVerrier recursion on numpy Fraction arrays (n <= 8)."""
     n = a.rows
-    ident = Matrix.identity(n)
+    m = np.array(a.data, dtype=object).reshape(n, n)
     descending = [Fraction(1)]
-    work = None
     for k in range(1, n + 1):
-        work = a if k == 1 else a * (work + descending[-1] * ident)
+        work = m if k == 1 else m @ (work + descending[-1] * np.identity(n, dtype=object))
         descending.append(-work.trace() / k)
     return Poly(list(reversed(descending)))
 
@@ -71,13 +90,12 @@ def transition_matrix_by_definition(g: Graph) -> Matrix:
 def nonbacktracking_by_definition(arcs: ArcSet) -> Matrix:
     """B - J0 as the 0/1 arc adjacency B minus the arc inversion J0."""
     size = len(arcs)
-    adjacency = Matrix(
-        [[int(arcs.terminus(e) == arcs.origin(f)) for f in range(size)] for e in range(size)]
+    return Matrix(
+        [
+            [int(arcs.terminus(e) == arcs.origin(f)) - int(arcs.inverse(e) == f) for f in range(size)]
+            for e in range(size)
+        ]
     )
-    inversion = Matrix(
-        [[int(arcs.inverse(e) == f) for f in range(size)] for e in range(size)]
-    )
-    return adjacency - inversion
 
 
 def reduced_cycle_classes_bruteforce(m: Matrix, order: int) -> list[CycleClass]:
@@ -140,3 +158,25 @@ def square_free_by_fractions(p: Poly) -> list[tuple[Poly, int]]:
         d = fraction_divexact(d, f) - c.derivative()
         i += 1
     return out
+
+
+@st.composite
+def relabelled_multigraphs(draw, min_n=1, max_n=7, max_edges=10):
+    """A connected multigraph on min_n..max_n vertices with at most
+    max_edges edges, and the same graph relabelled: its vertices permuted,
+    its edges shuffled and some of them reversed."""
+    n = draw(st.integers(min_n, max_n))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    if n > 1:
+        edges += draw(st.lists(pair, max_size=max_edges - len(edges)))
+    perm = draw(st.permutations(range(n)))
+    shuffled = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    relabelled = [
+        (perm[v], perm[u]) if flip else (perm[u], perm[v])
+        for (u, v), flip in zip(shuffled, flips)
+    ]
+    return Graph(n, tuple(edges)), Graph(n, tuple(relabelled))

@@ -12,16 +12,16 @@ from walkzeta.exact import (
     Matrix,
     Poly,
     charpoly_exact,
-    integer_lift,
     poly_divexact,
     poly_gcd,
     quadratic_charpoly,
     square_free_decomposition,
 )
 
-from oracles import faddeev_leverrier, perm_det, square_free_by_fractions
+from oracles import faddeev_leverrier, matmul, perm_det, square_free_by_fractions, trace
 
 X = Poly.x()
+LCM_210 = Matrix([[Fraction(1, d), Fraction(-d, 3), 1, 0] for d in (2, 3, 5, 7)])
 
 
 def _rand_fraction(rng):
@@ -178,7 +178,7 @@ def test_integer_division_by_a_non_divisor_raises():
 
 
 def test_det_fixtures():
-    assert _det(Matrix.identity(3)) == 1
+    assert _det(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
     assert _det(Matrix([[0, 1], [1, 0]])) == -1
     a_k4 = Matrix([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
     assert _det(a_k4) == -3
@@ -214,7 +214,7 @@ def test_det_multiplicative():
     for _ in range(100):
         a = _rand_matrix(rng, 5)
         b = _rand_matrix(rng, 5)
-        assert _det(a * b) == _det(a) * _det(b)
+        assert _det(matmul(a, b)) == _det(a) * _det(b)
 
 
 def test_det_nonsquare():
@@ -223,7 +223,7 @@ def test_det_nonsquare():
 
 
 def test_charpoly_fixtures():
-    assert charpoly_exact(Matrix.zeros(2)) == X**2
+    assert charpoly_exact(Matrix([[0, 0], [0, 0]])) == X**2
     assert charpoly_exact(Matrix([[0, 1], [1, 0]])) == X**2 - 1
     a_c3 = Matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     assert charpoly_exact(a_c3) == X**3 - 3 * X - 2
@@ -233,11 +233,11 @@ def test_charpoly_matches_faddeev_leverrier():
     rng = random.Random(11)
     cases = [_rand_matrix(rng, n) for n in (0, 1, 2, 3, 4, 6, 8)]
     cases += [
-        Matrix.zeros(4),
+        Matrix([[0] * 4] * 4),
         Matrix([[1, 1, 0, 1], [1, 1, 0, 1], [0, 0, 1, 0], [1, 0, 1, 0]]),  # singular 0/1
         Matrix([[1] * 5 for _ in range(5)]),  # J: eigenvalue 0 repeated 4 times
         Matrix([[0, 2, -1], [3, 0, 5], [-4, 1, 0]]),  # zero diagonal
-        Matrix([[Fraction(1, d), Fraction(-d, 3), 1, 0] for d in (2, 3, 5, 7)]),  # lcm 210 lift
+        LCM_210,
     ]
     for m in cases:
         assert charpoly_exact(m) == faddeev_leverrier(m)
@@ -281,7 +281,7 @@ def test_quadratic_charpoly_matches_permutation_expansion():
 def test_quadratic_charpoly_degenerate_cases():
     for n in (1, 3, 5):
         # A = 0, c = 0: a root of multiplicity 2n at zero
-        assert quadratic_charpoly(Matrix.zeros(n), [0] * n) == X ** (2 * n)
+        assert quadratic_charpoly(Matrix([[0] * n] * n), [0] * n) == X ** (2 * n)
         # A = J: eigenvalue 0 repeated n - 1 times
         ones = Matrix([[1] * n for _ in range(n)])
         _check_quadratic_charpoly(ones, [Fraction(k, 2) for k in range(n)])
@@ -290,23 +290,25 @@ def test_quadratic_charpoly_degenerate_cases():
     _check_quadratic_charpoly(singular, [0, 0, 0])
     assert quadratic_charpoly(Matrix([]), []) == Poly.one()
     with pytest.raises(ValueError):
-        quadratic_charpoly(Matrix.identity(2), [1])
+        quadratic_charpoly(Matrix([[1, 0], [0, 1]]), [1])
 
 
 def test_matrix_ops():
     a = Matrix([[1, 2], [3, 4]])
     assert a.transpose() == Matrix([[1, 3], [2, 4]])
-    assert a.trace() == 5
-    assert a * Matrix.identity(2) == a
-    assert (a * a)[0, 0] == 7
-    assert 2 * a == Matrix([[2, 4], [6, 8]])
-    assert a + a - a == a
-    assert -a == Matrix([[-1, -2], [-3, -4]])
+    assert trace(a) == 5 and matmul(a, a)[0, 0] == 7
     with pytest.raises(ValueError):
-        Matrix([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        a * Matrix([[1, 2, 3]])
+        matmul(a, Matrix([[1, 2, 3]]))
     assert Matrix([["1/2", -3]]).data[0] == [Fraction(1, 2), Fraction(-3)]
+    # canonical form: integer rows over the lcm of the reduced denominators
+    half = Matrix([[Fraction(1, 2), 1]])
+    assert (half.ints, half.scale) == ([[1, 2]], 2)
+    assert half == Matrix.from_ints([[2, 4]], 4) and hash(half) == hash(Matrix.from_ints([[2, 4]], 4))
+    assert half.transpose().scale == 2 and half.transpose().ints == [[1], [2]]
+    assert LCM_210.scale == 210
+    for build in (Matrix, Matrix.from_ints):
+        with pytest.raises(ValueError):
+            build([[1, 2], [3]])
 
 
 def test_charpoly_matches_faddeev_leverrier_on_small_walk_matrices():
@@ -325,14 +327,12 @@ def test_charpoly_matches_faddeev_leverrier_on_small_walk_matrices():
 
 def _kernel_poly(kernel, m):
     """char(M) from one integer kernel, scaled back as charpoly_exact does."""
-    lifted, scale = integer_lift(m.data)
-    return Poly([Fraction(c, scale**i) for i, c in enumerate(kernel(lifted))][::-1])
+    return Poly([Fraction(c, m.scale**i) for i, c in enumerate(kernel(m.ints))][::-1])
 
 
 def _check_kernels_agree(m):
-    lifted, _ = integer_lift(m.data)
-    coeffs = exact._hessenberg_charpoly(lifted)
-    assert coeffs == exact._berkowitz(lifted)
+    coeffs = exact._hessenberg_charpoly(m.ints)
+    assert coeffs == exact._berkowitz(m.ints)
     return coeffs
 
 
@@ -417,7 +417,7 @@ def test_coefficient_bound_and_primes_on_corpus_operators():
     largest = 0
     for entry in builtin_corpus():
         for target in TARGETS:
-            lifted, _ = integer_lift(operator_matrix(entry.graph, target).data)
+            lifted = operator_matrix(entry.graph, target).ints
             bound = exact._coefficient_bound(lifted)
             top = max(abs(c) for c in exact._berkowitz(lifted))
             assert top <= bound and top.bit_length() <= bound.bit_length(), (entry.name, target)
