@@ -27,12 +27,13 @@ from .graphs import (
 )
 from .identities import (
     charpoly_support_via_adjacency_form,
-    charpoly_u_factored,
     charpoly_u_via_degree_form,
     charpoly_u_via_walk_form,
+    vertex_determinant,
 )
 from .operators import (
     arc_operator,
+    coin_weights,
     nonbacktracking_matrix,
     operator_matrix,
     positive_support,

@@ -33,8 +33,8 @@ from .graphs import (
     parse_graph6,
     validate,
 )
-from .identities import charpoly_u_factored
-from .operators import TARGETS, nonbacktracking_matrix, operator_matrix
+from .identities import vertex_determinant
+from .operators import TARGETS, coin_weights, nonbacktracking_matrix, operator_matrix
 from .spectra import DEFAULT_TOLERANCE, RootConvergenceError, compare, real_roots, roots
 from .spectra import map_adjacency_spectrum, map_random_walk_spectrum
 from .zeta import (
@@ -122,7 +122,7 @@ def cmd_charpoly(args) -> int:
     doc["m"] = g.m
     doc["charpoly"] = poly.to_strings()
     if args.target == "U":
-        exponent, det = charpoly_u_factored(g)
+        exponent, det = g.m - g.n, vertex_determinant(g, coin_weights(g))
         doc["factored"] = {
             "circle_exponent": exponent,
             "walk_determinant": det.to_strings(),
@@ -140,7 +140,7 @@ def cmd_charpoly(args) -> int:
 def cmd_spectrum(args) -> int:
     g = _load_graph(args)
     poly = charpoly_exact(operator_matrix(g, args.target))
-    spectrum = roots(poly, args.tolerance)
+    spectrum = roots(poly)
     info = degree_info(g)
     rep = validate(g)
 
@@ -320,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="run the identity suite on the corpus")
     p.add_argument("--corpus", choices=("builtin", "smoke"), default="builtin")
     p.add_argument("--trials", type=int, default=DEFAULT_WEIGHT_TRIALS,
-                   help=f"random weight matrices per graph (default {DEFAULT_WEIGHT_TRIALS})")
+                   help=f"random per-arc weight lists per graph (default {DEFAULT_WEIGHT_TRIALS})")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

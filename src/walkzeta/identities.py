@@ -1,13 +1,15 @@
 """Closed vertex-level forms for arc-operator characteristic polynomials.
 
-The characteristic polynomial of the 2m x 2m transition matrix collapses
-to an n x n quadratic determinant in the random-walk matrix, with a circle
-factor (x^2 - 1) accounting for the dimension gap: one copy per
-independent cycle beyond a spanning tree.  For trees the gap is negative
-one and the circle factor divides out exactly.  A parallel form exists for
-the positive support of U-transpose on graphs of minimum degree 2.
-``apply_circle_prefactor`` is the one place the circle factor is applied;
-the zeta vertex forms are its results with the coefficients reversed.
+The paper's identity has one vertex side, ``vertex_determinant(g, w)`` =
+det(x^2 I - xW + D_w - I) on one weight per arc: W[u][v] sums the weights
+of the arcs u -> v and D_w holds the out-arc sums.  Times the circle factor
+(x^2 - 1)^(m - n) it is char(B_w - J0) on every graph; on forests the
+exponent is negative and the factor divides out exactly.  The Grover coin
+weights 2/deg(o(e)) give W = 2T, D_w = 2I and char(U); unit weights give
+W = A, D_w = D, the Ihara zeta's Bass form and, at minimum degree 2, the
+support of U-transpose.  ``apply_circle_prefactor`` is the one place the
+circle factor is applied.  ``degree_adjacency_determinant_form`` is a
+second closed form of char(U), from A and the degrees alone.
 
 Each quadratic determinant det(x^2 I - xA + C) is evaluated by the one
 exact kernel as the characteristic polynomial of its 2n x 2n
@@ -18,10 +20,11 @@ and Kotani-Sunada (2000) in their proofs of the Ihara-Bass formula.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from .exact import Matrix, Poly, poly_divexact, quadratic_charpoly
-from .graphs import Graph, adjacency_matrix, degree_info
-from .operators import random_walk_matrix
+from .graphs import Graph, adjacency_matrix, build_arcs, degree_info
+from .operators import coin_weights
 
 CIRCLE = Poly((-1, 0, 1))  # x^2 - 1
 
@@ -33,18 +36,31 @@ def apply_circle_prefactor(det_poly: Poly, exponent: int) -> Poly:
     return poly_divexact(det_poly, CIRCLE ** (-exponent))
 
 
-def walk_determinant_form(g: Graph) -> Poly:
-    """det((x^2 + 1) I - 2x T) with T the random-walk matrix."""
-    t = random_walk_matrix(g)
-    doubled = Matrix.from_ints([[2 * x for x in row] for row in t.ints], t.scale)
-    return quadratic_charpoly(doubled, [1] * g.n)
+def vertex_determinant(g: Graph, weights: Sequence) -> Poly:
+    """det(x^2 I - xW + D_w - I) for one weight per arc of build_arcs(g).
+
+    The only place per-arc weights become W and D_w, in integers over the
+    lcm s of the weight denominators.
+    """
+    arcs = build_arcs(g)
+    if len(weights) != len(arcs):
+        raise ValueError(f"need one weight per arc: {len(weights)} for {len(arcs)} arcs")
+    lifted = Matrix([weights])
+    scaled, scale = lifted.ints[0], lifted.scale
+    w = [[0] * g.n for _ in range(g.n)]
+    sums = [-scale] * g.n  # s times the diagonal of D_w - I
+    for (o, t), x in zip(arcs.arcs, scaled):
+        w[o][t] += x
+        sums[o] += x
+    return quadratic_charpoly(Matrix.from_ints(w, scale), [Fraction(x, scale) for x in sums])
 
 
 def degree_adjacency_determinant_form(g: Graph) -> Poly:
     """det((x^2 + 1) D - 2x A) divided by the product of the degrees.
 
     Equal to det((x^2 + 1) I - 2x A D^-1); A D^-1 is the transpose of T, so
-    this form does not share its matrix with ``walk_determinant_form``.
+    this form does not share its matrix with the coin-weight vertex
+    determinant.
     """
     degs = degree_info(g).degrees
     if min(degs) < 1:
@@ -54,14 +70,9 @@ def degree_adjacency_determinant_form(g: Graph) -> Poly:
     return quadratic_charpoly(scaled, [1] * g.n)
 
 
-def support_determinant_form(g: Graph) -> Poly:
-    """det((x^2 - 1) I - x A + D)."""
-    return quadratic_charpoly(adjacency_matrix(g), [d - 1 for d in degree_info(g).degrees])
-
-
 def charpoly_u_via_walk_form(g: Graph) -> Poly:
-    """Characteristic polynomial of U from the random-walk determinant."""
-    return apply_circle_prefactor(walk_determinant_form(g), g.m - g.n)
+    """Characteristic polynomial of U: the vertex side at the coin weights."""
+    return apply_circle_prefactor(vertex_determinant(g, coin_weights(g)), g.m - g.n)
 
 
 def charpoly_u_via_degree_form(g: Graph) -> Poly:
@@ -69,17 +80,12 @@ def charpoly_u_via_degree_form(g: Graph) -> Poly:
     return apply_circle_prefactor(degree_adjacency_determinant_form(g), g.m - g.n)
 
 
-def charpoly_u_factored(g: Graph) -> tuple[int, Poly]:
-    """(circle exponent, walk determinant) pair describing char(U)."""
-    return g.m - g.n, walk_determinant_form(g)
-
-
 def charpoly_support_via_adjacency_form(g: Graph) -> Poly:
     """Characteristic polynomial of the support of U-transpose, vertex form.
 
-    Valid for connected graphs of minimum degree 2, where the support
-    equals the non-backtracking edge matrix.
+    The vertex side at unit weights.  Valid for connected graphs of minimum
+    degree 2, where the support equals the non-backtracking edge matrix.
     """
     if degree_info(g).min_degree < 2:
         raise ValueError("support closed form requires minimum degree 2")
-    return apply_circle_prefactor(support_determinant_form(g), g.m - g.n)
+    return apply_circle_prefactor(vertex_determinant(g, [1] * (2 * g.m)), g.m - g.n)

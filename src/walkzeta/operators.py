@@ -2,9 +2,10 @@
 
 Every arc matrix comes from one builder, ``arc_operator(arcs, weights)``:
 arc e feeds arc f when terminus(e) = origin(f), the step weighs w(f), and
-the step onto inverse(e) pays 1 less.  The Grover-coined quantum-walk transition matrix U is the transpose of the
-weighted edge matrix B_w - J0 for the coin weights 2/deg(o(f)), and the
-non-backtracking matrix B - J0 is the same builder with unit weights.
+the step onto inverse(e) pays 1 less.  The Grover-coined quantum-walk
+transition matrix U is the transpose of the weighted edge matrix B_w - J0
+for the coin weights ``coin_weights(g)``, 2/deg(o(f)) on each arc f, and
+the non-backtracking matrix B - J0 is the same call with unit weights.
 Alongside them live the random-walk matrix, the operator table and exact
 positive supports of powers.
 """
@@ -48,7 +49,15 @@ def arc_operator(arcs: ArcSet, weights: Sequence) -> Matrix:
     return Matrix.from_ints(data, scale)
 
 
-def transition_matrix(g: Graph, arcs: ArcSet | None = None) -> Matrix:
+def coin_weights(g: Graph) -> list[Fraction]:
+    """The Grover coin weight 2/deg(o(e)) of each arc e of build_arcs(g)."""
+    info = degree_info(g)
+    if info.min_degree < 1:
+        raise ValueError("transition matrix needs every vertex to have an arc")
+    return [Fraction(2, info.degrees[o]) for o, _ in build_arcs(g).arcs]
+
+
+def transition_matrix(g: Graph) -> Matrix:
     """Quantum-walk transition matrix U on the 2m arcs.
 
     U[e][f] is 2/deg(o(e)) when arc f ends at the origin of e, with 1
@@ -56,12 +65,7 @@ def transition_matrix(g: Graph, arcs: ArcSet | None = None) -> Matrix:
     U^T = B_w - J0 for the coin weights w(e) = 2/deg(o(e)).  Rows and
     columns follow the arc order of build_arcs.
     """
-    info = degree_info(g)
-    if info.min_degree < 1:
-        raise ValueError("transition matrix needs every vertex to have an arc")
-    arcs = build_arcs(g) if arcs is None else arcs
-    coins = [Fraction(2, info.degrees[arcs.origin(e)]) for e in range(len(arcs))]
-    return arc_operator(arcs, coins).transpose()
+    return arc_operator(build_arcs(g), coin_weights(g)).transpose()
 
 
 def nonbacktracking_matrix(arcs: ArcSet) -> Matrix:
@@ -126,7 +130,7 @@ def operator_matrix(g: Graph, target: str) -> Matrix:
     return u if target == "U" else power_support(u, {"U+": 1, "U2+": 2, "U3+": 3}[target])
 
 
-def verify_support_identity(g: Graph, arcs: ArcSet | None = None) -> bool:
+def verify_support_identity(g: Graph) -> bool:
     """Check that the positive support of U-transpose is the edge matrix.
 
     Holds for simple connected graphs of minimum degree 2; those hypotheses
@@ -135,6 +139,5 @@ def verify_support_identity(g: Graph, arcs: ArcSet | None = None) -> bool:
     rep = validate(g)
     if not (rep.simple and rep.connected and rep.md2):
         raise ValueError("support identity requires a simple connected graph with min degree 2")
-    arcs = build_arcs(g) if arcs is None else arcs
-    u = transition_matrix(g, arcs)
-    return positive_support(u.transpose()) == nonbacktracking_matrix(arcs)
+    u = transition_matrix(g)
+    return positive_support(u.transpose()) == nonbacktracking_matrix(build_arcs(g))

@@ -47,10 +47,10 @@ class SpectrumDomainError(ValueError):
 
 @dataclass(frozen=True)
 class SpectrumMultiset:
-    """A multiset of complex numbers with the tolerance it was built at."""
+    """A multiset of complex numbers, with the worst relative residual of
+    the roots it came from (0 for values not found by root finding)."""
 
     values: tuple[complex, ...]
-    tolerance: float = DEFAULT_TOLERANCE
     max_residual: float = 0.0
 
     def __len__(self) -> int:
@@ -193,7 +193,7 @@ def _power_of_two_scaling(f: Poly) -> tuple[Poly, int]:
     return Poly(c * Fraction(2) ** (e * (k - f.degree)) for k, c in enumerate(f.coeffs)), e
 
 
-def roots(p: Poly, tolerance: float = DEFAULT_TOLERANCE) -> SpectrumMultiset:
+def roots(p: Poly) -> SpectrumMultiset:
     """All complex roots of p with multiplicity.
 
     Exact square-free factors are extracted first (so multiple roots are
@@ -220,12 +220,12 @@ def roots(p: Poly, tolerance: float = DEFAULT_TOLERANCE) -> SpectrumMultiset:
             raise SpectrumDomainError("a root lies outside the double range")
         for z in factor_roots:
             vals.extend([complex(z)] * multiplicity)
-    return SpectrumMultiset(_sorted_values(vals), tolerance, residual)
+    return SpectrumMultiset(_sorted_values(vals), residual)
 
 
 def real_roots(p: Poly, tolerance: float = DEFAULT_TOLERANCE) -> list[float]:
     """Roots of a real-rooted polynomial, sorted; rejects complex strays."""
-    spectrum = roots(p, tolerance)
+    spectrum = roots(p)
     worst = max((abs(z.imag) for z in spectrum.values), default=0.0)
     if worst > tolerance:
         raise SpectrumDomainError(f"polynomial is not real-rooted within {tolerance}: imag {worst}")
@@ -265,7 +265,7 @@ def map_random_walk_spectrum(
         vals.append(complex(lam, s))
         vals.append(complex(lam, -s))
     vals.extend([complex(1.0), complex(-1.0)] * (m - n))
-    return SpectrumMultiset(_sorted_values(vals), tolerance)
+    return SpectrumMultiset(_sorted_values(vals))
 
 
 def map_adjacency_spectrum(
@@ -298,7 +298,7 @@ def map_adjacency_spectrum(
             vals.append(complex(lam / 2.0 + s))
             vals.append(complex(lam / 2.0 - s))
     vals.extend([complex(1.0), complex(-1.0)] * (m - n))
-    return SpectrumMultiset(_sorted_values(vals), tolerance)
+    return SpectrumMultiset(_sorted_values(vals))
 
 
 def _has_perfect_matching(neighbours: list[list[int]]) -> bool:
@@ -332,7 +332,7 @@ def _has_perfect_matching(neighbours: list[list[int]]) -> bool:
 
 
 def compare(
-    left: SpectrumMultiset, right: SpectrumMultiset, tolerance: float | None = None
+    left: SpectrumMultiset, right: SpectrumMultiset, tolerance: float = DEFAULT_TOLERANCE
 ) -> CompareResult:
     """Multiset comparison by the optimal (bottleneck) pairing.
 
@@ -340,8 +340,6 @@ def compare(
     one to one with every pair within d: a binary search over the sorted
     pair distances, each step tested for a perfect matching.
     """
-    if tolerance is None:
-        tolerance = max(left.tolerance, right.tolerance)
     if len(left) != len(right):
         return CompareResult(False, math.inf)
     if not left.values:
@@ -356,9 +354,7 @@ def compare(
     return CompareResult(worst <= tolerance, worst)
 
 
-def conjugate_closed(spectrum: SpectrumMultiset, tolerance: float | None = None) -> bool:
+def conjugate_closed(spectrum: SpectrumMultiset, tolerance: float = DEFAULT_TOLERANCE) -> bool:
     """True when the multiset equals its own conjugate within tolerance."""
-    conj = SpectrumMultiset(
-        _sorted_values(z.conjugate() for z in spectrum.values), spectrum.tolerance
-    )
+    conj = SpectrumMultiset(_sorted_values(z.conjugate() for z in spectrum.values))
     return compare(spectrum, conj, tolerance).equal

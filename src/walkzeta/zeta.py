@@ -1,17 +1,17 @@
 """Ihara zeta and second weighted zeta reciprocals, plus a cycle oracle.
 
 The reciprocal of the zeta function is computed two independent ways: as
-the arc-level determinant det(I - t(B - J0)) and through the vertex-level
+the arc-level determinant det(I - t(B_w - J0)) and through the vertex-level
 three-term determinant with its (1 - t^2) prefactor.  Both go through the
 one exact kernel: det(I - tM) is the coefficient reversal of char(M), and
-the vertex form is the reversal of det(x^2 I - xA + D - I), the
-characteristic polynomial of its 2n x 2n linearisation (Bass 1992,
-Kotani-Sunada 2000), times the circle factor (x^2 - 1)^k.  Reversal is
-multiplicative and takes x^2 - 1 to 1 - t^2, so the factor is applied in
-one place, ``identities.apply_circle_prefactor``.  A brute-force Euler
-product serves as a combinatorial cross-check on small matrices: by
-Amitsur's identity, in the combinatorial proof of Foata and Zeilberger
-(Trans. AMS 1999),
+the vertex form is the reversal of ``identities.vertex_determinant``,
+det(x^2 I - xW + D_w - I) on the same per-arc weights, times the circle
+factor (x^2 - 1)^k.  The Ihara zeta is the unit-weight case, so W = A and
+D_w = D.  Reversal is multiplicative and takes x^2 - 1 to 1 - t^2, so the
+factor is applied in one place, ``identities.apply_circle_prefactor``.  A
+brute-force Euler product serves as a combinatorial cross-check on small
+matrices: by Amitsur's identity, in the combinatorial proof of Foata and
+Zeilberger (Trans. AMS 1999),
 1/det(I - tM) is a product over the prime cycle classes of the digraph of
 any square matrix M, each weighted by the product of M's entries around
 it.  The oracle reads the matrix it is given, so it checks B - J0, U and
@@ -25,11 +25,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 from operator import getitem
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .exact import Matrix, Poly, charpoly_exact, quadratic_charpoly
-from .graphs import ArcSet, Graph, betti
-from .identities import apply_circle_prefactor, support_determinant_form
+from .exact import Matrix, Poly, charpoly_exact
+from .graphs import ArcSet, Graph, betti, build_arcs
+from .identities import apply_circle_prefactor, vertex_determinant
 from .operators import arc_operator, nonbacktracking_matrix
 
 MAX_ORACLE_ARCS = 20
@@ -108,12 +108,14 @@ def ihara_reciprocal_bass_form(g: Graph) -> Poly:
     """1/zeta as (1 - t^2)^(r - 1) det(I - tA + t^2 (D - I)).
 
     r is the first Betti number, so a disconnected graph is a ValueError.
-    The form is the reversal of (x^2 - 1)^(r - 1) det(x^2 I - xA + D - I).
-    It is always a polynomial: r - 1 >= 0 on every connected graph except
-    a tree, and on a tree det(I - tA + t^2 (D - I)) = 1 - t^2, so the
-    negative power divides exactly.
+    The form is the reversal of (x^2 - 1)^(r - 1) det(x^2 I - xA + D - I),
+    the vertex side at unit weights.  It is always a polynomial: r - 1 >= 0
+    on every connected graph except a tree, and on a tree
+    det(I - tA + t^2 (D - I)) = 1 - t^2, so the negative power divides
+    exactly.
     """
-    return apply_circle_prefactor(support_determinant_form(g), betti(g) - 1).reversed()
+    exponent = betti(g) - 1
+    return apply_circle_prefactor(vertex_determinant(g, [1] * (2 * g.m)), exponent).reversed()
 
 
 class WeightedZetaForms(NamedTuple):
@@ -121,40 +123,21 @@ class WeightedZetaForms(NamedTuple):
     bass_form: Poly
 
 
-def weighted_zeta_reciprocal(arcs: ArcSet, weights: Matrix) -> WeightedZetaForms:
+def weighted_zeta_reciprocal(g: Graph, weights: Sequence) -> WeightedZetaForms:
     """Both determinant forms of the second weighted zeta reciprocal.
 
-    The edge form is det(I - t(B_w - J0)) on arcs, where the step onto arc f
-    weighs W[o(f), t(f)]; the vertex form is
-    (1 - t^2)^(m - n) det(I - tW + t^2 (D_w - I)) with D_w the diagonal of
-    out-arc weight sums.  A nonzero weight off the arc positions, or an arc
-    outside the matrix, is a ValueError.  The two agree on simple graphs; an
-    n x n weight matrix cannot see parallel-edge multiplicity, so on
-    multigraphs the forms genuinely differ.
-
-    The vertex form is a polynomial: the determinant and the prefactor
-    split over components.  A component with a cycle or a parallel edge
-    has m_i - n_i >= 0, and a tree component, an isolated vertex included,
-    is simple, satisfies the weighted identity and has a polynomial edge
-    side, so its factor 1 - t^2 divides exactly.
+    weights holds one weight per arc of build_arcs(g); a list of another
+    length is a ValueError.  The edge form is det(I - t(B_w - J0)), where
+    the step onto arc f weighs weights[f]; the vertex form is
+    (1 - t^2)^(m - n) det(I - tW + t^2 (D_w - I)), with W[u][v] the sum of
+    the weights of the arcs u -> v and D_w the diagonal of out-arc weight
+    sums.  The two agree on every graph, multigraphs and forests included.
+    The vertex form is a polynomial: the edge form is one, so the negative
+    power of 1 - t^2 on a forest divides exactly.
     """
-    if not weights.is_square:
-        raise ValueError("weight matrix must be square")
-    n = weights.rows
-    if any(max(arc) >= n for arc in arcs.arcs):
-        raise ValueError(f"an arc leaves the {n} x {n} weight matrix")
-    positions = set(arcs.arcs)
-    for i, row in enumerate(weights.ints):
-        for j, x in enumerate(row):
-            if x and (i, j) not in positions:
-                raise ValueError(f"weight on non-arc position ({i}, {j})")
-    arc_weights = [weights[o, t] for o, t in arcs.arcs]
-    edge = charpoly_exact(arc_operator(arcs, arc_weights)).reversed()
-    shifted_sums = [Fraction(-1)] * n  # diagonal of D_w - I
-    for (o, _), w in zip(arcs.arcs, arc_weights):
-        shifted_sums[o] += w
-    det = quadratic_charpoly(weights, shifted_sums)
-    return WeightedZetaForms(edge, apply_circle_prefactor(det, arcs.m - n).reversed())
+    edge = charpoly_exact(arc_operator(build_arcs(g), weights)).reversed()
+    vertex = apply_circle_prefactor(vertex_determinant(g, weights), g.m - g.n).reversed()
+    return WeightedZetaForms(edge, vertex)
 
 
 def prime_cycle_classes(m: Matrix, order: int) -> list[CycleClass]:

@@ -4,7 +4,7 @@ import random
 import networkx as nx
 import pytest
 
-from walkzeta.graphs import Graph, adjacency_matrix, degree_info, parse_graph6, validate
+from walkzeta.graphs import Graph, degree_info, parse_graph6, validate
 from walkzeta.graphs import encode_graph6
 from walkzeta.experiments import (
     ROOK_4X4_G6,
@@ -17,7 +17,7 @@ from walkzeta.experiments import (
     named_graph,
     path_graph,
     petersen_graph,
-    random_weight_matrix,
+    random_arc_weights,
     rook_graph_4x4,
     run_identity_suite,
     shrikhande_graph,
@@ -60,7 +60,6 @@ def test_corpus_tags_are_recomputable():
         assert entry.md2 == rep.md2
         assert entry.tree == (rep.connected and entry.graph.m == entry.graph.n - 1)
         assert entry.regular_degree == info.regular_degree
-        assert entry.srg_params == strongly_regular_params(entry.graph)
 
 
 def test_corpus_random_members():
@@ -115,21 +114,13 @@ def test_srg_pair_graph6_constants():
     assert encode_graph6(rook_graph_4x4()) == ROOK_4X4_G6
 
 
-def test_random_weight_matrix_support_and_determinism():
+def test_random_arc_weights_nonzero_and_deterministic():
     g = complete_bipartite_graph(2, 3)
-    adj = adjacency_matrix(g)
-    w = random_weight_matrix(g, random.Random(5))
-    for u in range(g.n):
-        for v in range(g.n):
-            if adj[u, v]:
-                assert w[u, v] != 0
-                assert abs(w[u, v]) <= 9
-            else:
-                assert w[u, v] == 0
-    again = random_weight_matrix(g, random.Random(5))
-    assert w == again
-    other = random_weight_matrix(g, random.Random(6))
-    assert w != other
+    w = random_arc_weights(g, random.Random(5))
+    assert len(w) == 2 * g.m
+    assert all(x != 0 and abs(x) <= 9 for x in w)
+    assert w == random_arc_weights(g, random.Random(5))
+    assert w != random_arc_weights(g, random.Random(6))
 
 
 def _small_corpus():
@@ -197,7 +188,6 @@ def test_identity_suite_captures_crash_as_failure():
         md2=False,
         tree=False,
         regular_degree=1,
-        srg_params=None,
     )
     report = run_identity_suite([entry], weight_trials=1)
     assert not report.passed

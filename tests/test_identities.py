@@ -1,22 +1,26 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walkzeta.exact import ExactDivisionError, Poly, charpoly_exact
-from walkzeta.graphs import Graph, build_arcs
+from walkzeta.graphs import Graph, build_arcs, degree_info
 from walkzeta.identities import (
     apply_circle_prefactor,
     charpoly_support_via_adjacency_form,
-    charpoly_u_factored,
     charpoly_u_via_degree_form,
     charpoly_u_via_walk_form,
-    support_determinant_form,
-    walk_determinant_form,
+    vertex_determinant,
 )
 from walkzeta.operators import (
+    coin_weights,
     nonbacktracking_matrix,
     positive_support,
     transition_matrix,
 )
-from walkzeta.zeta import ihara_reciprocal_bass_form, ihara_reciprocal_edge_form
+from walkzeta.zeta import (
+    ihara_reciprocal_bass_form,
+    ihara_reciprocal_edge_form,
+    weighted_zeta_reciprocal,
+)
 from walkzeta.experiments import (
     complete_bipartite_graph,
     complete_graph,
@@ -57,18 +61,17 @@ def test_path3_tree_division():
     assert _charpoly_u_direct(path_graph(3)) == X**4 - 1
     assert charpoly_u_via_walk_form(path_graph(3)) == X**4 - 1
     assert charpoly_u_via_degree_form(path_graph(3)) == X**4 - 1
-    exponent, det = charpoly_u_factored(path_graph(3))
-    assert exponent == -1
-    assert det == (X**4 - 1) * (X**2 - 1)
+    g = path_graph(3)
+    assert g.m - g.n == -1
+    assert vertex_determinant(g, coin_weights(g)) == (X**4 - 1) * (X**2 - 1)
 
 
 def test_k4_factored_shape():
     g = complete_graph(4)
-    exponent, det = charpoly_u_factored(g)
-    assert exponent == 2
-    assert det == walk_determinant_form(g)
+    det = vertex_determinant(g, coin_weights(g))
+    assert g.m - g.n == 2
     assert det.degree == 8
-    assert apply_circle_prefactor(det, exponent) == _charpoly_u_direct(g)
+    assert apply_circle_prefactor(det, 2) == _charpoly_u_direct(g)
 
 
 @pytest.mark.parametrize("g", SAMPLE_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
@@ -102,7 +105,7 @@ def test_support_form_matches_direct_charpoly(g):
     direct = charpoly_exact(nonbacktracking_matrix(arcs))
     assert charpoly_support_via_adjacency_form(g) == direct
     # and the support of U-transpose is that same matrix on these graphs
-    sup = positive_support(transition_matrix(g, arcs).transpose())
+    sup = positive_support(transition_matrix(g).transpose())
     assert charpoly_exact(sup) == direct
 
 
@@ -112,11 +115,39 @@ def test_support_form_requires_min_degree_two():
 
 
 def test_support_determinant_degree():
+    # the vertex side at unit weights, det(x^2 I - xA + D - I)
     g = complete_graph(4)
-    assert support_determinant_form(g).degree == 2 * g.n
+    assert vertex_determinant(g, [1] * (2 * g.m)).degree == 2 * g.n
 
 
 @pytest.mark.parametrize("g", SAMPLE_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
 def test_bass_identity_holds_on_samples(g):
     edge = ihara_reciprocal_edge_form(build_arcs(g))
     assert ihara_reciprocal_bass_form(g) == edge
+
+
+@st.composite
+def weighted_multigraphs(draw):
+    """A multigraph on 1-7 vertices, possibly disconnected, a forest or with
+    isolated vertices, and one nonzero rational weight per arc."""
+    n = draw(st.integers(1, 7))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    edges = draw(st.lists(pair, max_size=10)) if n > 1 else []
+    weight = st.fractions(-9, 9, max_denominator=9).filter(bool)
+    weights = draw(st.lists(weight, min_size=2 * len(edges), max_size=2 * len(edges)))
+    return Graph(n, tuple(edges)), weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_multigraphs())
+def test_vertex_side_equals_edge_side_on_random_multigraphs(drawn):
+    # the weighted identity holds on every graph once W sums parallel arcs
+    g, weights = drawn
+    forms = weighted_zeta_reciprocal(g, weights)
+    assert forms.bass_form == forms.edge_form
+    if degree_info(g).min_degree >= 1:
+        direct = _charpoly_u_direct(g)
+        assert charpoly_u_via_walk_form(g) == direct
+        assert charpoly_u_via_degree_form(g) == direct

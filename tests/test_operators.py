@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 
 from walkzeta import experiments
-from walkzeta.exact import Matrix, Poly, charpoly_exact
+from walkzeta.exact import Matrix, Poly, charpoly_exact, quadratic_charpoly
 from walkzeta.graphs import Graph, adjacency_matrix, build_arcs, degree_info, validate
+from walkzeta.identities import vertex_determinant
 from walkzeta.operators import (
     TARGETS,
     arc_operator,
+    coin_weights,
     nonbacktracking_matrix,
     operator_matrix,
     positive_support,
@@ -99,7 +101,7 @@ def test_operators_match_definitions_on_corpus():
     for entry in corpus:
         g = entry.graph
         arcs = build_arcs(g)
-        assert transition_matrix(g, arcs) == transition_matrix_by_definition(g), entry.name
+        assert transition_matrix(g) == transition_matrix_by_definition(g), entry.name
         assert nonbacktracking_matrix(arcs) == nonbacktracking_by_definition(arcs), entry.name
 
 
@@ -138,9 +140,8 @@ def test_support_of_u_transpose_equals_edge_matrix_k4():
 def test_weighted_edge_matrix_unit_weights():
     # unit W gives B_w - J0 = B - J0, so the weighted edge form is 1/zeta
     for g in (cycle_graph(3), complete_graph(4), path_graph(4), triangle_with_doubled_edge()):
-        arcs = build_arcs(g)
-        edge = weighted_zeta_reciprocal(arcs, positive_support(adjacency_matrix(g))).edge_form
-        assert edge == ihara_reciprocal_edge_form(arcs)
+        edge = weighted_zeta_reciprocal(g, [1] * (2 * g.m)).edge_form
+        assert edge == ihara_reciprocal_edge_form(build_arcs(g))
 
 
 def test_weighted_edge_matrix_k2():
@@ -151,15 +152,13 @@ def test_weighted_edge_matrix_k2():
         arc_operator(arcs, [5])
 
 
-def test_weighted_edge_matrix_rejects_off_support():
-    arcs = build_arcs(path_graph(3))
-    bad = Matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])  # (0,2) is not an arc
-    with pytest.raises(ValueError):
-        weighted_zeta_reciprocal(arcs, bad)
-    with pytest.raises(ValueError):
-        weighted_zeta_reciprocal(arcs, Matrix([[0, 1, 0], [1, 0, 1]]))
-    with pytest.raises(ValueError):
-        weighted_zeta_reciprocal(arcs, Matrix([[0, 1], [1, 0]]))  # vertex 2 is missing
+def test_weighted_zeta_rejects_wrong_weight_count():
+    p3 = path_graph(3)  # 4 arcs
+    for count in (0, 3, 5):
+        with pytest.raises(ValueError):
+            weighted_zeta_reciprocal(p3, [1] * count)
+        with pytest.raises(ValueError):
+            vertex_determinant(p3, [1] * count)
 
 
 def test_coin_weights_recover_transition_matrix():
@@ -167,19 +166,21 @@ def test_coin_weights_recover_transition_matrix():
     for g in (cycle_graph(4), complete_graph(4), triangle_with_doubled_edge()):
         arcs = build_arcs(g)
         degs = degree_info(g).degrees
-        coins = [Fraction(2, degs[o]) for o, _ in arcs.arcs]
-        assert arc_operator(arcs, coins).transpose() == transition_matrix_by_definition(g)
+        assert coin_weights(g) == [Fraction(2, degs[o]) for o, _ in arcs.arcs]
+        assert arc_operator(arcs, coin_weights(g)).transpose() == transition_matrix_by_definition(g)
+    with pytest.raises(ValueError):
+        coin_weights(Graph(3, ((0, 1),)))  # vertex 2 has no arc
 
 
 def test_coin_weights_are_doubled_walk_matrix():
-    # simple graphs only: T carries edge multiplicity, per-pair coin weights
-    # do not, so the weighted edge form at W = 2T is det(I - tU) exactly
-    # when no edge is repeated
+    # summed over the arcs u -> v the coin weights give W = 2T and D_w = 2I,
+    # parallel edges included, and both weighted forms are det(I - tU)
     for g in (cycle_graph(5), complete_graph(3), path_graph(4), triangle_with_doubled_edge()):
         doubled = Matrix([[2 * x for x in row] for row in random_walk_matrix(g).data])
-        forms = weighted_zeta_reciprocal(build_arcs(g), doubled)
+        assert vertex_determinant(g, coin_weights(g)) == quadratic_charpoly(doubled, [1] * g.n)
+        forms = weighted_zeta_reciprocal(g, coin_weights(g))
         det_u = charpoly_exact(transition_matrix(g)).reversed()
-        assert (forms.edge_form == det_u) == validate(g).simple
+        assert forms.edge_form == forms.bass_form == det_u
 
 
 def test_random_walk_matrix_fixtures():

@@ -8,6 +8,7 @@ from walkzeta.exact import Matrix, Poly, charpoly_exact
 from walkzeta.graphs import Graph, build_arcs
 from walkzeta.operators import (
     arc_operator,
+    coin_weights,
     nonbacktracking_matrix,
     random_walk_matrix,
     transition_matrix,
@@ -29,7 +30,7 @@ from walkzeta.experiments import (
     complete_graph,
     cycle_graph,
     path_graph,
-    random_weight_matrix,
+    random_arc_weights,
     triangle_with_doubled_edge,
 )
 
@@ -124,43 +125,37 @@ def test_weighted_forms_divide_exactly_on_forests():
         Graph(1, ()),
     )
     for g in forests:
-        arcs = build_arcs(g)
         for seed in range(3):
-            forms = weighted_zeta_reciprocal(arcs, random_weight_matrix(g, random.Random(seed)))
+            forms = weighted_zeta_reciprocal(g, random_arc_weights(g, random.Random(seed)))
             assert isinstance(forms.bass_form, Poly)
             assert forms.bass_form == forms.edge_form, (g, seed)
     p4 = path_graph(4)
-    w = random_weight_matrix(p4, random.Random(7))
-    o, t = build_arcs(p4).arcs[0]
-    w = Matrix([[0 if (i, j) == (o, t) else w[i, j] for j in range(4)] for i in range(4)])
-    forms = weighted_zeta_reciprocal(build_arcs(p4), w)
+    w = random_arc_weights(p4, random.Random(7))
+    w[0] = 0
+    forms = weighted_zeta_reciprocal(p4, w)
     assert isinstance(forms.bass_form, Poly)
     assert forms.bass_form == forms.edge_form
 
 
 def test_weighted_unit_weights_reduce_to_ihara():
     g = complete_graph(4)
-    arcs = build_arcs(g)
-    ones = Matrix([[0 if i == j else 1 for j in range(4)] for i in range(4)])
-    forms = weighted_zeta_reciprocal(arcs, ones)
-    assert forms.edge_form == ihara_reciprocal_edge_form(arcs)
+    forms = weighted_zeta_reciprocal(g, [1] * 12)
+    assert forms.edge_form == ihara_reciprocal_edge_form(build_arcs(g))
     assert forms.bass_form == ihara_reciprocal_bass_form(g)
 
 
 def test_weighted_k2_hand_fixture():
-    arcs = build_arcs(complete_graph(2))
-    w = Matrix([[0, 5], [7, 0]])
-    forms = weighted_zeta_reciprocal(arcs, w)
+    # arc 0 -> 1 weighs 5 and arc 1 -> 0 weighs 7
+    forms = weighted_zeta_reciprocal(complete_graph(2), [5, 7])
     assert forms.edge_form == 1 - 24 * T**2
     assert forms.bass_form == forms.edge_form
 
 
 def test_weighted_coin_weights_on_c3():
-    # on a simple graph the coin weights 2/deg(u) on each pair (u, v) are 2T
+    # the coin weights 2/deg(o(e)) sum to W = 2T over the arcs u -> v
     g = cycle_graph(3)
-    arcs = build_arcs(g)
     t_matrix = random_walk_matrix(g)
-    forms = weighted_zeta_reciprocal(arcs, Matrix([[2 * x for x in row] for row in t_matrix.data]))
+    forms = weighted_zeta_reciprocal(g, coin_weights(g))
     assert forms.bass_form.degree <= 6
     # m = n, so the vertex form is det(I - 2tT + t^2 I) with no prefactor
     for node in range(7):
@@ -175,28 +170,23 @@ def test_weighted_coin_weights_on_c3():
 
 
 def test_weighted_random_on_k4():
-    arcs = build_arcs(complete_graph(4))
+    g = complete_graph(4)
     for seed in range(5):
-        w = random_weight_matrix(complete_graph(4), random.Random(seed))
-        forms = weighted_zeta_reciprocal(arcs, w)
+        forms = weighted_zeta_reciprocal(g, random_arc_weights(g, random.Random(seed)))
         assert forms.bass_form == forms.edge_form
 
 
-def test_weighted_forms_differ_on_multigraph():
-    # an n x n weight matrix cannot express parallel-edge multiplicity, so
-    # the vertex form genuinely disagrees with the edge form on multigraphs
+def test_weighted_forms_agree_on_multigraph():
+    # W sums the weights of parallel arcs, so the vertex form sees them:
+    # on the 2-vertex banana at unit weights W = 2J - 2I and D_w = 2I
     banana = Graph(2, ((0, 1), (0, 1)))
-    forms = weighted_zeta_reciprocal(
-        build_arcs(banana), Matrix([[0, 1], [1, 0]])
-    )
+    forms = weighted_zeta_reciprocal(banana, [1, 1, 1, 1])
     assert forms.edge_form == (1 - T**2) ** 2
-    assert forms.bass_form == Poly((1, 0, 1, 0, 1))
-    assert forms.bass_form != forms.edge_form
+    assert forms.bass_form == forms.edge_form
     dt = triangle_with_doubled_edge()
-    forms = weighted_zeta_reciprocal(
-        build_arcs(dt), random_weight_matrix(dt, random.Random(0))
-    )
-    assert forms.bass_form != forms.edge_form
+    for seed in range(3):
+        forms = weighted_zeta_reciprocal(dt, random_arc_weights(dt, random.Random(seed)))
+        assert forms.bass_form == forms.edge_form
 
 
 def test_oracle_fixtures():
@@ -430,11 +420,8 @@ def test_oracle_matches_reversed_charpoly_of_u_on_corpus():
 def test_oracle_matches_weighted_edge_form_on_corpus():
     order = 8
     for seed, entry in enumerate(_guarded_corpus()):
-        if not entry.simple:
-            continue
-        arcs = build_arcs(entry.graph)
-        w = random_weight_matrix(entry.graph, random.Random(seed))
-        bw = arc_operator(arcs, [w[o, t] for o, t in arcs.arcs])
-        edge = weighted_zeta_reciprocal(arcs, w).edge_form
+        w = random_arc_weights(entry.graph, random.Random(seed))
+        bw = arc_operator(build_arcs(entry.graph), w)
+        edge = weighted_zeta_reciprocal(entry.graph, w).edge_form
         inverted = PowerSeries.from_poly(edge, order).inverse()
         assert euler_product_oracle(bw, order) == inverted, entry.name
