@@ -12,18 +12,13 @@ from .exact import (
 )
 from .graphs import (
     ArcSet,
-    DegreeInfo,
     Graph,
     GraphFormatError,
-    ValidationReport,
     adjacency_matrix,
     betti,
-    build_arcs,
-    degree_info,
     encode_graph6,
     parse_edge_list,
     parse_graph6,
-    validate,
 )
 from .identities import (
     charpoly_support_via_adjacency_form,
@@ -54,11 +49,11 @@ from .spectra import (
 from .zeta import (
     CycleClass,
     OracleSizeError,
-    PowerSeries,
     euler_product_oracle,
     ihara_reciprocal_bass_form,
     ihara_reciprocal_edge_form,
     prime_cycle_classes,
+    series_inverse,
     weighted_zeta_reciprocal,
 )
 from .experiments import (

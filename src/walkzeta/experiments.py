@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import Poly, charpoly_exact
-from .graphs import (
-    Graph,
-    build_arcs,
-    degree_info,
-    parse_graph6,
-    validate,
-)
+from .graphs import Graph
 from .identities import (
     charpoly_support_via_adjacency_form,
     charpoly_u_via_degree_form,
@@ -110,9 +104,12 @@ def rook_graph_4x4() -> Graph:
     return Graph(16, tuple(edges))
 
 
-def _random_connected_graph(rng: random.Random, max_n: int = 8) -> Graph:
+RANDOM_MAX_N = 8
+
+
+def _random_connected_graph(rng: random.Random) -> Graph:
     while True:
-        n = rng.randint(4, max_n)
+        n = rng.randint(4, RANDOM_MAX_N)
         edges = tuple(
             (i, j)
             for i in range(n)
@@ -122,7 +119,7 @@ def _random_connected_graph(rng: random.Random, max_n: int = 8) -> Graph:
         if not edges:
             continue
         g = Graph(n, edges)
-        if validate(g).connected:
+        if g.connected:
             return g
 
 
@@ -131,9 +128,7 @@ def strongly_regular_params(g: Graph) -> tuple[int, int, int, int] | None:
 
     Complete graphs are excluded (mu has no witness pairs).
     """
-    info = degree_info(g)
-    rep = validate(g)
-    if not (rep.simple and rep.connected) or info.regular_degree is None:
+    if not (g.simple and g.connected) or min(g.degrees) != max(g.degrees):
         return None
     nbrs = [set() for _ in range(g.n)]
     for u, v in g.edges:
@@ -149,7 +144,7 @@ def strongly_regular_params(g: Graph) -> tuple[int, int, int, int] | None:
             else:
                 mus.add(common)
     if len(lambdas) == 1 and len(mus) == 1:
-        return (g.n, info.regular_degree, lambdas.pop(), mus.pop())
+        return (g.n, g.degrees[0], lambdas.pop(), mus.pop())
     return None
 
 
@@ -157,43 +152,24 @@ def strongly_regular_params(g: Graph) -> tuple[int, int, int, int] | None:
 class CorpusEntry:
     name: str
     graph: Graph
-    simple: bool
-    connected: bool
-    md2: bool
-    tree: bool
-    regular_degree: int | None
-
-
-def _entry(name: str, g: Graph) -> CorpusEntry:
-    rep = validate(g)
-    info = degree_info(g)
-    return CorpusEntry(
-        name=name,
-        graph=g,
-        simple=rep.simple,
-        connected=rep.connected,
-        md2=rep.md2,
-        tree=rep.connected and g.m == g.n - 1,
-        regular_degree=info.regular_degree,
-    )
 
 
 def builtin_corpus(seed: int = DEFAULT_SEED) -> list[CorpusEntry]:
     """The 44-graph verification corpus; random members are seed-determined."""
     entries = []
     for n in range(2, 8):
-        entries.append(_entry(f"K{n}", complete_graph(n)))
+        entries.append(CorpusEntry(f"K{n}", complete_graph(n)))
     for n in range(3, 13):
-        entries.append(_entry(f"C{n}", cycle_graph(n)))
+        entries.append(CorpusEntry(f"C{n}", cycle_graph(n)))
     for n in range(3, 7):
-        entries.append(_entry(f"P{n}", path_graph(n)))
-    entries.append(_entry("K2_3", complete_bipartite_graph(2, 3)))
-    entries.append(_entry("K3_3", complete_bipartite_graph(3, 3)))
-    entries.append(_entry("petersen", petersen_graph()))
-    entries.append(_entry("triangle_double_edge", triangle_with_doubled_edge()))
+        entries.append(CorpusEntry(f"P{n}", path_graph(n)))
+    entries.append(CorpusEntry("K2_3", complete_bipartite_graph(2, 3)))
+    entries.append(CorpusEntry("K3_3", complete_bipartite_graph(3, 3)))
+    entries.append(CorpusEntry("petersen", petersen_graph()))
+    entries.append(CorpusEntry("triangle_double_edge", triangle_with_doubled_edge()))
     rng = random.Random(seed)
     for i in range(1, 21):
-        entries.append(_entry(f"random_{i:02d}", _random_connected_graph(rng)))
+        entries.append(CorpusEntry(f"random_{i:02d}", _random_connected_graph(rng)))
     return entries
 
 
@@ -226,7 +202,7 @@ def named_graph(name: str) -> Graph:
 
 
 def random_arc_weights(g: Graph, rng: random.Random) -> list[Fraction]:
-    """One nonzero random rational weight per arc of build_arcs(g)."""
+    """One nonzero random rational weight per arc of g.arcs."""
     numerators = [x for x in range(-9, 10) if x]
     return [Fraction(rng.choice(numerators), rng.randint(1, 9)) for _ in range(2 * g.m)]
 
@@ -254,29 +230,19 @@ class VerificationReport:
     def failures(self) -> list[IdentityCheck]:
         return [c for c in self.checks if not c.passed]
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        checks = []
-        for c in self.checks:
-            item = {
-                "identity": c.identity,
-                "graph": c.graph,
-                "passed": c.passed,
-                "witness": c.witness,
-            }
-            if include_timings:
-                item["elapsed"] = c.elapsed
-            checks.append(item)
-        doc = {
+    def to_dict(self) -> dict:
+        """The report without timings, so equal runs give equal documents."""
+        return {
             "seed": self.seed,
             "weight_trials": self.weight_trials,
             "total_checks": len(self.checks),
             "failed_checks": len(self.failures()),
             "passed": self.passed,
-            "checks": checks,
+            "checks": [
+                dict(identity=c.identity, graph=c.graph, passed=c.passed, witness=c.witness)
+                for c in self.checks
+            ],
         }
-        if include_timings:
-            doc["elapsed"] = self.elapsed
-        return doc
 
     def to_text(self) -> str:
         lines = [
@@ -333,13 +299,13 @@ def _entry_checks(entry: CorpusEntry, seed: int, weight_trials: int) -> list[Ide
     record("u_charpoly_degree_form", lambda: same_charpoly(char_u, charpoly_u_via_degree_form))
 
     def check_zeta():
-        edge = ihara_reciprocal_edge_form(build_arcs(g))
+        edge = ihara_reciprocal_edge_form(g)
         vertex = ihara_reciprocal_bass_form(g)
         return vertex == edge, f"edge {edge!r} vs vertex {vertex!r}"
 
     record("zeta_edge_vs_vertex", check_zeta)
 
-    if entry.simple:
+    if g.simple:
 
         def check_weighted():
             for trial in range(weight_trials):
@@ -351,14 +317,14 @@ def _entry_checks(entry: CorpusEntry, seed: int, weight_trials: int) -> list[Ide
 
         record("weighted_zeta_forms", check_weighted)
 
-    if entry.simple and entry.connected and entry.md2:
+    if g.simple and g.connected and min(g.degrees) >= 2:
 
         def check_support():
             return verify_support_identity(g), "support differs from edge matrix"
 
         record("support_identity", check_support)
 
-    if entry.md2:
+    if min(g.degrees) >= 2:
         record(
             "support_charpoly_form",
             lambda: same_charpoly(
@@ -438,13 +404,11 @@ class DistinguishResult:
 
 
 def _check_srg_hypotheses(g: Graph, label: str):
-    rep = validate(g)
-    info = degree_info(g)
-    if not rep.simple:
+    if not g.simple:
         raise ValueError(f"{label}: must be simple")
-    if not rep.connected:
+    if not g.connected:
         raise ValueError(f"{label}: must be connected")
-    if info.regular_degree is None or info.regular_degree < 2:
+    if not min(g.degrees) == max(g.degrees) >= 2:
         raise ValueError(f"{label}: must be regular of degree >= 2")
 
 

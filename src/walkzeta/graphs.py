@@ -2,9 +2,11 @@
 
 Graphs are finite undirected multigraphs on vertices 0..n-1.  Parallel
 edges are allowed and kept in order; loops are rejected at construction
-because arc inversion is not well defined for them here.  Each edge {u, v}
-contributes two opposite arcs, and the arc list is laid out so that arc
-``i + m`` is the inverse of arc ``i``.
+because arc inversion is not well defined for them here.  A ``Graph`` owns
+the facts every hypothesis gate reads: ``arcs``, ``degrees``, ``connected``
+and ``simple``, each computed once per graph.  Each edge {u, v} contributes
+two opposite arcs, and ``g.arcs`` is laid out so that arc ``i + m`` is the
+inverse of arc ``i``.
 
 Two text formats are supported: a plain edge list (one ``u v`` pair per
 line, ``#`` comments, optional leading ``n <count>`` line for isolated
@@ -14,6 +16,7 @@ vertices) and the graph6 format for simple graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact import Matrix
 
@@ -24,7 +27,13 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected multigraph: vertex count and an ordered edge tuple."""
+    """Undirected multigraph: vertex count and an ordered edge tuple.
+
+    Its arcs, degrees, connectivity and simplicity are computed at most
+    once, on first use.  Equality, hashing and pickling see only n and the
+    edges, so a graph whose facts were read is interchangeable with a fresh
+    one.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -41,23 +50,47 @@ class Graph:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphFormatError(f"edge ({u}, {v}) leaves vertex range 0..{self.n - 1}")
 
+    def __getstate__(self) -> dict:
+        return {"n": self.n, "edges": self.edges}
+
     @property
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def arcs(self) -> ArcSet:
+        """Arcs 0..m-1 follow the edge order, arcs m..2m-1 are their inverses."""
+        return ArcSet(self.edges + tuple((v, u) for u, v in self.edges))
 
-@dataclass(frozen=True)
-class DegreeInfo:
-    degrees: tuple[int, ...]
-    min_degree: int
-    regular_degree: int | None
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Degree of each vertex, counting parallel edges."""
+        degs = [0] * self.n
+        for u, v in self.edges:
+            degs[u] += 1
+            degs[v] += 1
+        return tuple(degs)
 
+    @cached_property
+    def connected(self) -> bool:
+        """Every vertex is reachable from vertex 0."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == self.n
 
-@dataclass(frozen=True)
-class ValidationReport:
-    connected: bool
-    simple: bool
-    md2: bool
+    @cached_property
+    def simple(self) -> bool:
+        """No two edges join the same pair of vertices."""
+        return len({frozenset(e) for e in self.edges}) == self.m
 
 
 @dataclass(frozen=True)
@@ -81,44 +114,6 @@ class ArcSet:
 
     def inverse(self, a: int) -> int:
         return (a + self.m) % len(self.arcs)
-
-
-def build_arcs(g: Graph) -> ArcSet:
-    """Arcs 0..m-1 follow the edge order, arcs m..2m-1 are their inverses."""
-    forward = g.edges
-    backward = tuple((v, u) for u, v in g.edges)
-    return ArcSet(forward + backward)
-
-
-def degree_info(g: Graph) -> DegreeInfo:
-    degs = [0] * g.n
-    for u, v in g.edges:
-        degs[u] += 1
-        degs[v] += 1
-    regular = degs[0] if len(set(degs)) == 1 else None
-    return DegreeInfo(tuple(degs), min(degs), regular)
-
-
-def validate(g: Graph) -> ValidationReport:
-    """Connectivity, simplicity and minimum-degree-2 flags in one pass."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    connected = all(seen)
-    pairs = [frozenset(e) for e in g.edges]
-    simple = len(set(pairs)) == len(pairs)
-    md2 = min(len(nbrs) for nbrs in adj) >= 2
-    return ValidationReport(connected, simple, md2)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -226,8 +221,7 @@ def parse_graph6(text: str) -> Graph:
 
 def encode_graph6(g: Graph) -> str:
     """Encode a simple graph with n <= 62 as a graph6 string."""
-    rep = validate(g)
-    if not rep.simple:
+    if not g.simple:
         raise ValueError("graph6 encodes simple graphs only")
     if g.n > 62:
         raise ValueError("encode_graph6 supports n <= 62")
@@ -258,6 +252,6 @@ def adjacency_matrix(g: Graph) -> Matrix:
 
 def betti(g: Graph) -> int:
     """First Betti number m - n + 1 of a connected graph."""
-    if not validate(g).connected:
+    if not g.connected:
         raise ValueError("Betti number defined here for connected graphs only")
     return g.m - g.n + 1

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import Matrix, Poly, poly_divexact, quadratic_charpoly
-from .graphs import Graph, adjacency_matrix, build_arcs, degree_info
+from .graphs import Graph, adjacency_matrix
 from .operators import coin_weights
 
 CIRCLE = Poly((-1, 0, 1))  # x^2 - 1
@@ -37,19 +37,18 @@ def apply_circle_prefactor(det_poly: Poly, exponent: int) -> Poly:
 
 
 def vertex_determinant(g: Graph, weights: Sequence) -> Poly:
-    """det(x^2 I - xW + D_w - I) for one weight per arc of build_arcs(g).
+    """det(x^2 I - xW + D_w - I) for one weight per arc of g.arcs.
 
     The only place per-arc weights become W and D_w, in integers over the
     lcm s of the weight denominators.
     """
-    arcs = build_arcs(g)
-    if len(weights) != len(arcs):
-        raise ValueError(f"need one weight per arc: {len(weights)} for {len(arcs)} arcs")
+    if len(weights) != 2 * g.m:
+        raise ValueError(f"need one weight per arc: {len(weights)} for {2 * g.m} arcs")
     lifted = Matrix([weights])
     scaled, scale = lifted.ints[0], lifted.scale
     w = [[0] * g.n for _ in range(g.n)]
     sums = [-scale] * g.n  # s times the diagonal of D_w - I
-    for (o, t), x in zip(arcs.arcs, scaled):
+    for (o, t), x in zip(g.arcs.arcs, scaled):
         w[o][t] += x
         sums[o] += x
     return quadratic_charpoly(Matrix.from_ints(w, scale), [Fraction(x, scale) for x in sums])
@@ -62,7 +61,7 @@ def degree_adjacency_determinant_form(g: Graph) -> Poly:
     this form does not share its matrix with the coin-weight vertex
     determinant.
     """
-    degs = degree_info(g).degrees
+    degs = g.degrees
     if min(degs) < 1:
         raise ValueError("needs every vertex to have an arc")
     rows = adjacency_matrix(g).ints
@@ -86,6 +85,6 @@ def charpoly_support_via_adjacency_form(g: Graph) -> Poly:
     The vertex side at unit weights.  Valid for connected graphs of minimum
     degree 2, where the support equals the non-backtracking edge matrix.
     """
-    if degree_info(g).min_degree < 2:
+    if min(g.degrees) < 2:
         raise ValueError("support closed form requires minimum degree 2")
     return apply_circle_prefactor(vertex_determinant(g, [1] * (2 * g.m)), g.m - g.n)

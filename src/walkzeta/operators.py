@@ -1,8 +1,10 @@
 """Arc-indexed walk operators and their vertex-level companions.
 
-Every arc matrix comes from one builder, ``arc_operator(arcs, weights)``:
-arc e feeds arc f when terminus(e) = origin(f), the step weighs w(f), and
-the step onto inverse(e) pays 1 less.  The Grover-coined quantum-walk
+Every arc matrix comes from one builder, ``arc_operator(g, weights)``, on
+the arcs ``g.arcs`` of a graph: arc e feeds arc f when terminus(e) =
+origin(f), the step weighs w(f), and the step onto inverse(e) pays 1 less.
+Every operator takes the Graph itself, and its hypotheses (minimum degree,
+simplicity, connectivity) are read off the graph's cached facts.  The Grover-coined quantum-walk
 transition matrix U is the transpose of the weighted edge matrix B_w - J0
 for the coin weights ``coin_weights(g)``, 2/deg(o(f)) on each arc f, and
 the non-backtracking matrix B - J0 is the same call with unit weights.
@@ -18,11 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from .exact import Matrix
-from .graphs import ArcSet, Graph, adjacency_matrix, build_arcs, degree_info, validate
+from .graphs import Graph, adjacency_matrix
 
 
-def arc_operator(arcs: ArcSet, weights: Sequence) -> Matrix:
-    """The weighted edge matrix B_w - J0 on the arcs.
+def arc_operator(g: Graph, weights: Sequence) -> Matrix:
+    """The weighted edge matrix B_w - J0 on the arcs of g.
 
     Entry (e, f) is weights[f] when arc e feeds arc f, that is when
     terminus(e) = origin(f), minus 1 when f = inverse(e).  This is the one
@@ -31,6 +33,7 @@ def arc_operator(arcs: ArcSet, weights: Sequence) -> Matrix:
     the arcs leaving terminus(e), in integers over the lcm s of the weight
     denominators, so the step onto inverse(e) pays s.
     """
+    arcs = g.arcs
     size = len(arcs)
     if len(weights) != size:
         raise ValueError(f"need one weight per arc: {len(weights)} for {size} arcs")
@@ -50,11 +53,10 @@ def arc_operator(arcs: ArcSet, weights: Sequence) -> Matrix:
 
 
 def coin_weights(g: Graph) -> list[Fraction]:
-    """The Grover coin weight 2/deg(o(e)) of each arc e of build_arcs(g)."""
-    info = degree_info(g)
-    if info.min_degree < 1:
+    """The Grover coin weight 2/deg(o(e)) of each arc e of g.arcs."""
+    if min(g.degrees) < 1:
         raise ValueError("transition matrix needs every vertex to have an arc")
-    return [Fraction(2, info.degrees[o]) for o, _ in build_arcs(g).arcs]
+    return [Fraction(2, g.degrees[o]) for o, _ in g.arcs.arcs]
 
 
 def transition_matrix(g: Graph) -> Matrix:
@@ -63,23 +65,22 @@ def transition_matrix(g: Graph) -> Matrix:
     U[e][f] is 2/deg(o(e)) when arc f ends at the origin of e, with 1
     subtracted on the backtracking arc f = inverse(e), and 0 elsewhere:
     U^T = B_w - J0 for the coin weights w(e) = 2/deg(o(e)).  Rows and
-    columns follow the arc order of build_arcs.
+    columns follow the arc order of g.arcs.
     """
-    return arc_operator(build_arcs(g), coin_weights(g)).transpose()
+    return arc_operator(g, coin_weights(g)).transpose()
 
 
-def nonbacktracking_matrix(arcs: ArcSet) -> Matrix:
+def nonbacktracking_matrix(g: Graph) -> Matrix:
     """Arc adjacency minus arc inversion (the Hashimoto edge matrix)."""
-    return arc_operator(arcs, [1] * len(arcs))
+    return arc_operator(g, [1] * (2 * g.m))
 
 
 def random_walk_matrix(g: Graph) -> Matrix:
     """Simple random-walk matrix T with T[u][v] = multiplicity(u,v)/deg(u)."""
-    info = degree_info(g)
-    if info.min_degree < 1:
+    if min(g.degrees) < 1:
         raise ValueError("random walk needs every vertex to have an arc")
     rows = adjacency_matrix(g).ints
-    return Matrix([[Fraction(x, d) for x in row] for row, d in zip(rows, info.degrees)])
+    return Matrix([[Fraction(x, d) for x in row] for row, d in zip(rows, g.degrees)])
 
 
 def positive_support(m: Matrix) -> Matrix:
@@ -125,7 +126,7 @@ def operator_matrix(g: Graph, target: str) -> Matrix:
     if target == "T":
         return random_walk_matrix(g)
     if target == "B-J0":
-        return nonbacktracking_matrix(build_arcs(g))
+        return nonbacktracking_matrix(g)
     u = transition_matrix(g)
     return u if target == "U" else power_support(u, {"U+": 1, "U2+": 2, "U3+": 3}[target])
 
@@ -136,8 +137,7 @@ def verify_support_identity(g: Graph) -> bool:
     Holds for simple connected graphs of minimum degree 2; those hypotheses
     are enforced rather than assumed.
     """
-    rep = validate(g)
-    if not (rep.simple and rep.connected and rep.md2):
+    if not (g.simple and g.connected and min(g.degrees) >= 2):
         raise ValueError("support identity requires a simple connected graph with min degree 2")
     u = transition_matrix(g)
-    return positive_support(u.transpose()) == nonbacktracking_matrix(build_arcs(g))
+    return positive_support(u.transpose()) == nonbacktracking_matrix(g)

@@ -29,6 +29,9 @@ from .exact import Poly, square_free_decomposition
 
 DEFAULT_TOLERANCE = 1e-8
 RADICAND_SNAP = 1e-11  # below this, a radicand is treated as exactly zero
+CLUSTER_EPS = 1e-6  # display groups values at most this far apart
+ABERTH_NEWTON_TOL = 1e-12
+ABERTH_MAX_ITER = 400
 # the least normal and the largest double, exactly, so range tests take no float conversions
 _DOUBLE_MIN, _DOUBLE_MAX = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
 
@@ -56,12 +59,12 @@ class SpectrumMultiset:
     def __len__(self) -> int:
         return len(self.values)
 
-    def clustered(self, eps: float = 1e-6) -> list[tuple[complex, int]]:
+    def clustered(self) -> list[tuple[complex, int]]:
         """Group nearby values for display; does not affect comparisons."""
         groups: list[tuple[complex, int]] = []
         for z in sorted(self.values, key=lambda w: (w.real, w.imag)):
             for idx, (rep, count) in enumerate(groups):
-                if abs(z - rep) <= eps:
+                if abs(z - rep) <= CLUSTER_EPS:
                     groups[idx] = (rep, count + 1)
                     break
             else:
@@ -136,11 +139,11 @@ def _horner(columns: tuple[list[np.ndarray], list[float]], z: np.ndarray, az: np
     return values[: len(z)], values[len(z) :], floor
 
 
-def _aberth(coeffs: np.ndarray, newton_tol: float = 1e-12, max_iter: int = 400) -> np.ndarray:
+def _aberth(coeffs: np.ndarray) -> np.ndarray:
     """All roots of a square-free monic polynomial (ascending array) by Aberth's method.
 
     A point is accepted when its Newton correction |p/p'| drops below
-    newton_tol (relative to max(1, |z|)), or when |p(z)| falls under the
+    ABERTH_NEWTON_TOL (relative to max(1, |z|)), or when |p(z)| falls under the
     round-off bound eps * sum |a_i| |z|^i, past which double precision
     cannot place the root any better.  p, p' and that bound come from one
     Horner sweep per iteration.
@@ -154,12 +157,12 @@ def _aberth(coeffs: np.ndarray, newton_tol: float = 1e-12, max_iter: int = 400) 
     # slight angular offset so the start is not symmetric about the real axis
     angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.45
     z = radius * np.exp(1j * angles)
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         az = np.abs(z)
         pv, dv, floor = _horner(columns, z, az)
         dv = np.where(dv == 0, 1e-300, dv)
         newton = pv / dv
-        done = (np.abs(newton) <= newton_tol * np.maximum(1.0, az)) | (
+        done = (np.abs(newton) <= ABERTH_NEWTON_TOL * np.maximum(1.0, az)) | (
             np.abs(pv) <= noise_scale * floor
         )
         if done.all():
@@ -172,7 +175,7 @@ def _aberth(coeffs: np.ndarray, newton_tol: float = 1e-12, max_iter: int = 400) 
         z = z - newton / denom
     residuals = np.abs(npoly.polyval(z, coeffs))
     raise RootConvergenceError(
-        f"Aberth did not converge in {max_iter} iterations", residuals.tolist()
+        f"Aberth did not converge in {ABERTH_MAX_ITER} iterations", residuals.tolist()
     )
 
 

@@ -11,13 +11,14 @@ D_w = D.  Reversal is multiplicative and takes x^2 - 1 to 1 - t^2, so the
 factor is applied in one place, ``identities.apply_circle_prefactor``.  A
 brute-force Euler product serves as a combinatorial cross-check on small
 matrices: by Amitsur's identity, in the combinatorial proof of Foata and
-Zeilberger (Trans. AMS 1999),
-1/det(I - tM) is a product over the prime cycle classes of the digraph of
-any square matrix M, each weighted by the product of M's entries around
-it.  The oracle reads the matrix it is given, so it checks B - J0, U and
-B_w - J0 alike.  The walk extends only prenecklaces, by Duval's rule from
-the FKM necklace algorithm, so each class is enumerated once, as its least
-rotation, with its primality known.
+Zeilberger (Trans. AMS 1999), 1/det(I - tM) is a product over the prime
+cycle classes of the digraph of any square matrix M, each weighted by the
+product of M's entries around it.  The oracle reads the matrix it is
+given, so it checks B - J0, U and B_w - J0 alike.  The walk extends only
+prenecklaces, by Duval's rule from the FKM necklace algorithm, so each
+class is enumerated once, as its least rotation, with its primality known.
+A truncated series is a plain list of its Fraction coefficients 0..order:
+the oracle returns one, and ``series_inverse`` expands 1/p(t) into one.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 from operator import getitem
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import Matrix, Poly, charpoly_exact
-from .graphs import ArcSet, Graph, betti, build_arcs
+from .graphs import Graph, betti
 from .identities import apply_circle_prefactor, vertex_determinant
 from .operators import arc_operator, nonbacktracking_matrix
 
@@ -40,51 +41,20 @@ class OracleSizeError(ValueError):
     """The cycle oracle was asked for more than the size guard allows."""
 
 
-class PowerSeries:
-    """Power series truncated at a fixed order, rational coefficients."""
+def series_inverse(p: Poly, order: int) -> list[Fraction]:
+    """Coefficients 0..order of the power series 1/p(t).
 
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Iterable, order: int):
-        if order < 0:
-            raise ValueError("series order must be >= 0")
-        cs = [Fraction(c) for c in coeffs][: order + 1]
-        cs.extend(Fraction(0) for _ in range(order + 1 - len(cs)))
-        self.coeffs = tuple(cs)
-        self.order = order
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls((1,), order)
-
-    @classmethod
-    def from_poly(cls, p: Poly, order: int) -> "PowerSeries":
-        return cls(p.coeffs, order)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs, self.order))
-
-    def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a0 = self.coeffs[0]
-        if a0 == 0:
-            raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv0 = Fraction(1) / a0
-        out = [inv0] + [Fraction(0)] * self.order
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out[k] = -acc * inv0
-        return PowerSeries(out, self.order)
-
-    def __repr__(self) -> str:
-        return f"PowerSeries({[str(c) for c in self.coeffs]}, order={self.order})"
+    A zero constant term is a ZeroDivisionError.
+    """
+    a = p.coeffs
+    if not a or a[0] == 0:
+        raise ZeroDivisionError("series with zero constant term has no inverse")
+    inv0 = 1 / a[0]
+    out = [inv0]
+    for k in range(1, order + 1):
+        acc = sum(a[i] * out[k - i] for i in range(1, min(k, p.degree) + 1))
+        out.append(-acc * inv0)
+    return out
 
 
 class CycleClass(NamedTuple):
@@ -99,9 +69,9 @@ class CycleClass(NamedTuple):
         return len(self.arcs)
 
 
-def ihara_reciprocal_edge_form(arcs: ArcSet) -> Poly:
+def ihara_reciprocal_edge_form(g: Graph) -> Poly:
     """1/zeta as det(I - t(B - J0)) over the arcs: char(B - J0) reversed."""
-    return charpoly_exact(nonbacktracking_matrix(arcs)).reversed()
+    return charpoly_exact(nonbacktracking_matrix(g)).reversed()
 
 
 def ihara_reciprocal_bass_form(g: Graph) -> Poly:
@@ -126,7 +96,7 @@ class WeightedZetaForms(NamedTuple):
 def weighted_zeta_reciprocal(g: Graph, weights: Sequence) -> WeightedZetaForms:
     """Both determinant forms of the second weighted zeta reciprocal.
 
-    weights holds one weight per arc of build_arcs(g); a list of another
+    weights holds one weight per arc of g.arcs; a list of another
     length is a ValueError.  The edge form is det(I - t(B_w - J0)), where
     the step onto arc f weighs weights[f]; the vertex form is
     (1 - t^2)^(m - n) det(I - tW + t^2 (D_w - I)), with W[u][v] the sum of
@@ -135,7 +105,7 @@ def weighted_zeta_reciprocal(g: Graph, weights: Sequence) -> WeightedZetaForms:
     The vertex form is a polynomial: the edge form is one, so the negative
     power of 1 - t^2 on a forest divides exactly.
     """
-    edge = charpoly_exact(arc_operator(build_arcs(g), weights)).reversed()
+    edge = charpoly_exact(arc_operator(g, weights)).reversed()
     vertex = apply_circle_prefactor(vertex_determinant(g, weights), g.m - g.n).reversed()
     return WeightedZetaForms(edge, vertex)
 
@@ -190,8 +160,8 @@ def prime_cycle_classes(m: Matrix, order: int) -> list[CycleClass]:
     return classes
 
 
-def euler_product_oracle(m: Matrix, order: int) -> PowerSeries:
-    """The series of 1/det(I - tm) to the order, as an Euler product.
+def euler_product_oracle(m: Matrix, order: int) -> list[Fraction]:
+    """Coefficients 0..order of 1/det(I - tm), as an Euler product.
 
     Amitsur's identity, proved combinatorially by Foata and Zeilberger
     (Trans. AMS 1999): 1/det(I - tM) is the product over prime classes C
@@ -210,4 +180,4 @@ def euler_product_oracle(m: Matrix, order: int) -> PowerSeries:
         weight = prod(map(getitem, map(lifted.__getitem__, walk), walk[1:] + walk[:1]))
         for k in range(length, order + 1):
             coeffs[k] += weight * coeffs[k - length]
-    return PowerSeries((Fraction(c, scale**k) for k, c in enumerate(coeffs)), order)
+    return [Fraction(c, scale**k) for k, c in enumerate(coeffs)]

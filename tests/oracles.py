@@ -15,8 +15,14 @@ index that takes the minimum over all rotations of each closed walk and
 tests primality by comparing rotations.  The package prunes its walk to
 necklaces; this one stays unpruned so that it shares no rule with it.
 
+The arc matrices by definition share only the arc layout with the package:
+they read the order of ``g.arcs`` and the degrees ``g.degrees``, which
+``tests/test_graphs.py`` checks against networkx on the graphs that
+``relabelled_multigraphs`` draws.
+
 ``matmul`` and ``trace`` are the tests' only matrix arithmetic, on integer
-rows and scales; ``relabelled_multigraphs`` draws a graph and a relabelling.
+rows and scales; ``relabelled_multigraphs`` draws a connected multigraph
+and a relabelling of it.
 """
 
 from fractions import Fraction
@@ -27,7 +33,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from walkzeta.exact import Matrix, Poly
-from walkzeta.graphs import ArcSet, Graph, build_arcs, degree_info
+from walkzeta.graphs import ArcSet, Graph
 from walkzeta.zeta import CycleClass
 
 
@@ -75,8 +81,7 @@ def faddeev_leverrier(a: Matrix) -> Poly:
 def transition_matrix_by_definition(g: Graph) -> Matrix:
     """U entry by entry: U[e][f] = 2/deg(o(e)) when f ends at the origin of
     e, less 1 when f is the inverse of e."""
-    arcs = build_arcs(g)
-    degrees = degree_info(g).degrees
+    arcs, degrees = g.arcs, g.degrees
     size = len(arcs)
     data = [[Fraction(0)] * size for _ in range(size)]
     for e in range(size):

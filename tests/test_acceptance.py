@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from walkzeta.exact import Matrix, charpoly_exact
-from walkzeta.graphs import adjacency_matrix, build_arcs
+from walkzeta.graphs import adjacency_matrix
 from walkzeta.identities import (
     charpoly_support_via_adjacency_form,
     charpoly_u_via_degree_form,
@@ -35,10 +35,10 @@ from walkzeta.spectra import (
     roots,
 )
 from walkzeta.zeta import (
-    PowerSeries,
     euler_product_oracle,
     ihara_reciprocal_bass_form,
     ihara_reciprocal_edge_form,
+    series_inverse,
 )
 from walkzeta.experiments import (
     builtin_corpus,
@@ -80,6 +80,10 @@ def _char_support(entry):
     return _SUPPORT_CHAR[entry.name]
 
 
+def _md2(entry):
+    return min(entry.graph.degrees) >= 2
+
+
 def _report(num: int, ok: bool, detail: str):
     print(f"criterion {num:2d} {'PASS' if ok else 'FAIL'}: {detail}")
 
@@ -107,10 +111,10 @@ def test_criterion_02_bass_identity():
         e.name
         for e in _CORPUS
         if ihara_reciprocal_bass_form(e.graph)
-        != ihara_reciprocal_edge_form(build_arcs(e.graph))
+        != ihara_reciprocal_edge_form(e.graph)
     ]
     elapsed = time.perf_counter() - start
-    trees = sum(1 for e in _CORPUS if e.tree)
+    trees = sum(1 for e in _CORPUS if e.graph.connected and e.graph.m == e.graph.n - 1)
     ok = not bad and elapsed < 120
     _report(2, ok, f"zeta edge form equals vertex form on {len(_CORPUS)} graphs "
                    f"({trees} trees via exact division), {elapsed:.1f}s (budget 120s)")
@@ -130,7 +134,7 @@ def test_criterion_03_weighted_zeta_forms():
             forms = weighted_zeta_reciprocal(entry.graph, random_arc_weights(entry.graph, rng))
             if forms.bass_form != forms.edge_form:
                 bad.append((entry.name, trial))
-    multigraphs = sum(1 for e in _CORPUS if not e.simple)
+    multigraphs = sum(1 for e in _CORPUS if not e.graph.simple)
     elapsed = time.perf_counter() - start
     ok = not bad and multigraphs and elapsed < 180
     _report(3, ok, f"weighted zeta forms agree on {len(_CORPUS)} graphs "
@@ -142,7 +146,7 @@ def test_criterion_03_weighted_zeta_forms():
 
 
 def test_criterion_04_support_identity():
-    eligible = [e for e in _CORPUS if e.simple and e.connected and e.md2]
+    eligible = [e for e in _CORPUS if e.graph.simple and e.graph.connected and _md2(e)]
     bad = [e.name for e in eligible if not verify_support_identity(e.graph)]
     ok = not bad
     _report(4, ok, f"support of U-transpose equals the non-backtracking matrix "
@@ -171,18 +175,13 @@ def test_criterion_05_walk_spectrum_map():
 
 
 def test_criterion_06_support_spectrum_map():
-    eligible = [
-        e for e in _CORPUS
-        if e.md2 and e.regular_degree is not None and e.regular_degree >= 2
-    ]
+    eligible = [e for e in _CORPUS if min(e.graph.degrees) == max(e.graph.degrees) >= 2]
     worst = 0.0
     bad = []
     for entry in eligible:
         g = entry.graph
         adj_eigs = real_roots(charpoly_exact(adjacency_matrix(g)), TOLERANCE)
-        mapped = map_adjacency_spectrum(
-            adj_eigs, entry.regular_degree, g.m, g.n, TOLERANCE
-        )
+        mapped = map_adjacency_spectrum(adj_eigs, g.degrees[0], g.m, g.n, TOLERANCE)
         verdict = compare(roots(_char_support(entry)), mapped, TOLERANCE)
         worst = max(worst, verdict.max_pair_distance)
         if not verdict.equal:
@@ -211,12 +210,12 @@ def test_criterion_06_support_spectrum_map():
 
 
 def test_criterion_07_support_charpoly_closed_form():
-    eligible = [e for e in _CORPUS if e.md2]
+    eligible = [e for e in _CORPUS if _md2(e)]
     bad = [
         e.name for e in eligible
         if _char_support(e) != charpoly_support_via_adjacency_form(e.graph)
     ]
-    multigraphs = sum(1 for e in eligible if not e.simple)
+    multigraphs = sum(1 for e in eligible if not e.graph.simple)
     ok = not bad
     _report(7, ok, f"char of the U-transpose support equals the vertex closed form "
                    f"on {len(eligible)} md2 graphs ({multigraphs} with a parallel "
@@ -229,14 +228,11 @@ def test_criterion_08_euler_product_oracle():
     eligible = [e for e in _CORPUS if e.graph.n <= 5]
     bad = []
     for entry in eligible:
-        arcs = build_arcs(entry.graph)
-        series = PowerSeries.from_poly(
-            ihara_reciprocal_edge_form(arcs), order
-        ).inverse()
-        if euler_product_oracle(nonbacktracking_matrix(arcs), order) != series:
+        series = series_inverse(ihara_reciprocal_edge_form(entry.graph), order)
+        if euler_product_oracle(nonbacktracking_matrix(entry.graph), order) != series:
             bad.append(entry.name)
     k4 = next(e for e in _CORPUS if e.name == "K4")
-    nb = nonbacktracking_matrix(build_arcs(k4.graph))
+    nb = nonbacktracking_matrix(k4.graph)
     trace3 = trace(matmul(matmul(nb, nb), nb))
     ok = not bad and trace3 == 24
     _report(8, ok, f"prime-cycle Euler product matches the determinant series to "

@@ -1,17 +1,18 @@
+import pickle
+from collections import Counter
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from walkzeta.graphs import (
-    ArcSet,
     Graph,
     GraphFormatError,
     adjacency_matrix,
     betti,
-    build_arcs,
-    degree_info,
     encode_graph6,
     parse_edge_list,
     parse_graph6,
-    validate,
 )
 from walkzeta.experiments import (
     builtin_corpus,
@@ -21,6 +22,8 @@ from walkzeta.experiments import (
     petersen_graph,
     triangle_with_doubled_edge,
 )
+
+from oracles import relabelled_multigraphs
 
 
 def _edge_set(g):
@@ -49,12 +52,12 @@ def test_parse_edge_list_declared_count_and_comments():
     text = "# a triangle plus an isolated vertex\nn 4\n0 1\n1 2  # back\n\n2 0\n"
     g = parse_edge_list(text)
     assert g.n == 4 and g.m == 3
-    assert degree_info(g).degrees == (2, 2, 2, 0)
+    assert g.degrees == (2, 2, 2, 0)
 
 
 def test_parse_edge_list_multigraph():
     g = parse_edge_list("0 1\n0 1")
-    assert g.m == 2 and not validate(g).simple
+    assert g.m == 2 and not g.simple
 
 
 def test_parse_edge_list_errors():
@@ -108,7 +111,7 @@ def test_parse_graph6_triangle():
 
 def test_encode_graph6_roundtrip():
     for entry in builtin_corpus():
-        if not validate(entry.graph).simple:
+        if not entry.graph.simple:
             continue
         g = entry.graph
         back = parse_graph6(encode_graph6(g))
@@ -118,7 +121,6 @@ def test_encode_graph6_roundtrip():
 
 
 def test_encode_graph6_matches_networkx():
-    nx = pytest.importorskip("networkx")
     for g in (complete_graph(5), cycle_graph(7), petersen_graph()):
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
@@ -134,32 +136,32 @@ def test_encode_graph6_rejects_multigraph():
         encode_graph6(triangle_with_doubled_edge())
 
 
-def test_validate_fixtures():
-    rep = validate(complete_graph(2))
-    assert rep.connected and rep.simple and not rep.md2
-    rep = validate(cycle_graph(3))
-    assert rep.connected and rep.simple and rep.md2
-    rep = validate(triangle_with_doubled_edge())
-    assert rep.connected and not rep.simple and rep.md2
-    disconnected = Graph(4, ((0, 1), (2, 3)))
-    assert not validate(disconnected).connected
+def test_connected_and_simple_fixtures():
+    k2 = complete_graph(2)
+    assert k2.connected and k2.simple and min(k2.degrees) == 1
+    c3 = cycle_graph(3)
+    assert c3.connected and c3.simple and min(c3.degrees) == 2
+    dt = triangle_with_doubled_edge()
+    assert dt.connected and not dt.simple and min(dt.degrees) == 2
+    assert not Graph(4, ((0, 1), (2, 3))).connected
+    assert Graph(1, ()).connected and Graph(1, ()).simple
 
 
-def test_build_arcs_fixtures():
-    arcs = build_arcs(complete_graph(2))
+def test_arcs_fixtures():
+    arcs = complete_graph(2).arcs
     assert arcs.arcs == ((0, 1), (1, 0))
     assert arcs.inverse(0) == 1 and arcs.inverse(1) == 0
-    arcs = build_arcs(cycle_graph(3))
+    arcs = cycle_graph(3).arcs
     assert len(arcs) == 6
     assert all(arcs.inverse(i) == i + 3 for i in range(3))
-    arcs = build_arcs(path_graph(3))
+    arcs = path_graph(3).arcs
     assert [arcs.origin(a) for a in range(4)] == [0, 1, 1, 2]
     assert [arcs.terminus(a) for a in range(4)] == [1, 2, 0, 1]
 
 
 def test_arc_involution_over_corpus():
     for entry in builtin_corpus()[:12]:
-        arcs = build_arcs(entry.graph)
+        arcs = entry.graph.arcs
         assert len(arcs) == 2 * entry.graph.m
         for a in range(len(arcs)):
             inv = arcs.inverse(a)
@@ -178,17 +180,49 @@ def test_vertex_matrices():
     assert betti(complete_graph(4)) == 3
     dt = triangle_with_doubled_edge()
     assert adjacency_matrix(dt)[0, 1] == 2
-    assert degree_info(dt).degrees == (3, 3, 2)
+    assert dt.degrees == (3, 3, 2)
     with pytest.raises(ValueError):
         betti(Graph(4, ((0, 1), (2, 3))))
 
 
-def test_degree_info():
-    info = degree_info(petersen_graph())
-    assert info.regular_degree == 3 and info.min_degree == 3
-    info = degree_info(path_graph(4))
-    assert info.regular_degree is None and info.min_degree == 1
+def test_degrees():
+    assert petersen_graph().degrees == (3,) * 10
+    assert path_graph(4).degrees == (1, 2, 2, 1)
     # handshake: degree sum is twice the edge count
     for entry in builtin_corpus()[:20]:
-        info = degree_info(entry.graph)
-        assert sum(info.degrees) == 2 * entry.graph.m
+        assert sum(entry.graph.degrees) == 2 * entry.graph.m
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_multigraphs())
+def test_graph_facts_match_networkx(graphs):
+    g, h = graphs
+    union = Graph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
+    for graph in (g, h, union):
+        ref = nx.MultiGraph()
+        ref.add_nodes_from(range(graph.n))
+        ref.add_edges_from(graph.edges)
+        assert graph.degrees == tuple(d for _, d in sorted(ref.degree))
+        assert graph.connected == nx.is_connected(ref)
+        assert graph.simple == (nx.Graph(ref).number_of_edges() == ref.number_of_edges())
+        # the arcs are the edges taken both ways; arc a + m is the inverse of arc a
+        arcs, m = graph.arcs, graph.m
+        assert Counter(arcs.arcs) == Counter(nx.MultiDiGraph(ref).edges())
+        assert arcs.arcs[:m] == graph.edges
+        for a in range(2 * m):
+            assert arcs.inverse(a) == (a + m) % (2 * m)
+            assert arcs.arcs[arcs.inverse(a)] == arcs.arcs[a][::-1]
+
+
+def test_graph_with_read_facts_is_interchangeable_with_a_fresh_one():
+    # the process pool pickles corpus graphs, so cached facts must not ride along
+    for g in (petersen_graph(), triangle_with_doubled_edge(), Graph(4, ((0, 1), (2, 3)))):
+        used = Graph(g.n, g.edges)
+        facts = (used.arcs, used.degrees, used.connected, used.simple)
+        assert used.arcs is facts[0]  # computed once
+        fresh = Graph(g.n, g.edges)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(used))
+        assert vars(back) == {"n": g.n, "edges": g.edges}
+        assert back == fresh and (back.arcs, back.degrees, back.connected, back.simple) == facts

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from walkzeta import experiments
 from walkzeta.exact import Matrix, Poly, charpoly_exact, quadratic_charpoly
-from walkzeta.graphs import Graph, adjacency_matrix, build_arcs, degree_info, validate
+from walkzeta.graphs import Graph, adjacency_matrix
 from walkzeta.identities import vertex_determinant
 from walkzeta.operators import (
     TARGETS,
@@ -45,7 +45,7 @@ def test_transition_matrix_k2():
 def test_transition_matrix_c3():
     g = cycle_graph(3)
     u = transition_matrix(g)
-    arcs = build_arcs(g)
+    arcs = g.arcs
     # degree-2 vertices: coin entries are 0 on the inverse, 1 on the other
     for e in range(6):
         for f in range(6):
@@ -59,8 +59,8 @@ def test_transition_matrix_c3():
 
 
 def test_transition_matrix_k4():
-    u = transition_matrix(complete_graph(4))
-    arcs = build_arcs(complete_graph(4))
+    k4 = complete_graph(4)
+    u, arcs = transition_matrix(k4), k4.arcs
     for e in range(12):
         for f in range(12):
             if arcs.terminus(f) != arcs.origin(e):
@@ -97,29 +97,26 @@ def test_positive_support():
 
 def test_operators_match_definitions_on_corpus():
     corpus = builtin_corpus()
-    assert any(not validate(entry.graph).simple for entry in corpus)
+    assert any(not entry.graph.simple for entry in corpus)
     for entry in corpus:
         g = entry.graph
-        arcs = build_arcs(g)
         assert transition_matrix(g) == transition_matrix_by_definition(g), entry.name
-        assert nonbacktracking_matrix(arcs) == nonbacktracking_by_definition(arcs), entry.name
+        assert nonbacktracking_matrix(g) == nonbacktracking_by_definition(g.arcs), entry.name
 
 
 def test_arc_matrices_k2():
     # on K2 each arc feeds only its inverse, so B = J0 and B - J0 vanishes
-    arcs = build_arcs(complete_graph(2))
-    assert nonbacktracking_by_definition(arcs) == Matrix([[0, 0], [0, 0]])
-    assert nonbacktracking_matrix(arcs) == arc_operator(arcs, [1, 1]) == Matrix([[0, 0], [0, 0]])
+    k2 = complete_graph(2)
+    assert nonbacktracking_by_definition(k2.arcs) == Matrix([[0, 0], [0, 0]])
+    assert nonbacktracking_matrix(k2) == arc_operator(k2, [1, 1]) == Matrix([[0, 0], [0, 0]])
 
 
 def test_arc_matrices_row_sums():
     # each arc has deg(terminus) - 1 non-backtracking successors
     for g in (cycle_graph(3), complete_graph(4), triangle_with_doubled_edge()):
-        arcs = build_arcs(g)
-        nb = nonbacktracking_matrix(arcs)
-        degs = degree_info(g).degrees
-        for e in range(len(arcs)):
-            assert sum(nb.data[e]) == degs[arcs.terminus(e)] - 1
+        nb = nonbacktracking_matrix(g)
+        for e in range(2 * g.m):
+            assert sum(nb.data[e]) == g.degrees[g.arcs.terminus(e)] - 1
 
 
 def test_support_identity():
@@ -134,22 +131,22 @@ def test_support_identity():
 def test_support_of_u_transpose_equals_edge_matrix_k4():
     g = complete_graph(4)
     u = transition_matrix(g)
-    assert positive_support(u.transpose()) == nonbacktracking_matrix(build_arcs(g))
+    assert positive_support(u.transpose()) == nonbacktracking_matrix(g)
 
 
 def test_weighted_edge_matrix_unit_weights():
     # unit W gives B_w - J0 = B - J0, so the weighted edge form is 1/zeta
     for g in (cycle_graph(3), complete_graph(4), path_graph(4), triangle_with_doubled_edge()):
         edge = weighted_zeta_reciprocal(g, [1] * (2 * g.m)).edge_form
-        assert edge == ihara_reciprocal_edge_form(build_arcs(g))
+        assert edge == ihara_reciprocal_edge_form(g)
 
 
 def test_weighted_edge_matrix_k2():
-    arcs = build_arcs(complete_graph(2))
+    k2 = complete_graph(2)
     # the only transitions are onto the respective inverse arcs, which pay 1
-    assert arc_operator(arcs, [5, 7]) == Matrix([[0, 6], [4, 0]])
+    assert arc_operator(k2, [5, 7]) == Matrix([[0, 6], [4, 0]])
     with pytest.raises(ValueError):
-        arc_operator(arcs, [5])
+        arc_operator(k2, [5])
 
 
 def test_weighted_zeta_rejects_wrong_weight_count():
@@ -164,10 +161,8 @@ def test_weighted_zeta_rejects_wrong_weight_count():
 def test_coin_weights_recover_transition_matrix():
     # U = transpose(B_w - J0) when the weights are the coin weights 2/deg(o(f))
     for g in (cycle_graph(4), complete_graph(4), triangle_with_doubled_edge()):
-        arcs = build_arcs(g)
-        degs = degree_info(g).degrees
-        assert coin_weights(g) == [Fraction(2, degs[o]) for o, _ in arcs.arcs]
-        assert arc_operator(arcs, coin_weights(g)).transpose() == transition_matrix_by_definition(g)
+        assert coin_weights(g) == [Fraction(2, g.degrees[o]) for o, _ in g.arcs.arcs]
+        assert arc_operator(g, coin_weights(g)).transpose() == transition_matrix_by_definition(g)
     with pytest.raises(ValueError):
         coin_weights(Graph(3, ((0, 1),)))  # vertex 2 has no arc
 
@@ -200,11 +195,10 @@ def test_random_walk_matrix_fixtures():
 
 def test_random_walk_matrix_is_inverse_degree_times_adjacency():
     corpus = builtin_corpus()
-    assert any(not validate(entry.graph).simple for entry in corpus)
+    assert any(not entry.graph.simple for entry in corpus)
     for entry in corpus:
         g = entry.graph
-        degrees = degree_info(g).degrees
-        dinv = Matrix([[Fraction(1, d) if i == j else 0 for j in range(g.n)] for i, d in enumerate(degrees)])
+        dinv = Matrix([[Fraction(1, d) if i == j else 0 for j in range(g.n)] for i, d in enumerate(g.degrees)])
         assert random_walk_matrix(g) == matmul(dinv, adjacency_matrix(g)), entry.name
 
 
@@ -273,7 +267,7 @@ def test_operator_matrix_table_and_distinguish_levels(monkeypatch):
             "U3+": power_support(u, 3),
             "A": adjacency_matrix(g),
             "T": random_walk_matrix(g),
-            "B-J0": nonbacktracking_matrix(build_arcs(g)),
+            "B-J0": nonbacktracking_matrix(g),
         }
         assert tuple(definitions) == TARGETS
         for target, matrix in definitions.items():

@@ -9,7 +9,6 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from walkzeta.exact import Poly, charpoly_exact
-from walkzeta.graphs import build_arcs
 from walkzeta.identities import charpoly_support_via_adjacency_form
 from walkzeta import spectra
 from walkzeta.operators import nonbacktracking_matrix, transition_matrix
@@ -167,7 +166,7 @@ def test_map_random_walk_domain_errors():
 
 def test_map_adjacency_k4():
     mapped = map_adjacency_spectrum([3, -1, -1, -1], k=3, m=6, n=4)
-    direct = roots(charpoly_exact(nonbacktracking_matrix(build_arcs(complete_graph(4)))))
+    direct = roots(charpoly_exact(nonbacktracking_matrix(complete_graph(4))))
     assert compare(mapped, direct).equal
     # the trivial eigenvalue 3 lands past the Ramanujan window: real pair 2, 1
     assert complex(2) in mapped.values and complex(1) in mapped.values
