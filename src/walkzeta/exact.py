@@ -9,19 +9,21 @@ result is exact.  ``poly_gcd`` and ``square_free_decomposition`` (Yun
 primitive gcd, so each quotient is integral by Gauss's lemma, and only the
 returned factors are made monic Fraction polynomials.  There is one
 determinant kernel, ``charpoly_exact``, which reads L and s and takes one
-of two paths, split at HESSENBERG_MIN_DIM = 16 rows:
+of two paths, split at HESSENBERG_MIN_DIM = 13 rows:
 
-- below 16 rows, Berkowitz's division-free algorithm in Python ints;
-- from 16 rows on, Hessenberg reduction mod primes just below 2^31, all
-  primes at once in one numpy int64 array, then CRT under a proven
+- below 13 rows, Berkowitz's division-free algorithm in Python ints;
+- from 13 rows on, Hessenberg reduction mod primes sized from n (17 bits
+  for 23-63 rows, 16 for 64-181, 15 for 182-511), many primes at once in
+  one numpy int64 array, reducing O(n) entries per elimination step while
+  the rest stay under a proven int64 bound, then CRT under a proven
   Hadamard bound on the coefficients.
 
 Berkowitz costs O(n^4) big-integer operations, the numpy kernel O(n^3)
-word operations per prime plus a fixed cost of some 0.2-0.5 ms per call.
-On random 0/1 and rational matrices (2-CPU x86-64 Linux host, numpy 2.4)
-the two are level at 14-16 rows; the numpy kernel is 2.5-3.5 times slower
-at 6 rows and 3-20 times faster at 40-96, and most closed forms of small
-graphs fall below the crossover.
+word operations per prime plus a fixed cost of some 0.3 ms per call.
+On random 0/1, integer and rational matrices (2-CPU x86-64 Linux host,
+numpy 2.4) the two are level at 12 rows; the numpy kernel is 3.3-3.4
+times slower at 6 rows and 8-50 times faster at 40-96, and most closed
+forms of small graphs fall below the crossover.
 
 Every determinant the package needs is fed to ``charpoly_exact`` as one
 constant matrix.  An arc-level determinant det(I - tM) is the coefficient
@@ -240,14 +242,6 @@ def _as_poly(value):
     return None
 
 
-def poly_divexact(p: Poly, q: Poly) -> Poly:
-    """Divide p by q, raising ExactDivisionError if the remainder is nonzero."""
-    quo, rem = p.divmod(q)
-    if not rem.is_zero():
-        raise ExactDivisionError("inexact polynomial division", rem)
-    return quo
-
-
 def _lift(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     """The rational rows times s as Python ints, and s, the lcm of their
     reduced denominators; no prime divides s and every entry."""
@@ -435,12 +429,30 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-HESSENBERG_MIN_DIM = 16  # Berkowitz below, the numpy kernel from here on (module docstring)
-# Every modulus is a prime below 2^PRIME_BITS, so a product of two residues
-# fits an int64 and so does a sum of up to 2^32 reduced residues.
+HESSENBERG_MIN_DIM = 13  # Berkowitz below, the numpy kernel from here on (module docstring)
+# No modulus reaches 2^PRIME_BITS: below it the Miller-Rabin bases of
+# _is_prime are deterministic.  An n-row kernel call takes its primes below
+# 2^_prime_bits(n), the int64 bound of its delayed reduction.
 PRIME_BITS = 31
+# The most bytes of one (primes, n, n) int64 block; more primes than fit
+# are reduced one chunk after another.  In a sweep of 2^17-2^21 bytes over
+# 42-336 rows, 2^20 ran 64-192 rows up to twice as fast as 2^18, at twice
+# the peak memory; at 336 rows one prime fills either.
+CHUNK_BYTES = 2**18
 
-_PRIMES: list[int] = []  # the primes below 2^PRIME_BITS, descending, found on demand
+_PRIMES: dict[int, list[int]] = {}  # bits -> the primes below 2^bits, descending, found on demand
+
+
+def _prime_bits(n: int) -> int:
+    """The largest b <= PRIME_BITS with (2^b + n 4^b)(1 + n 2^b) < 2^63.
+
+    For primes p < 2^b every entry of the n-row lazily reduced kernel stays
+    below 2^b + n 4^b, and a column update of such entries stays in int64.
+    """
+    b = PRIME_BITS
+    while (2**b + n * 4**b) * (1 + n * 2**b) >= 2**63:
+        b -= 1
+    return b
 
 
 def _is_prime(n: int) -> bool:
@@ -466,18 +478,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes_exceeding(bound: int) -> list[int]:
-    """The largest primes below 2^PRIME_BITS, as few as make a product > bound."""
+def _primes_exceeding(bound: int, bits: int) -> list[int]:
+    """The largest odd primes below 2^bits, as few as make a product > bound."""
+    primes = _PRIMES.setdefault(bits, [])
     count, product = 0, 1
     while product <= bound:
-        if count == len(_PRIMES):
-            c = _PRIMES[-1] - 2 if _PRIMES else 2**PRIME_BITS - 1
-            while not _is_prime(c):
+        if count == len(primes):
+            c = primes[-1] - 2 if primes else 2**bits - 1
+            while c >= 3 and not _is_prime(c):
                 c -= 2
-            _PRIMES.append(c)
-        product *= _PRIMES[count]
+            if c < 3:
+                raise ValueError(f"the odd primes below 2^{bits} multiply to less than {bound}")
+            primes.append(c)
+        product *= primes[count]
         count += 1
-    return _PRIMES[:count]
+    return primes[:count]
 
 
 def _berkowitz(lifted: list[list[int]]) -> list[int]:
@@ -520,62 +535,89 @@ def _coefficient_bound(lifted: list[list[int]]) -> int:
 def _hessenberg_charpoly(lifted: list[list[int]]) -> list[int]:
     """Descending coefficients of det(xI - L), multimodular, for an integer L.
 
-    The primes used have a product M above twice _coefficient_bound(L), so
-    each coefficient is its residue mod M taken symmetrically about 0.
-
-    Kernel.  The residues of L mod all primes form one int64 array with the
-    primes on the leading axis.  Each is reduced to upper Hessenberg form H
-    by similarity transforms (Cohen, A Course in Computational Algebraic
-    Number Theory, Alg. 2.2.9), pivoting per prime; a column with no pivot
-    mod some prime is already reduced there and its elimination multiplies
-    by zero.  Then char of the leading m x m block of H is
-    p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im (h_(i+1,i) ... h_(m,m-1)) p_(i-1),
-    with the subdiagonal products carried from one m to the next.  Every
-    product is of two residues below 2^31 and is reduced before it is summed.
+    The primes lie below 2^b, b = _prime_bits(n), and have a product M
+    above twice _coefficient_bound(L), so each coefficient is its residue
+    mod M taken symmetrically about 0.  They are taken in chunks of at most
+    CHUNK_BYTES of int64 residues (_charpoly_residues).
     """
     n = len(lifted)
-    primes = _primes_exceeding(2 * _coefficient_bound(lifted))
-    p1 = np.array(primes, dtype=np.int64)
-    p2, p3 = p1[:, None], p1[:, None, None]
-    if max((abs(x) for row in lifted for x in row), default=0) < 2**63:
-        h = np.array(lifted, dtype=np.int64)[None] % p3
-    else:
-        h = np.array([[[x % q for x in row] for row in lifted] for q in primes], dtype=np.int64)
-    every = np.arange(len(primes))
-    for j in range(n - 2):
-        k = j + 1
-        pivot = np.argmax(h[:, k:, j] != 0, axis=1) + k  # k where the column is zero
-        swap = every[pivot != k]
-        if swap.size:
-            r = pivot[swap]
-            h[swap, k], h[swap, r] = h[swap, r], h[swap, k]
-            h[swap, :, k], h[swap, :, r] = h[swap, :, r], h[swap, :, k]
-        inverse = [pow(v, -1, q) if v else 0 for v, q in zip(h[:, k, j].tolist(), primes)]
-        u = h[:, k + 1 :, j] * np.array(inverse, dtype=np.int64)[:, None] % p2
-        below = h[:, k + 1 :, j:]  # a view: the updates below write into h
-        below -= u[:, :, None] * h[:, k, None, j:] % p3
-        below %= p3
-        h[:, :, k] += (h[:, :, k + 1 :] * u[:, None, :] % p3).sum(axis=2)
-        h[:, :, k] %= p2
-    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)  # p_m ascending in row m
-    polys[:, 0, 0] = 1
-    suffix = np.zeros((len(primes), 0), dtype=np.int64)
-    for m in range(n):
-        nxt = np.zeros_like(polys[:, 0])
-        nxt[:, 1 : m + 2] = polys[:, m, : m + 1]
-        nxt[:, : m + 1] -= h[:, m, m, None] * polys[:, m, : m + 1] % p2
-        if m:
-            suffix = np.append(suffix, np.ones_like(p2), axis=1) * h[:, m, m - 1, None] % p2
-            weight = h[:, :m, m] * suffix % p2
-            nxt[:, :m] -= (weight[:, :, None] * polys[:, :m, :m] % p3).sum(axis=1)
-        polys[:, m + 1] = nxt % p2
+    primes = _primes_exceeding(2 * _coefficient_bound(lifted), _prime_bits(n))
+    q = primes[0]
+    assert (q + n * q * q) * (1 + n * q) < 2**63, "the lazy kernel would overflow int64"
+    try:
+        base = np.array(lifted, dtype=np.int64).reshape(n, n)
+    except OverflowError:  # an entry beyond int64: reduce it as a Python int
+        base = np.array(lifted, dtype=object).reshape(n, n)
+    step = max(1, CHUNK_BYTES // (8 * n * n or 1))
+    residues = []
+    for i in range(0, len(primes), step):
+        chunk = primes[i : i + step]
+        h = base % np.array(chunk, dtype=base.dtype)[:, None, None]
+        residues += _charpoly_residues(h.astype(np.int64, copy=False), chunk)
     modulus = prod(primes)
     weights = [modulus // q * pow(modulus // q, -1, q) for q in primes]
     coeffs = []
-    for residues in zip(*polys[:, n].tolist()):
-        v = sum(map(mul, residues, weights)) % modulus
+    for column in zip(*residues):
+        v = sum(map(mul, column, weights)) % modulus
         coeffs.append(v - modulus if v > modulus // 2 else v)
     return coeffs[::-1]
+
+
+def _charpoly_residues(h: np.ndarray, primes: list[int]) -> list[list[int]]:
+    """Ascending coefficients of det(xI - H) mod each prime, one list per prime.
+
+    h holds H mod primes[i] in h[i], is reduced to upper Hessenberg form in
+    place by similarity transforms (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.2.9), pivoting per prime; a column with
+    no pivot mod some prime is already reduced there and its elimination
+    multiplies by zero.
+
+    Reduction is delayed, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet,
+    ACM TOMS 2008).  Step j reduces only pivot row k = j + 1, the
+    multipliers u and, after the column update, column k, which is the next
+    pivot column.  The row update adds p - u times the reduced row k, less
+    than p^2 per entry, so after at most n steps every entry is below
+    p + n p^2.  The column update h[:, k] += h[:, k+1:] @ u then stays
+    below (p + n p^2)(1 + n p) < 2^63, the bound _prime_bits keeps.  The
+    entries below the subdiagonal are left as they are: nothing reads them.
+
+    Then char of the leading m x m block of H is
+    p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im (h_(i+1,i) ... h_(m,m-1)) p_(i-1),
+    with the subdiagonal products carried from one m to the next, as one
+    product of reduced residues per m and one reduction per new p_m.
+    """
+    count, n = len(primes), h.shape[1]
+    p2 = np.array(primes, dtype=np.int64)[:, None]
+    for j in range(n - 2):
+        k = j + 1
+        pivot = np.argmax(h[:, k:, j] != 0, axis=1)  # 0 where the column is zero
+        swap = np.flatnonzero(pivot)
+        if swap.size:
+            r = pivot[swap] + k
+            h[swap, k], h[swap, r] = h[swap, r], h[swap, k]
+            h[swap, :, k], h[swap, :, r] = h[swap, :, r], h[swap, :, k]
+        row = h[:, k, k:]  # views: the updates write into h
+        row %= p2
+        inverse = [pow(v, -1, q) if v else 0 for v, q in zip(h[:, k, j].tolist(), primes)]
+        u = h[:, k + 1 :, j] * np.array(inverse, dtype=np.int64)[:, None] % p2
+        h[:, k + 1 :, k:] += (p2 - u)[:, :, None] * row[:, None, :]
+        column = h[:, :, k]
+        column += np.einsum("pij,pj->pi", h[:, :, k + 1 :], u)
+        column %= p2
+    h %= p2[:, :, None]
+    polys = np.zeros((count, n + 1, n + 1), dtype=np.int64)  # p_m ascending in row m
+    polys[:, 0, 0] = 1
+    suffix = np.ones((count, n), dtype=np.int64)  # h_(i+1,i) ... h_(m,m-1) at i < m, then 1
+    for m in range(n):
+        if m:
+            suffix[:, :m] *= h[:, m, m - 1, None]
+            suffix[:, :m] %= p2
+        weight = h[:, : m + 1, m] * suffix[:, : m + 1] % p2
+        nxt = polys[:, m + 1]
+        nxt[:, : m + 1] = -np.einsum("pi,pij->pj", weight, polys[:, : m + 1, : m + 1])
+        nxt[:, 1 : m + 2] += polys[:, m, : m + 1]
+        nxt %= p2
+    return polys[:, n].tolist()
 
 
 def charpoly_exact(m: Matrix) -> Poly:

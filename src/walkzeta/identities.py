@@ -22,18 +22,37 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Matrix, Poly, poly_divexact, quadratic_charpoly
+from .exact import ExactDivisionError, Matrix, Poly, quadratic_charpoly
 from .graphs import Graph, adjacency_matrix
 from .operators import coin_weights
 
-CIRCLE = Poly((-1, 0, 1))  # x^2 - 1
+
+def _times_circle(c: list[int], k: int) -> list[int]:
+    """The integer coefficient list c times (x^2 - 1)^k, one shift by two less c per factor."""
+    for _ in range(k):
+        c = [b - a for a, b in zip(c + [0, 0], [0, 0] + c)]
+    return c
 
 
 def apply_circle_prefactor(det_poly: Poly, exponent: int) -> Poly:
-    """Multiply by (x^2 - 1)**exponent; negative exponents divide exactly."""
-    if exponent >= 0:
-        return det_poly * CIRCLE**exponent
-    return poly_divexact(det_poly, CIRCLE ** (-exponent))
+    """Multiply by (x^2 - 1)**exponent; negative exponents divide exactly.
+
+    Works on one integer lift c / s of the coefficients.  Each division by
+    x^2 - 1 is synthetic: from the top down c_k adds into c_(k-2), the
+    quotient is what sits above the two lowest places, and those two must
+    be zero, or ExactDivisionError is raised.
+    """
+    lifted = Matrix([det_poly.coeffs])
+    (c,), scale = lifted.ints, lifted.scale
+    c = _times_circle(c, exponent)
+    for _ in range(-exponent):
+        for k in range(len(c) - 1, 1, -1):
+            c[k - 2] += c[k]
+        if any(c[:2]):
+            circle = Poly(_times_circle([1], -exponent))
+            raise ExactDivisionError("inexact polynomial division", det_poly.divmod(circle)[1])
+        c = c[2:]
+    return Poly([Fraction(x, scale) for x in c])
 
 
 def vertex_determinant(g: Graph, weights: Sequence) -> Poly:

@@ -12,7 +12,6 @@ from walkzeta.exact import (
     Matrix,
     Poly,
     charpoly_exact,
-    poly_divexact,
     poly_gcd,
     quadratic_charpoly,
     square_free_decomposition,
@@ -70,17 +69,6 @@ def test_poly_divmod():
     assert q == X**2 - X + 1 and r.is_zero()
     q, r = (X**2 + 1).divmod(X - 1)
     assert q == X + 1 and r == Poly((2,))
-
-
-def test_divexact_fixtures():
-    circle = X**2 - 1
-    assert poly_divexact(circle**2, circle) == circle
-    # tree closed form: degree-4 walk determinant divided by one circle factor
-    lhs = (X - 1) ** 2 * (X + 1) ** 2 * (X**2 + 1)
-    assert poly_divexact(lhs, circle) == X**4 - 1
-    with pytest.raises(ExactDivisionError) as err:
-        poly_divexact(X**2 + 1, X - 1)
-    assert err.value.remainder == Poly((2,))
 
 
 def test_poly_gcd():
@@ -390,13 +378,40 @@ def test_hessenberg_kernel_special_matrices():
 
 
 def test_hessenberg_pivot_vanishing_mod_first_prime():
-    first = exact._primes_exceeding(1)[0]
+    bits = exact._prime_bits(HESSENBERG_MIN_DIM)  # the primes the kernel uses at this size
+    first = exact._primes_exceeding(1, bits)[0]
     rng = random.Random(37)
     rows = [[rng.randint(1, 9) for _ in range(HESSENBERG_MIN_DIM)] for _ in range(HESSENBERG_MIN_DIM)]
     rows[1][0] = first  # the first subdiagonal entry is 0 mod the first prime only
     m = Matrix(rows)
-    assert exact._primes_exceeding(2 * exact._coefficient_bound(rows))[0] == first
+    assert exact._primes_exceeding(2 * exact._coefficient_bound(rows), bits)[0] == first
     _check_kernels_agree(m)
+
+
+def test_lazy_kernel_at_the_prime_size_boundary():
+    # 63 rows take primes below 2^17 and 64 rows primes below 2^16: at both
+    # sizes the delayed reduction runs closest to the int64 bound.  Entries
+    # of -1 sit at p - 1 under every prime.
+    assert [exact._prime_bits(n) for n in (22, 23, 63, 64, 181, 182)] == [18, 17, 17, 16, 16, 15]
+    rng = random.Random(41)
+    for n in (63, 64):
+        bits = exact._prime_bits(n)
+        q = exact._primes_exceeding(1, bits)[0]
+        assert 2 ** (bits - 1) < q < 2**bits and (q + n * q * q) * (1 + n * q) < 2**63
+        signs = [[rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)]
+        minus_ones = [[-1] * n for _ in range(n)]
+        for rows in (signs, minus_ones):
+            _check_kernels_agree(Matrix(rows))
+        assert charpoly_exact(Matrix(minus_ones)) == X ** (n - 1) * (X + n)
+
+
+def test_primes_exceeding_stops_at_three():
+    assert exact._primes_exceeding(1000, 4) == [13, 11, 7]
+    assert exact._primes_exceeding(15014, 4) == [13, 11, 7, 5, 3]
+    with pytest.raises(ValueError):
+        exact._primes_exceeding(15015, 4)
+    with pytest.raises(ValueError):
+        exact._primes_exceeding(3, 2)
 
 
 def test_hessenberg_kernel_on_hadamard_matrix():
@@ -414,15 +429,18 @@ def test_coefficient_bound_and_primes_on_corpus_operators():
     from walkzeta.experiments import builtin_corpus
     from walkzeta.operators import TARGETS, operator_matrix
 
-    largest = 0
+    largest = dim = 0
     for entry in builtin_corpus():
         for target in TARGETS:
             lifted = operator_matrix(entry.graph, target).ints
             bound = exact._coefficient_bound(lifted)
             top = max(abs(c) for c in exact._berkowitz(lifted))
             assert top <= bound and top.bit_length() <= bound.bit_length(), (entry.name, target)
-            largest = max(largest, bound)
-    primes = exact._primes_exceeding(2 * largest)
+            if bound > largest:
+                largest, dim = bound, len(lifted)
+    bits = exact._prime_bits(dim)  # the primes the kernel uses for that operator
+    primes = exact._primes_exceeding(2 * largest, bits)
     assert len(set(primes)) == len(primes) > 1
     for q in primes:
-        assert 2**30 < q < 2**31 and q % 2 and all(q % d for d in range(3, isqrt(q) + 1, 2))
+        assert 2 ** (bits - 1) < q < 2**bits
+        assert q % 2 and all(q % d for d in range(3, isqrt(q) + 1, 2))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,8 +54,21 @@ def test_apply_circle_prefactor():
     assert apply_circle_prefactor(p, 0) == p
     assert apply_circle_prefactor(p, 2) == p * (X**2 - 1) ** 2
     assert apply_circle_prefactor(p * (X**2 - 1), -1) == p
+    # tree closed form: degree-6 walk determinant divided by one circle factor
+    assert apply_circle_prefactor((X - 1) ** 2 * (X + 1) ** 2 * (X**2 + 1), -1) == X**4 - 1
     with pytest.raises(ExactDivisionError):
         apply_circle_prefactor(X**3 + 1, -1)
+    half = Poly.constant(Fraction(1, 2))
+    assert apply_circle_prefactor(half, 0) == half
+    assert apply_circle_prefactor(half, 3) == half * (X**2 - 1) ** 3
+    assert apply_circle_prefactor(half * (X**2 - 1) ** 2, -2) == half
+    with pytest.raises(ExactDivisionError) as err:
+        apply_circle_prefactor(half, -1)
+    assert err.value.remainder == half
+    with pytest.raises(ExactDivisionError) as err:
+        apply_circle_prefactor((X**2 - 1) * (X + 1), -2)
+    assert err.value.remainder == (X**2 - 1) * (X + 1)
+    assert apply_circle_prefactor(Poly.zero(), -2) == Poly.zero()
 
 
 def test_path3_tree_division():
