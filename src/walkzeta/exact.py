@@ -8,15 +8,18 @@ result is exact.  ``poly_gcd`` and ``square_free_decomposition`` (Yun
 1976) run on primitive integer coefficient lists: each divisor is a
 primitive gcd, so each quotient is integral by Gauss's lemma, and only the
 returned factors are made monic Fraction polynomials.  There is one
-determinant kernel, ``charpoly_exact``, which reads L and s and takes one
-of two paths, split at HESSENBERG_MIN_DIM = 13 rows:
+determinant kernel, ``charpolys_exact``, for a batch of matrices of one
+size; ``charpoly_exact`` is a batch of one.  It reads each L and s and
+takes one of two paths, split at HESSENBERG_MIN_DIM = 13 rows:
 
-- below 13 rows, Berkowitz's division-free algorithm in Python ints;
+- below 13 rows, Berkowitz's division-free algorithm in Python ints, one
+  matrix at a time;
 - from 13 rows on, Hessenberg reduction mod primes sized from n (17 bits
-  for 23-63 rows, 16 for 64-181, 15 for 182-511), many primes at once in
-  one numpy int64 array, reducing O(n) entries per elimination step while
-  the rest stay under a proven int64 bound, then CRT under a proven
-  Hadamard bound on the coefficients.
+  for 23-63 rows, 16 for 64-181, 15 for 182-511), the (matrix mod prime)
+  slices of the whole batch at once in one numpy int64 array, each matrix
+  with its own primes, reducing O(n) entries per elimination step while
+  the rest stay under a proven int64 bound, then one CRT per matrix under
+  a proven Hadamard bound on its coefficients.
 
 Berkowitz costs O(n^4) big-integer operations, the numpy kernel O(n^3)
 word operations per prime plus a fixed cost of some 0.3 ms per call.
@@ -25,8 +28,8 @@ numpy 2.4) the two are level at 12 rows; the numpy kernel is 3.3-3.4
 times slower at 6 rows and 8-50 times faster at 40-96, and most closed
 forms of small graphs fall below the crossover.
 
-Every determinant the package needs is fed to ``charpoly_exact`` as one
-constant matrix.  An arc-level determinant det(I - tM) is the coefficient
+Every determinant the package needs is fed to the kernel as one constant
+matrix.  An arc-level determinant det(I - tM) is the coefficient
 reversal of char(M), and a vertex-level quadratic determinant
 det(x^2 I - xA + C) is the characteristic polynomial of the 2n x 2n
 linearisation [[A, -C], [I, 0]] (``quadratic_charpoly``), as in the proofs
@@ -36,9 +39,9 @@ of the Ihara-Bass formula by Bass (1992) and Kotani-Sunada (2000).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby, islice
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -532,35 +535,49 @@ def _coefficient_bound(lifted: list[list[int]]) -> int:
     return prod(isqrt(sum(x * x for x in row)) + 2 for row in lifted)
 
 
-def _hessenberg_charpoly(lifted: list[list[int]]) -> list[int]:
-    """Descending coefficients of det(xI - L), multimodular, for an integer L.
+def _hessenberg_charpolys(batch: list[list[list[int]]]) -> list[list[int]]:
+    """Descending coefficients of det(xI - L) for each integer L of one size, multimodular.
 
-    The primes lie below 2^b, b = _prime_bits(n), and have a product M
-    above twice _coefficient_bound(L), so each coefficient is its residue
-    mod M taken symmetrically about 0.  They are taken in chunks of at most
-    CHUNK_BYTES of int64 residues (_charpoly_residues).
+    Each L takes its own primes below 2^b, b = _prime_bits(n), with a
+    product M above twice _coefficient_bound(L), so each of its
+    coefficients is its residue mod M taken symmetrically about 0.  The
+    (L mod p) slices of the whole batch are stacked and taken in chunks of
+    at most CHUNK_BYTES of int64 residues (_charpoly_residues); each L then
+    gets its own CRT.
     """
-    n = len(lifted)
-    primes = _primes_exceeding(2 * _coefficient_bound(lifted), _prime_bits(n))
-    q = primes[0]
+    n = len(batch[0])
+    bits = _prime_bits(n)
+    primes = [_primes_exceeding(2 * _coefficient_bound(lifted), bits) for lifted in batch]
+    q = primes[0][0]  # the largest prime below 2^bits, the first of every list
     assert (q + n * q * q) * (1 + n * q) < 2**63, "the lazy kernel would overflow int64"
-    try:
-        base = np.array(lifted, dtype=np.int64).reshape(n, n)
-    except OverflowError:  # an entry beyond int64: reduce it as a Python int
-        base = np.array(lifted, dtype=object).reshape(n, n)
+    bases = []
+    for lifted in batch:
+        try:
+            bases.append(np.array(lifted, dtype=np.int64).reshape(n, n))
+        except OverflowError:  # an entry beyond int64: reduce it as a Python int
+            bases.append(np.array(lifted, dtype=object).reshape(n, n))
+    slices = [(i, q) for i, ps in enumerate(primes) for q in ps]
     step = max(1, CHUNK_BYTES // (8 * n * n or 1))
     residues = []
-    for i in range(0, len(primes), step):
-        chunk = primes[i : i + step]
-        h = base % np.array(chunk, dtype=base.dtype)[:, None, None]
-        residues += _charpoly_residues(h.astype(np.int64, copy=False), chunk)
-    modulus = prod(primes)
-    weights = [modulus // q * pow(modulus // q, -1, q) for q in primes]
-    coeffs = []
-    for column in zip(*residues):
-        v = sum(map(mul, column, weights)) % modulus
-        coeffs.append(v - modulus if v > modulus // 2 else v)
-    return coeffs[::-1]
+    for s in range(0, len(slices), step):
+        chunk = slices[s : s + step]
+        parts = [  # one vectorised reduction per matrix in the chunk
+            bases[i] % np.array([q for _, q in group], dtype=bases[i].dtype)[:, None, None]
+            for i, group in groupby(chunk, key=itemgetter(0))
+        ]
+        h = np.concatenate(parts).astype(np.int64, copy=False)
+        residues += _charpoly_residues(h, [q for _, q in chunk])
+    residues = iter(residues)
+    out = []
+    for ps in primes:
+        modulus = prod(ps)
+        weights = [modulus // q * pow(modulus // q, -1, q) for q in ps]
+        coeffs = []
+        for column in zip(*islice(residues, len(ps))):
+            v = sum(map(mul, column, weights)) % modulus
+            coeffs.append(v - modulus if v > modulus // 2 else v)
+        out.append(coeffs[::-1])
+    return out
 
 
 def _charpoly_residues(h: np.ndarray, primes: list[int]) -> list[list[int]]:
@@ -568,9 +585,10 @@ def _charpoly_residues(h: np.ndarray, primes: list[int]) -> list[list[int]]:
 
     h holds H mod primes[i] in h[i], is reduced to upper Hessenberg form in
     place by similarity transforms (Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 2.2.9), pivoting per prime; a column with
-    no pivot mod some prime is already reduced there and its elimination
-    multiplies by zero.
+    Algebraic Number Theory, Alg. 2.2.9), pivoting per prime; the pivot
+    search runs only at a step where some pivot is 0, and a column with no
+    pivot mod some prime is already reduced there and its elimination
+    multiplies by zero.  h may hold slices of several matrices.
 
     Reduction is delayed, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet,
     ACM TOMS 2008).  Step j reduces only pivot row k = j + 1, the
@@ -590,15 +608,18 @@ def _charpoly_residues(h: np.ndarray, primes: list[int]) -> list[list[int]]:
     p2 = np.array(primes, dtype=np.int64)[:, None]
     for j in range(n - 2):
         k = j + 1
-        pivot = np.argmax(h[:, k:, j] != 0, axis=1)  # 0 where the column is zero
-        swap = np.flatnonzero(pivot)
-        if swap.size:
-            r = pivot[swap] + k
-            h[swap, k], h[swap, r] = h[swap, r], h[swap, k]
-            h[swap, :, k], h[swap, :, r] = h[swap, :, r], h[swap, :, k]
+        pivots = h[:, k, j].tolist()  # column j is reduced, so a 0 here is 0 mod p
+        if 0 in pivots:
+            pivot = np.argmax(h[:, k:, j] != 0, axis=1)  # 0 where the column is zero
+            swap = np.flatnonzero(pivot)
+            if swap.size:
+                r = pivot[swap] + k
+                h[swap, k], h[swap, r] = h[swap, r], h[swap, k]
+                h[swap, :, k], h[swap, :, r] = h[swap, :, r], h[swap, :, k]
+                pivots = h[:, k, j].tolist()
         row = h[:, k, k:]  # views: the updates write into h
         row %= p2
-        inverse = [pow(v, -1, q) if v else 0 for v, q in zip(h[:, k, j].tolist(), primes)]
+        inverse = [pow(v, -1, q) if v else 0 for v, q in zip(pivots, primes)]
         u = h[:, k + 1 :, j] * np.array(inverse, dtype=np.int64)[:, None] % p2
         h[:, k + 1 :, k:] += (p2 - u)[:, :, None] * row[:, None, :]
         column = h[:, :, k]
@@ -620,21 +641,37 @@ def _charpoly_residues(h: np.ndarray, primes: list[int]) -> list[list[int]]:
     return polys[:, n].tolist()
 
 
-def charpoly_exact(m: Matrix) -> Poly:
-    """det(xI - M), monic of degree m.rows.
+def charpolys_exact(matrices: Sequence[Matrix]) -> list[Poly]:
+    """det(xI - M) for each M of a batch of square matrices of one size.
 
     M is L / s with L = m.ints and s = m.scale; char(L) comes from
-    Berkowitz below HESSENBERG_MIN_DIM rows and from the multimodular
-    Hessenberg kernel from there on, and char(M)(x) = s^-n char(L)(sx).
+    Berkowitz, one matrix at a time, below HESSENBERG_MIN_DIM rows and from
+    one batched multimodular Hessenberg kernel call from there on, and
+    char(M)(x) = s^-n char(L)(sx).  Each result is monic of degree n.
     """
-    if not m.is_square:
+    if any(not m.is_square for m in matrices):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    kernel = _berkowitz if m.rows < HESSENBERG_MIN_DIM else _hessenberg_charpoly
-    p = kernel(m.ints)
-    poly = Poly([Fraction(c, m.scale**i) for i, c in enumerate(p)][::-1])
-    if poly.degree != m.rows or poly.leading() != 1:
-        raise AssertionError("characteristic polynomial is malformed")
-    return poly
+    if len({m.rows for m in matrices}) > 1:
+        raise ValueError("a batch of characteristic polynomials needs matrices of one size")
+    if not matrices:
+        return []
+    lifted = [m.ints for m in matrices]
+    if matrices[0].rows < HESSENBERG_MIN_DIM:
+        lists = [_berkowitz(ints) for ints in lifted]
+    else:
+        lists = _hessenberg_charpolys(lifted)
+    polys = []
+    for m, p in zip(matrices, lists):
+        poly = Poly([Fraction(c, m.scale**i) for i, c in enumerate(p)][::-1])
+        if poly.degree != m.rows or poly.leading() != 1:
+            raise AssertionError("characteristic polynomial is malformed")
+        polys.append(poly)
+    return polys
+
+
+def charpoly_exact(m: Matrix) -> Poly:
+    """det(xI - M), monic of degree m.rows: a batch of one for charpolys_exact."""
+    return charpolys_exact([m])[0]
 
 
 def quadratic_charpoly(a: Matrix, c: Sequence) -> Poly:

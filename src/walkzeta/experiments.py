@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import Poly, charpoly_exact
+from .exact import Poly, charpoly_exact, charpolys_exact
 from .graphs import Graph
 from .identities import (
     charpoly_support_via_adjacency_form,
@@ -417,14 +417,20 @@ def srg_distinguish(g: Graph, h: Graph) -> DistinguishResult:
 
     Levels: 0 adjacency, 1 support of U, 2 support of U^2, 3 support of
     U^3, compared by exact characteristic polynomial.  Returns level None
-    when all four agree.
+    when all four agree.  Level 1 comes from the closed form
+    ``charpoly_support_via_adjacency_form``, a 2n-row charpoly instead of a
+    2m-row one: on a simple graph of minimum degree 2 the support of U is
+    the pattern of (B - J0)^T.  Each other level is one ``charpolys_exact``
+    call on both graphs' matrices.
     """
     _check_srg_hypotheses(g, "left graph")
     _check_srg_hypotheses(h, "right graph")
     charpolys: dict[str, tuple[list[str], list[str]]] = {}
     for idx, (name, target) in enumerate(DISTINGUISH_LEVELS):
-        left = charpoly_exact(operator_matrix(g, target))
-        right = charpoly_exact(operator_matrix(h, target))
+        if target == "U+":
+            left, right = charpoly_support_via_adjacency_form(g), charpoly_support_via_adjacency_form(h)
+        else:
+            left, right = charpolys_exact([operator_matrix(g, target), operator_matrix(h, target)])
         charpolys[name] = (left.to_strings(), right.to_strings())
         if left != right:
             return DistinguishResult(idx, name, charpolys)

@@ -319,7 +319,7 @@ def _kernel_poly(kernel, m):
 
 
 def _check_kernels_agree(m):
-    coeffs = exact._hessenberg_charpoly(m.ints)
+    (coeffs,) = exact._hessenberg_charpolys([m.ints])
     assert coeffs == exact._berkowitz(m.ints)
     return coeffs
 
@@ -339,7 +339,8 @@ def test_hessenberg_kernel_matches_berkowitz_and_faddeev_leverrier():
         for m in _random_kernel_inputs(rng, n):
             _check_kernels_agree(m)
             if n <= 8:
-                assert _kernel_poly(exact._hessenberg_charpoly, m) == faddeev_leverrier(m)
+                hessenberg = lambda ints: exact._hessenberg_charpolys([ints])[0]
+                assert _kernel_poly(hessenberg, m) == faddeev_leverrier(m)
             assert charpoly_exact(m) == _kernel_poly(exact._berkowitz, m)
 
 
@@ -386,6 +387,46 @@ def test_hessenberg_pivot_vanishing_mod_first_prime():
     m = Matrix(rows)
     assert exact._primes_exceeding(2 * exact._coefficient_bound(rows), bits)[0] == first
     _check_kernels_agree(m)
+
+
+def _mixed_batch(rng, n):
+    """n x n matrices of every kind the kernel meets, n even and >= 8."""
+    from walkzeta.graphs import Graph
+    from walkzeta.operators import positive_support, transition_matrix
+
+    e = n // 2  # a cycle on e - 1 vertices with one pendant edge: 2e = n arcs
+    tadpole = Graph(e, tuple((i, (i + 1) % (e - 1)) for i in range(e - 1)) + ((0, e - 1),))
+    u = transition_matrix(tadpole)
+    assert u.rows == n and u.scale == 3
+    first = exact._primes_exceeding(1, exact._prime_bits(n))[0]
+    pivot = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+    pivot[1][0] = first  # the first subdiagonal entry is 0 mod the first prime only
+    huge = [[rng.randint(2**63, 2**70) * rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)]
+    return [u, positive_support(u), Matrix(pivot), Matrix(huge), *_random_kernel_inputs(rng, n)]
+
+
+def test_charpolys_exact_matches_one_matrix_at_a_time(monkeypatch):
+    rng = random.Random(43)
+    for n in (8, HESSENBERG_MIN_DIM - 1, 16, 24):
+        batch = _mixed_batch(rng, n)
+        singles = [charpoly_exact(m) for m in batch]
+        assert singles == [_kernel_poly(exact._berkowitz, m) for m in batch]
+        assert exact.charpolys_exact(batch) == singles
+        if n >= HESSENBERG_MIN_DIM:
+            # chunks of one, two and three slices, which cut across matrices
+            for slices in (1, 2, 3):
+                monkeypatch.setattr(exact, "CHUNK_BYTES", slices * 8 * n * n)
+                assert exact.charpolys_exact(batch) == singles
+            monkeypatch.undo()
+    assert exact.charpolys_exact([]) == []
+
+
+def test_charpolys_exact_rejects_mixed_and_non_square_batches():
+    square = Matrix([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="one size"):
+        exact.charpolys_exact([square, Matrix([[1]])])
+    with pytest.raises(ValueError, match="non-square"):
+        exact.charpolys_exact([square, Matrix([[1, 2]])])
 
 
 def test_lazy_kernel_at_the_prime_size_boundary():

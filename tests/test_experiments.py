@@ -4,8 +4,11 @@ import random
 import networkx as nx
 import pytest
 
+from walkzeta.exact import charpoly_exact
 from walkzeta.graphs import Graph, parse_graph6
 from walkzeta.graphs import encode_graph6
+from walkzeta.identities import charpoly_support_via_adjacency_form
+from walkzeta.operators import operator_matrix
 from walkzeta.experiments import (
     ROOK_4X4_G6,
     SHRIKHANDE_G6,
@@ -200,6 +203,28 @@ def test_distinguish_self_is_indistinct():
     }
     doc = result.to_dict()
     assert doc["distinguished"] is False
+
+
+# The cospectral connected 4-regular pairs of the distinguish-cospectral
+# benchmark workload: like Shrikhande and the 4x4 rook graph, they agree
+# through support(U^2) and first separate at support(U^3).
+COSPECTRAL_PAIRS = (
+    ("I[?i~`KeG", "IH^E_mg`W"),
+    ("INQKzA`BW", "IJ_[G~ay?"),
+    ("KJ_aGjgb_UQH", "K[l_GdG`_bg["),
+)
+
+
+@pytest.mark.parametrize("pair", COSPECTRAL_PAIRS)
+def test_cospectral_pairs_separate_at_support_u3(pair):
+    g, h = (parse_graph6(g6) for g6 in pair)
+    result = srg_distinguish(g, h)
+    assert (result.level, result.level_name) == (3, "support_u3")
+    # level 1 is the closed form; check it against the 2m-row charpolys of U+
+    for x, strings in zip((g, h), result.charpolys["support_u"]):
+        direct = charpoly_exact(operator_matrix(x, "U+"))
+        assert charpoly_support_via_adjacency_form(x) == direct
+        assert strings == direct.to_strings()
 
 
 def test_distinguish_invariant_under_relabeling():

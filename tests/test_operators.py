@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from walkzeta import experiments
+from walkzeta import exact, experiments
 from walkzeta.exact import Matrix, Poly, charpoly_exact, quadratic_charpoly
 from walkzeta.graphs import Graph, adjacency_matrix
 from walkzeta.identities import vertex_determinant
@@ -275,24 +275,31 @@ def test_operator_matrix_table_and_distinguish_levels(monkeypatch):
     with pytest.raises(ValueError):
         operator_matrix(complete_graph(4), "U4+")
 
-    # Each level's charpoly is charpoly_exact of that level's target matrix:
-    # record what srg_distinguish feeds the kernel, so the 96-dim charpolys
-    # are computed once.
+    # Levels 0, 2 and 3 are one charpolys_exact call on both graphs'
+    # operator_matrix results, and level 1 is the closed form, whose kernel
+    # calls are 2n-row linearisations, one per graph.  Record every batch the
+    # kernel is fed, from srg_distinguish and through charpoly_exact alike.
     fed = []
+    batched = exact.charpolys_exact
 
-    def recording_charpoly(m):
-        fed.append((m, charpoly_exact(m)))
+    def recording_charpolys(matrices):
+        fed.append((matrices, batched(matrices)))
         return fed[-1][1]
 
-    monkeypatch.setattr(experiments, "charpoly_exact", recording_charpoly)
+    monkeypatch.setattr(experiments, "charpolys_exact", recording_charpolys)
+    monkeypatch.setattr(exact, "charpolys_exact", recording_charpolys)
     g, h = shrikhande_graph(), rook_graph_4x4()
     result = srg_distinguish(g, h)
+    monkeypatch.undo()
     assert result.level_name == "support_u3"
-    assert len(fed) == 2 * len(experiments.DISTINGUISH_LEVELS)
-    for idx, (name, target) in enumerate(experiments.DISTINGUISH_LEVELS):
-        (m_g, p_g), (m_h, p_h) = fed[2 * idx : 2 * idx + 2]
-        assert m_g == operator_matrix(g, target) and m_h == operator_matrix(h, target), name
-        assert result.charpolys[name] == (p_g.to_strings(), p_h.to_strings()), name
+    assert [[m.rows for m in matrices] for matrices, _ in fed] == [[16, 16], [32], [32], [96, 96], [96, 96]]
+    levels = dict(experiments.DISTINGUISH_LEVELS)
+    for name, (matrices, polys) in zip(("adjacency", "support_u2", "support_u3"), fed[:1] + fed[3:]):
+        assert matrices == [operator_matrix(g, levels[name]), operator_matrix(h, levels[name])], name
+        assert result.charpolys[name] == tuple(p.to_strings() for p in polys), name
+    # the closed form at level 1 against the 96-row charpolys of U+
+    direct = tuple(charpoly_exact(operator_matrix(x, "U+")).to_strings() for x in (g, h))
+    assert result.charpolys["support_u"] == direct
 
 
 @settings(max_examples=50, deadline=None)
