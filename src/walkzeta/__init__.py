@@ -5,7 +5,6 @@ from .exact import (
     Matrix,
     Poly,
     charpoly_exact,
-    charpolys_exact,
     poly_gcd,
     quadratic_charpoly,
     square_free_decomposition,

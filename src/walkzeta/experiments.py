@@ -421,7 +421,8 @@ def srg_distinguish(g: Graph, h: Graph) -> DistinguishResult:
     ``charpoly_support_via_adjacency_form``, a 2n-row charpoly instead of a
     2m-row one: on a simple graph of minimum degree 2 the support of U is
     the pattern of (B - J0)^T.  Each other level is one ``charpolys_exact``
-    call on both graphs' matrices.
+    call on both graphs' matrices, except level 0 of graphs of different
+    orders, whose adjacency matrices differ in size.
     """
     _check_srg_hypotheses(g, "left graph")
     _check_srg_hypotheses(h, "right graph")
@@ -430,7 +431,9 @@ def srg_distinguish(g: Graph, h: Graph) -> DistinguishResult:
         if target == "U+":
             left, right = charpoly_support_via_adjacency_form(g), charpoly_support_via_adjacency_form(h)
         else:
-            left, right = charpolys_exact([operator_matrix(g, target), operator_matrix(h, target)])
+            ms = [operator_matrix(g, target), operator_matrix(h, target)]
+            # one batch when the sizes agree; only level 0 of graphs of different orders differs
+            left, right = charpolys_exact(ms) if ms[0].rows == ms[1].rows else map(charpoly_exact, ms)
         charpolys[name] = (left.to_strings(), right.to_strings())
         if left != right:
             return DistinguishResult(idx, name, charpolys)

@@ -188,6 +188,9 @@ def test_distinguish_text_and_selfmatch(capsys):
     assert "indistinct" in out
     code, out, _ = run_cli(capsys, "distinguish", "K4", "C4", "--format", "text")
     assert "distinguished at level 0 (adjacency)" in out
+    code, out, _ = run_cli(capsys, "distinguish", "petersen", "C5", "--format", "text")
+    assert code == 0  # 10 against 5 vertices
+    assert "distinguished at level 0 (adjacency)" in out
 
 
 def test_distinguish_specs_file_and_literal(capsys, tmp_path):

@@ -227,6 +227,16 @@ def test_cospectral_pairs_separate_at_support_u3(pair):
         assert strings == direct.to_strings()
 
 
+def test_distinguish_graphs_of_different_sizes():
+    # 10 against 5 vertices: the adjacency matrices differ in size
+    result = srg_distinguish(petersen_graph(), cycle_graph(5))
+    assert (result.level, result.level_name) == (0, "adjacency")
+    left, right = result.charpolys["adjacency"]
+    assert left == charpoly_exact(operator_matrix(petersen_graph(), "A")).to_strings()
+    assert right == charpoly_exact(operator_matrix(cycle_graph(5), "A")).to_strings()
+    assert (len(left), len(right)) == (11, 6)
+
+
 def test_distinguish_invariant_under_relabeling():
     base = complete_bipartite_graph(3, 3)
     rng = random.Random(3)
