@@ -1,16 +1,16 @@
 """Exact rational linear algebra: polynomials, matrices, one determinant kernel.
 
-``Poly`` holds arbitrary-precision rational coefficients
-(``fractions.Fraction``).  ``Matrix`` holds integer rows L over one
-positive scale s, the lcm of its entries' denominators, made once when
-the matrix is built; M = L / s.  The kernels work in Python ints, so every
-result is exact.  ``poly_gcd`` and ``square_free_decomposition`` (Yun
-1976) run on primitive integer coefficient lists: each divisor is a
-primitive gcd, so each quotient is integral by Gauss's lemma, and only the
-returned factors are made monic Fraction polynomials.  There is one
-determinant kernel, ``charpolys_exact``, for a batch of matrices of one
-size; ``charpoly_exact`` is a batch of one.  It reads each L and s and
-takes one of two paths, split at HESSENBERG_MIN_DIM = 13 rows:
+Both types hold integers over one positive scale, made canonical once
+when built.  ``Poly`` holds ascending integer coefficients ``ints`` over a
+``scale``, p = ints / scale; ``Matrix`` holds integer rows L over a scale
+s, M = L / s.  The kernels work in Python ints, so every result is exact.
+``square_free_decomposition`` (Yun 1976) runs on primitive integer
+coefficient lists: each divisor is a primitive gcd, so each quotient is
+integral by Gauss's lemma, and each returned factor a is the monic
+a / lead(a).  There is one determinant kernel, ``charpolys_exact``, for
+a batch of matrices of one size; ``charpoly_exact`` is a batch of one.
+It reads each L and s and takes one of two paths, split at
+HESSENBERG_MIN_DIM = 13 rows:
 
 - below 13 rows, Berkowitz's division-free algorithm in Python ints, one
   matrix at a time;
@@ -54,161 +54,77 @@ class ExactDivisionError(ArithmeticError):
         super().__init__(f"{message}; remainder {remainder!r}")
         self.remainder = remainder
 
+    @classmethod
+    def dividing(cls, a: list[int], b: list[int], scale: int = 1) -> "ExactDivisionError":
+        """The error for (a / scale) / b, a and b integer lists, b nonzero.
+
+        After the k steps of the pseudo-division lead(b)^k a = qb + r, so
+        the remainder in Q[x] is r / (scale lead(b)^k), in integers.
+        """
+        rem, steps = _int_pseudo_rem(a, b)
+        d = scale * b[-1] ** steps
+        remainder = Poly.from_ints(rem if d > 0 else [-x for x in rem], abs(d))
+        return cls("inexact polynomial division", remainder)
+
 
 class Poly:
-    """Univariate polynomial over the rationals.
+    """Univariate polynomial over the rationals: integer ``ints`` over one positive ``scale``.
 
-    Coefficients are stored ascending (``coeffs[k]`` multiplies ``x**k``)
-    with no trailing zeros.  The zero polynomial has an empty tuple and
-    degree -1.  Instances are immutable and hashable.
+    Coefficient k, of x**k, is ints[k] / scale; ints has no trailing zeros,
+    and the pair is canonical as in ``Matrix``: no prime divides scale and
+    every coefficient, so the zero polynomial, with empty ints and degree
+    -1, has scale 1.  ``Poly(rationals)`` lifts ascending rationals;
+    ``from_ints`` takes integers over a scale and reduces them.  Instances
+    are immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "scale")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        (ints,), scale = _lift([coeffs])
+        self._fill(ints, scale)
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
+    def from_ints(cls, ints: Iterable[int], scale: int = 1) -> "Poly":
+        """The polynomial ints / scale, for ascending Python ints and a positive scale."""
+        (ints,), scale = _reduced([list(ints)], scale)
+        p = cls.__new__(cls)
+        p._fill(ints, scale)
+        return p
 
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
+    def _fill(self, ints: list[int], scale: int):
+        while ints and ints[-1] == 0:
+            ints.pop()
+        self.ints, self.scale = tuple(ints), scale
 
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending, computed afresh on each read."""
+        return tuple(Fraction(c, self.scale) for c in self.ints)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return not self.ints
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == Poly.constant(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other) -> "Poly":
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "Poly":
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
+            other = Poly([other])
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        return self.scale == other.scale and self.ints == other.ints
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __call__(self, x):
-        """Evaluate by Horner's rule; works for Fraction, float or complex."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            raise ValueError("cannot normalize the zero polynomial")
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return self * (Fraction(1) / lead)
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact rational polynomial division with remainder."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        inv_lead = Fraction(1) / other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(quo), Poly(rem[: other.degree if other.degree > 0 else 0])
+    def __hash__(self):
+        return hash((self.scale, self.ints))
 
     def reversed(self) -> "Poly":
         """x^deg p(1/x): the coefficients read back to front."""
-        return Poly(self.coeffs[::-1])
+        return Poly.from_ints(self.ints[::-1], self.scale)
 
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -234,15 +150,7 @@ class Poly:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"Poly({[str(c) for c in self.coeffs]})"
-
-
-def _as_poly(value):
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly.constant(value)
-    return None
+        return f"Poly({self.to_strings()})"
 
 
 def _lift(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
@@ -253,10 +161,14 @@ def _lift(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
-def _int_coeffs(p: Poly) -> list[int]:
-    """Primitive integer coefficient list with positive leading coefficient."""
-    (ints,), _ = _lift([p.coeffs])
-    return _int_primitive(ints)
+def _reduced(rows: list[list[int]], scale: int) -> tuple[list[list[int]], int]:
+    """Integer rows over a positive scale, divided by their gcd with the scale."""
+    if scale < 1:
+        raise ValueError(f"scale must be a positive int, got {scale}")
+    g = gcd(scale, *chain.from_iterable(rows)) if scale > 1 else 1
+    if g > 1:
+        rows, scale = [[x // g for x in row] for row in rows], scale // g
+    return rows, scale
 
 
 def _int_primitive(ints: list[int]) -> list[int]:
@@ -272,11 +184,16 @@ def _int_primitive(ints: list[int]) -> list[int]:
     return ints
 
 
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of primitive integer polynomials (b nonzero)."""
+def _int_pseudo_rem(a: list[int], b: list[int]) -> tuple[list[int], int]:
+    """(r, k): the pseudo-remainder r of integer polynomials (b nonzero) after k steps.
+
+    Each step multiplies by lead(b), so lead(b)^k a = qb + r.
+    """
     rem = list(a)
     lead_b = b[-1]
+    steps = 0
     while len(rem) >= len(b) and rem:
+        steps += 1
         shift = len(rem) - len(b)
         lead_r = rem[-1]
         if lead_b != 1:
@@ -284,7 +201,7 @@ def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
         rem[shift:] = [c * lead_b - lead_r * v for c, v in zip(rem[shift:], b)]
         while rem and rem[-1] == 0:
             rem.pop()
-    return rem
+    return rem, steps
 
 
 def _int_gcd(a: list[int], b: list[int]) -> list[int]:
@@ -294,7 +211,7 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     """
     x, y = _int_primitive(list(a)), _int_primitive(list(b))
     while y:
-        x, y = y, _int_primitive(_int_pseudo_rem(x, y))
+        x, y = y, _int_primitive(_int_pseudo_rem(x, y)[0])
     return x
 
 
@@ -319,7 +236,7 @@ def _int_divexact(a: list[int], b: list[int]) -> list[int]:
     else:
         if not any(rem[:tail]):
             return quo
-    raise ExactDivisionError("inexact polynomial division", Poly(a).divmod(Poly(b))[1])
+    raise ExactDivisionError.dividing(a, b)
 
 
 def _int_derivative(a: list[int]) -> list[int]:
@@ -333,25 +250,19 @@ def _int_sub(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor via a primitive remainder sequence."""
-    if a.is_zero() and b.is_zero():
-        return Poly()
-    return Poly(_int_gcd(_int_coeffs(a), _int_coeffs(b))).monic()
-
-
 def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm (1976) on primitive integer coefficient lists.
 
     Returns pairs (factor, multiplicity) with each factor monic, square free
-    and pairwise coprime; the product of factor**multiplicity is p.monic().
-    p is lifted once to a primitive f in Z[x].  Every divisor is a primitive
-    gcd, so every quotient is integral (Gauss's lemma) and each step stays
-    in Python ints; a factor becomes a monic Poly only when it is returned.
+    and pairwise coprime; the product of factor**multiplicity is p made
+    monic.  f is the primitive part of p.ints.  Every divisor is a
+    primitive gcd, so every quotient is integral (Gauss's lemma) and each
+    step stays in Python ints; a factor a becomes the monic a / lead(a)
+    only when it is returned.
     """
     if p.is_zero():
         raise ValueError("square-free decomposition of the zero polynomial")
-    f = _int_coeffs(p)
+    f = _int_primitive(list(p.ints))
     if len(f) < 2:
         return []
     out: list[tuple[Poly, int]] = []
@@ -363,7 +274,7 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     while len(c) > 1:
         a = _int_gcd(c, d)
         if len(a) > 1:
-            out.append((Poly(a).monic(), i))
+            out.append((Poly.from_ints(a, a[-1]), i))
         c = _int_divexact(c, a)
         d = _int_sub(_int_divexact(d, a), _int_derivative(c))
         i += 1
@@ -387,12 +298,7 @@ class Matrix:
     @classmethod
     def from_ints(cls, ints: Iterable[Iterable[int]], scale: int = 1) -> "Matrix":
         """The matrix ints / scale, for rows of Python ints and a positive scale."""
-        if scale < 1:
-            raise ValueError(f"scale must be a positive int, got {scale}")
-        ints = [list(row) for row in ints]
-        g = gcd(scale, *chain.from_iterable(ints)) if scale > 1 else 1
-        if g > 1:
-            ints, scale = [[x // g for x in row] for row in ints], scale // g
+        ints, scale = _reduced([list(row) for row in ints], scale)
         m = cls.__new__(cls)
         m._fill(ints, scale)
         return m
@@ -647,7 +553,8 @@ def charpolys_exact(matrices: Sequence[Matrix]) -> list[Poly]:
     M is L / s with L = m.ints and s = m.scale; char(L) comes from
     Berkowitz, one matrix at a time, below HESSENBERG_MIN_DIM rows and from
     one batched multimodular Hessenberg kernel call from there on, and
-    char(M)(x) = s^-n char(L)(sx).  Each result is monic of degree n.
+    char(M)(x) = s^-n char(L)(sx): coefficient k of char(L) times s^k, over
+    s^n.  Each result is monic of degree n.
     """
     if any(not m.is_square for m in matrices):
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -662,10 +569,10 @@ def charpolys_exact(matrices: Sequence[Matrix]) -> list[Poly]:
         lists = _hessenberg_charpolys(lifted)
     polys = []
     for m, p in zip(matrices, lists):
-        poly = Poly([Fraction(c, m.scale**i) for i, c in enumerate(p)][::-1])
-        if poly.degree != m.rows or poly.leading() != 1:
+        n, s = m.rows, m.scale
+        if len(p) != n + 1 or p[0] != 1:
             raise AssertionError("characteristic polynomial is malformed")
-        polys.append(poly)
+        polys.append(Poly.from_ints([c * s**k for k, c in enumerate(reversed(p))], s**n))
     return polys
 
 

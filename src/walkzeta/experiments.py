@@ -33,6 +33,7 @@ from .identities import (
 from .operators import (
     operator_matrix,
     positive_support,
+    power_support,
     transition_matrix,
     verify_support_identity,
 )
@@ -263,6 +264,13 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _first_difference(left: Poly, right: Poly) -> str:
+    """The lowest power whose coefficients differ, with both, for two unequal polynomials."""
+    pairs = list(itertools.zip_longest(left.to_strings(), right.to_strings(), fillvalue="0"))
+    k = next(k for k, (a, b) in enumerate(pairs) if a != b)
+    return f"coefficient {k}: {pairs[k][0]} vs {pairs[k][1]}"
+
+
 def _entry_checks(entry: CorpusEntry, seed: int, weight_trials: int) -> list[IdentityCheck]:
     """All identity checks for one corpus entry, in a fixed order.
 
@@ -293,7 +301,9 @@ def _entry_checks(entry: CorpusEntry, seed: int, weight_trials: int) -> list[Ide
 
     def same_charpoly(actual: Poly, closed_form):
         expected = closed_form(g)
-        return actual == expected, f"difference {(actual - expected)!r}"
+        if actual == expected:
+            return True, None
+        return False, f"direct vs closed form, {_first_difference(actual, expected)}"
 
     record("u_charpoly_walk_form", lambda: same_charpoly(char_u, charpoly_u_via_walk_form))
     record("u_charpoly_degree_form", lambda: same_charpoly(char_u, charpoly_u_via_degree_form))
@@ -301,7 +311,9 @@ def _entry_checks(entry: CorpusEntry, seed: int, weight_trials: int) -> list[Ide
     def check_zeta():
         edge = ihara_reciprocal_edge_form(g)
         vertex = ihara_reciprocal_bass_form(g)
-        return vertex == edge, f"edge {edge!r} vs vertex {vertex!r}"
+        if vertex == edge:
+            return True, None
+        return False, f"edge vs vertex, {_first_difference(edge, vertex)}"
 
     record("zeta_edge_vs_vertex", check_zeta)
 
@@ -422,18 +434,22 @@ def srg_distinguish(g: Graph, h: Graph) -> DistinguishResult:
     2m-row one: on a simple graph of minimum degree 2 the support of U is
     the pattern of (B - J0)^T.  Each other level is one ``charpolys_exact``
     call on both graphs' matrices, except level 0 of graphs of different
-    orders, whose adjacency matrices differ in size.
+    orders, whose adjacency matrices differ in size.  Levels 2 and 3 take
+    ``power_support`` of one U per graph, built when level 2 is reached.
     """
     _check_srg_hypotheses(g, "left graph")
     _check_srg_hypotheses(h, "right graph")
     charpolys: dict[str, tuple[list[str], list[str]]] = {}
+    walks = None
     for idx, (name, target) in enumerate(DISTINGUISH_LEVELS):
         if target == "U+":
             left, right = charpoly_support_via_adjacency_form(g), charpoly_support_via_adjacency_form(h)
-        else:
-            ms = [operator_matrix(g, target), operator_matrix(h, target)]
-            # one batch when the sizes agree; only level 0 of graphs of different orders differs
+        elif target == "A":  # one batch when the orders agree; a batch needs one size
+            ms = [operator_matrix(g, "A"), operator_matrix(h, "A")]
             left, right = charpolys_exact(ms) if ms[0].rows == ms[1].rows else map(charpoly_exact, ms)
+        else:
+            walks = walks or [transition_matrix(g), transition_matrix(h)]
+            left, right = charpolys_exact([power_support(u, idx) for u in walks])  # level k: U^k
         charpolys[name] = (left.to_strings(), right.to_strings())
         if left != right:
             return DistinguishResult(idx, name, charpolys)

@@ -37,22 +37,20 @@ def _times_circle(c: list[int], k: int) -> list[int]:
 def apply_circle_prefactor(det_poly: Poly, exponent: int) -> Poly:
     """Multiply by (x^2 - 1)**exponent; negative exponents divide exactly.
 
-    Works on one integer lift c / s of the coefficients.  Each division by
-    x^2 - 1 is synthetic: from the top down c_k adds into c_(k-2), the
-    quotient is what sits above the two lowest places, and those two must
-    be zero, or ExactDivisionError is raised.
+    Works on the integer coefficients det_poly.ints and keeps its scale.
+    Each division by x^2 - 1 is synthetic: from the top down c_k adds into
+    c_(k-2), the quotient is what sits above the two lowest places, and
+    those two must be zero, or ExactDivisionError is raised.
     """
-    lifted = Matrix([det_poly.coeffs])
-    (c,), scale = lifted.ints, lifted.scale
-    c = _times_circle(c, exponent)
+    c = _times_circle(list(det_poly.ints), exponent)
     for _ in range(-exponent):
         for k in range(len(c) - 1, 1, -1):
             c[k - 2] += c[k]
         if any(c[:2]):
-            circle = Poly(_times_circle([1], -exponent))
-            raise ExactDivisionError("inexact polynomial division", det_poly.divmod(circle)[1])
+            circle = _times_circle([1], -exponent)
+            raise ExactDivisionError.dividing(list(det_poly.ints), circle, det_poly.scale)
         c = c[2:]
-    return Poly([Fraction(x, scale) for x in c])
+    return Poly.from_ints(c, det_poly.scale)
 
 
 def vertex_determinant(g: Graph, weights: Sequence) -> Poly:

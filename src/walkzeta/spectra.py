@@ -20,7 +20,6 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -32,8 +31,9 @@ RADICAND_SNAP = 1e-11  # below this, a radicand is treated as exactly zero
 CLUSTER_EPS = 1e-6  # display groups values at most this far apart
 ABERTH_NEWTON_TOL = 1e-12
 ABERTH_MAX_ITER = 400
-# the least normal and the largest double, exactly, so range tests take no float conversions
-_DOUBLE_MIN, _DOUBLE_MAX = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
+# the largest double, exactly, and the least normal one is 2^-_NORMAL_BITS, so range
+# tests take no float conversions
+_DOUBLE_MAX, _NORMAL_BITS = int(sys.float_info.max), 1 - sys.float_info.min_exp
 
 
 class RootConvergenceError(RuntimeError):
@@ -182,18 +182,23 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
 def _power_of_two_scaling(f: Poly) -> tuple[Poly, int]:
     """(g, e) with g(y) = 2^(-e deg f) f(2^e y), for the monic f.
 
-    e = 0 unless a nonzero coefficient lies outside the double range.  Then
-    e = max ceil(b_i / i), with b_i the bit-length estimate of log2|a_(n-i)|
-    (within 1), so every coefficient of g is below 2 in modulus.
+    e = 0 unless a nonzero coefficient a = c / f.scale lies outside the
+    double range.  Then e = max ceil(b_i / i), with b_i the bit-length
+    estimate of log2|a_(n-i)| (within 1) from a in lowest terms, so every
+    coefficient of g is below 2 in modulus.
     """
-    if all(c == 0 or _DOUBLE_MIN <= abs(c) <= _DOUBLE_MAX for c in f.coeffs):
+    s, deg = f.scale, f.degree
+    if all(c == 0 or abs(c) <= _DOUBLE_MAX * s and abs(c) << _NORMAL_BITS >= s for c in f.ints):
         return f, 0
     e = max(
-        -((c.denominator.bit_length() - c.numerator.bit_length()) // i)
-        for i, c in enumerate(reversed(f.coeffs))
+        -(((s // g).bit_length() - (c // g).bit_length()) // i)
+        for i, c in enumerate(reversed(f.ints))
         if i and c
+        for g in (math.gcd(c, s),)
     )
-    return Poly(c * Fraction(2) ** (e * (k - f.degree)) for k, c in enumerate(f.coeffs)), e
+    if e < 0:
+        return Poly.from_ints([c << -e * (deg - k) for k, c in enumerate(f.ints)], s), e
+    return Poly.from_ints([c << e * k for k, c in enumerate(f.ints)], s << e * deg), e
 
 
 def roots(p: Poly) -> SpectrumMultiset:
@@ -211,7 +216,7 @@ def roots(p: Poly) -> SpectrumMultiset:
     residual = 0.0
     for factor, multiplicity in square_free_decomposition(p):
         factor, e = _power_of_two_scaling(factor)
-        coeffs = np.array([float(c) for c in factor.coeffs], dtype=np.float64)
+        coeffs = np.array([c / factor.scale for c in factor.ints], dtype=np.float64)
         factor_roots = _aberth(coeffs)
         if coeffs[0] == 0:  # the simple root at zero is exact; Aberth lands within round-off
             factor_roots[np.argmin(np.abs(factor_roots))] = 0
@@ -219,7 +224,7 @@ def roots(p: Poly) -> SpectrumMultiset:
         if e:
             with np.errstate(over="ignore"):
                 factor_roots = np.ldexp(factor_roots.real, e) + 1j * np.ldexp(factor_roots.imag, e)
-        if not np.all(np.isfinite(factor_roots)) or (factor.coeffs[0] and not np.all(factor_roots)):
+        if not np.all(np.isfinite(factor_roots)) or (factor.ints[0] and not np.all(factor_roots)):
             raise SpectrumDomainError("a root lies outside the double range")
         for z in factor_roots:
             vals.extend([complex(z)] * multiplicity)
@@ -355,9 +360,3 @@ def compare(
 
     worst = float(candidates[bisect_left(candidates, True, key=feasible)])
     return CompareResult(worst <= tolerance, worst)
-
-
-def conjugate_closed(spectrum: SpectrumMultiset, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """True when the multiset equals its own conjugate within tolerance."""
-    conj = SpectrumMultiset(_sorted_values(z.conjugate() for z in spectrum.values))
-    return compare(spectrum, conj, tolerance).equal

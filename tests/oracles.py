@@ -2,7 +2,8 @@
 
 These deliberately use different algorithms from the package, which reads
 every determinant off a characteristic polynomial computed by Berkowitz's
-algorithm or, from 16 rows on, by a multimodular Hessenberg kernel, and
+algorithm or, from HESSENBERG_MIN_DIM = 13 rows on, by a multimodular
+Hessenberg kernel, and
 builds every arc matrix from per-vertex lists of leaving arcs: permutation
 expansion for determinants, the Faddeev-LeVerrier trace recursion for
 characteristic polynomials, U and B - J0 entry by entry from their
@@ -21,8 +22,11 @@ they read the order of ``g.arcs`` and the degrees ``g.degrees``, which
 ``relabelled_multigraphs`` draws.
 
 ``matmul`` and ``trace`` are the tests' only matrix arithmetic, on integer
-rows and scales; ``relabelled_multigraphs`` draws a connected multigraph
-and a relabelling of it.
+rows and scales.  ``FractionPoly`` is the tests' only polynomial
+arithmetic: a ``Poly`` with Fraction operators, so that expected values
+read as ``X**2 - 1``.  ``conjugate_closed`` compares a spectrum with its
+conjugate; ``relabelled_multigraphs`` draws a connected multigraph and a
+relabelling of it.
 """
 
 from fractions import Fraction
@@ -34,7 +38,129 @@ from hypothesis import strategies as st
 
 from walkzeta.exact import Matrix, Poly
 from walkzeta.graphs import ArcSet, Graph
+from walkzeta.spectra import DEFAULT_TOLERANCE, SpectrumMultiset, compare
 from walkzeta.zeta import CycleClass
+
+
+class FractionPoly(Poly):
+    """A Poly with Fraction arithmetic: +, -, *, ** by an int, evaluation,
+    derivative, monic and division with remainder.
+
+    Every operation reads the Fraction view ``coeffs`` and returns a new
+    FractionPoly; the other operand may be any Poly, an int or a Fraction.
+    Equality and hashing are Poly's, so a FractionPoly equals the Poly with
+    the same coefficients.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, p: Poly) -> "FractionPoly":
+        return cls.from_ints(p.ints, p.scale)
+
+    @classmethod
+    def zero(cls) -> "FractionPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "FractionPoly":
+        return cls((1,))
+
+    @classmethod
+    def x(cls) -> "FractionPoly":
+        return cls((0, 1))
+
+    @classmethod
+    def constant(cls, c) -> "FractionPoly":
+        return cls((c,))
+
+    def leading(self) -> Fraction:
+        if not self.ints:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return Fraction(self.ints[-1], self.scale)
+
+    @staticmethod
+    def _operand(other):
+        if isinstance(other, Poly):
+            return other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return (Fraction(other),)
+        return None
+
+    def __add__(self, other) -> "FractionPoly":
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        a = self.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other) -> "FractionPoly":
+        b = self._operand(other)
+        return NotImplemented if b is None else self + FractionPoly(-c for c in b)
+
+    def __rsub__(self, other) -> "FractionPoly":
+        return -self + other
+
+    def __mul__(self, other) -> "FractionPoly":
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        a = self.coeffs
+        if not a or not b:
+            return FractionPoly()
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return FractionPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "FractionPoly":
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        result = FractionPoly.one()
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def __call__(self, x):
+        """Evaluate by Horner's rule; works for Fraction, float or complex."""
+        acc = 0 * x
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self) -> "FractionPoly":
+        return FractionPoly(k * c for k, c in enumerate(self.coeffs) if k)
+
+    def monic(self) -> "FractionPoly":
+        if not self.ints:
+            raise ValueError("cannot normalize the zero polynomial")
+        return self * (1 / self.leading())
+
+    def divmod(self, other: Poly) -> tuple["FractionPoly", "FractionPoly"]:
+        """Division with remainder in Fractions."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        b = other.coeffs
+        rem = list(self.coeffs)
+        quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            c = quo[k] = rem[k + len(b) - 1] / b[-1]
+            for j, v in enumerate(b):
+                rem[k + j] -= c * v
+        return FractionPoly(quo), FractionPoly(rem[: len(b) - 1])
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -67,7 +193,7 @@ def perm_det(m: Matrix) -> Fraction:
     return total
 
 
-def faddeev_leverrier(a: Matrix) -> Poly:
+def faddeev_leverrier(a: Matrix) -> FractionPoly:
     """char(a) by the Faddeev-LeVerrier recursion on numpy Fraction arrays (n <= 8)."""
     n = a.rows
     m = np.array(a.data, dtype=object).reshape(n, n)
@@ -75,7 +201,7 @@ def faddeev_leverrier(a: Matrix) -> Poly:
     for k in range(1, n + 1):
         work = m if k == 1 else m @ (work + descending[-1] * np.identity(n, dtype=object))
         descending.append(-work.trace() / k)
-    return Poly(list(reversed(descending)))
+    return FractionPoly(list(reversed(descending)))
 
 
 def transition_matrix_by_definition(g: Graph) -> Matrix:
@@ -131,23 +257,24 @@ def reduced_cycle_classes_bruteforce(m: Matrix, order: int) -> list[CycleClass]:
     ]
 
 
-def fraction_gcd(a: Poly, b: Poly) -> Poly:
+def fraction_gcd(a: Poly, b: Poly) -> FractionPoly:
     """Monic gcd by Euclid's algorithm with Fraction remainders."""
+    a, b = FractionPoly.of(a), FractionPoly.of(b)
     while b:
         a, b = b, a.divmod(b)[1]
     return a.monic() if a else a
 
 
-def fraction_divexact(p: Poly, q: Poly) -> Poly:
+def fraction_divexact(p: FractionPoly, q: Poly) -> FractionPoly:
     quo, rem = p.divmod(q)
     assert rem.is_zero(), f"inexact division, remainder {rem!r}"
     return quo
 
 
-def square_free_by_fractions(p: Poly) -> list[tuple[Poly, int]]:
+def square_free_by_fractions(p: Poly) -> list[tuple[FractionPoly, int]]:
     """Yun's algorithm on monic Fraction polynomials: (factor, multiplicity)
     pairs, each factor monic and square free."""
-    p = p.monic()
+    p = FractionPoly.of(p).monic()
     if p.degree < 1:
         return []
     out = []
@@ -163,6 +290,12 @@ def square_free_by_fractions(p: Poly) -> list[tuple[Poly, int]]:
         d = fraction_divexact(d, f) - c.derivative()
         i += 1
     return out
+
+
+def conjugate_closed(spectrum: SpectrumMultiset, tolerance: float = DEFAULT_TOLERANCE) -> bool:
+    """True when the multiset equals its own conjugate within tolerance."""
+    conj = SpectrumMultiset(tuple(z.conjugate() for z in spectrum.values))
+    return compare(spectrum, conj, tolerance).equal
 
 
 @st.composite

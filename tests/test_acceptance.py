@@ -28,7 +28,6 @@ from walkzeta.operators import (
 from walkzeta.spectra import (
     SpectrumMultiset,
     compare,
-    conjugate_closed,
     map_adjacency_spectrum,
     map_random_walk_spectrum,
     real_roots,
@@ -50,7 +49,7 @@ from walkzeta.experiments import (
 )
 from walkzeta.zeta import weighted_zeta_reciprocal
 
-from oracles import matmul, trace
+from oracles import conjugate_closed, matmul, trace
 
 TOLERANCE = 1e-8
 SEED = 42

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,14 +12,14 @@ from walkzeta.exact import (
     Matrix,
     Poly,
     charpoly_exact,
-    poly_gcd,
     quadratic_charpoly,
     square_free_decomposition,
 )
 
-from oracles import faddeev_leverrier, matmul, perm_det, square_free_by_fractions, trace
+from oracles import FractionPoly, faddeev_leverrier, fraction_gcd, matmul, perm_det
+from oracles import square_free_by_fractions, trace
 
-X = Poly.x()
+X = FractionPoly.x()
 LCM_210 = Matrix([[Fraction(1, d), Fraction(-d, 3), 1, 0] for d in (2, 3, 5, 7)])
 
 
@@ -40,17 +40,47 @@ def test_poly_basics():
     p = Poly((1, 2, 3))
     assert p.degree == 2
     assert p.coeffs == (Fraction(1), Fraction(2), Fraction(3))
+    assert (p.ints, p.scale) == ((1, 2, 3), 1)
     assert Poly((1, 0, 0)).degree == 0
-    assert Poly().is_zero() and Poly().degree == -1
-    assert p(2) == 1 + 4 + 12
-    assert p(Fraction(1, 2)) == Fraction(1) + 1 + Fraction(3, 4)
-    assert p.derivative() == Poly((2, 6))
+    assert Poly().is_zero() and Poly().degree == -1 and Poly().scale == 1
+    assert Poly.from_ints([0, 0], 6) == Poly() and Poly.from_ints([0, 0], 6).scale == 1
+    half = Poly.from_ints([2, 4, 6], 4)
+    assert (half.ints, half.scale) == ((1, 2, 3), 2) and half.coeffs == (Fraction(1, 2), 1, Fraction(3, 2))
+    with pytest.raises(ValueError):
+        Poly.from_ints([1], 0)
+    assert Poly((Fraction(1, 2),)) == Fraction(1, 2) and Poly((3,)) == 3
+    f = FractionPoly.of(p)
+    assert f == p and hash(f) == hash(p)
+    assert f(2) == 1 + 4 + 12
+    assert f(Fraction(1, 2)) == Fraction(1) + 1 + Fraction(3, 4)
+    assert f.derivative() == Poly((2, 6))
     assert (X + 1) * (X - 1) == X**2 - 1
     assert (X + 1) ** 3 == Poly((1, 3, 3, 1))
-    assert 2 * p == Poly((2, 4, 6))
-    assert p - p == Poly.zero()
+    assert 2 * f == Poly((2, 4, 6))
+    assert p * X == Poly((0, 1, 2, 3))  # a plain Poly operand takes the FractionPoly's operators
+    assert f - p == FractionPoly.zero()
     assert (X**2 - 1).reversed() == 1 - X**2
     assert Poly((0, 1, 2)).reversed() == Poly((2, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), max_size=8), st.integers(1, 60))
+def test_poly_canonical_form(rationals, k):
+    stripped = list(rationals)
+    while stripped and stripped[-1] == 0:
+        stripped.pop()
+    p = Poly(rationals)
+    s = lcm(*(x.denominator for x in rationals))
+    q = Poly.from_ints([k * int(x * s) for x in rationals], k * s)
+    assert q == p and hash(q) == hash(p)
+    assert (q.ints, q.scale) == (p.ints, p.scale)
+    assert p.scale >= 1 and gcd(p.scale, *p.ints) == 1 and (not p.ints or p.ints[-1])
+    assert p.coeffs == tuple(stripped)
+    assert p.to_strings() == [str(Fraction(x)) for x in stripped]
+    low = next((i for i, x in enumerate(stripped) if x), len(stripped))  # x^low divides p
+    assert p.reversed().reversed() == Poly(stripped[low:])
+    if low == 0:
+        assert p.reversed().reversed() == p
 
 
 def test_poly_string_roundtrip():
@@ -61,7 +91,7 @@ def test_poly_string_roundtrip():
 
 def test_poly_format():
     assert (X**6 - 2 * X**3 + 1).format("t") == "1 - 2*t^3 + t^6"
-    assert Poly.zero().format() == "0"
+    assert FractionPoly.zero().format() == "0"
 
 
 def test_poly_divmod():
@@ -71,14 +101,24 @@ def test_poly_divmod():
     assert q == X + 1 and r == Poly((2,))
 
 
+def _int_gcd_monic(a, b):
+    """exact._int_gcd on the integer coefficients of a and b: primitive, leading
+    coefficient positive, and returned here made monic."""
+    g = exact._int_gcd(list(a.ints), list(b.ints))
+    assert gcd(*g) == 1 and g[-1] > 0
+    return Poly.from_ints(g, g[-1])
+
+
 def test_poly_gcd():
+    # the primitive remainder sequence of square_free_decomposition against Euclid in Fractions
     a = (X - 1) * (X + 2)
     b = (X - 1) * (X + 3)
-    assert poly_gcd(a, b) == X - 1
-    assert poly_gcd(a, Poly.zero()) == a.monic()
-    assert poly_gcd(X + 1, X + 2) == Poly.one()
+    assert _int_gcd_monic(a, b) == fraction_gcd(a, b) == X - 1
+    assert _int_gcd_monic(a, FractionPoly.zero()) == fraction_gcd(a, FractionPoly.zero()) == a.monic()
+    assert _int_gcd_monic(X + 1, X + 2) == fraction_gcd(X + 1, X + 2) == FractionPoly.one()
     # non-monic, fractional inputs still give a monic gcd
-    assert poly_gcd(Fraction(3, 7) * (X - 1) ** 2, Fraction(5, 2) * (X - 1)) == X - 1
+    a, b = Fraction(3, 7) * (X - 1) ** 2, Fraction(5, 2) * (X - 1)
+    assert _int_gcd_monic(a, b) == fraction_gcd(a, b) == X - 1
 
 
 def test_square_free_decomposition():
@@ -86,9 +126,9 @@ def test_square_free_decomposition():
     assert square_free_decomposition(p) == [(X + 2, 1), (X - 1, 2)]
     p = (X**2 + 1) ** 3 * (X - 5)
     parts = square_free_decomposition(p)
-    rebuilt = Poly.one()
+    rebuilt = FractionPoly.one()
     for f, mult in parts:
-        rebuilt = rebuilt * f**mult
+        rebuilt = rebuilt * FractionPoly.of(f) ** mult
     assert rebuilt == p.monic()
     assert (X - 5, 1) in parts and (X**2 + 1, 3) in parts
 
@@ -97,15 +137,15 @@ def test_square_free_random_products():
     rng = random.Random(5)
     for _ in range(10):
         factors = []
-        p = Poly.one()
+        p = FractionPoly.one()
         for root in rng.sample(range(-6, 7), rng.randint(1, 3)):
             mult = rng.randint(1, 3)
             factors.append((root, mult))
             p = p * (X - root) ** mult
         parts = square_free_decomposition(p)
-        rebuilt = Poly.one()
+        rebuilt = FractionPoly.one()
         for f, mult in parts:
-            rebuilt = rebuilt * f**mult
+            rebuilt = rebuilt * FractionPoly.of(f) ** mult
         assert rebuilt == p
         assert sum(f.degree * mult for f, mult in parts) == p.degree
 
@@ -133,14 +173,15 @@ def _factored_polys(draw):
 @settings(max_examples=60, deadline=None)
 @given(_factored_polys(), _NONZERO)
 def test_square_free_matches_fraction_oracle(factors, scale):
-    p = Poly.constant(scale)
+    p = FractionPoly.constant(scale)
     for f, mult in factors:
         p = p * f**mult
     parts = square_free_decomposition(p)
     assert parts == square_free_by_fractions(p)
-    rebuilt = Poly.one()
+    rebuilt = FractionPoly.one()
     for f, mult in parts:
-        assert f.leading() == 1 and poly_gcd(f, f.derivative()) == 1
+        f = FractionPoly.of(f)
+        assert f.leading() == 1 and fraction_gcd(f, f.derivative()) == 1
         rebuilt = rebuilt * f**mult
     assert rebuilt == p.monic()
 
@@ -238,13 +279,13 @@ def test_charpoly_constant_term_is_det():
         m = _rand_matrix(rng, n)
         p = charpoly_exact(m)
         assert p.coeffs[0] == (-1) ** n * perm_det(m)
-        assert p.degree == n and p.leading() == 1
+        assert p.degree == n and p.ints[-1] == p.scale
 
 
 def _check_quadratic_charpoly(a, c):
     n = a.rows
-    p = quadratic_charpoly(a, c)
-    assert p.degree == 2 * n and p.leading() == 1
+    p = FractionPoly.of(quadratic_charpoly(a, c))
+    assert p.degree == 2 * n and p.ints[-1] == p.scale
     for x in range(-n, n + 1):
         x = Fraction(x)
         direct = Matrix(
@@ -276,7 +317,7 @@ def test_quadratic_charpoly_degenerate_cases():
     singular = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     _check_quadratic_charpoly(singular, [0, 1, Fraction(-1, 3)])
     _check_quadratic_charpoly(singular, [0, 0, 0])
-    assert quadratic_charpoly(Matrix([]), []) == Poly.one()
+    assert quadratic_charpoly(Matrix([]), []) == FractionPoly.one()
     with pytest.raises(ValueError):
         quadratic_charpoly(Matrix([[1, 0], [0, 1]]), [1])
 
@@ -370,7 +411,7 @@ def test_hessenberg_kernel_special_matrices():
     block = [[_rand_fraction(rng) for _ in range(10)] for _ in range(10)]
     zeros = [Fraction(0)] * 10
     twice = Matrix([row + zeros for row in block] + [zeros + row for row in block])
-    assert charpoly_exact(twice) == charpoly_exact(Matrix(block)) ** 2
+    assert charpoly_exact(twice) == FractionPoly.of(charpoly_exact(Matrix(block))) ** 2
     for m in (ones, shifted, twice):
         _check_kernels_agree(m)
     # entries above 2^63

@@ -4,11 +4,13 @@ import random
 import networkx as nx
 import pytest
 
-from walkzeta.exact import charpoly_exact
+from walkzeta import experiments
+from walkzeta.exact import Poly, charpoly_exact
 from walkzeta.graphs import Graph, parse_graph6
 from walkzeta.graphs import encode_graph6
-from walkzeta.identities import charpoly_support_via_adjacency_form
+from walkzeta.identities import charpoly_support_via_adjacency_form, charpoly_u_via_degree_form
 from walkzeta.operators import operator_matrix
+from walkzeta.zeta import ihara_reciprocal_edge_form
 from walkzeta.experiments import (
     ROOK_4X4_G6,
     SHRIKHANDE_G6,
@@ -176,6 +178,24 @@ def test_identity_suite_captures_crash_as_failure():
     for c in report.failures():
         assert c.witness
     assert "FAIL" in report.to_text()
+
+
+def test_identity_suite_witness_names_the_first_differing_coefficient(monkeypatch):
+    k4 = complete_graph(4)
+    right = charpoly_u_via_degree_form(k4)
+    # coefficient 2 grows by one
+    wrong = Poly.from_ints([c + right.scale * (k == 2) for k, c in enumerate(right.ints)], right.scale)
+    monkeypatch.setattr(experiments, "charpoly_u_via_degree_form", lambda g: wrong)
+    edge = ihara_reciprocal_edge_form(k4)
+    longer = Poly.from_ints(list(edge.ints) + [0, 5], edge.scale)  # equal up to the top, then 5 t^(d+2)
+    monkeypatch.setattr(experiments, "ihara_reciprocal_bass_form", lambda g: longer)
+    report = run_identity_suite([CorpusEntry("K4", k4)], weight_trials=1, workers=1)
+    failed = {c.identity: c.witness for c in report.failures()}
+    assert set(failed) == {"u_charpoly_degree_form", "zeta_edge_vs_vertex"}
+    a, b = right.to_strings()[2], wrong.to_strings()[2]
+    assert a != b and failed["u_charpoly_degree_form"] == f"direct vs closed form, coefficient 2: {a} vs {b}"
+    top = edge.degree + 2
+    assert failed["zeta_edge_vs_vertex"] == f"edge vs vertex, coefficient {top}: 0 vs 5"
 
 
 def test_distinguish_level0_fixture():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walkzeta.exact import ExactDivisionError, Poly, charpoly_exact
+from walkzeta.exact import ExactDivisionError, charpoly_exact
 from walkzeta.graphs import Graph
 from walkzeta.identities import (
     apply_circle_prefactor,
@@ -31,7 +31,9 @@ from walkzeta.experiments import (
     triangle_with_doubled_edge,
 )
 
-X = Poly.x()
+from oracles import FractionPoly
+
+X = FractionPoly.x()
 
 SAMPLE_GRAPHS = [
     complete_graph(2),
@@ -56,9 +58,14 @@ def test_apply_circle_prefactor():
     assert apply_circle_prefactor(p * (X**2 - 1), -1) == p
     # tree closed form: degree-6 walk determinant divided by one circle factor
     assert apply_circle_prefactor((X - 1) ** 2 * (X + 1) ** 2 * (X**2 + 1), -1) == X**4 - 1
-    with pytest.raises(ExactDivisionError):
+    with pytest.raises(ExactDivisionError) as err:
         apply_circle_prefactor(X**3 + 1, -1)
-    half = Poly.constant(Fraction(1, 2))
+    assert err.value.remainder == (X**3 + 1).divmod(X**2 - 1)[1] == X + 1
+    sixth = Fraction(1, 6) * (X**5 + 3 * X + 2)
+    with pytest.raises(ExactDivisionError) as err:
+        apply_circle_prefactor(sixth, -2)
+    assert err.value.remainder == sixth.divmod((X**2 - 1) ** 2)[1]
+    half = FractionPoly.constant(Fraction(1, 2))
     assert apply_circle_prefactor(half, 0) == half
     assert apply_circle_prefactor(half, 3) == half * (X**2 - 1) ** 3
     assert apply_circle_prefactor(half * (X**2 - 1) ** 2, -2) == half
@@ -68,7 +75,7 @@ def test_apply_circle_prefactor():
     with pytest.raises(ExactDivisionError) as err:
         apply_circle_prefactor((X**2 - 1) * (X + 1), -2)
     assert err.value.remainder == (X**2 - 1) * (X + 1)
-    assert apply_circle_prefactor(Poly.zero(), -2) == Poly.zero()
+    assert apply_circle_prefactor(FractionPoly.zero(), -2) == FractionPoly.zero()
 
 
 def test_path3_tree_division():

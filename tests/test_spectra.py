@@ -16,7 +16,6 @@ from walkzeta.spectra import (
     SpectrumDomainError,
     SpectrumMultiset,
     compare,
-    conjugate_closed,
     map_adjacency_spectrum,
     map_random_walk_spectrum,
     real_roots,
@@ -24,7 +23,9 @@ from walkzeta.spectra import (
 )
 from walkzeta.experiments import complete_graph, cycle_graph, petersen_graph
 
-X = Poly.x()
+from oracles import FractionPoly, conjugate_closed
+
+X = FractionPoly.x()
 
 
 def _multiset(*values):
@@ -106,6 +107,22 @@ def test_roots_outside_double_range():
         assert got.max_residual < 1e-14
 
 
+def test_power_of_two_scaling_matches_fraction_reference():
+    # 3 * 2^1029 is 9 * 2^1030 over the scale 6: log2 of it is read in lowest terms
+    cases = ([Fraction(1, 6), 3 * 2**1029, 1], [10**400, 0, 1], [Fraction(1, 10**400), 0, 1], [-3, 10**400, 1])
+    for rationals in cases:
+        f = Poly(rationals)
+        g, e = spectra._power_of_two_scaling(f)
+        cs = f.coeffs
+        assert e == max(
+            -((c.denominator.bit_length() - c.numerator.bit_length()) // i)
+            for i, c in enumerate(reversed(cs))
+            if i and c
+        )
+        assert g == Poly(c * Fraction(2) ** (e * (k - f.degree)) for k, c in enumerate(cs))
+    assert spectra._power_of_two_scaling(Poly([2, 3, 1])) == (Poly([2, 3, 1]), 0)
+
+
 def test_roots_rejects_root_outside_double_range():
     # the roots are about -1e400 and 3e-400: neither is a double
     with pytest.raises(SpectrumDomainError):
@@ -116,7 +133,7 @@ def test_roots_rejects_root_outside_double_range():
 
 def test_roots_rejects_constant():
     with pytest.raises(ValueError):
-        roots(Poly.one())
+        roots(FractionPoly.one())
 
 
 def test_real_roots():
@@ -128,9 +145,9 @@ def test_real_roots():
 
 def test_high_degree_residual():
     # a degree-24 product with clustered roots still resolves cleanly
-    p = Poly.one()
+    p = FractionPoly.one()
     for k in range(1, 13):
-        p = p * (X**2 + Poly.constant(k) * X + 1)
+        p = p * (X**2 + FractionPoly.constant(k) * X + 1)
     got = roots(p)
     assert len(got) == 24
     assert got.max_residual < 1e-9
