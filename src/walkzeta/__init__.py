@@ -5,7 +5,6 @@ from .exact import (
     Matrix,
     Poly,
     charpoly_exact,
-    quadratic_charpoly,
     square_free_decomposition,
 )
 from .graphs import (

@@ -8,15 +8,16 @@ s, M = L / s.  The kernels work in Python ints, so every result is exact.
 coefficient lists: each divisor is a primitive gcd, so each quotient is
 integral by Gauss's lemma, and each returned factor a is the monic
 a / lead(a).  There is one determinant kernel, ``charpolys_exact``, for
-a batch of matrices of one size; ``charpoly_exact`` is a batch of one.
-It reads each L and s and takes one of two paths, split at
+a batch of square matrices of any sizes; ``charpoly_exact`` is a batch
+of one.  It reads each L and s and takes one of two paths, split at
 HESSENBERG_MIN_DIM = 13 rows:
 
 - below 13 rows, Berkowitz's division-free algorithm in Python ints, one
   matrix at a time;
 - from 13 rows on, Hessenberg reduction mod primes sized from n (17 bits
   for 23-63 rows, 16 for 64-181, 15 for 182-511), the (matrix mod prime)
-  slices of the whole batch at once in one numpy int64 array, each matrix
+  slices of all the batch's matrices of one size at once in one numpy
+  int64 array, one kernel call per size, each matrix
   with its own primes, reducing O(n) entries per elimination step while
   the rest stay under a proven int64 bound, then one CRT per matrix under
   a proven Hadamard bound on its coefficients.
@@ -29,11 +30,10 @@ times slower at 6 rows and 8-50 times faster at 40-96, and most closed
 forms of small graphs fall below the crossover.
 
 Every determinant the package needs is fed to the kernel as one constant
-matrix.  An arc-level determinant det(I - tM) is the coefficient
-reversal of char(M), and a vertex-level quadratic determinant
-det(x^2 I - xA + C) is the characteristic polynomial of the 2n x 2n
-linearisation [[A, -C], [I, 0]] (``quadratic_charpoly``), as in the proofs
-of the Ihara-Bass formula by Bass (1992) and Kotani-Sunada (2000).
+matrix, built by its caller as integer rows over one scale: an arc-level
+determinant det(I - tM) is the coefficient reversal of char(M), and
+``identities`` builds the linearisation of its vertex-level quadratic
+determinants.
 """
 
 from __future__ import annotations
@@ -215,12 +215,13 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     return x
 
 
-def _int_divexact(a: list[int], b: list[int]) -> list[int]:
+def _int_divexact(a: list[int], b: list[int], scale: int = 1) -> list[int]:
     """a / b in Z[x] for a primitive b; ExactDivisionError unless b divides a.
 
     By Gauss's lemma a quotient by a primitive divisor is integral whenever
     it exists in Q[x], so a leading coefficient that does not divide, or a
-    nonzero remainder, means b does not divide a at all.
+    nonzero remainder, means b does not divide a at all.  The error's
+    remainder is that of a / scale.
     """
     rem = list(a)
     lead = b[-1]
@@ -236,7 +237,7 @@ def _int_divexact(a: list[int], b: list[int]) -> list[int]:
     else:
         if not any(rem[:tail]):
             return quo
-    raise ExactDivisionError.dividing(a, b)
+    raise ExactDivisionError.dividing(a, b, scale)
 
 
 def _int_derivative(a: list[int]) -> list[int]:
@@ -332,6 +333,9 @@ class Matrix:
         return hash((self.scale, tuple(map(tuple, self.ints))))
 
     def transpose(self) -> "Matrix":
+        """The transpose; ValueError for r x 0 with r > 0, since rows cannot hold 0 x r."""
+        if self.rows and not self.cols:
+            raise ValueError(f"cannot transpose a {self.rows}x0 matrix")
         return Matrix.from_ints(zip(*self.ints), self.scale)
 
     def __repr__(self) -> str:
@@ -548,25 +552,21 @@ def _charpoly_residues(h: np.ndarray, primes: list[int]) -> list[list[int]]:
 
 
 def charpolys_exact(matrices: Sequence[Matrix]) -> list[Poly]:
-    """det(xI - M) for each M of a batch of square matrices of one size.
+    """det(xI - M) for each M of a batch of square matrices, in input order.
 
     M is L / s with L = m.ints and s = m.scale; char(L) comes from
     Berkowitz, one matrix at a time, below HESSENBERG_MIN_DIM rows and from
-    one batched multimodular Hessenberg kernel call from there on, and
-    char(M)(x) = s^-n char(L)(sx): coefficient k of char(L) times s^k, over
-    s^n.  Each result is monic of degree n.
+    one batched multimodular Hessenberg kernel call per size from there on,
+    and char(M)(x) = s^-n char(L)(sx): coefficient k of char(L) times s^k,
+    over s^n.  Each result is monic of degree n.
     """
     if any(not m.is_square for m in matrices):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    if len({m.rows for m in matrices}) > 1:
-        raise ValueError("a batch of characteristic polynomials needs matrices of one size")
-    if not matrices:
-        return []
-    lifted = [m.ints for m in matrices]
-    if matrices[0].rows < HESSENBERG_MIN_DIM:
-        lists = [_berkowitz(ints) for ints in lifted]
-    else:
-        lists = _hessenberg_charpolys(lifted)
+    lists = [_berkowitz(m.ints) if m.rows < HESSENBERG_MIN_DIM else None for m in matrices]
+    for n in sorted({m.rows for m in matrices if m.rows >= HESSENBERG_MIN_DIM}):
+        positions = [i for i, m in enumerate(matrices) if m.rows == n]
+        for i, p in zip(positions, _hessenberg_charpolys([matrices[i].ints for i in positions])):
+            lists[i] = p
     polys = []
     for m, p in zip(matrices, lists):
         n, s = m.rows, m.scale
@@ -579,23 +579,3 @@ def charpolys_exact(matrices: Sequence[Matrix]) -> list[Poly]:
 def charpoly_exact(m: Matrix) -> Poly:
     """det(xI - M), monic of degree m.rows: a batch of one for charpolys_exact."""
     return charpolys_exact([m])[0]
-
-
-def quadratic_charpoly(a: Matrix, c: Sequence) -> Poly:
-    """det(x^2 I - xA + diag(c)), monic of degree 2n.
-
-    Computed as the characteristic polynomial of the 2n x 2n block matrix
-    L = [[A, -diag(c)], [I, 0]]: taking the Schur complement of the
-    lower-right block xI gives det(xI - L) = x^n det(xI - A + diag(c)/x).
-    """
-    if not a.is_square or len(c) != a.rows:
-        raise ValueError("quadratic charpoly needs a square matrix and one diagonal entry per row")
-    n = a.rows
-    (c_ints,), c_scale = _lift([c])
-    scale = a.scale * c_scale  # from_ints reduces it to the lcm
-    top = [
-        [x * c_scale for x in row] + [-c_ints[i] * a.scale if j == i else 0 for j in range(n)]
-        for i, row in enumerate(a.ints)
-    ]
-    bottom = [[scale if j == i else 0 for j in range(2 * n)] for i in range(n)]
-    return charpoly_exact(Matrix.from_ints(top + bottom, scale))

@@ -433,8 +433,7 @@ def srg_distinguish(g: Graph, h: Graph) -> DistinguishResult:
     ``charpoly_support_via_adjacency_form``, a 2n-row charpoly instead of a
     2m-row one: on a simple graph of minimum degree 2 the support of U is
     the pattern of (B - J0)^T.  Each other level is one ``charpolys_exact``
-    call on both graphs' matrices, except level 0 of graphs of different
-    orders, whose adjacency matrices differ in size.  Levels 2 and 3 take
+    call on both graphs' matrices, of one size or not.  Levels 2 and 3 take
     ``power_support`` of one U per graph, built when level 2 is reached.
     """
     _check_srg_hypotheses(g, "left graph")
@@ -444,9 +443,8 @@ def srg_distinguish(g: Graph, h: Graph) -> DistinguishResult:
     for idx, (name, target) in enumerate(DISTINGUISH_LEVELS):
         if target == "U+":
             left, right = charpoly_support_via_adjacency_form(g), charpoly_support_via_adjacency_form(h)
-        elif target == "A":  # one batch when the orders agree; a batch needs one size
-            ms = [operator_matrix(g, "A"), operator_matrix(h, "A")]
-            left, right = charpolys_exact(ms) if ms[0].rows == ms[1].rows else map(charpoly_exact, ms)
+        elif target == "A":
+            left, right = charpolys_exact([operator_matrix(g, "A"), operator_matrix(h, "A")])
         else:
             walks = walks or [transition_matrix(g), transition_matrix(h)]
             left, right = charpolys_exact([power_support(u, idx) for u in walks])  # level k: U^k

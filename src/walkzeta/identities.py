@@ -11,20 +11,34 @@ support of U-transpose.  ``apply_circle_prefactor`` is the one place the
 circle factor is applied.  ``degree_adjacency_determinant_form`` is a
 second closed form of char(U), from A and the degrees alone.
 
-Each quadratic determinant det(x^2 I - xA + C) is evaluated by the one
-exact kernel as the characteristic polynomial of its 2n x 2n
-linearisation (``exact.quadratic_charpoly``), the device of Bass (1992)
-and Kotani-Sunada (2000) in their proofs of the Ihara-Bass formula.
+Each quadratic determinant det(x^2 I - xA + C), A = L / s and C a
+diagonal, is evaluated by the one exact kernel as the characteristic
+polynomial of its 2n x 2n linearisation [[A, -C], [I, 0]]
+(``_linearised_charpoly``), the device of Bass (1992) and Kotani-Sunada
+(2000) in their proofs of the Ihara-Bass formula; the callers hand it the
+integer rows of L, s C and s.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .exact import ExactDivisionError, Matrix, Poly, quadratic_charpoly
-from .graphs import Graph, adjacency_matrix
-from .operators import coin_weights
+from .exact import Matrix, Poly, _int_divexact, charpoly_exact
+from .graphs import Graph
+from .operators import _lift_arc_weights, coin_weights, random_walk_matrix
+
+
+def _linearised_charpoly(rows: list[list[int]], diag: list[int], scale: int) -> Poly:
+    """det(x^2 I - xA + C) for A = rows / scale and the diagonal C = diag / scale.
+
+    Monic of degree 2n: the characteristic polynomial of
+    L = [[A, -C], [I, 0]], since the Schur complement of the lower-right
+    block xI gives det(xI - L) = x^n det(xI - A + C/x).
+    """
+    n = len(rows)
+    top = [row + [-c if j == i else 0 for j in range(n)] for i, (row, c) in enumerate(zip(rows, diag))]
+    bottom = [[scale if j == i else 0 for j in range(2 * n)] for i in range(n)]
+    return charpoly_exact(Matrix.from_ints(top + bottom, scale))
 
 
 def _times_circle(c: list[int], k: int) -> list[int]:
@@ -37,19 +51,14 @@ def _times_circle(c: list[int], k: int) -> list[int]:
 def apply_circle_prefactor(det_poly: Poly, exponent: int) -> Poly:
     """Multiply by (x^2 - 1)**exponent; negative exponents divide exactly.
 
-    Works on the integer coefficients det_poly.ints and keeps its scale.
-    Each division by x^2 - 1 is synthetic: from the top down c_k adds into
-    c_(k-2), the quotient is what sits above the two lowest places, and
-    those two must be zero, or ExactDivisionError is raised.
+    Works on the integer coefficients det_poly.ints and keeps its scale;
+    a division that leaves a remainder raises ExactDivisionError.
     """
-    c = _times_circle(list(det_poly.ints), exponent)
-    for _ in range(-exponent):
-        for k in range(len(c) - 1, 1, -1):
-            c[k - 2] += c[k]
-        if any(c[:2]):
-            circle = _times_circle([1], -exponent)
-            raise ExactDivisionError.dividing(list(det_poly.ints), circle, det_poly.scale)
-        c = c[2:]
+    c = list(det_poly.ints)
+    if exponent < 0:
+        c = _int_divexact(c, _times_circle([1], -exponent), det_poly.scale)
+    else:
+        c = _times_circle(c, exponent)
     return Poly.from_ints(c, det_poly.scale)
 
 
@@ -59,16 +68,13 @@ def vertex_determinant(g: Graph, weights: Sequence) -> Poly:
     The only place per-arc weights become W and D_w, in integers over the
     lcm s of the weight denominators.
     """
-    if len(weights) != 2 * g.m:
-        raise ValueError(f"need one weight per arc: {len(weights)} for {2 * g.m} arcs")
-    lifted = Matrix([weights])
-    scaled, scale = lifted.ints[0], lifted.scale
+    scaled, scale = _lift_arc_weights(g, weights)
     w = [[0] * g.n for _ in range(g.n)]
     sums = [-scale] * g.n  # s times the diagonal of D_w - I
     for (o, t), x in zip(g.arcs.arcs, scaled):
         w[o][t] += x
         sums[o] += x
-    return quadratic_charpoly(Matrix.from_ints(w, scale), [Fraction(x, scale) for x in sums])
+    return _linearised_charpoly(w, sums, scale)
 
 
 def degree_adjacency_determinant_form(g: Graph) -> Poly:
@@ -78,12 +84,8 @@ def degree_adjacency_determinant_form(g: Graph) -> Poly:
     this form does not share its matrix with the coin-weight vertex
     determinant.
     """
-    degs = g.degrees
-    if min(degs) < 1:
-        raise ValueError("needs every vertex to have an arc")
-    rows = adjacency_matrix(g).ints
-    scaled = Matrix([[Fraction(2 * x, d) for x, d in zip(row, degs)] for row in rows])
-    return quadratic_charpoly(scaled, [1] * g.n)
+    t = random_walk_matrix(g).transpose()
+    return _linearised_charpoly([[2 * x for x in row] for row in t.ints], [t.scale] * g.n, t.scale)
 
 
 def charpoly_u_via_walk_form(g: Graph) -> Poly:

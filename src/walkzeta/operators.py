@@ -15,12 +15,21 @@ positive supports of powers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
 
-from .exact import Matrix
+from .exact import Matrix, _lift
 from .graphs import Graph, adjacency_matrix
+
+
+def _lift_arc_weights(g: Graph, weights: Sequence) -> tuple[list[int], int]:
+    """One weight per arc of g.arcs as integers over the lcm s of their denominators, and s."""
+    if len(weights) != 2 * g.m:
+        raise ValueError(f"need one weight per arc: {len(weights)} for {2 * g.m} arcs")
+    (scaled,), scale = _lift([weights])
+    return scaled, scale
 
 
 def arc_operator(g: Graph, weights: Sequence) -> Matrix:
@@ -33,12 +42,9 @@ def arc_operator(g: Graph, weights: Sequence) -> Matrix:
     the arcs leaving terminus(e), in integers over the lcm s of the weight
     denominators, so the step onto inverse(e) pays s.
     """
+    scaled, scale = _lift_arc_weights(g, weights)
     arcs = g.arcs
     size = len(arcs)
-    if len(weights) != size:
-        raise ValueError(f"need one weight per arc: {len(weights)} for {size} arcs")
-    lifted = Matrix([weights])
-    scaled, scale = lifted.ints[0], lifted.scale
     leaving: dict[int, list[int]] = {}
     for f in range(size):
         leaving.setdefault(arcs.origin(f), []).append(f)
@@ -76,11 +82,12 @@ def nonbacktracking_matrix(g: Graph) -> Matrix:
 
 
 def random_walk_matrix(g: Graph) -> Matrix:
-    """Simple random-walk matrix T with T[u][v] = multiplicity(u,v)/deg(u)."""
+    """Simple random-walk matrix T with T[u][v] = multiplicity(u,v)/deg(u), over lcm(degrees)."""
     if min(g.degrees) < 1:
         raise ValueError("random walk needs every vertex to have an arc")
+    scale = lcm(*g.degrees)
     rows = adjacency_matrix(g).ints
-    return Matrix([[Fraction(x, d) for x in row] for row, d in zip(rows, g.degrees)])
+    return Matrix.from_ints([[x * (scale // d) for x in row] for row, d in zip(rows, g.degrees)], scale)
 
 
 def positive_support(m: Matrix) -> Matrix:

@@ -12,7 +12,6 @@ from walkzeta.exact import (
     Matrix,
     Poly,
     charpoly_exact,
-    quadratic_charpoly,
     square_free_decomposition,
 )
 
@@ -193,6 +192,11 @@ def test_integer_division_by_a_non_divisor_raises():
     with pytest.raises(ExactDivisionError) as err:
         exact._int_divexact([1, 0, 1], [1, 1])
     assert err.value.remainder == Poly((2,))
+    # the same over scale 6: the quotient is unscaled, the remainder 2 / 6
+    assert exact._int_divexact([-2, 1, 1], [-1, 1], 6) == [2, 1]
+    with pytest.raises(ExactDivisionError) as err:
+        exact._int_divexact([1, 0, 1], [1, 1], 6)
+    assert err.value.remainder == Poly((Fraction(1, 3),))
     # 3x^2 + 1 by 2x + 1: the leading coefficient does not divide
     with pytest.raises(ExactDivisionError) as err:
         exact._int_divexact([1, 0, 3], [1, 2])
@@ -282,49 +286,14 @@ def test_charpoly_constant_term_is_det():
         assert p.degree == n and p.ints[-1] == p.scale
 
 
-def _check_quadratic_charpoly(a, c):
-    n = a.rows
-    p = FractionPoly.of(quadratic_charpoly(a, c))
-    assert p.degree == 2 * n and p.ints[-1] == p.scale
-    for x in range(-n, n + 1):
-        x = Fraction(x)
-        direct = Matrix(
-            [[(x * x + c[i] if i == j else 0) - x * a[i, j] for j in range(n)] for i in range(n)]
-        )
-        assert p(x) == perm_det(direct)
-
-
-def test_quadratic_charpoly_matches_permutation_expansion():
-    rng = random.Random(23)
-    for _ in range(12):
-        n = rng.randint(1, 5)
-        if rng.random() < 0.5:
-            a = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-            c = [rng.randint(-3, 3) for _ in range(n)]
-        else:
-            a = _rand_matrix(rng, n)
-            c = [_rand_fraction(rng) for _ in range(n)]
-        _check_quadratic_charpoly(a, c)
-
-
-def test_quadratic_charpoly_degenerate_cases():
-    for n in (1, 3, 5):
-        # A = 0, c = 0: a root of multiplicity 2n at zero
-        assert quadratic_charpoly(Matrix([[0] * n] * n), [0] * n) == X ** (2 * n)
-        # A = J: eigenvalue 0 repeated n - 1 times
-        ones = Matrix([[1] * n for _ in range(n)])
-        _check_quadratic_charpoly(ones, [Fraction(k, 2) for k in range(n)])
-    singular = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    _check_quadratic_charpoly(singular, [0, 1, Fraction(-1, 3)])
-    _check_quadratic_charpoly(singular, [0, 0, 0])
-    assert quadratic_charpoly(Matrix([]), []) == FractionPoly.one()
-    with pytest.raises(ValueError):
-        quadratic_charpoly(Matrix([[1, 0], [0, 1]]), [1])
-
-
 def test_matrix_ops():
     a = Matrix([[1, 2], [3, 4]])
     assert a.transpose() == Matrix([[1, 3], [2, 4]])
+    assert Matrix([[1, 2, 3]]).transpose() == Matrix([[1], [2], [3]])
+    assert Matrix([]).transpose() == Matrix([])
+    # rows of lists cannot hold 0 x r, so an r x 0 matrix has no transpose
+    with pytest.raises(ValueError, match="2x0"):
+        Matrix([[], []]).transpose()
     assert trace(a) == 5 and matmul(a, a)[0, 0] == 7
     with pytest.raises(ValueError):
         matmul(a, Matrix([[1, 2, 3]]))
@@ -446,6 +415,13 @@ def _mixed_batch(rng, n):
     return [u, positive_support(u), Matrix(pivot), Matrix(huge), *_random_kernel_inputs(rng, n)]
 
 
+def _shuffled_sizes_batch(rng):
+    """Random matrices of 5, 13, 5, 20 and 13 rows, across HESSENBERG_MIN_DIM, shuffled."""
+    batch = [m for n in (5, 13, 5, 20, 13) for m in _random_kernel_inputs(rng, n)[:2]]
+    rng.shuffle(batch)
+    return batch
+
+
 def test_charpolys_exact_matches_one_matrix_at_a_time(monkeypatch):
     rng = random.Random(43)
     for n in (8, HESSENBERG_MIN_DIM - 1, 16, 24):
@@ -461,11 +437,24 @@ def test_charpolys_exact_matches_one_matrix_at_a_time(monkeypatch):
             monkeypatch.undo()
     assert exact.charpolys_exact([]) == []
 
+    # a batch of several sizes: results in input order, one numpy call per size
+    batch = _shuffled_sizes_batch(rng)
+    singles = [charpoly_exact(m) for m in batch]
+    assert [p.degree for p in singles] == [m.rows for m in batch]
+    calls = []
+    kernel = exact._hessenberg_charpolys
 
-def test_charpolys_exact_rejects_mixed_and_non_square_batches():
+    def recording_kernel(lifted):
+        calls.append(sorted(map(len, lifted)))
+        return kernel(lifted)
+
+    monkeypatch.setattr(exact, "_hessenberg_charpolys", recording_kernel)
+    assert exact.charpolys_exact(batch) == singles
+    assert sorted(calls) == [[13] * 4, [20] * 2]
+
+
+def test_charpolys_exact_rejects_non_square_batches():
     square = Matrix([[1, 2], [3, 4]])
-    with pytest.raises(ValueError, match="one size"):
-        exact.charpolys_exact([square, Matrix([[1]])])
     with pytest.raises(ValueError, match="non-square"):
         exact.charpolys_exact([square, Matrix([[1, 2]])])
 

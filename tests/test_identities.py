@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walkzeta.exact import ExactDivisionError, charpoly_exact
+import random
+
+from walkzeta import identities
+from walkzeta.exact import ExactDivisionError, Matrix, charpoly_exact
 from walkzeta.graphs import Graph
 from walkzeta.identities import (
     apply_circle_prefactor,
@@ -31,7 +34,7 @@ from walkzeta.experiments import (
     triangle_with_doubled_edge,
 )
 
-from oracles import FractionPoly
+from oracles import FractionPoly, perm_det
 
 X = FractionPoly.x()
 
@@ -76,6 +79,54 @@ def test_apply_circle_prefactor():
         apply_circle_prefactor((X**2 - 1) * (X + 1), -2)
     assert err.value.remainder == (X**2 - 1) * (X + 1)
     assert apply_circle_prefactor(FractionPoly.zero(), -2) == FractionPoly.zero()
+
+
+def _lifted_charpoly(a, c):
+    """The linearisation helper on Matrix a and diagonal c, lifted to integer rows over one scale."""
+    lifted = Matrix([*a.data, c])
+    return identities._linearised_charpoly(lifted.ints[:-1], lifted.ints[-1], lifted.scale)
+
+
+def _check_linearised_charpoly(a, c):
+    n = a.rows
+    p = FractionPoly.of(_lifted_charpoly(a, c))
+    assert p.degree == 2 * n and p.ints[-1] == p.scale
+    for x in range(-n, n + 1):
+        x = Fraction(x)
+        direct = Matrix(
+            [[(x * x + c[i] if i == j else 0) - x * a[i, j] for j in range(n)] for i in range(n)]
+        )
+        assert p(x) == perm_det(direct)
+
+
+def _rand_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def test_linearised_charpoly_matches_permutation_expansion():
+    rng = random.Random(23)
+    for _ in range(12):
+        n = rng.randint(1, 5)
+        if rng.random() < 0.5:
+            a = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            c = [rng.randint(-3, 3) for _ in range(n)]
+        else:
+            a = Matrix([[_rand_fraction(rng) for _ in range(n)] for _ in range(n)])
+            c = [_rand_fraction(rng) for _ in range(n)]
+        _check_linearised_charpoly(a, c)
+
+
+def test_linearised_charpoly_degenerate_cases():
+    for n in (1, 3, 5):
+        # A = 0, c = 0: a root of multiplicity 2n at zero
+        assert _lifted_charpoly(Matrix([[0] * n] * n), [0] * n) == X ** (2 * n)
+        # A = J: eigenvalue 0 repeated n - 1 times
+        ones = Matrix([[1] * n for _ in range(n)])
+        _check_linearised_charpoly(ones, [Fraction(k, 2) for k in range(n)])
+    singular = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    _check_linearised_charpoly(singular, [0, 1, Fraction(-1, 3)])
+    _check_linearised_charpoly(singular, [0, 0, 0])
+    assert identities._linearised_charpoly([], [], 1) == FractionPoly.one()
 
 
 def test_path3_tree_division():

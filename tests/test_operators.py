@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from walkzeta import exact, experiments
-from walkzeta.exact import Matrix, Poly, charpoly_exact, quadratic_charpoly
+from walkzeta.exact import Matrix, Poly, charpoly_exact
 from walkzeta.graphs import Graph, adjacency_matrix
-from walkzeta.identities import vertex_determinant
+from walkzeta.identities import _linearised_charpoly, vertex_determinant
 from walkzeta.operators import (
     TARGETS,
     arc_operator,
@@ -171,8 +171,9 @@ def test_coin_weights_are_doubled_walk_matrix():
     # summed over the arcs u -> v the coin weights give W = 2T and D_w = 2I,
     # parallel edges included, and both weighted forms are det(I - tU)
     for g in (cycle_graph(5), complete_graph(3), path_graph(4), triangle_with_doubled_edge()):
-        doubled = Matrix([[2 * x for x in row] for row in random_walk_matrix(g).data])
-        assert vertex_determinant(g, coin_weights(g)) == quadratic_charpoly(doubled, [1] * g.n)
+        t = random_walk_matrix(g)
+        doubled = _linearised_charpoly([[2 * x for x in row] for row in t.ints], [t.scale] * g.n, t.scale)
+        assert vertex_determinant(g, coin_weights(g)) == doubled
         forms = weighted_zeta_reciprocal(g, coin_weights(g))
         det_u = charpoly_exact(transition_matrix(g)).reversed()
         assert forms.edge_form == forms.bass_form == det_u
