@@ -15,12 +15,12 @@ HESSENBERG_MIN_DIM = 13 rows:
 - below 13 rows, Berkowitz's division-free algorithm in Python ints, one
   matrix at a time;
 - from 13 rows on, Hessenberg reduction mod primes sized from n (17 bits
-  for 23-63 rows, 16 for 64-181, 15 for 182-511), the (matrix mod prime)
-  slices of all the batch's matrices of one size at once in one numpy
-  int64 array, one kernel call per size, each matrix
-  with its own primes, reducing O(n) entries per elimination step while
-  the rest stay under a proven int64 bound, then one CRT per matrix under
-  a proven Hadamard bound on its coefficients.
+  for 23-63 rows, 16 for 64-181, 15 for 182-511), one kernel call per
+  size with one prime list, sized from the largest proven Hadamard bound
+  on the coefficients of the batch's matrices; the (matrix mod prime)
+  slices of the whole batch go at once into one numpy int64 array,
+  reducing O(n) entries per elimination step while the rest stay under a
+  proven int64 bound, then one set of CRT weights serves every matrix.
 
 Berkowitz costs O(n^4) big-integer operations, the numpy kernel O(n^3)
 word operations per prime plus a fixed cost of some 0.3 ms per call.
@@ -39,9 +39,9 @@ determinants.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, groupby, islice
+from itertools import chain
 from math import gcd, isqrt, lcm, prod
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -343,9 +343,8 @@ class Matrix:
 
 
 HESSENBERG_MIN_DIM = 13  # Berkowitz below, the numpy kernel from here on (module docstring)
-# No modulus reaches 2^PRIME_BITS: below it the Miller-Rabin bases of
-# _is_prime are deterministic.  An n-row kernel call takes its primes below
-# 2^_prime_bits(n), the int64 bound of its delayed reduction.
+# The search for the primes of an n-row kernel call starts here and comes
+# down to _prime_bits(n), the int64 bound of its delayed reduction.
 PRIME_BITS = 31
 # The most bytes of one (primes, n, n) int64 block; more primes than fit
 # are reduced one chunk after another.  In a sweep of 2^17-2^21 bytes over
@@ -369,26 +368,10 @@ def _prime_bits(n: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with bases 2, 7, 61, deterministic for n < 4 759 123 141."""
-    if n < 2:
-        return False
-    for a in (2, 7, 61):
-        if n % a == 0:
-            return n == a
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in (2, 7, 61):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division by 2 and by the odd d <= isqrt(n)."""
+    if n < 3:
+        return n == 2
+    return n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 
 def _primes_exceeding(bound: int, bits: int) -> list[int]:
@@ -448,42 +431,36 @@ def _coefficient_bound(lifted: list[list[int]]) -> int:
 def _hessenberg_charpolys(batch: list[list[list[int]]]) -> list[list[int]]:
     """Descending coefficients of det(xI - L) for each integer L of one size, multimodular.
 
-    Each L takes its own primes below 2^b, b = _prime_bits(n), with a
-    product M above twice _coefficient_bound(L), so each of its
-    coefficients is its residue mod M taken symmetrically about 0.  The
-    (L mod p) slices of the whole batch are stacked and taken in chunks of
-    at most CHUNK_BYTES of int64 residues (_charpoly_residues); each L then
-    gets its own CRT.
+    The call takes one list of primes below 2^b, b = _prime_bits(n), with a
+    product M above twice the batch's largest _coefficient_bound, so every
+    coefficient is its residue mod M taken symmetrically about 0.  The
+    (L mod p) slices form a grid of matrices x primes, taken in chunks of
+    at most CHUNK_BYTES of int64 residues (_charpoly_residues), and one
+    list of CRT weights serves every L.
     """
     n = len(batch[0])
-    bits = _prime_bits(n)
-    primes = [_primes_exceeding(2 * _coefficient_bound(lifted), bits) for lifted in batch]
-    q = primes[0][0]  # the largest prime below 2^bits, the first of every list
+    primes = _primes_exceeding(2 * max(map(_coefficient_bound, batch)), _prime_bits(n))
+    q = primes[0]  # the largest prime below 2^bits
     assert (q + n * q * q) * (1 + n * q) < 2**63, "the lazy kernel would overflow int64"
-    bases = []
-    for lifted in batch:
-        try:
-            bases.append(np.array(lifted, dtype=np.int64).reshape(n, n))
-        except OverflowError:  # an entry beyond int64: reduce it as a Python int
-            bases.append(np.array(lifted, dtype=object).reshape(n, n))
-    slices = [(i, q) for i, ps in enumerate(primes) for q in ps]
+    try:
+        stack = np.array(batch, dtype=np.int64).reshape(len(batch), n, n)
+    except OverflowError:  # an entry beyond int64: reduce it as a Python int
+        stack = np.array(batch, dtype=object).reshape(len(batch), n, n)
+    count = len(primes)
+    moduli = np.array(primes, dtype=stack.dtype)
     step = max(1, CHUNK_BYTES // (8 * n * n or 1))
     residues = []
-    for s in range(0, len(slices), step):
-        chunk = slices[s : s + step]
-        parts = [  # one vectorised reduction per matrix in the chunk
-            bases[i] % np.array([q for _, q in group], dtype=bases[i].dtype)[:, None, None]
-            for i, group in groupby(chunk, key=itemgetter(0))
-        ]
-        h = np.concatenate(parts).astype(np.int64, copy=False)
-        residues += _charpoly_residues(h, [q for _, q in chunk])
-    residues = iter(residues)
+    for s in range(0, len(batch) * count, step):
+        matrix, prime = np.divmod(np.arange(s, min(s + step, len(batch) * count)), count)
+        h = stack[matrix]  # a copy, reduced in place
+        h %= moduli[prime, None, None]
+        residues += _charpoly_residues(h.astype(np.int64, copy=False), moduli[prime].tolist())
+    modulus = prod(primes)
+    weights = [modulus // q * pow(modulus // q, -1, q) for q in primes]
     out = []
-    for ps in primes:
-        modulus = prod(ps)
-        weights = [modulus // q * pow(modulus // q, -1, q) for q in ps]
+    for i in range(0, len(residues), count):  # the residues of one L under every prime
         coeffs = []
-        for column in zip(*islice(residues, len(ps))):
+        for column in zip(*residues[i : i + count]):
             v = sum(map(mul, column, weights)) % modulus
             coeffs.append(v - modulus if v > modulus // 2 else v)
         out.append(coeffs[::-1])

@@ -155,19 +155,21 @@ class CorpusEntry:
     graph: Graph
 
 
+# the structured corpus members, in corpus order, each built by named_graph
+_STRUCTURED_NAMES = (
+    *(f"K{n}" for n in range(2, 8)),
+    *(f"C{n}" for n in range(3, 13)),
+    *(f"P{n}" for n in range(3, 7)),
+    "K2_3",
+    "K3_3",
+    "petersen",
+    "triangle_double_edge",
+)
+
+
 def builtin_corpus(seed: int = DEFAULT_SEED) -> list[CorpusEntry]:
     """The 44-graph verification corpus; random members are seed-determined."""
-    entries = []
-    for n in range(2, 8):
-        entries.append(CorpusEntry(f"K{n}", complete_graph(n)))
-    for n in range(3, 13):
-        entries.append(CorpusEntry(f"C{n}", cycle_graph(n)))
-    for n in range(3, 7):
-        entries.append(CorpusEntry(f"P{n}", path_graph(n)))
-    entries.append(CorpusEntry("K2_3", complete_bipartite_graph(2, 3)))
-    entries.append(CorpusEntry("K3_3", complete_bipartite_graph(3, 3)))
-    entries.append(CorpusEntry("petersen", petersen_graph()))
-    entries.append(CorpusEntry("triangle_double_edge", triangle_with_doubled_edge()))
+    entries = [CorpusEntry(name, named_graph(name)) for name in _STRUCTURED_NAMES]
     rng = random.Random(seed)
     for i in range(1, 21):
         entries.append(CorpusEntry(f"random_{i:02d}", _random_connected_graph(rng)))

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -483,6 +483,51 @@ def test_primes_exceeding_stops_at_three():
         exact._primes_exceeding(15015, 4)
     with pytest.raises(ValueError):
         exact._primes_exceeding(3, 2)
+
+
+def _odd_primes_below(limit):
+    """The odd primes below limit, descending, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for d in range(2, isqrt(limit - 1) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, limit, d)))
+    return [k for k in range(limit - 1, 2, -1) if sieve[k]]
+
+
+def test_is_prime_matches_sieve():
+    primes = set(_odd_primes_below(2**16)) | {2}
+    assert [k for k in range(2**16) if exact._is_prime(k)] == sorted(primes)
+
+
+def test_primes_exceeding_lists_every_odd_prime_below_2_bits():
+    for bits in range(4, 19):
+        expected = _odd_primes_below(2**bits)[:300]  # more primes than any kernel call takes
+        assert exact._primes_exceeding(prod(expected) - 1, bits) == expected
+        for count in (1, 2, len(expected) // 2):
+            assert exact._primes_exceeding(prod(expected[:count]) - 1, bits) == expected[:count]
+
+
+def test_hessenberg_charpolys_shares_one_prime_list(monkeypatch):
+    rng = random.Random(47)
+    n = 16
+    ones = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+    huge = [[rng.randint(2**63, 2**70) * rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)]
+    batch = [Matrix(ones), Matrix(huge)]
+    bound = max(exact._coefficient_bound(ones), exact._coefficient_bound(huge))
+    primes = exact._primes_exceeding(2 * bound, exact._prime_bits(n))
+    assert len(exact._primes_exceeding(2 * exact._coefficient_bound(ones), exact._prime_bits(n))) < len(primes)
+    singles = [charpoly_exact(m) for m in batch]
+    seen = []
+    residues = exact._charpoly_residues
+
+    def recording_residues(h, chunk):
+        seen.extend(chunk)
+        return residues(h, chunk)
+
+    monkeypatch.setattr(exact, "_charpoly_residues", recording_residues)
+    assert exact.charpolys_exact(batch) == singles
+    assert seen == primes * 2  # the 0/1 matrix, then the huge one, each under every prime
 
 
 def test_hessenberg_kernel_on_hadamard_matrix():

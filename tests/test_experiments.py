@@ -54,6 +54,15 @@ def test_corpus_names_and_size():
     )
     assert [e.name for e in corpus] == expected
     assert len(corpus) == 44
+    # the structured members, built by named_graph, are the family constructions
+    direct = (
+        [complete_graph(n) for n in range(2, 8)]
+        + [cycle_graph(n) for n in range(3, 13)]
+        + [path_graph(n) for n in range(3, 7)]
+        + [complete_bipartite_graph(2, 3), complete_bipartite_graph(3, 3)]
+        + [petersen_graph(), triangle_with_doubled_edge()]
+    )
+    assert [(e.graph.n, e.graph.edges) for e in corpus[:24]] == [(g.n, g.edges) for g in direct]
 
 
 def test_corpus_random_members():
