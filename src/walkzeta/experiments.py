@@ -26,9 +26,11 @@ from fractions import Fraction
 from .exact import Poly, charpoly_exact, charpolys_exact
 from .graphs import Graph
 from .identities import (
+    apply_support2_prefactor,
     charpoly_support_via_adjacency_form,
     charpoly_u_via_degree_form,
     charpoly_u_via_walk_form,
+    support2_matrix,
 )
 from .operators import (
     operator_matrix,
@@ -431,12 +433,19 @@ def srg_distinguish(g: Graph, h: Graph) -> DistinguishResult:
 
     Levels: 0 adjacency, 1 support of U, 2 support of U^2, 3 support of
     U^3, compared by exact characteristic polynomial.  Returns level None
-    when all four agree.  Level 1 comes from the closed form
-    ``charpoly_support_via_adjacency_form``, a 2n-row charpoly instead of a
-    2m-row one: on a simple graph of minimum degree 2 the support of U is
-    the pattern of (B - J0)^T.  Each other level is one ``charpolys_exact``
-    call on both graphs' matrices, of one size or not.  Levels 2 and 3 take
-    ``power_support`` of one U per graph, built when level 2 is reached.
+    when all four agree.  Levels 1 and 2 come from 2n-row closed forms
+    instead of 2m-row charpolys.  Level 1 is
+    ``charpoly_support_via_adjacency_form``: on a simple graph of minimum
+    degree 2 the support of U is the pattern of (B - J0)^T.  Level 2 is
+    (x - 2)^(2m - 2n) char(K) for K = ``support2_matrix``, one
+    ``charpolys_exact`` call on both graphs when both have degree >= 3; on
+    2-regular graphs (cycles, m = n) the form does not hold, and level 2
+    is the direct ``power_support(U, 2)``, already 2n rows.  On regular
+    graphs levels 1 and 2 are functions of the spectrum of A (Godsil-Guo
+    2011), so level 3 is the first that can separate cospectral graphs; it
+    stays one ``charpolys_exact`` call on ``power_support(U, 3)``, with U
+    built once per graph when first needed.  Level 0 is one call on both
+    adjacency matrices, of one size or not.
     """
     _check_srg_hypotheses(g, "left graph")
     _check_srg_hypotheses(h, "right graph")
@@ -447,6 +456,9 @@ def srg_distinguish(g: Graph, h: Graph) -> DistinguishResult:
             left, right = charpoly_support_via_adjacency_form(g), charpoly_support_via_adjacency_form(h)
         elif target == "A":
             left, right = charpolys_exact([operator_matrix(g, "A"), operator_matrix(h, "A")])
+        elif target == "U2+" and min(g.degrees + h.degrees) >= 3:
+            polys = charpolys_exact([support2_matrix(g), support2_matrix(h)])
+            left, right = (apply_support2_prefactor(p, x) for p, x in zip(polys, (g, h)))
         else:
             walks = walks or [transition_matrix(g), transition_matrix(h)]
             left, right = charpolys_exact([power_support(u, idx) for u in walks])  # level k: U^k

@@ -16,6 +16,10 @@ index that takes the minimum over all rotations of each closed walk and
 tests primality by comparing rotations.  The package prunes its walk to
 necklaces; this one stays unpruned so that it shares no rule with it.
 
+The support of U^3 on a regular graph comes from a sign rule on each arc
+pair, in vertex terms, where the package takes the sign pattern of the
+integer matrix power.
+
 The arc matrices by definition share only the arc layout with the package:
 they read the order of ``g.arcs`` and the degrees ``g.degrees``, which
 ``tests/test_graphs.py`` checks against networkx on the graphs that
@@ -227,6 +231,38 @@ def nonbacktracking_by_definition(arcs: ArcSet) -> Matrix:
             for e in range(size)
         ]
     )
+
+
+def support_u3_by_sign_rule(g: Graph) -> Matrix:
+    """The support of (U^T)^3 on a simple k-regular graph, one sign per arc pair.
+
+    U^T = P - J0 with P[e][f] = (2/k) [t(e) = o(f)], and in the expansion
+    of (P - J0)^3 the terms -P J0 P + 2P cancel at one degree k.  What is
+    left, times k^3, is the (e, f) entry
+    8 A^2[t(e), o(f)] - 4k (A[t(e), t(f)] + A[o(e), o(f)])
+    + 2k^2 [o(e) = t(f)] - k^3 [f = inverse(e)],
+    read here entry by entry with A built from the edge list.
+    """
+    degrees = g.degrees
+    if not (g.simple and min(degrees) == max(degrees)):
+        raise ValueError("the sign rule needs a simple regular graph")
+    k, arcs = degrees[0], g.arcs
+    adj = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u][v] = adj[v][u] = 1
+    adj2 = [[sum(map(mul, row, col)) for col in zip(*adj)] for row in adj]
+    t, o = arcs.terminus, arcs.origin
+
+    def entry(e, f):
+        return (
+            8 * adj2[t(e)][o(f)]
+            - 4 * k * (adj[t(e)][t(f)] + adj[o(e)][o(f)])
+            + 2 * k**2 * (o(e) == t(f))
+            - k**3 * (f == arcs.inverse(e))
+        )
+
+    size = len(arcs)
+    return Matrix([[int(entry(e, f) > 0) for f in range(size)] for e in range(size)])
 
 
 def reduced_cycle_classes_bruteforce(m: Matrix, order: int) -> list[CycleClass]:

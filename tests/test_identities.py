@@ -7,17 +7,20 @@ import random
 
 from walkzeta import identities
 from walkzeta.exact import ExactDivisionError, Matrix, charpoly_exact
-from walkzeta.graphs import Graph
+from walkzeta.graphs import Graph, parse_graph6
 from walkzeta.identities import (
     apply_circle_prefactor,
+    charpoly_support2_form,
     charpoly_support_via_adjacency_form,
     charpoly_u_via_degree_form,
     charpoly_u_via_walk_form,
+    support2_matrix,
     vertex_determinant,
 )
 from walkzeta.operators import (
     coin_weights,
     nonbacktracking_matrix,
+    operator_matrix,
     positive_support,
     transition_matrix,
 )
@@ -27,14 +30,17 @@ from walkzeta.zeta import (
     weighted_zeta_reciprocal,
 )
 from walkzeta.experiments import (
+    builtin_corpus,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    named_graph,
     path_graph,
     triangle_with_doubled_edge,
 )
 
 from oracles import FractionPoly, perm_det
+from test_experiments import COSPECTRAL_PAIRS
 
 X = FractionPoly.x()
 
@@ -184,6 +190,56 @@ def test_support_form_matches_direct_charpoly(g):
 def test_support_form_requires_min_degree_two():
     with pytest.raises(ValueError):
         charpoly_support_via_adjacency_form(path_graph(3))
+
+
+SUPPORT2_GRAPHS = [
+    *(pytest.param(e.graph, id=e.name) for e in builtin_corpus() if e.graph.simple and min(e.graph.degrees) >= 3),
+    *(pytest.param(parse_graph6(g6), id=g6) for pair in COSPECTRAL_PAIRS for g6 in pair),
+    *(pytest.param(named_graph(name), id=name) for name in ("shrikhande", "rook44")),
+]
+
+
+@pytest.mark.parametrize("g", SUPPORT2_GRAPHS)
+def test_support2_form_matches_direct_charpoly(g):
+    assert support2_matrix(g).rows == 2 * g.n
+    assert charpoly_support2_form(g) == charpoly_exact(operator_matrix(g, "U2+"))
+
+
+def test_support2_form_shrikhande_and_rook_value():
+    # a function of the spectrum 6, 2^6, (-2)^9 of both graphs
+    expected = (X - 2) ** 64 * (X**2 - 28 * X + 52) * (X**2 + 4 * X + 20) ** 15
+    for name in ("shrikhande", "rook44"):
+        assert charpoly_support2_form(named_graph(name)) == expected, name
+
+
+@st.composite
+def simple_graphs_min_degree_3(draw):
+    """A simple graph on 4-9 vertices, regular or not: a random edge set, then
+    each vertex of degree below 3 joined to its first other vertices until
+    it reaches 3."""
+    n = draw(st.integers(4, 9))
+    edges = draw(st.sets(st.sampled_from([(u, v) for u in range(n) for v in range(u + 1, n)])))
+    for u in range(n):
+        others = (v for v in range(n) if v != u)
+        while sum(u in e for e in edges) < 3:
+            v = next(others)
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, tuple(sorted(edges)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(simple_graphs_min_degree_3())
+def test_support2_form_on_random_graphs_of_min_degree_3(g):
+    assert min(g.degrees) >= 3
+    assert charpoly_support2_form(g) == charpoly_exact(operator_matrix(g, "U2+"))
+
+
+@pytest.mark.parametrize("g", [cycle_graph(6), triangle_with_doubled_edge()], ids=["C6", "triangle_double_edge"])
+def test_support2_form_requires_simple_min_degree_three(g):
+    with pytest.raises(ValueError):
+        support2_matrix(g)
+    with pytest.raises(ValueError):
+        charpoly_support2_form(g)
 
 
 def test_support_determinant_degree():

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 
 from walkzeta import exact, experiments
 from walkzeta.exact import Matrix, Poly, charpoly_exact
-from walkzeta.graphs import Graph, adjacency_matrix
-from walkzeta.identities import _linearised_charpoly, vertex_determinant
+from walkzeta.graphs import Graph, adjacency_matrix, parse_graph6
+from walkzeta.identities import _linearised_charpoly, support2_matrix, vertex_determinant
 from walkzeta.operators import (
     TARGETS,
     arc_operator,
@@ -25,6 +25,7 @@ from walkzeta.experiments import (
     builtin_corpus,
     complete_graph,
     cycle_graph,
+    named_graph,
     path_graph,
     petersen_graph,
     rook_graph_4x4,
@@ -34,7 +35,8 @@ from walkzeta.experiments import (
 )
 
 from oracles import matmul, nonbacktracking_by_definition, transition_matrix_by_definition
-from oracles import relabelled_multigraphs
+from oracles import relabelled_multigraphs, support_u3_by_sign_rule
+from test_experiments import COSPECTRAL_PAIRS
 
 
 def test_transition_matrix_k2():
@@ -258,6 +260,17 @@ def test_power_support_matches_rational_power():
         assert power_support(u, 3) == positive_support(matmul(square, u))
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        *(pytest.param(named_graph(name), id=name) for name in ("shrikhande", "rook44", "petersen", "K5", "K3_3")),
+        *(pytest.param(parse_graph6(g6), id=g6) for pair in COSPECTRAL_PAIRS for g6 in pair),
+    ],
+)
+def test_power_support_u3_matches_sign_rule(g):
+    assert power_support(transition_matrix(g), 3) == support_u3_by_sign_rule(g).transpose()
+
+
 def test_operator_matrix_table_and_distinguish_levels(monkeypatch):
     for g in (complete_graph(4), cycle_graph(5), petersen_graph(), triangle_with_doubled_edge()):
         u = transition_matrix(g)
@@ -276,10 +289,11 @@ def test_operator_matrix_table_and_distinguish_levels(monkeypatch):
     with pytest.raises(ValueError):
         operator_matrix(complete_graph(4), "U4+")
 
-    # Levels 0, 2 and 3 are one charpolys_exact call on both graphs'
-    # operator_matrix results, and level 1 is the closed form, whose kernel
-    # calls are 2n-row linearisations, one per graph.  Record every batch the
-    # kernel is fed, from srg_distinguish and through charpoly_exact alike.
+    # Levels 0 and 3 are one charpolys_exact call on both graphs'
+    # operator_matrix results.  Level 1 is the closed form, whose kernel calls
+    # are 2n-row linearisations, one per graph, and level 2 one call on both
+    # graphs' 2n-row support2_matrix.  Record every batch the kernel is fed,
+    # from srg_distinguish and through charpoly_exact alike.
     fed = []
     batched = exact.charpolys_exact
 
@@ -293,14 +307,16 @@ def test_operator_matrix_table_and_distinguish_levels(monkeypatch):
     result = srg_distinguish(g, h)
     monkeypatch.undo()
     assert result.level_name == "support_u3"
-    assert [[m.rows for m in matrices] for matrices, _ in fed] == [[16, 16], [32], [32], [96, 96], [96, 96]]
+    assert [[m.rows for m in matrices] for matrices, _ in fed] == [[16, 16], [32], [32], [32, 32], [96, 96]]
     levels = dict(experiments.DISTINGUISH_LEVELS)
-    for name, (matrices, polys) in zip(("adjacency", "support_u2", "support_u3"), fed[:1] + fed[3:]):
+    for name, (matrices, polys) in zip(("adjacency", "support_u3"), (fed[0], fed[4])):
         assert matrices == [operator_matrix(g, levels[name]), operator_matrix(h, levels[name])], name
         assert result.charpolys[name] == tuple(p.to_strings() for p in polys), name
-    # the closed form at level 1 against the 96-row charpolys of U+
-    direct = tuple(charpoly_exact(operator_matrix(x, "U+")).to_strings() for x in (g, h))
-    assert result.charpolys["support_u"] == direct
+    assert fed[3][0] == [support2_matrix(g), support2_matrix(h)]
+    # the closed forms at levels 1 and 2 against the 96-row charpolys of U+ and U2+
+    for name in ("support_u", "support_u2"):
+        direct = tuple(charpoly_exact(operator_matrix(x, levels[name])).to_strings() for x in (g, h))
+        assert result.charpolys[name] == direct, name
 
 
 @settings(max_examples=50, deadline=None)
