@@ -244,6 +244,14 @@ def _int_derivative(a: list[int]) -> list[int]:
     return [k * c for k, c in enumerate(a)][1:]
 
 
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def _int_sub(a: list[int], b: list[int]) -> list[int]:
     out = [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
     while out and out[-1] == 0:

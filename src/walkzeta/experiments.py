@@ -10,7 +10,9 @@ The strongly-regular-graph experiment asks at which level of the hierarchy
 adjacency, support of U, support of U^2, support of U^3 two graphs first
 get different characteristic polynomials.  The classic test pair is the
 Shrikhande graph against the 4x4 rook graph: same parameters (16, 6, 2, 2),
-first separated at the third power.
+first separated at the third power.  Levels 1 and 2 come from vertex-level
+closed forms, level 2 from level 1 with no kernel call, so only levels 0
+and 3 hand the exact kernel an operator matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import functools
 import itertools
 import os
 import random
+import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,19 +29,12 @@ from fractions import Fraction
 from .exact import Poly, charpoly_exact, charpolys_exact
 from .graphs import Graph
 from .identities import (
-    apply_support2_prefactor,
+    charpoly_support2_from_support,
     charpoly_support_via_adjacency_form,
     charpoly_u_via_degree_form,
     charpoly_u_via_walk_form,
-    support2_matrix,
 )
-from .operators import (
-    operator_matrix,
-    positive_support,
-    power_support,
-    transition_matrix,
-    verify_support_identity,
-)
+from .operators import operator_matrix, positive_support, transition_matrix, verify_support_identity
 from .zeta import ihara_reciprocal_bass_form, ihara_reciprocal_edge_form, weighted_zeta_reciprocal
 
 DEFAULT_SEED = 42
@@ -191,16 +187,13 @@ def named_graph(name: str) -> Graph:
     key = name.strip().lower()
     if key in _NAMED_BUILDERS:
         return _NAMED_BUILDERS[key]()
+    sizes = re.fullmatch(r"([kcp])([0-9]+)|k([0-9]+)_([0-9]+)", name.strip(), re.ASCII | re.IGNORECASE)
     try:
-        if key.startswith("k") and "_" in key:
-            a, b = key[1:].split("_", 1)
-            return complete_bipartite_graph(int(a), int(b))
-        if key.startswith("k"):
-            return complete_graph(int(key[1:]))
-        if key.startswith("c"):
-            return cycle_graph(int(key[1:]))
-        if key.startswith("p"):
-            return path_graph(int(key[1:]))
+        if sizes and sizes[1]:
+            family = {"k": complete_graph, "c": cycle_graph, "p": path_graph}[sizes[1].lower()]
+            return family(int(sizes[2]))
+        if sizes:
+            return complete_bipartite_graph(int(sizes[3]), int(sizes[4]))
     except ValueError:
         pass
     raise KeyError(f"unknown graph name {name!r}")
@@ -433,35 +426,26 @@ def srg_distinguish(g: Graph, h: Graph) -> DistinguishResult:
 
     Levels: 0 adjacency, 1 support of U, 2 support of U^2, 3 support of
     U^3, compared by exact characteristic polynomial.  Returns level None
-    when all four agree.  Levels 1 and 2 come from 2n-row closed forms
-    instead of 2m-row charpolys.  Level 1 is
-    ``charpoly_support_via_adjacency_form``: on a simple graph of minimum
-    degree 2 the support of U is the pattern of (B - J0)^T.  Level 2 is
-    (x - 2)^(2m - 2n) char(K) for K = ``support2_matrix``, one
-    ``charpolys_exact`` call on both graphs when both have degree >= 3; on
-    2-regular graphs (cycles, m = n) the form does not hold, and level 2
-    is the direct ``power_support(U, 2)``, already 2n rows.  On regular
-    graphs levels 1 and 2 are functions of the spectrum of A (Godsil-Guo
-    2011), so level 3 is the first that can separate cospectral graphs; it
-    stays one ``charpolys_exact`` call on ``power_support(U, 3)``, with U
-    built once per graph when first needed.  Level 0 is one call on both
-    adjacency matrices, of one size or not.
+    when all four agree.  Levels 0 and 3 are one ``charpolys_exact`` call
+    on both graphs' ``operator_matrix``, of one size or not.  Level 1 is
+    the 2n-row closed form ``charpoly_support_via_adjacency_form``: on a
+    simple graph of minimum degree 2 the support of U is the pattern of
+    (B - J0)^T.  Level 2 makes no kernel call: it is level 1 with its roots
+    squared and shifted (``charpoly_support2_from_support``), so it can
+    never separate two graphs that level 1 does not.  On regular graphs
+    both are functions of the spectrum of A (Godsil-Guo 2011), and level 3
+    is the first that can separate cospectral graphs.
     """
     _check_srg_hypotheses(g, "left graph")
     _check_srg_hypotheses(h, "right graph")
     charpolys: dict[str, tuple[list[str], list[str]]] = {}
-    walks = None
     for idx, (name, target) in enumerate(DISTINGUISH_LEVELS):
         if target == "U+":
             left, right = charpoly_support_via_adjacency_form(g), charpoly_support_via_adjacency_form(h)
-        elif target == "A":
-            left, right = charpolys_exact([operator_matrix(g, "A"), operator_matrix(h, "A")])
-        elif target == "U2+" and min(g.degrees + h.degrees) >= 3:
-            polys = charpolys_exact([support2_matrix(g), support2_matrix(h)])
-            left, right = (apply_support2_prefactor(p, x) for p, x in zip(polys, (g, h)))
+        elif target == "U2+":  # from level 1's pair
+            left, right = charpoly_support2_from_support(g, left), charpoly_support2_from_support(h, right)
         else:
-            walks = walks or [transition_matrix(g), transition_matrix(h)]
-            left, right = charpolys_exact([power_support(u, idx) for u in walks])  # level k: U^k
+            left, right = charpolys_exact([operator_matrix(g, target), operator_matrix(h, target)])
         charpolys[name] = (left.to_strings(), right.to_strings())
         if left != right:
             return DistinguishResult(idx, name, charpolys)

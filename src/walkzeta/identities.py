@@ -18,25 +18,19 @@ polynomial of its 2n x 2n linearisation [[A, -C], [I, 0]]
 (2000) in their proofs of the Ihara-Bass formula; the callers hand it the
 integer rows of L, s C and s.
 
-The support of U^2 has a vertex form too, from the same device
-det(yI - XY) = y^(r - s) det(yI - YX): on a simple graph of minimum
-degree 3, char((U^2)+) = (x - 2)^(2m - 2n) char(K) for the 2n x 2n
-integer matrix K = [[A^2 - D + 2I, A(D - I)], [-A, 2I - D]]
-(``support2_matrix``, ``charpoly_support2_form``).  The hypothesis is
-needed: at degree 2 the coin weight is 1, the signs of the two-step terms
-change and the form is wrong, so it raises ValueError there, and callers
-take the direct 2m-row support, which has 2n rows on a 2-regular graph.
-``apply_support2_prefactor`` applies the (x - 2)^(2m - 2n) factor.
+The support of U^2 needs no matrix of its own: on a simple graph of
+minimum degree 3 it is P^2 + I for P the support of U, and on a 2-regular
+graph it is P^2.  So ``charpoly_support2_form`` squares the roots of the
+support form by Graeffe's step and adds 1 or 0 to them, with no kernel
+call of its own (``charpoly_support2_from_support``).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from .exact import Matrix, Poly, _int_divexact, charpoly_exact
-from .graphs import Graph, adjacency_matrix
+from .exact import Matrix, Poly, _int_divexact, _int_mul, _int_sub, charpoly_exact
+from .graphs import Graph
 from .operators import _lift_arc_weights, coin_weights, random_walk_matrix
 
 
@@ -53,11 +47,10 @@ def _linearised_charpoly(rows: list[list[int]], diag: list[int], scale: int) -> 
     return charpoly_exact(Matrix.from_ints(top + bottom, scale))
 
 
-def _times_binomial(c: list[int], d: int, r: int, k: int) -> list[int]:
-    """The integer coefficient list c times (x^d - r)^k, one shift by d less r c per factor."""
-    pad = [0] * d
+def _times_binomial(c: list[int], k: int) -> list[int]:
+    """The integer coefficient list c times (x^2 - 1)^k, one shift by 2 less c per factor."""
     for _ in range(k):
-        c = [b - r * a for a, b in zip(c + pad, pad + c)]
+        c = [b - a for a, b in zip(c + [0, 0], [0, 0] + c)]
     return c
 
 
@@ -69,18 +62,10 @@ def apply_circle_prefactor(det_poly: Poly, exponent: int) -> Poly:
     """
     c = list(det_poly.ints)
     if exponent < 0:
-        c = _int_divexact(c, _times_binomial([1], 2, 1, -exponent), det_poly.scale)
+        c = _int_divexact(c, _times_binomial([1], -exponent), det_poly.scale)
     else:
-        c = _times_binomial(c, 2, 1, exponent)
+        c = _times_binomial(c, exponent)
     return Poly.from_ints(c, det_poly.scale)
-
-
-def apply_support2_prefactor(char_k: Poly, g: Graph) -> Poly:
-    """Multiply char(K), K = ``support2_matrix(g)``, by (x - 2)^(2m - 2n).
-
-    Works on the integer coefficients char_k.ints and keeps its scale.
-    """
-    return Poly.from_ints(_times_binomial(list(char_k.ints), 1, 2, 2 * (g.m - g.n)), char_k.scale)
 
 
 def vertex_determinant(g: Graph, weights: Sequence) -> Poly:
@@ -130,33 +115,39 @@ def charpoly_support_via_adjacency_form(g: Graph) -> Poly:
     return apply_circle_prefactor(vertex_determinant(g, [1] * (2 * g.m)), g.m - g.n)
 
 
-def support2_matrix(g: Graph) -> Matrix:
-    """K = [[A^2 - D + 2I, A(D - I)], [-A, 2I - D]], 2n x 2n, for char of the support of U^2.
+def charpoly_support2_from_support(g: Graph, char_support: Poly) -> Poly:
+    """Characteristic polynomial of the support of U^2 from char_support, that of U+.
 
-    With Tm and Om the arc-to-terminus and arc-to-origin incidence
-    matrices, the support of (U^T)^2 is S = Tm A Om^T - Tm Tm^T - Om Om^T + 2I
-    on a simple graph of minimum degree 3: every coin weight 2/d is below 1
-    there, so a two-step term through a backtrack is negative and the
-    diagonal (1 - 2/d)^2 positive.  S - 2I = XY for X = [Tm, Om] and
-    Y = [A Om^T - Tm^T; -Om^T], and K - 2I = YX, so by
-    det(yI - XY) = y^(2m - 2n) det(yI - YX) at y = x - 2,
-    char(S) = (x - 2)^(2m - 2n) char(K).  At degree 2 the coin weight is 1
-    and the sign analysis, so the form, fails: raises ValueError unless g
-    is simple of minimum degree 3.
+    Graeffe's root squaring: p = char_support has the even degree 2m, and
+    writing p(x) = e(x^2) + x o(x^2), p(x) p(-x) = e(x^2)^2 - x^2 o(x^2)^2,
+    so q = e^2 - x o^2 has the squares of p's roots.  The result is
+    q(x - c), by Horner's rule, with c = 1 at minimum degree 3 and c = 0 on
+    a 2-regular graph (``charpoly_support2_form``); raises ValueError
+    unless g is simple and one of the two.
     """
-    if not (g.simple and min(g.degrees) >= 3):
-        raise ValueError("support of U^2 closed form requires a simple graph of minimum degree 3")
-    a = np.array(adjacency_matrix(g).ints, dtype=np.int64)
-    d = np.diag(g.degrees)
-    eye = np.eye(g.n, dtype=np.int64)
-    k = np.block([[a @ a - d + 2 * eye, a @ (d - eye)], [-a, 2 * eye - d]])
-    return Matrix.from_ints(k.tolist())
+    if not (g.simple and (min(g.degrees) >= 3 or set(g.degrees) == {2})):
+        raise ValueError("support of U^2 closed form requires a simple graph, 2-regular or of minimum degree 3")
+    p = list(char_support.ints)
+    q = _int_sub(_int_mul(p[::2], p[::2]), [0] + _int_mul(p[1::2], p[1::2]))
+    c = 1 if min(g.degrees) >= 3 else 0
+    shifted: list[int] = []
+    for a in reversed(q):
+        shifted = [x - c * y for x, y in zip([a] + shifted, shifted + [0])]
+    return Poly.from_ints(shifted, char_support.scale**2)
 
 
 def charpoly_support2_form(g: Graph) -> Poly:
-    """Characteristic polynomial of the support of U^2 from the 2n-row matrix K.
+    """Characteristic polynomial of the support of U^2: that of U+ with its roots squared, plus c.
 
-    (x - 2)^(2m - 2n) char(K) for K = ``support2_matrix(g)``, which raises
-    ValueError unless g is simple of minimum degree 3.
+    With Tm and Om the arc-to-terminus and arc-to-origin incidence
+    matrices, B = Tm Om^T, B J0 = Tm Tm^T, J0 B = Om Om^T and
+    Om^T Tm = A, so (B - J0)^2 = Tm A Om^T - Tm Tm^T - Om Om^T + I.  On a
+    simple graph of minimum degree 3 every coin weight 2/d is below 1, so a
+    two-step term through a backtrack is negative and the diagonal
+    (1 - 2/d)^2 positive: the support of (U^T)^2 is
+    Tm A Om^T - Tm Tm^T - Om Om^T + 2I = (B - J0)^2 + I, and B - J0 is the
+    pattern of U^T.  On a 2-regular graph the coin weight is 1, so
+    U^T = B - J0 is a permutation matrix and the support of (U^T)^2 is
+    (B - J0)^2.  Raises ValueError unless g is simple and one of the two.
     """
-    return apply_support2_prefactor(charpoly_exact(support2_matrix(g)), g)
+    return charpoly_support2_from_support(g, charpoly_support_via_adjacency_form(g))

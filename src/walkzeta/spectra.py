@@ -208,10 +208,11 @@ def roots(p: Poly) -> SpectrumMultiset:
     never iterated on), then each factor is solved numerically.  The
     reported residual is the largest relative residual |f(z)| / sum |f_i| |z|^i
     over the roots z of each square-free factor f: about machine epsilon
-    for a root placed to full double precision.
+    for a root placed to full double precision.  A nonzero constant has no
+    roots: the empty multiset, with residual 0.
     """
-    if p.degree < 1:
-        raise ValueError("roots of a constant polynomial are undefined")
+    if p.is_zero():
+        raise ValueError("roots of the zero polynomial are undefined")
     vals: list[complex] = []
     residual = 0.0
     for factor, multiplicity in square_free_decomposition(p):

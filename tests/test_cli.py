@@ -100,6 +100,15 @@ def test_spectrum_csv(capsys):
         assert parts[2] == "U"
 
 
+def test_spectrum_of_0x0_operator_is_empty(capsys):
+    # an edgeless graph has no arcs: char(B - J0) is the constant 1, with no roots
+    code, out, _ = run_cli(capsys, "spectrum", "--graph6", "@", "--target", "B-J0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["charpoly"] == ["1"]
+    assert doc["spectrum"] == [] and doc["max_residual"] == 0
+
+
 def test_csv_rejected_outside_spectrum(capsys):
     code, _, err = run_cli(capsys, "charpoly", "--graph6", K4, "--format", "csv")
     assert code == 2

@@ -87,7 +87,8 @@ def test_named_graph_lookup():
     assert named_graph("petersen").edges == petersen_graph().edges
     assert named_graph("shrikhande").edges == shrikhande_graph().edges
     assert named_graph("rook44").edges == rook_graph_4x4().edges
-    for bad in ("Q5", "K", "Kx", "frobnitz"):
+    # sizes are ASCII digits only: no sign, inner space or other script's digits
+    for bad in ("Q5", "K", "Kx", "frobnitz", "K3_-1", "K+4", "k 4", "C\u0661\u0662"):
         with pytest.raises(KeyError):
             named_graph(bad)
 

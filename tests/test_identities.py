@@ -14,7 +14,6 @@ from walkzeta.identities import (
     charpoly_support_via_adjacency_form,
     charpoly_u_via_degree_form,
     charpoly_u_via_walk_form,
-    support2_matrix,
     vertex_determinant,
 )
 from walkzeta.operators import (
@@ -22,6 +21,7 @@ from walkzeta.operators import (
     nonbacktracking_matrix,
     operator_matrix,
     positive_support,
+    power_support,
     transition_matrix,
 )
 from walkzeta.zeta import (
@@ -39,7 +39,7 @@ from walkzeta.experiments import (
     triangle_with_doubled_edge,
 )
 
-from oracles import FractionPoly, perm_det
+from oracles import FractionPoly, matmul, perm_det
 from test_experiments import COSPECTRAL_PAIRS
 
 X = FractionPoly.x()
@@ -192,16 +192,20 @@ def test_support_form_requires_min_degree_two():
         charpoly_support_via_adjacency_form(path_graph(3))
 
 
+TWO_REGULAR_GRAPHS = [
+    *(pytest.param(cycle_graph(n), id=f"C{n}") for n in range(3, 13)),
+    pytest.param(Graph(7, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3))), id="C3+C4"),
+]
 SUPPORT2_GRAPHS = [
     *(pytest.param(e.graph, id=e.name) for e in builtin_corpus() if e.graph.simple and min(e.graph.degrees) >= 3),
     *(pytest.param(parse_graph6(g6), id=g6) for pair in COSPECTRAL_PAIRS for g6 in pair),
     *(pytest.param(named_graph(name), id=name) for name in ("shrikhande", "rook44")),
+    *TWO_REGULAR_GRAPHS,
 ]
 
 
 @pytest.mark.parametrize("g", SUPPORT2_GRAPHS)
 def test_support2_form_matches_direct_charpoly(g):
-    assert support2_matrix(g).rows == 2 * g.n
     assert charpoly_support2_form(g) == charpoly_exact(operator_matrix(g, "U2+"))
 
 
@@ -234,10 +238,30 @@ def test_support2_form_on_random_graphs_of_min_degree_3(g):
     assert charpoly_support2_form(g) == charpoly_exact(operator_matrix(g, "U2+"))
 
 
-@pytest.mark.parametrize("g", [cycle_graph(6), triangle_with_doubled_edge()], ids=["C6", "triangle_double_edge"])
+def _support_squared(g, shift):
+    """P P + shift I for P the support of U."""
+    p = power_support(transition_matrix(g), 1)
+    square = matmul(p, p)
+    return Matrix.from_ints([[x + shift * (i == j) for j, x in enumerate(row)] for i, row in enumerate(square.ints)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(simple_graphs_min_degree_3())
+def test_support_of_u2_is_support_squared_plus_identity(g):
+    assert power_support(transition_matrix(g), 2) == _support_squared(g, 1)
+
+
+@pytest.mark.parametrize("g", TWO_REGULAR_GRAPHS)
+def test_support_of_u2_is_support_squared_on_2_regular_graphs(g):
+    assert power_support(transition_matrix(g), 2) == _support_squared(g, 0)
+
+
+K4_MINUS_EDGE = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
+
+
+@pytest.mark.parametrize("g", [K4_MINUS_EDGE, triangle_with_doubled_edge()], ids=["K4_minus_edge", "triangle_double_edge"])
 def test_support2_form_requires_simple_min_degree_three(g):
-    with pytest.raises(ValueError):
-        support2_matrix(g)
+    # irregular of minimum degree 2, and a multigraph: neither 2-regular nor of minimum degree 3
     with pytest.raises(ValueError):
         charpoly_support2_form(g)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from walkzeta import exact, experiments
 from walkzeta.exact import Matrix, Poly, charpoly_exact
 from walkzeta.graphs import Graph, adjacency_matrix, parse_graph6
-from walkzeta.identities import _linearised_charpoly, support2_matrix, vertex_determinant
+from walkzeta.identities import _linearised_charpoly, vertex_determinant
 from walkzeta.operators import (
     TARGETS,
     arc_operator,
@@ -291,9 +291,9 @@ def test_operator_matrix_table_and_distinguish_levels(monkeypatch):
 
     # Levels 0 and 3 are one charpolys_exact call on both graphs'
     # operator_matrix results.  Level 1 is the closed form, whose kernel calls
-    # are 2n-row linearisations, one per graph, and level 2 one call on both
-    # graphs' 2n-row support2_matrix.  Record every batch the kernel is fed,
-    # from srg_distinguish and through charpoly_exact alike.
+    # are 2n-row linearisations, one per graph, and level 2 is level 1's pair
+    # with its roots squared, with no kernel call.  Record every batch the
+    # kernel is fed, from srg_distinguish and through charpoly_exact alike.
     fed = []
     batched = exact.charpolys_exact
 
@@ -307,12 +307,11 @@ def test_operator_matrix_table_and_distinguish_levels(monkeypatch):
     result = srg_distinguish(g, h)
     monkeypatch.undo()
     assert result.level_name == "support_u3"
-    assert [[m.rows for m in matrices] for matrices, _ in fed] == [[16, 16], [32], [32], [32, 32], [96, 96]]
+    assert [[m.rows for m in matrices] for matrices, _ in fed] == [[16, 16], [32], [32], [96, 96]]
     levels = dict(experiments.DISTINGUISH_LEVELS)
-    for name, (matrices, polys) in zip(("adjacency", "support_u3"), (fed[0], fed[4])):
+    for name, (matrices, polys) in zip(("adjacency", "support_u3"), (fed[0], fed[3])):
         assert matrices == [operator_matrix(g, levels[name]), operator_matrix(h, levels[name])], name
         assert result.charpolys[name] == tuple(p.to_strings() for p in polys), name
-    assert fed[3][0] == [support2_matrix(g), support2_matrix(h)]
     # the closed forms at levels 1 and 2 against the 96-row charpolys of U+ and U2+
     for name in ("support_u", "support_u2"):
         direct = tuple(charpoly_exact(operator_matrix(x, levels[name])).to_strings() for x in (g, h))

@@ -132,8 +132,11 @@ def test_roots_rejects_root_outside_double_range():
 
 
 def test_roots_rejects_constant():
+    # only the zero polynomial is rejected; a nonzero constant has no roots
     with pytest.raises(ValueError):
-        roots(FractionPoly.one())
+        roots(FractionPoly())
+    spectrum = roots(FractionPoly.one())
+    assert spectrum.values == () and spectrum.max_residual == 0
 
 
 def test_real_roots():
