@@ -144,7 +144,7 @@ def cmd_spectrum(args) -> int:
         args.target == "U+" and g.simple and g.connected and min(g.degrees) == max(g.degrees) >= 2
     ):
         adj_eigs = real_roots(charpoly_exact(operator_matrix(g, "A")), args.tolerance)
-        mapped = map_adjacency_spectrum(adj_eigs, g.degrees[0], g.m, g.n, args.tolerance)
+        mapped = map_adjacency_spectrum(adj_eigs, g.degrees[0], g.m, g.n)
         verdict = compare(spectrum, mapped, args.tolerance)
 
     if args.format == "csv":

@@ -34,7 +34,7 @@ from .identities import (
     charpoly_u_via_degree_form,
     charpoly_u_via_walk_form,
 )
-from .operators import operator_matrix, positive_support, transition_matrix, verify_support_identity
+from .operators import nonbacktracking_matrix, operator_matrix, positive_support, transition_matrix
 from .zeta import ihara_reciprocal_bass_form, ihara_reciprocal_edge_form, weighted_zeta_reciprocal
 
 DEFAULT_SEED = 42
@@ -261,86 +261,81 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _first_difference(left: Poly, right: Poly) -> str:
-    """The lowest power whose coefficients differ, with both, for two unequal polynomials."""
+def _witness(label: str, left, right) -> str:
+    """What a failed check reports for two unequal sides: the label, and for
+    polynomials also the lowest power whose coefficients differ, with both."""
+    if not isinstance(left, Poly):
+        return label
     pairs = list(itertools.zip_longest(left.to_strings(), right.to_strings(), fillvalue="0"))
     k = next(k for k, (a, b) in enumerate(pairs) if a != b)
-    return f"coefficient {k}: {pairs[k][0]} vs {pairs[k][1]}"
+    return f"{label}, coefficient {k}: {pairs[k][0]} vs {pairs[k][1]}"
+
+
+class _Operands:
+    """One corpus entry and the operands several of its checks share, each
+    built once, on first use, inside the check that first needs it.  A build
+    that raises is not kept, so each check that needs it fails with its error."""
+
+    def __init__(self, entry: CorpusEntry, seed: int, weight_trials: int):
+        self.g, self.name, self.seed, self.weight_trials = entry.graph, entry.name, seed, weight_trials
+
+    u = functools.cached_property(lambda self: transition_matrix(self.g))
+    char_u = functools.cached_property(lambda self: charpoly_exact(self.u))
+    support_ut = functools.cached_property(lambda self: positive_support(self.u.transpose()))
+
+    def weights(self, trial: int) -> list[Fraction]:
+        """The random per-arc weights of one trial, seeded by seed, graph name and trial."""
+        return random_arc_weights(self.g, random.Random(f"{self.seed}:{self.name}:{trial}"))
+
+
+# (identity, applies, sides), in report order.  applies(g) is the
+# identity's hypothesis; sides(operands) yields the (label, left, right)
+# pairs it compares: the two closed forms of char(U), the edge and vertex
+# zeta forms, the weighted forms once per random per-arc weight trial, the
+# support identity and the support charpoly closed form.  The weighted
+# check runs on simple graphs only, so the check list stays the one
+# ``benchmarks/checks.py`` derives, though the identity holds on every graph.
+_IDENTITY_CHECKS = (
+    ("u_charpoly_walk_form", lambda g: True,
+     lambda s: [("direct vs closed form", s.char_u, charpoly_u_via_walk_form(s.g))]),
+    ("u_charpoly_degree_form", lambda g: True,
+     lambda s: [("direct vs closed form", s.char_u, charpoly_u_via_degree_form(s.g))]),
+    ("zeta_edge_vs_vertex", lambda g: True,
+     lambda s: [("edge vs vertex", ihara_reciprocal_edge_form(s.g), ihara_reciprocal_bass_form(s.g))]),
+    ("weighted_zeta_forms", lambda g: g.simple,
+     lambda s: ((f"trial {t}, edge vs vertex", *weighted_zeta_reciprocal(s.g, s.weights(t)))
+                for t in range(s.weight_trials))),
+    ("support_identity", lambda g: g.simple and g.connected and min(g.degrees) >= 2,
+     lambda s: [("support differs from edge matrix", s.support_ut, nonbacktracking_matrix(s.g))]),
+    ("support_charpoly_form", lambda g: min(g.degrees) >= 2,
+     lambda s: [("direct vs closed form", charpoly_exact(s.support_ut),
+                 charpoly_support_via_adjacency_form(s.g))]),
+)
 
 
 def _entry_checks(entry: CorpusEntry, seed: int, weight_trials: int) -> list[IdentityCheck]:
-    """All identity checks for one corpus entry, in a fixed order.
+    """Every check of ``_IDENTITY_CHECKS`` whose hypothesis holds on one corpus entry.
 
-    Top-level (not a closure) so corpus entries can be farmed out to worker
-    processes; everything it needs rides in on the arguments.
+    A check passes when each pair of sides is equal, and fails with the
+    witness of the first unequal pair.  Every side, the shared U and char(U)
+    included, is built inside its check, so an error while building one
+    fails that check with ``Type: message`` as its witness.  Top-level (not
+    a closure) so corpus entries can be farmed out to worker processes;
+    everything it needs rides in on the arguments.
     """
+    operands = _Operands(entry, seed, weight_trials)
     checks: list[IdentityCheck] = []
-
-    def record(identity: str, fn):
+    for identity, applies, sides in _IDENTITY_CHECKS:
+        if not applies(entry.graph):
+            continue
         start = time.perf_counter()
         try:
-            passed, witness = fn()
-        except Exception as exc:  # a crash is a failure with the error as witness
-            passed, witness = False, f"{type(exc).__name__}: {exc}"
-        checks.append(
-            IdentityCheck(
-                identity=identity,
-                graph=entry.name,
-                passed=passed,
-                witness=None if passed else witness,
-                elapsed=time.perf_counter() - start,
+            witness = next(
+                (_witness(label, left, right) for label, left, right in sides(operands) if left != right), None
             )
-        )
-
-    g = entry.graph
-    u = transition_matrix(g)
-    char_u = charpoly_exact(u)
-
-    def same_charpoly(actual: Poly, closed_form):
-        expected = closed_form(g)
-        if actual == expected:
-            return True, None
-        return False, f"direct vs closed form, {_first_difference(actual, expected)}"
-
-    record("u_charpoly_walk_form", lambda: same_charpoly(char_u, charpoly_u_via_walk_form))
-    record("u_charpoly_degree_form", lambda: same_charpoly(char_u, charpoly_u_via_degree_form))
-
-    def check_zeta():
-        edge = ihara_reciprocal_edge_form(g)
-        vertex = ihara_reciprocal_bass_form(g)
-        if vertex == edge:
-            return True, None
-        return False, f"edge vs vertex, {_first_difference(edge, vertex)}"
-
-    record("zeta_edge_vs_vertex", check_zeta)
-
-    if g.simple:
-
-        def check_weighted():
-            for trial in range(weight_trials):
-                rng = random.Random(f"{seed}:{entry.name}:{trial}")
-                forms = weighted_zeta_reciprocal(g, random_arc_weights(g, rng))
-                if forms.bass_form != forms.edge_form:
-                    return False, f"trial {trial}: forms differ"
-            return True, None
-
-        record("weighted_zeta_forms", check_weighted)
-
-    if g.simple and g.connected and min(g.degrees) >= 2:
-
-        def check_support():
-            return verify_support_identity(g), "support differs from edge matrix"
-
-        record("support_identity", check_support)
-
-    if min(g.degrees) >= 2:
-        record(
-            "support_charpoly_form",
-            lambda: same_charpoly(
-                charpoly_exact(positive_support(u.transpose())), charpoly_support_via_adjacency_form
-            ),
-        )
-
+        except Exception as exc:  # a crash is a failure with the error as witness
+            witness = f"{type(exc).__name__}: {exc}"
+        checks.append(IdentityCheck(identity, entry.name, witness is None, witness, time.perf_counter() - start))
     return checks
 
 
@@ -352,12 +347,8 @@ def run_identity_suite(
 ) -> VerificationReport:
     """Recompute both sides of every identity on every corpus graph.
 
-    Checks, per graph: the two closed forms of char(U); the edge-versus-
-    vertex zeta determinant identity; the weighted variant on random
-    per-arc weights (on simple graphs, so the check list stays the one
-    ``benchmarks/checks.py`` derives, though the identity holds on every
-    graph); the support identity and the support characteristic polynomial
-    closed form (where the minimum-degree hypothesis holds).
+    The checks are the rows of ``_IDENTITY_CHECKS`` whose hypothesis holds,
+    in table order for each graph, the graphs in corpus order.
 
     workers=None uses one process per CPU; entries are independent and
     seeded per graph, so the report is identical (minus timings) at any

@@ -22,7 +22,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .exact import Poly, square_free_decomposition
 
@@ -94,17 +93,6 @@ def _fujiwara_bound(monic_coeffs: np.ndarray) -> float:
     return bound if bound > 0 else 1.0
 
 
-def _relative_residuals(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """|p(z)| / sum |a_i| |z|^i at each point, 0 where both vanish (z = 0 = a_0).
-
-    The backward error of z as a root of p: double precision cannot place
-    a root below about machine epsilon on this scale.
-    """
-    num = np.abs(npoly.polyval(z, coeffs))
-    den = npoly.polyval(np.abs(z), np.abs(coeffs))
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-
-
 def _horner_columns(coeffs: np.ndarray) -> tuple[list[np.ndarray], list[float]]:
     """The coefficients _horner sweeps, top power first, for an ascending array of degree d.
 
@@ -112,7 +100,7 @@ def _horner_columns(coeffs: np.ndarray) -> tuple[list[np.ndarray], list[float]]:
     p' = sum b_i x^i (b_d = 0); the second list holds |a_i|.
     """
     deg = len(coeffs) - 1
-    deriv = np.append(np.arange(1, deg + 1) * coeffs[1:], 0.0)  # as npoly.polyder
+    deriv = np.append(np.arange(1, deg + 1) * coeffs[1:], 0.0)  # as numpy's polyder
     columns = np.repeat(np.stack([coeffs, deriv], axis=1)[::-1], deg, axis=1)
     return list(columns.astype(np.complex128)), np.abs(coeffs)[::-1].tolist()
 
@@ -121,7 +109,7 @@ def _horner(columns: tuple[list[np.ndarray], list[float]], z: np.ndarray, az: np
     """p(z), p'(z) and sum |a_i| az^i at the d points z, in one Horner sweep.
 
     Each value is computed element by element in the order of
-    npoly.polyval, so all three are bit-identical to it: starting from 0
+    numpy's polyval, so all three are bit-identical to it: starting from 0
     rather than from the top coefficient only adds an exact 0 * z step, as
     does the leading 0 of p'.  p and p' share one complex row of 2d values;
     the floor stays a real row, since in a complex one an overflow
@@ -139,19 +127,18 @@ def _horner(columns: tuple[list[np.ndarray], list[float]], z: np.ndarray, az: np
     return values[: len(z)], values[len(z) :], floor
 
 
-def _aberth(coeffs: np.ndarray) -> np.ndarray:
+def _aberth(coeffs: np.ndarray, columns: tuple[list[np.ndarray], list[float]]) -> np.ndarray:
     """All roots of a square-free monic polynomial (ascending array) by Aberth's method.
 
     A point is accepted when its Newton correction |p/p'| drops below
     ABERTH_NEWTON_TOL (relative to max(1, |z|)), or when |p(z)| falls under the
     round-off bound eps * sum |a_i| |z|^i, past which double precision
     cannot place the root any better.  p, p' and that bound come from one
-    Horner sweep per iteration.
+    Horner sweep per iteration over columns, ``_horner_columns(coeffs)``.
     """
     deg = len(coeffs) - 1
     if deg == 1:
         return np.array([complex(-coeffs[0])])
-    columns = _horner_columns(coeffs)
     noise_scale = 4.0 * np.finfo(np.float64).eps
     radius = _fujiwara_bound(coeffs)
     # slight angular offset so the start is not symmetric about the real axis
@@ -173,7 +160,7 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
         denom = 1.0 - newton * repulsion
         denom = np.where(denom == 0, 1e-300, denom)
         z = z - newton / denom
-    residuals = np.abs(npoly.polyval(z, coeffs))
+    residuals = np.abs(_horner(columns, z, np.abs(z))[0])
     raise RootConvergenceError(
         f"Aberth did not converge in {ABERTH_MAX_ITER} iterations", residuals.tolist()
     )
@@ -218,10 +205,14 @@ def roots(p: Poly) -> SpectrumMultiset:
     for factor, multiplicity in square_free_decomposition(p):
         factor, e = _power_of_two_scaling(factor)
         coeffs = np.array([c / factor.scale for c in factor.ints], dtype=np.float64)
-        factor_roots = _aberth(coeffs)
+        columns = _horner_columns(coeffs)
+        factor_roots = _aberth(coeffs, columns)
         if coeffs[0] == 0:  # the simple root at zero is exact; Aberth lands within round-off
             factor_roots[np.argmin(np.abs(factor_roots))] = 0
-        residual = max(residual, float(np.max(_relative_residuals(coeffs, factor_roots))))
+        pv, _, floor = _horner(columns, factor_roots, np.abs(factor_roots))
+        # |p(z)| / sum |a_i| |z|^i, 0 where both vanish (z = 0 = a_0)
+        relative = np.divide(np.abs(pv), floor, out=np.zeros_like(floor), where=floor > 0)
+        residual = max(residual, float(np.max(relative)))
         if e:
             with np.errstate(over="ignore"):
                 factor_roots = np.ldexp(factor_roots.real, e) + 1j * np.ldexp(factor_roots.imag, e)
@@ -277,9 +268,7 @@ def map_random_walk_spectrum(
     return SpectrumMultiset(_sorted_values(vals))
 
 
-def map_adjacency_spectrum(
-    adj_eigs, k: int, m: int, n: int, tolerance: float = DEFAULT_TOLERANCE
-) -> SpectrumMultiset:
+def map_adjacency_spectrum(adj_eigs, k: int, m: int, n: int) -> SpectrumMultiset:
     """Non-backtracking arc spectrum of a k-regular graph from adjacency eigenvalues.
 
     lam maps to lam/2 +/- i sqrt(k - 1 - lam^2/4), which has modulus

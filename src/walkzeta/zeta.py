@@ -6,12 +6,14 @@ three-term determinant with its (1 - t^2) prefactor.  Both go through the
 one exact kernel: det(I - tM) is the coefficient reversal of char(M), and
 the vertex form is the reversal of ``identities.vertex_determinant``,
 det(x^2 I - xW + D_w - I) on the same per-arc weights, times the circle
-factor (x^2 - 1)^k.  The Ihara zeta is the unit-weight case, so W = A and
-D_w = D.  Reversal is multiplicative and takes x^2 - 1 to 1 - t^2, so the
-factor is applied in one place, ``identities.apply_circle_prefactor``.  A
-brute-force Euler product serves as a combinatorial cross-check on small
-matrices: by Amitsur's identity, in the combinatorial proof of Foata and
-Zeilberger (Trans. AMS 1999), 1/det(I - tM) is a product over the prime
+factor (x^2 - 1)^k, k = m - n.  The two agree on every graph, forests and
+disconnected graphs included.  The Ihara zeta is the unit-weight case, so
+W = A and D_w = D.  Reversal is multiplicative and takes x^2 - 1 to
+1 - t^2, so the factor is applied in one place,
+``identities.apply_circle_prefactor``.  A brute-force Euler product
+serves as a combinatorial cross-check on small matrices: by Amitsur's
+identity, in the combinatorial proof of Foata and Zeilberger (Trans. AMS
+1999), 1/det(I - tM) is a product over the prime
 cycle classes of the digraph of any square matrix M, each weighted by the
 product of M's entries around it.  The oracle reads the matrix it is
 given, so it checks B - J0, U and B_w - J0 alike.  The walk extends only
@@ -29,7 +31,7 @@ from operator import getitem
 from typing import NamedTuple, Sequence
 
 from .exact import Matrix, Poly, charpoly_exact
-from .graphs import Graph, betti
+from .graphs import Graph
 from .identities import apply_circle_prefactor, vertex_determinant
 from .operators import arc_operator, nonbacktracking_matrix
 
@@ -75,17 +77,15 @@ def ihara_reciprocal_edge_form(g: Graph) -> Poly:
 
 
 def ihara_reciprocal_bass_form(g: Graph) -> Poly:
-    """1/zeta as (1 - t^2)^(r - 1) det(I - tA + t^2 (D - I)).
+    """1/zeta as (1 - t^2)^(m - n) det(I - tA + t^2 (D - I)), on every graph.
 
-    r is the first Betti number, so a disconnected graph is a ValueError.
-    The form is the reversal of (x^2 - 1)^(r - 1) det(x^2 I - xA + D - I),
-    the vertex side at unit weights.  It is always a polynomial: r - 1 >= 0
-    on every connected graph except a tree, and on a tree
-    det(I - tA + t^2 (D - I)) = 1 - t^2, so the negative power divides
-    exactly.
+    The reversal of (x^2 - 1)^(m - n) det(x^2 I - xA + D - I), the vertex
+    side at unit weights.  m - n is the first Betti number minus the number
+    of components, so the form holds on disconnected graphs too: both sides
+    multiply over components.  It is always a polynomial: the edge form is
+    one, so on a forest the negative power of 1 - t^2 divides exactly.
     """
-    exponent = betti(g) - 1
-    return apply_circle_prefactor(vertex_determinant(g, [1] * (2 * g.m)), exponent).reversed()
+    return apply_circle_prefactor(vertex_determinant(g, [1] * (2 * g.m)), g.m - g.n).reversed()
 
 
 class WeightedZetaForms(NamedTuple):

@@ -180,7 +180,7 @@ def test_criterion_06_support_spectrum_map():
     for entry in eligible:
         g = entry.graph
         adj_eigs = real_roots(charpoly_exact(adjacency_matrix(g)), TOLERANCE)
-        mapped = map_adjacency_spectrum(adj_eigs, g.degrees[0], g.m, g.n, TOLERANCE)
+        mapped = map_adjacency_spectrum(adj_eigs, g.degrees[0], g.m, g.n)
         verdict = compare(roots(_char_support(entry)), mapped, TOLERANCE)
         worst = max(worst, verdict.max_pair_distance)
         if not verdict.equal:

@@ -180,14 +180,51 @@ def test_identity_suite_parallel_matches_serial():
 
 
 def test_identity_suite_captures_crash_as_failure():
-    disconnected = Graph(4, ((0, 1), (2, 3)))
-    report = run_identity_suite([CorpusEntry("two_edges", disconnected)], weight_trials=1)
+    # an isolated vertex has no coin weight, so U cannot be built: both
+    # char(U) checks fail with the error, and the zeta checks still run
+    isolated = Graph(3, ((0, 1),))
+    report = run_identity_suite([CorpusEntry("iso", isolated)], weight_trials=2, workers=1)
     assert not report.passed
-    failed = {c.identity for c in report.failures()}
-    assert "zeta_edge_vs_vertex" in failed
+    assert [(c.identity, c.passed) for c in report.checks] == [
+        ("u_charpoly_walk_form", False),
+        ("u_charpoly_degree_form", False),
+        ("zeta_edge_vs_vertex", True),
+        ("weighted_zeta_forms", True),
+    ]
     for c in report.failures():
-        assert c.witness
-    assert "FAIL" in report.to_text()
+        assert c.witness == "ValueError: transition matrix needs every vertex to have an arc"
+    assert "FAIL u_charpoly_walk_form on iso: ValueError" in report.to_text()
+
+
+def test_identity_suite_builds_shared_operands_once(monkeypatch):
+    calls = {"transition_matrix": 0, "positive_support": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(experiments, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(experiments, name, counted)
+    report = run_identity_suite([CorpusEntry("K4", complete_graph(4))], weight_trials=1, workers=1)
+    assert report.passed and len(report.checks) == 6
+    assert calls == {"transition_matrix": 1, "positive_support": 1}
+
+
+def test_identity_suite_witness_names_the_failing_trial_and_side(monkeypatch):
+    k4 = complete_graph(4)
+    forms = experiments.weighted_zeta_reciprocal
+
+    def second_trial_differs(g, weights):
+        edge, bass = forms(g, weights)
+        if weights != random_arc_weights(g, random.Random("42:K4:1")):
+            return edge, bass
+        return edge, Poly.from_ints([*bass.ints[:-1], bass.ints[-1] + bass.scale], bass.scale)
+
+    monkeypatch.setattr(experiments, "weighted_zeta_reciprocal", second_trial_differs)
+    monkeypatch.setattr(experiments, "nonbacktracking_matrix", lambda g: operator_matrix(cycle_graph(4), "B-J0"))
+    report = run_identity_suite([CorpusEntry("K4", k4)], weight_trials=3, workers=1)
+    failed = {c.identity: c.witness for c in report.failures()}
+    assert set(failed) == {"weighted_zeta_forms", "support_identity"}
+    assert failed["weighted_zeta_forms"].startswith("trial 1, edge vs vertex, coefficient ")
+    assert failed["support_identity"] == "support differs from edge matrix"
 
 
 def test_identity_suite_witness_names_the_first_differing_coefficient(monkeypatch):

@@ -105,9 +105,18 @@ def test_bass_identity_on_samples():
         assert ihara_reciprocal_bass_form(g) == edge
 
 
-def test_bass_form_rejects_disconnected_graph():
-    with pytest.raises(ValueError):
-        ihara_reciprocal_bass_form(Graph(4, ((0, 1), (2, 3))))
+def test_bass_form_holds_on_disconnected_graphs():
+    # the exponent is m - n, so the components multiply; forests with
+    # isolated vertices take a negative power that divides exactly
+    for g in (
+        Graph(4, ((0, 1), (2, 3))),  # 2K2
+        Graph(9, (*complete_graph(4).edges, *((4 + u, 4 + v) for u, v in cycle_graph(5).edges))),
+        Graph(3, ((0, 1),)),  # K2 and an isolated vertex
+        Graph(5, ((0, 1), (2, 3))),  # 2K2 and an isolated vertex
+        Graph(4, ()),
+        Graph(6, ((0, 1), (0, 1), (1, 2), (2, 0), (4, 5))),  # doubled-edge triangle, isolated vertex, K2
+    ):
+        assert ihara_reciprocal_bass_form(g) == ihara_reciprocal_edge_form(g)
 
 
 def test_weighted_forms_divide_exactly_on_forests():
