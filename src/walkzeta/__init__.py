@@ -32,7 +32,6 @@ from .operators import (
     power_support,
     random_walk_matrix,
     transition_matrix,
-    verify_support_identity,
 )
 from .spectra import (
     CompareResult,

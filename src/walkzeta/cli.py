@@ -8,11 +8,10 @@ Usage examples::
     walkzeta verify --corpus builtin
     walkzeta distinguish shrikhande rook44
 
-Exit codes: 0 success, 2 bad input or failed validation (including
-``--format csv`` for any command but ``spectrum``), 3 identity violation,
-4 size-guard violation, 5 numeric root finding did not converge.  JSON
-output has a fixed key order and no wall-clock data, so identical
-invocations are byte identical.
+Exit codes: 0 success, 2 bad input, an option the command does not take
+or failed validation, 3 identity violation, 4 size-guard violation, 5
+numeric root finding did not converge.  JSON output has a fixed key order
+and no wall-clock data, so identical invocations are byte identical.
 """
 
 from __future__ import annotations
@@ -54,22 +53,22 @@ EXIT_ROOTS = 5
 DEFAULT_ORDER = 8
 
 
+# the options echoed as settings, each declared by the one command that reads it
+_ECHOED = ("tolerance", "order", "seed")
+
+
 def _settings(args) -> dict:
-    return {
-        "tolerance": args.tolerance,
-        "order": args.order,
-        "seed": args.seed,
-    }
+    """The echoed options this command declares, as the JSON and the text header show them."""
+    return {name: getattr(args, name) for name in _ECHOED if hasattr(args, name)}
 
 
-def _envelope(command: str, args) -> dict:
-    return {"command": command, "settings": _settings(args)}
+def _envelope(args, **fields) -> dict:
+    return {"command": args.command, "settings": _settings(args), **fields}
 
 
-def _settings_text(args) -> str:
-    """The settings as the text header prints them."""
-    s = _settings(args)
-    return f"tolerance={s['tolerance']:g} order={s['order']} seed={s['seed']}"
+def _header(args, *words) -> str:
+    """The first line of text output: the command, its words, then its settings."""
+    return " ".join([args.command, *words, *(f"{k}={v}" for k, v in _settings(args).items())])
 
 
 def _load_graph(args) -> Graph:
@@ -78,16 +77,19 @@ def _load_graph(args) -> Graph:
         raise GraphFormatError("provide exactly one of --graph6 or --input")
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
-    return _read_graph_file(args.input, args.input_format)
+    return _read_graph_file(args.input)
 
 
-def _read_graph_file(path: str, fmt: str = "auto") -> Graph:
-    """Parse a graph file; "auto" means graph6 for .g6/.graph6, else an edge list."""
+def _read_graph_file(path: str) -> Graph:
+    """Parse a graph file by its content, whatever its name.
+
+    A graph6 string holds no whitespace, and every edge-list data line has
+    two tokens, so a file with at most one token is graph6 and any other
+    file an edge list.
+    """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    if fmt == "auto":
-        fmt = "graph6" if path.endswith((".g6", ".graph6")) else "edgelist"
-    return parse_graph6(text) if fmt == "graph6" else parse_edge_list(text)
+    return parse_graph6(text) if len(text.split()) <= 1 else parse_edge_list(text)
 
 
 def _resolve_graph_spec(spec: str) -> Graph:
@@ -108,11 +110,7 @@ def _print_json(doc: dict):
 def cmd_charpoly(args) -> int:
     g = _load_graph(args)
     poly = charpoly_exact(operator_matrix(g, args.target))
-    doc = _envelope("charpoly", args)
-    doc["target"] = args.target
-    doc["n"] = g.n
-    doc["m"] = g.m
-    doc["charpoly"] = poly.to_strings()
+    doc = _envelope(args, target=args.target, n=g.n, m=g.m, charpoly=poly.to_strings())
     if args.target == "U":
         exponent, det = g.m - g.n, vertex_determinant(g, coin_weights(g))
         doc["factored"] = {
@@ -122,7 +120,7 @@ def cmd_charpoly(args) -> int:
     if args.format == "json":
         _print_json(doc)
     else:
-        print(f"charpoly target={args.target} n={g.n} m={g.m} {_settings_text(args)}")
+        print(_header(args, f"target={args.target}", f"n={g.n}", f"m={g.m}"))
         print(poly.format("x"))
         if args.target == "U":
             print(f"factored: (x^2 - 1)^{exponent} * ({det.format('x')})")
@@ -130,6 +128,8 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValueError("tolerance must be finite and positive")
     g = _load_graph(args)
     poly = charpoly_exact(operator_matrix(g, args.target))
     spectrum = roots(poly)
@@ -153,25 +153,18 @@ def cmd_spectrum(args) -> int:
             print(f"{z.real!r},{z.imag!r},{args.target}")
         return EXIT_IDENTITY if verdict is not None and not verdict.equal else EXIT_OK
 
-    doc = _envelope("spectrum", args)
-    doc["target"] = args.target
-    doc["n"] = g.n
-    doc["m"] = g.m
-    doc["charpoly"] = poly.to_strings()
-    doc["spectrum"] = [{"re": z.real, "im": z.imag} for z in spectrum.values]
-    doc["max_residual"] = spectrum.max_residual
-    doc["mapped"] = (
-        None if mapped is None else [{"re": z.real, "im": z.imag} for z in mapped.values]
-    )
-    doc["verdict"] = (
-        None
-        if verdict is None
-        else {"equal": verdict.equal, "max_pair_distance": verdict.max_pair_distance}
+    doc = _envelope(
+        args, target=args.target, n=g.n, m=g.m, charpoly=poly.to_strings(),
+        spectrum=[{"re": z.real, "im": z.imag} for z in spectrum.values],
+        max_residual=spectrum.max_residual,
+        mapped=None if mapped is None else [{"re": z.real, "im": z.imag} for z in mapped.values],
+        verdict=None if verdict is None
+        else {"equal": verdict.equal, "max_pair_distance": verdict.max_pair_distance},
     )
     if args.format == "json":
         _print_json(doc)
     else:
-        print(f"spectrum target={args.target} n={g.n} m={g.m} {_settings_text(args)}")
+        print(_header(args, f"target={args.target}", f"n={g.n}", f"m={g.m}"))
         for z, count in spectrum.clustered():
             print(f"  {z.real:+.10f} {z.imag:+.10f}i  x{count}")
         if verdict is not None:
@@ -183,20 +176,20 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    if args.order < 1:
+        raise ValueError("order must be >= 1")
     g = _load_graph(args)
     edge = ihara_reciprocal_edge_form(g)
     bass = ihara_reciprocal_bass_form(g)
     agree = bass == edge
     series = series_inverse(edge, args.order)
 
-    doc = _envelope("zeta", args)
-    doc["n"] = g.n
-    doc["m"] = g.m
-    doc["edge_form"] = edge.to_strings()
-    # always a polynomial; both formats keep a denominator of 1 for readers of the zeta output
-    doc["bass_form"] = {"numerator": bass.to_strings(), "denominator": ["1"]}
-    doc["forms_agree"] = agree
-    doc["series"] = [str(c) for c in series]
+    # the vertex form is always a polynomial; its denominator of 1 stays for readers of the output
+    doc = _envelope(
+        args, n=g.n, m=g.m, edge_form=edge.to_strings(),
+        bass_form={"numerator": bass.to_strings(), "denominator": ["1"]},
+        forms_agree=agree, series=[str(c) for c in series],
+    )
     oracle_matches = None
     if args.oracle:
         # may raise OracleSizeError
@@ -208,7 +201,7 @@ def cmd_zeta(args) -> int:
     if args.format == "json":
         _print_json(doc)
     else:
-        print(f"zeta n={g.n} m={g.m} {_settings_text(args)}")
+        print(_header(args, f"n={g.n}", f"m={g.m}"))
         print(f"edge form: {edge.format('t')}")
         print(f"vertex form: ({bass.format('t')}) / (1)")
         print(f"forms agree: {agree}")
@@ -222,17 +215,16 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise ValueError("trials must be >= 0")
     corpus = builtin_corpus(args.seed)
     if args.corpus == "smoke":
         corpus = [e for e in corpus if e.graph.n <= 4]
     report = run_identity_suite(corpus, seed=args.seed, weight_trials=args.trials)
     if args.format == "json":
-        doc = _envelope("verify", args)
-        doc["corpus"] = args.corpus
-        doc["report"] = report.to_dict()
-        _print_json(doc)
+        _print_json(_envelope(args, corpus=args.corpus, report=report.to_dict()))
     else:
-        print(f"verify corpus={args.corpus} {_settings_text(args)}")
+        print(_header(args, f"corpus={args.corpus}"))
         print(report.to_text())
     return EXIT_OK if report.passed else EXIT_IDENTITY
 
@@ -242,13 +234,9 @@ def cmd_distinguish(args) -> int:
     h = _resolve_graph_spec(args.right)
     result = srg_distinguish(g, h)
     if args.format == "json":
-        doc = _envelope("distinguish", args)
-        doc["left"] = args.left
-        doc["right"] = args.right
-        doc["result"] = result.to_dict()
-        _print_json(doc)
+        _print_json(_envelope(args, left=args.left, right=args.right, result=result.to_dict()))
     else:
-        print(f"distinguish {args.left} vs {args.right} {_settings_text(args)}")
+        print(_header(args, args.left, "vs", args.right))
         if result.distinguished:
             print(f"distinguished at level {result.level} ({result.level_name})")
         else:
@@ -256,22 +244,14 @@ def cmd_distinguish(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub):
-    sub.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                     help="numeric comparison tolerance (default 1e-8)")
-    sub.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                     help="series truncation order (default 8)")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                     help="seed for randomized corpus members (default 42)")
-    sub.add_argument("--format", choices=("json", "text", "csv"), default="json",
-                     help="output format (csv applies to spectra only)")
-
-
 def _add_input(sub):
     sub.add_argument("--graph6", help="graph6 string")
-    sub.add_argument("--input", help="path to a graph file")
-    sub.add_argument("--input-format", choices=("auto", "edgelist", "graph6"),
-                     default="auto", help="file format (default: by extension)")
+    sub.add_argument("--input", help="graph file: graph6 if it is one token, else an edge list")
+
+
+def _add_format(sub, *extra):
+    sub.add_argument("--format", choices=("json", "text", *extra), default="json",
+                     help="output format (default json)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -284,33 +264,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("charpoly", help="characteristic polynomial of a walk matrix")
     p.add_argument("--target", choices=TARGETS, default="U")
     _add_input(p)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_charpoly)
 
     p = subs.add_parser("spectrum", help="numeric spectrum with closed-form cross-check")
     p.add_argument("--target", choices=TARGETS, default="U")
     _add_input(p)
-    _add_common(p)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                   help="numeric comparison tolerance (default 1e-8)")
+    _add_format(p, "csv")
     p.set_defaults(func=cmd_spectrum)
 
     p = subs.add_parser("zeta", help="zeta reciprocal in both determinant forms")
+    _add_input(p)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                   help="series truncation order (default 8)")
     p.add_argument("--oracle", action="store_true",
                    help="also run the prime-cycle Euler product oracle")
-    _add_input(p)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_zeta)
 
     p = subs.add_parser("verify", help="run the identity suite on the corpus")
     p.add_argument("--corpus", choices=("builtin", "smoke"), default="builtin")
     p.add_argument("--trials", type=int, default=DEFAULT_WEIGHT_TRIALS,
                    help=f"random per-arc weight lists per graph (default {DEFAULT_WEIGHT_TRIALS})")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed for randomized corpus members (default 42)")
+    _add_format(p)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("distinguish", help="lowest support level separating two graphs")
     p.add_argument("left", help="graph name, file path or graph6 string")
     p.add_argument("right", help="graph name, file path or graph6 string")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_distinguish)
 
     return parser
@@ -322,14 +308,6 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        if args.format == "csv" and args.command != "spectrum":
-            raise ValueError("csv output applies to spectra only")
-        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-            raise ValueError("tolerance must be finite and positive")
-        if args.order < 1:
-            raise ValueError("order must be >= 1")
-        if getattr(args, "trials", 0) < 0:
-            raise ValueError("trials must be >= 0")
         return args.func(args)
     except (GraphFormatError, ValueError, KeyError, OSError, RootConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

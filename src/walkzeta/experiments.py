@@ -34,7 +34,7 @@ from .identities import (
     charpoly_u_via_degree_form,
     charpoly_u_via_walk_form,
 )
-from .operators import nonbacktracking_matrix, operator_matrix, positive_support, transition_matrix
+from .operators import arc_operator, coin_weights, nonbacktracking_matrix, operator_matrix, positive_support
 from .zeta import ihara_reciprocal_bass_form, ihara_reciprocal_edge_form, weighted_zeta_reciprocal
 
 DEFAULT_SEED = 42
@@ -279,9 +279,10 @@ class _Operands:
     def __init__(self, entry: CorpusEntry, seed: int, weight_trials: int):
         self.g, self.name, self.seed, self.weight_trials = entry.graph, entry.name, seed, weight_trials
 
-    u = functools.cached_property(lambda self: transition_matrix(self.g))
-    char_u = functools.cached_property(lambda self: charpoly_exact(self.u))
-    support_ut = functools.cached_property(lambda self: positive_support(self.u.transpose()))
+    # U^T = B_w - J0 at the coin weights, and char(U^T) = char(U)
+    ut = functools.cached_property(lambda self: arc_operator(self.g, coin_weights(self.g)))
+    char_u = functools.cached_property(lambda self: charpoly_exact(self.ut))
+    support_ut = functools.cached_property(lambda self: positive_support(self.ut))
 
     def weights(self, trial: int) -> list[Fraction]:
         """The random per-arc weights of one trial, seeded by seed, graph name and trial."""

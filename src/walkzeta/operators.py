@@ -136,15 +136,3 @@ def operator_matrix(g: Graph, target: str) -> Matrix:
         return nonbacktracking_matrix(g)
     u = transition_matrix(g)
     return u if target == "U" else power_support(u, {"U+": 1, "U2+": 2, "U3+": 3}[target])
-
-
-def verify_support_identity(g: Graph) -> bool:
-    """Check that the positive support of U-transpose is the edge matrix.
-
-    Holds for simple connected graphs of minimum degree 2; those hypotheses
-    are enforced rather than assumed.
-    """
-    if not (g.simple and g.connected and min(g.degrees) >= 2):
-        raise ValueError("support identity requires a simple connected graph with min degree 2")
-    u = transition_matrix(g)
-    return positive_support(u.transpose()) == nonbacktracking_matrix(g)

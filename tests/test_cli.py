@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -32,7 +33,7 @@ def test_charpoly_adjacency_k2(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["command"] == "charpoly"
-    assert doc["settings"] == {"tolerance": 1e-8, "order": 8, "seed": 42}
+    assert doc["settings"] == {}
     assert doc["target"] == "A"
     assert (doc["n"], doc["m"]) == (2, 1)
     assert doc["charpoly"] == ["-1", "0", "1"]
@@ -53,8 +54,65 @@ def test_charpoly_text_header(capsys):
     code, out, _ = run_cli(capsys, "charpoly", "--graph6", K2, "--target", "A",
                            "--format", "text")
     assert code == 0
-    assert "tolerance=1e-08 order=8 seed=42" in out
+    assert out.splitlines()[0] == "charpoly target=A n=2 m=1"
     assert "-1 + x^2" in out
+
+
+@pytest.mark.parametrize("argv, settings, header", [
+    (("charpoly", "--graph6", K2), {}, "charpoly target=U n=2 m=1"),
+    (("spectrum", "--graph6", K2, "--tolerance", "1e-6"), {"tolerance": 1e-6},
+     "spectrum target=U n=2 m=1 tolerance=1e-06"),
+    (("zeta", "--graph6", C3, "--order", "5"), {"order": 5}, "zeta n=3 m=3 order=5"),
+    (("verify", "--corpus", "smoke", "--trials", "0", "--seed", "7"), {"seed": 7},
+     "verify corpus=smoke seed=7"),
+    (("distinguish", "K4", "C4"), {}, "distinguish K4 vs C4"),
+])
+def test_settings_echo_only_the_options_the_command_reads(capsys, argv, settings, header):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["settings"] == settings
+    code, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert out.splitlines()[0] == header
+
+
+@pytest.mark.parametrize("command, options", [
+    ("charpoly", {"--target", "--graph6", "--input", "--format"}),
+    ("spectrum", {"--target", "--graph6", "--input", "--tolerance", "--format"}),
+    ("zeta", {"--graph6", "--input", "--order", "--oracle", "--format"}),
+    ("verify", {"--corpus", "--trials", "--seed", "--format"}),
+    ("distinguish", {"--format"}),
+])
+def test_help_lists_only_the_options_the_command_reads(capsys, command, options):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out)) == options | {"--help"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("charpoly", "--graph6", K4, "--seed", "1"),
+    ("charpoly", "--graph6", K4, "--tolerance", "1e-3"),
+    ("charpoly", "--graph6", K4, "--order", "3"),
+    ("spectrum", "--graph6", K4, "--order", "3"),
+    ("spectrum", "--graph6", K4, "--seed", "1"),
+    ("zeta", "--graph6", C3, "--tolerance", "1e-3"),
+    ("zeta", "--graph6", C3, "--seed", "1"),
+    ("zeta", "--graph6", C3, "--input-format", "graph6"),
+    ("charpoly", "--graph6", K4, "--input-format", "graph6"),
+    ("verify", "--corpus", "smoke", "--tolerance", "1e-3"),
+    ("verify", "--corpus", "smoke", "--order", "3"),
+    ("verify", "--graph6", K4),
+    ("distinguish", "K4", "K4", "--order", "3"),
+    ("distinguish", "K4", "K4", "--seed", "1"),
+    ("distinguish", "K4", "K4", "--tolerance", "1e-3"),
+    ("distinguish", "K4", "K4", "--target", "U"),
+])
+def test_options_a_command_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_spectrum_u_with_map(capsys):
@@ -110,17 +168,18 @@ def test_spectrum_of_0x0_operator_is_empty(capsys):
 
 
 def test_csv_rejected_outside_spectrum(capsys):
-    code, _, err = run_cli(capsys, "charpoly", "--graph6", K4, "--format", "csv")
-    assert code == 2
-    assert "csv" in err
+    # argparse refuses the choice, as for any option a command does not take
     for argv in (
+        ("charpoly", "--graph6", K4),
         ("zeta", "--graph6", C3),
         ("verify", "--corpus", "smoke"),
         ("distinguish", "K4", "K4"),
     ):
-        code, out, err = run_cli(capsys, *argv, "--format", "csv")
-        assert code == 2, argv
-        assert out == "" and "csv" in err, argv
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "csv" in captured.err, argv
 
 
 def test_root_finding_failure_exit_5(capsys, monkeypatch):
@@ -229,12 +288,26 @@ def test_input_file_loading(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["m"] == 6
 
-    forced = tmp_path / "k4.txt"
-    forced.write_text(K4 + "\n")
-    code, out, _ = run_cli(capsys, "charpoly", "--target", "A", "--input", str(forced),
-                           "--input-format", "graph6")
+
+
+def test_file_format_comes_from_content(capsys, tmp_path):
+    g6_in_txt = tmp_path / "k4.txt"
+    g6_in_txt.write_text(K4 + "\n")
+    code, out, _ = run_cli(capsys, "charpoly", "--target", "A", "--input", str(g6_in_txt))
     assert code == 0
     assert json.loads(out)["m"] == 6
+
+    edges_in_g6 = tmp_path / "path3.g6"
+    edges_in_g6.write_text("0 1\n1 2\n")
+    code, out, _ = run_cli(capsys, "charpoly", "--target", "A", "--input", str(edges_in_g6))
+    assert code == 0
+    assert (json.loads(out)["n"], json.loads(out)["m"]) == (3, 2)
+
+    bare = tmp_path / "k4"
+    bare.write_text(K4)
+    code, out, _ = run_cli(capsys, "distinguish", str(bare), "K4", "--format", "text")
+    assert code == 0
+    assert "indistinct through support of U^3" in out
 
 
 def test_bad_inputs_exit_2(capsys, tmp_path):
@@ -243,7 +316,7 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         ("charpoly", "--graph6", K4, "--input", "x"),  # both sources
         ("charpoly", "--graph6", ")"),  # byte below the graph6 range
         ("charpoly", "--input", str(tmp_path / "missing.edges")),
-        ("charpoly", "--graph6", K4, "--tolerance", "0"),
+        ("spectrum", "--graph6", K4, "--tolerance", "0"),
         ("spectrum", "--graph6", K4, "--tolerance", "nan"),
         ("spectrum", "--graph6", K4, "--tolerance", "inf"),
         ("zeta", "--graph6", C3, "--order", "0"),

@@ -197,7 +197,7 @@ def test_identity_suite_captures_crash_as_failure():
 
 
 def test_identity_suite_builds_shared_operands_once(monkeypatch):
-    calls = {"transition_matrix": 0, "positive_support": 0}
+    calls = {"arc_operator": 0, "positive_support": 0}
     for name in calls:
         def counted(*args, _fn=getattr(experiments, name), _name=name):
             calls[_name] += 1
@@ -205,7 +205,7 @@ def test_identity_suite_builds_shared_operands_once(monkeypatch):
         monkeypatch.setattr(experiments, name, counted)
     report = run_identity_suite([CorpusEntry("K4", complete_graph(4))], weight_trials=1, workers=1)
     assert report.passed and len(report.checks) == 6
-    assert calls == {"transition_matrix": 1, "positive_support": 1}
+    assert calls == {"arc_operator": 1, "positive_support": 1}
 
 
 def test_identity_suite_witness_names_the_failing_trial_and_side(monkeypatch):
