@@ -11,6 +11,7 @@ from .graphs import (
     ArcSet,
     Graph,
     GraphFormatError,
+    SizeGuardError,
     adjacency_matrix,
     betti,
     encode_graph6,
@@ -44,7 +45,6 @@ from .spectra import (
 )
 from .zeta import (
     CycleClass,
-    OracleSizeError,
     euler_product_oracle,
     ihara_reciprocal_bass_form,
     ihara_reciprocal_edge_form,

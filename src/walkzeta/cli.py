@@ -23,13 +23,12 @@ import os
 import sys
 
 from .exact import charpoly_exact
-from .graphs import Graph, GraphFormatError, parse_edge_list, parse_graph6
+from .graphs import Graph, GraphFormatError, SizeGuardError, parse_edge_list, parse_graph6
 from .identities import vertex_determinant
 from .operators import TARGETS, coin_weights, nonbacktracking_matrix, operator_matrix
 from .spectra import DEFAULT_TOLERANCE, RootConvergenceError, compare, real_roots, roots
 from .spectra import map_adjacency_spectrum, map_random_walk_spectrum
 from .zeta import (
-    OracleSizeError,
     euler_product_oracle,
     ihara_reciprocal_bass_form,
     ihara_reciprocal_edge_form,
@@ -100,7 +99,11 @@ def _resolve_graph_spec(spec: str) -> Graph:
         pass
     if os.path.exists(spec):
         return _read_graph_file(spec)
-    return parse_graph6(spec)
+    try:
+        return parse_graph6(spec)
+    except GraphFormatError as exc:
+        spec_error = f"{spec!r} is not a built-in graph name, an existing file or a graph6 string"
+        raise GraphFormatError(f"{spec_error} ({exc})") from None
 
 
 def _print_json(doc: dict):
@@ -134,17 +137,15 @@ def cmd_spectrum(args) -> int:
     poly = charpoly_exact(operator_matrix(g, args.target))
     spectrum = roots(poly)
 
-    mapped = None
-    verdict = None
+    vertex = mapped = verdict = None
     if args.target == "U" and g.m >= g.n:
-        walk_eigs = real_roots(charpoly_exact(operator_matrix(g, "T")), args.tolerance)
-        mapped = map_random_walk_spectrum(walk_eigs, g.m, g.n, args.tolerance)
-        verdict = compare(spectrum, mapped, args.tolerance)
+        vertex, lift = "T", lambda eigs: map_random_walk_spectrum(eigs, g.m, g.n, args.tolerance)
     elif (
         args.target == "U+" and g.simple and g.connected and min(g.degrees) == max(g.degrees) >= 2
     ):
-        adj_eigs = real_roots(charpoly_exact(operator_matrix(g, "A")), args.tolerance)
-        mapped = map_adjacency_spectrum(adj_eigs, g.degrees[0], g.m, g.n)
+        vertex, lift = "A", lambda eigs: map_adjacency_spectrum(eigs, g.degrees[0], g.m, g.n)
+    if vertex is not None:
+        mapped = lift(real_roots(charpoly_exact(operator_matrix(g, vertex)), args.tolerance))
         verdict = compare(spectrum, mapped, args.tolerance)
 
     if args.format == "csv":
@@ -192,7 +193,7 @@ def cmd_zeta(args) -> int:
     )
     oracle_matches = None
     if args.oracle:
-        # may raise OracleSizeError
+        # may raise SizeGuardError
         oracle = euler_product_oracle(nonbacktracking_matrix(g), args.order)
         oracle_matches = oracle == series
         doc["oracle_series"] = [str(c) for c in oracle]
@@ -254,7 +255,7 @@ def _add_format(sub, *extra):
                      help="output format (default json)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="walkzeta",
         description="exact quantum-walk matrices, graph zeta functions and spectra",
@@ -299,19 +300,21 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_distinguish)
 
-    return parser
+    return parser, subs.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMAND_PARSERS = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args, unknown = _PARSER.parse_known_args(argv)
+    if unknown:  # reported against the command, whose usage lists what it takes
+        _COMMAND_PARSERS[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
-    except (GraphFormatError, ValueError, KeyError, OSError, RootConvergenceError) as exc:
+    except (ValueError, KeyError, OSError, RootConvergenceError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, OracleSizeError):
+        if isinstance(exc, SizeGuardError):
             return EXIT_SIZE
         return EXIT_ROOTS if isinstance(exc, RootConvergenceError) else EXIT_INPUT
 

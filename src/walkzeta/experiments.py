@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import Poly, charpoly_exact, charpolys_exact
-from .graphs import Graph
+from .graphs import Graph, check_dense_size
 from .identities import (
     charpoly_support2_from_support,
     charpoly_support_via_adjacency_form,
@@ -190,10 +190,13 @@ def named_graph(name: str) -> Graph:
     sizes = re.fullmatch(r"([kcp])([0-9]+)|k([0-9]+)_([0-9]+)", name.strip(), re.ASCII | re.IGNORECASE)
     try:
         if sizes and sizes[1]:
-            family = {"k": complete_graph, "c": cycle_graph, "p": path_graph}[sizes[1].lower()]
-            return family(int(sizes[2]))
+            n, kind = int(sizes[2]), sizes[1].lower()
+            check_dense_size(n, {"k": n * (n - 1) // 2, "c": n, "p": n - 1}[kind])
+            return {"k": complete_graph, "c": cycle_graph, "p": path_graph}[kind](n)
         if sizes:
-            return complete_bipartite_graph(int(sizes[3]), int(sizes[4]))
+            a, b = int(sizes[3]), int(sizes[4])
+            check_dense_size(a + b, a * b)
+            return complete_bipartite_graph(a, b)
     except ValueError:
         pass
     raise KeyError(f"unknown graph name {name!r}")

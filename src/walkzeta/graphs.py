@@ -21,18 +21,35 @@ from functools import cached_property
 from .exact import Matrix
 
 
+# A graph's largest dense matrix, a vertex determinant's 2n-row linearisation
+# or a 2m-row arc operator, has max(2n, 2m) rows.  4096 admits every graph
+# the roadmap plans (at most 1944 arcs) at 16.8 million entries per matrix.
+MAX_DENSE_ROWS = 4096
+
+
 class GraphFormatError(ValueError):
     """Malformed edge-list or graph6 input."""
+
+
+class SizeGuardError(Exception):
+    """A computation refused by a size guard before it starts."""
+
+
+def check_dense_size(n: int, m: int):
+    """Raise SizeGuardError if a graph of n vertices and m edges is past MAX_DENSE_ROWS."""
+    rows = 2 * max(n, m)
+    if rows > MAX_DENSE_ROWS:
+        raise SizeGuardError(f"graph needs {rows} matrix rows; the size guard allows {MAX_DENSE_ROWS}")
 
 
 @dataclass(frozen=True)
 class Graph:
     """Undirected multigraph: vertex count and an ordered edge tuple.
 
-    Its arcs, degrees, connectivity and simplicity are computed at most
-    once, on first use.  Equality, hashing and pickling see only n and the
-    edges, so a graph whose facts were read is interchangeable with a fresh
-    one.
+    A graph past the size guard is refused.  Its arcs, degrees, connectivity
+    and simplicity are computed at most once, on first use.  Equality,
+    hashing and pickling see only n and the edges, so a graph whose facts
+    were read is interchangeable with a fresh one.
     """
 
     n: int
@@ -49,6 +66,7 @@ class Graph:
                 raise GraphFormatError(f"loop edge at vertex {u} is not supported")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphFormatError(f"edge ({u}, {v}) leaves vertex range 0..{self.n - 1}")
+        check_dense_size(self.n, self.m)
 
     def __getstate__(self) -> dict:
         return {"n": self.n, "edges": self.edges}

@@ -8,8 +8,8 @@ exponent is negative and the factor divides out exactly.  The Grover coin
 weights 2/deg(o(e)) give W = 2T, D_w = 2I and char(U); unit weights give
 W = A, D_w = D, the Ihara zeta's Bass form and, at minimum degree 2, the
 support of U-transpose.  ``apply_circle_prefactor`` is the one place the
-circle factor is applied.  ``degree_adjacency_determinant_form`` is a
-second closed form of char(U), from A and the degrees alone.
+circle factor is applied.  ``charpoly_u_via_degree_form`` is a second
+closed form of char(U), from A and the degrees alone.
 
 Each quadratic determinant det(x^2 I - xA + C), A = L / s and C a
 diagonal, is evaluated by the one exact kernel as the characteristic
@@ -18,11 +18,8 @@ polynomial of its 2n x 2n linearisation [[A, -C], [I, 0]]
 (2000) in their proofs of the Ihara-Bass formula; the callers hand it the
 integer rows of L, s C and s.
 
-The support of U^2 needs no matrix of its own: on a simple graph of
-minimum degree 3 it is P^2 + I for P the support of U, and on a 2-regular
-graph it is P^2.  So ``charpoly_support2_form`` squares the roots of the
-support form by Graeffe's step and adds 1 or 0 to them, with no kernel
-call of its own (``charpoly_support2_from_support``).
+``charpoly_support2_from_support`` takes char(support of U^2) from char(U+)
+with no kernel call; its docstring proves the identity it rests on.
 """
 
 from __future__ import annotations
@@ -83,25 +80,21 @@ def vertex_determinant(g: Graph, weights: Sequence) -> Poly:
     return _linearised_charpoly(w, sums, scale)
 
 
-def degree_adjacency_determinant_form(g: Graph) -> Poly:
-    """det((x^2 + 1) D - 2x A) divided by the product of the degrees.
-
-    Equal to det((x^2 + 1) I - 2x A D^-1); A D^-1 is the transpose of T, so
-    this form does not share its matrix with the coin-weight vertex
-    determinant.
-    """
-    t = random_walk_matrix(g).transpose()
-    return _linearised_charpoly([[2 * x for x in row] for row in t.ints], [t.scale] * g.n, t.scale)
-
-
 def charpoly_u_via_walk_form(g: Graph) -> Poly:
     """Characteristic polynomial of U: the vertex side at the coin weights."""
     return apply_circle_prefactor(vertex_determinant(g, coin_weights(g)), g.m - g.n)
 
 
 def charpoly_u_via_degree_form(g: Graph) -> Poly:
-    """Characteristic polynomial of U from the degree-adjacency determinant."""
-    return apply_circle_prefactor(degree_adjacency_determinant_form(g), g.m - g.n)
+    """Characteristic polynomial of U from the degree-adjacency determinant.
+
+    det((x^2 + 1) D - 2x A), divided by the product of the degrees, is
+    det((x^2 + 1) I - 2x A D^-1); A D^-1 is the transpose of T, so this
+    form does not share its matrix with the coin-weight vertex determinant.
+    """
+    t = random_walk_matrix(g).transpose()
+    det = _linearised_charpoly([[2 * x for x in row] for row in t.ints], [t.scale] * g.n, t.scale)
+    return apply_circle_prefactor(det, g.m - g.n)
 
 
 def charpoly_support_via_adjacency_form(g: Graph) -> Poly:
@@ -118,12 +111,23 @@ def charpoly_support_via_adjacency_form(g: Graph) -> Poly:
 def charpoly_support2_from_support(g: Graph, char_support: Poly) -> Poly:
     """Characteristic polynomial of the support of U^2 from char_support, that of U+.
 
+    With Tm and Om the arc-to-terminus and arc-to-origin incidence
+    matrices, B = Tm Om^T, B J0 = Tm Tm^T, J0 B = Om Om^T and
+    Om^T Tm = A, so (B - J0)^2 = Tm A Om^T - Tm Tm^T - Om Om^T + I.  On a
+    simple graph of minimum degree 3 every coin weight 2/d is below 1, so a
+    two-step term through a backtrack is negative and the diagonal
+    (1 - 2/d)^2 positive: the support of (U^T)^2 is
+    Tm A Om^T - Tm Tm^T - Om Om^T + 2I = (B - J0)^2 + I, and B - J0 is the
+    pattern of U^T.  On a 2-regular graph the coin weight is 1, so
+    U^T = B - J0 is a permutation matrix and the support of (U^T)^2 is
+    (B - J0)^2.  So the roots are those of U+ squared, plus c = 1 at
+    minimum degree 3 and c = 0 on a 2-regular graph; raises ValueError
+    unless g is simple and one of the two.
+
     Graeffe's root squaring: p = char_support has the even degree 2m, and
     writing p(x) = e(x^2) + x o(x^2), p(x) p(-x) = e(x^2)^2 - x^2 o(x^2)^2,
     so q = e^2 - x o^2 has the squares of p's roots.  The result is
-    q(x - c), by Horner's rule, with c = 1 at minimum degree 3 and c = 0 on
-    a 2-regular graph (``charpoly_support2_form``); raises ValueError
-    unless g is simple and one of the two.
+    q(x - c), by Horner's rule.
     """
     if not (g.simple and (min(g.degrees) >= 3 or set(g.degrees) == {2})):
         raise ValueError("support of U^2 closed form requires a simple graph, 2-regular or of minimum degree 3")
@@ -135,19 +139,3 @@ def charpoly_support2_from_support(g: Graph, char_support: Poly) -> Poly:
         shifted = [x - c * y for x, y in zip([a] + shifted, shifted + [0])]
     return Poly.from_ints(shifted, char_support.scale**2)
 
-
-def charpoly_support2_form(g: Graph) -> Poly:
-    """Characteristic polynomial of the support of U^2: that of U+ with its roots squared, plus c.
-
-    With Tm and Om the arc-to-terminus and arc-to-origin incidence
-    matrices, B = Tm Om^T, B J0 = Tm Tm^T, J0 B = Om Om^T and
-    Om^T Tm = A, so (B - J0)^2 = Tm A Om^T - Tm Tm^T - Om Om^T + I.  On a
-    simple graph of minimum degree 3 every coin weight 2/d is below 1, so a
-    two-step term through a backtrack is negative and the diagonal
-    (1 - 2/d)^2 positive: the support of (U^T)^2 is
-    Tm A Om^T - Tm Tm^T - Om Om^T + 2I = (B - J0)^2 + I, and B - J0 is the
-    pattern of U^T.  On a 2-regular graph the coin weight is 1, so
-    U^T = B - J0 is a permutation matrix and the support of (U^T)^2 is
-    (B - J0)^2.  Raises ValueError unless g is simple and one of the two.
-    """
-    return charpoly_support2_from_support(g, charpoly_support_via_adjacency_form(g))

@@ -10,8 +10,8 @@ in one Horner sweep, bit-identical to three ``polyval`` calls.
 A factor with a coefficient outside the double range is first rescaled
 exactly by x = 2^e y, so its coefficients fit in doubles; a root that is
 itself outside the double range raises SpectrumDomainError.
-Closed-form eigenvalue maps translate vertex spectra (random walk or
-adjacency) into arc-operator spectra for cross-checking.
+Closed-form maps lift random-walk or adjacency eigenvalues, each to the two
+roots of one quadratic, into arc-operator spectra for cross-checking.
 """
 
 from __future__ import annotations
@@ -232,10 +232,30 @@ def real_roots(p: Poly, tolerance: float = DEFAULT_TOLERANCE) -> list[float]:
     return sorted(z.real for z in spectrum.values)
 
 
-def _snap_radicand(value: float) -> float:
-    if abs(value) < RADICAND_SNAP:
-        return 0.0
-    return value
+def _lift(eigs, m: int, n: int, kind: str, centre_radicand) -> SpectrumMultiset:
+    """The arc spectrum lifted from n vertex eigenvalues, each lam giving the
+    roots of x^2 - 2cx + c^2 + r for (c, r) = centre_radicand(lam): c +/- i sqrt(r)
+    for r >= 0, c +/- sqrt(-r) for r < 0 and c twice for |r| < RADICAND_SNAP.
+    Then m - n pairs +1, -1 follow, so m >= n.
+    """
+    eigs = list(eigs)
+    if len(eigs) != n:
+        raise ValueError(f"expected {n} {kind} eigenvalues, got {len(eigs)}")
+    if m < n:
+        raise SpectrumDomainError("spectral map needs m >= n; tree case has no padding")
+    vals: list[complex] = []
+    for lam in eigs:
+        c, r = centre_radicand(float(lam))
+        if abs(r) < RADICAND_SNAP:
+            r = 0.0
+        if r >= 0:
+            s = math.sqrt(r)
+            vals += [complex(c, s), complex(c, -s)]
+        else:
+            s = math.sqrt(-r)
+            vals += [complex(c + s), complex(c - s)]
+    vals.extend([complex(1.0), complex(-1.0)] * (m - n))
+    return SpectrumMultiset(_sorted_values(vals))
 
 
 def map_random_walk_spectrum(
@@ -248,24 +268,13 @@ def map_random_walk_spectrum(
     +1 and -1 fill the remaining dimensions.  Requires m >= n (for trees
     the closed form divides instead of multiplying, so no padding exists).
     """
-    walk_eigs = list(walk_eigs)
-    if m < n:
-        raise SpectrumDomainError("spectral map needs m >= n; tree case has no padding")
-    if len(walk_eigs) != n:
-        raise ValueError(f"expected {n} random-walk eigenvalues, got {len(walk_eigs)}")
-    vals: list[complex] = []
-    for lam in walk_eigs:
-        lam = float(lam)
+
+    def centre_radicand(lam: float) -> tuple[float, float]:
         if abs(lam) > 1.0 + tolerance:
             raise SpectrumDomainError(f"random-walk eigenvalue {lam} outside [-1, 1]")
-        radicand = _snap_radicand(1.0 - lam * lam)
-        if radicand < 0:
-            radicand = 0.0  # |lam| within tolerance of 1
-        s = math.sqrt(radicand)
-        vals.append(complex(lam, s))
-        vals.append(complex(lam, -s))
-    vals.extend([complex(1.0), complex(-1.0)] * (m - n))
-    return SpectrumMultiset(_sorted_values(vals))
+        return lam, max(1.0 - lam * lam, 0.0)  # below 0 only for |lam| within tolerance of 1
+
+    return _lift(walk_eigs, m, n, "random-walk", centre_radicand)
 
 
 def map_adjacency_spectrum(adj_eigs, k: int, m: int, n: int) -> SpectrumMultiset:
@@ -276,27 +285,9 @@ def map_adjacency_spectrum(adj_eigs, k: int, m: int, n: int) -> SpectrumMultiset
     Ramanujan window) the pair is real instead.  Padding of +/-1 pairs is
     as in the random-walk map.
     """
-    adj_eigs = list(adj_eigs)
     if k < 2:
         raise SpectrumDomainError("adjacency map needs a k-regular graph with k >= 2")
-    if len(adj_eigs) != n:
-        raise ValueError(f"expected {n} adjacency eigenvalues, got {len(adj_eigs)}")
-    if m < n:
-        raise SpectrumDomainError("spectral map needs m >= n")
-    vals: list[complex] = []
-    for lam in adj_eigs:
-        lam = float(lam)
-        radicand = _snap_radicand((k - 1.0) - lam * lam / 4.0)
-        if radicand >= 0:
-            s = math.sqrt(radicand)
-            vals.append(complex(lam / 2.0, s))
-            vals.append(complex(lam / 2.0, -s))
-        else:
-            s = math.sqrt(-radicand)
-            vals.append(complex(lam / 2.0 + s))
-            vals.append(complex(lam / 2.0 - s))
-    vals.extend([complex(1.0), complex(-1.0)] * (m - n))
-    return SpectrumMultiset(_sorted_values(vals))
+    return _lift(adj_eigs, m, n, "adjacency", lambda lam: (lam / 2.0, (k - 1.0) - lam * lam / 4.0))
 
 
 def _has_perfect_matching(neighbours: list[list[int]]) -> bool:

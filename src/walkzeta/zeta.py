@@ -31,16 +31,12 @@ from operator import getitem
 from typing import NamedTuple, Sequence
 
 from .exact import Matrix, Poly, charpoly_exact
-from .graphs import Graph
+from .graphs import Graph, SizeGuardError
 from .identities import apply_circle_prefactor, vertex_determinant
 from .operators import arc_operator, nonbacktracking_matrix
 
 MAX_ORACLE_ARCS = 20
 MAX_ORACLE_ORDER = 12
-
-
-class OracleSizeError(ValueError):
-    """The cycle oracle was asked for more than the size guard allows."""
 
 
 def series_inverse(p: Poly, order: int) -> list[Fraction]:
@@ -132,9 +128,9 @@ def prime_cycle_classes(m: Matrix, order: int) -> list[CycleClass]:
         raise ValueError("cycle oracle needs a square matrix")
     size = m.rows
     if size > MAX_ORACLE_ARCS:
-        raise OracleSizeError(f"cycle oracle limited to {MAX_ORACLE_ARCS} rows, got {size}")
+        raise SizeGuardError(f"cycle oracle limited to {MAX_ORACLE_ARCS} rows, got {size}")
     if order > MAX_ORACLE_ORDER:
-        raise OracleSizeError(f"cycle oracle limited to length {MAX_ORACLE_ORDER}, got {order}")
+        raise SizeGuardError(f"cycle oracle limited to length {MAX_ORACLE_ORDER}, got {order}")
     if order < 0:
         raise ValueError(f"cycle order must be >= 0, got {order}")
     successors = [[f for f, x in enumerate(row) if x] for row in m.ints]

@@ -112,7 +112,11 @@ def test_options_a_command_does_not_read_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    # reported against the command, so the usage line shows what it takes
+    assert err.startswith(f"usage: walkzeta {argv[0]} ")
+    assert f"walkzeta {argv[0]}: error: unrecognized arguments: " in err
 
 
 def test_spectrum_u_with_map(capsys):
@@ -327,6 +331,41 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, text, rows", [
+    (("charpoly", "--target", "A", "--input"), "0 100000000000\n", 200000000002),
+    (("spectrum", "--input"), "n 100000000000\n0 1\n", 200000000000),
+    (("zeta", "--input"), "0 1\n" * 2049, 4098),
+    (("distinguish", "K5"), "0 1\n" * 2049, 4098),
+    (("distinguish", "K100000", "K5"), None, 99999 * 100000),
+], ids=["huge-label", "huge-n", "parallel-edges", "distinguish-file", "distinguish-name"])
+def test_size_guard_refuses_big_graphs_before_building_them(capsys, tmp_path, argv, text, rows):
+    if text is not None:
+        path = tmp_path / "big.edges"
+        path.write_text(text)
+        argv = (*argv, str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert f"graph needs {rows} matrix rows; the size guard allows 4096" in err
+
+
+def test_size_guard_admits_4096_rows(capsys, tmp_path):
+    path = tmp_path / "parallel.edges"
+    path.write_text("0 1\n" * 2048)
+    code, out, _ = run_cli(capsys, "charpoly", "--target", "A", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["charpoly"] == ["-4194304", "0", "1"]
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("/nonexistent", "graph6 byte '/' out of range"),
+    ("C2", "graph6 byte '2' out of range"),
+])
+def test_distinguish_names_what_a_bad_spec_is_not(capsys, spec, reason):
+    code, out, err = run_cli(capsys, "distinguish", "shrikhande", spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: {spec!r} is not a built-in graph name, an existing file or a graph6 string ({reason})\n"
 
 
 def test_json_outputs_byte_identical(capsys):

@@ -10,7 +10,7 @@ from walkzeta.exact import ExactDivisionError, Matrix, charpoly_exact
 from walkzeta.graphs import Graph, parse_graph6
 from walkzeta.identities import (
     apply_circle_prefactor,
-    charpoly_support2_form,
+    charpoly_support2_from_support,
     charpoly_support_via_adjacency_form,
     charpoly_u_via_degree_form,
     charpoly_u_via_walk_form,
@@ -206,14 +206,16 @@ SUPPORT2_GRAPHS = [
 
 @pytest.mark.parametrize("g", SUPPORT2_GRAPHS)
 def test_support2_form_matches_direct_charpoly(g):
-    assert charpoly_support2_form(g) == charpoly_exact(operator_matrix(g, "U2+"))
+    support = charpoly_support_via_adjacency_form(g)
+    assert charpoly_support2_from_support(g, support) == charpoly_exact(operator_matrix(g, "U2+"))
 
 
 def test_support2_form_shrikhande_and_rook_value():
     # a function of the spectrum 6, 2^6, (-2)^9 of both graphs
     expected = (X - 2) ** 64 * (X**2 - 28 * X + 52) * (X**2 + 4 * X + 20) ** 15
     for name in ("shrikhande", "rook44"):
-        assert charpoly_support2_form(named_graph(name)) == expected, name
+        g = named_graph(name)
+        assert charpoly_support2_from_support(g, charpoly_support_via_adjacency_form(g)) == expected, name
 
 
 @st.composite
@@ -235,7 +237,8 @@ def simple_graphs_min_degree_3(draw):
 @given(simple_graphs_min_degree_3())
 def test_support2_form_on_random_graphs_of_min_degree_3(g):
     assert min(g.degrees) >= 3
-    assert charpoly_support2_form(g) == charpoly_exact(operator_matrix(g, "U2+"))
+    support = charpoly_support_via_adjacency_form(g)
+    assert charpoly_support2_from_support(g, support) == charpoly_exact(operator_matrix(g, "U2+"))
 
 
 def _support_squared(g, shift):
@@ -263,7 +266,7 @@ K4_MINUS_EDGE = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
 def test_support2_form_requires_simple_min_degree_three(g):
     # irregular of minimum degree 2, and a multigraph: neither 2-regular nor of minimum degree 3
     with pytest.raises(ValueError):
-        charpoly_support2_form(g)
+        charpoly_support2_from_support(g, charpoly_support_via_adjacency_form(g))
 
 
 def test_support_determinant_degree():

@@ -125,12 +125,6 @@ def test_support_identity():
         assert positive_support(transition_matrix(g).transpose()) == nonbacktracking_matrix(g)
 
 
-def test_support_of_u_transpose_equals_edge_matrix_k4():
-    g = complete_graph(4)
-    u = transition_matrix(g)
-    assert positive_support(u.transpose()) == nonbacktracking_matrix(g)
-
-
 def test_weighted_edge_matrix_unit_weights():
     # unit W gives B_w - J0 = B - J0, so the weighted edge form is 1/zeta
     for g in (cycle_graph(3), complete_graph(4), path_graph(4), triangle_with_doubled_edge()):

@@ -221,6 +221,38 @@ def test_map_adjacency_domain_errors():
         map_adjacency_spectrum([2, 0], k=2, m=4, n=4)
 
 
+def _bits(values):
+    """Each value's real and imaginary parts in hex, so -0.0 and 0.0 differ."""
+    return tuple((z.real.hex(), z.imag.hex()) for z in values)
+
+
+def _double_root(c):
+    return _bits((complex(c, 0.0), complex(c, -0.0)))
+
+
+@pytest.mark.parametrize("side", [1, -1], ids=["positive", "negative"])
+def test_maps_snap_a_radicand_near_zero_to_a_double_root(side):
+    lam = 1.0 - side * 1e-13  # 1 - lam^2 is about side * 2e-13
+    assert _bits(map_random_walk_spectrum([lam], m=1, n=1).values) == _double_root(lam)
+    lam = 2.0 - side * 1e-12  # 1 - lam^2 / 4 is about side * 1e-12, k = 2
+    assert _bits(map_adjacency_spectrum([lam], k=2, m=1, n=1).values) == _double_root(lam / 2.0)
+
+
+def test_map_random_walk_clamps_a_radicand_past_the_snap():
+    # 1 - lam^2 is about -2e-10, past the snap but inside the tolerance 1e-8
+    for lam in (1 + 1e-10, -1 - 1e-10):
+        assert _bits(map_random_walk_spectrum([lam], m=1, n=1).values) == _double_root(lam)
+    padded = map_random_walk_spectrum([1 + 1e-10], m=2, n=1).values
+    assert _bits(padded) == _bits((complex(-1.0), complex(1.0))) + _double_root(1 + 1e-10)
+
+
+def test_map_adjacency_gives_a_real_pair_for_a_negative_radicand():
+    assert _bits(map_adjacency_spectrum([3], k=3, m=1, n=1).values) == _bits((1 + 0j, 2 + 0j))
+    s = math.sqrt(3.25)  # lam = -5, k = 4: the radicand 3 - 25/4
+    expected = (complex(-2.5 - s), complex(-1.0), complex(-2.5 + s), complex(1.0))
+    assert _bits(map_adjacency_spectrum([-5], k=4, m=2, n=1).values) == _bits(expected)
+
+
 def test_compare_fixtures():
     assert compare(_multiset(1, 1j), _multiset(1j, 1)).equal
     close = compare(_multiset(1), _multiset(1 + 1e-12))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walkzeta.exact import Matrix, Poly, charpoly_exact
-from walkzeta.graphs import Graph
+from walkzeta.graphs import Graph, SizeGuardError
 from walkzeta.operators import (
     arc_operator,
     coin_weights,
@@ -16,7 +16,6 @@ from walkzeta.operators import (
 from walkzeta.zeta import (
     MAX_ORACLE_ARCS,
     CycleClass,
-    OracleSizeError,
     euler_product_oracle,
     ihara_reciprocal_bass_form,
     ihara_reciprocal_edge_form,
@@ -281,9 +280,9 @@ def test_cycle_norm_fixtures():
 
 def test_oracle_size_guard():
     big = cycle_graph(12)  # 24 arcs
-    with pytest.raises(OracleSizeError):
+    with pytest.raises(SizeGuardError):
         prime_cycle_classes(nonbacktracking_matrix(big), 4)
-    with pytest.raises(OracleSizeError):
+    with pytest.raises(SizeGuardError):
         euler_product_oracle(nonbacktracking_matrix(cycle_graph(3)), 13)
     for wide in (Matrix([[0, 1, 1], [1, 0, 1]]), Matrix([[0, 1], [1, 0], [1, 1]])):
         with pytest.raises(ValueError):
