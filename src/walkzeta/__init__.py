@@ -13,8 +13,6 @@ from .graphs import (
     GraphFormatError,
     SizeGuardError,
     adjacency_matrix,
-    betti,
-    encode_graph6,
     parse_edge_list,
     parse_graph6,
 )

@@ -29,6 +29,8 @@ from .operators import TARGETS, coin_weights, nonbacktracking_matrix, operator_m
 from .spectra import DEFAULT_TOLERANCE, RootConvergenceError, compare, real_roots, roots
 from .spectra import map_adjacency_spectrum, map_random_walk_spectrum
 from .zeta import (
+    MAX_SERIES_ORDER,
+    _check_oracle_size,
     euler_product_oracle,
     ihara_reciprocal_bass_form,
     ihara_reciprocal_edge_form,
@@ -84,9 +86,9 @@ def _read_graph_file(path: str) -> Graph:
 
     A graph6 string holds no whitespace, and every edge-list data line has
     two tokens, so a file with at most one token is graph6 and any other
-    file an edge list.
+    file an edge list.  A leading UTF-8 byte-order mark is skipped.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     return parse_graph6(text) if len(text.split()) <= 1 else parse_edge_list(text)
 
@@ -179,7 +181,11 @@ def cmd_spectrum(args) -> int:
 def cmd_zeta(args) -> int:
     if args.order < 1:
         raise ValueError("order must be >= 1")
+    if args.order > MAX_SERIES_ORDER:
+        raise SizeGuardError(f"zeta series limited to order {MAX_SERIES_ORDER}, got {args.order}")
     g = _load_graph(args)
+    if args.oracle:
+        _check_oracle_size(2 * g.m, args.order)
     edge = ihara_reciprocal_edge_form(g)
     bass = ihara_reciprocal_bass_form(g)
     agree = bass == edge
@@ -193,7 +199,6 @@ def cmd_zeta(args) -> int:
     )
     oracle_matches = None
     if args.oracle:
-        # may raise SizeGuardError
         oracle = euler_product_oracle(nonbacktracking_matrix(g), args.order)
         oracle_matches = oracle == series
         doc["oracle_series"] = [str(c) for c in oracle]

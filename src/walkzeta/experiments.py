@@ -40,11 +40,6 @@ from .zeta import ihara_reciprocal_bass_form, ihara_reciprocal_edge_form, weight
 DEFAULT_SEED = 42
 DEFAULT_WEIGHT_TRIALS = 10
 
-# graph6 forms of the strongly regular test pair; parse_graph6 of these
-# matches the algebraic constructions below (pinned by tests)
-SHRIKHANDE_G6 = "OlfJHsHBGK_\\oHWKeBK_\\"
-ROOK_4X4_G6 = "O~`HW}GPHDaNaGPCcPWaN"
-
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, tuple(itertools.combinations(range(n), 2)))

@@ -237,28 +237,6 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def encode_graph6(g: Graph) -> str:
-    """Encode a simple graph with n <= 62 as a graph6 string."""
-    if not g.simple:
-        raise ValueError("graph6 encodes simple graphs only")
-    if g.n > 62:
-        raise ValueError("encode_graph6 supports n <= 62")
-    present = {frozenset(e) for e in g.edges}
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if frozenset((i, j)) in present else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + g.n)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        out.append(chr(63 + val))
-    return "".join(out)
-
-
 def adjacency_matrix(g: Graph) -> Matrix:
     """Symmetric n x n matrix; entries count edge multiplicity."""
     a = [[0] * g.n for _ in range(g.n)]
@@ -266,10 +244,3 @@ def adjacency_matrix(g: Graph) -> Matrix:
         a[u][v] += 1
         a[v][u] += 1
     return Matrix.from_ints(a)
-
-
-def betti(g: Graph) -> int:
-    """First Betti number m - n + 1 of a connected graph."""
-    if not g.connected:
-        raise ValueError("Betti number defined here for connected graphs only")
-    return g.m - g.n + 1

@@ -3,12 +3,12 @@ import re
 import subprocess
 import sys
 
+import networkx as nx
 import pytest
 
 from walkzeta import spectra
 from walkzeta.cli import main
 from walkzeta.exact import charpoly_exact
-from walkzeta.graphs import encode_graph6
 from walkzeta.operators import transition_matrix
 from walkzeta.experiments import (
     complete_bipartite_graph,
@@ -20,6 +20,14 @@ from walkzeta.experiments import (
 K2 = "A_"
 C3 = "Bw"
 K4 = "C~"
+
+
+def graph6(g) -> str:
+    """networkx's graph6 encoding of a simple graph."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return nx.to_graph6_bytes(h, header=False).decode().strip()
 
 
 def run_cli(capsys, *argv):
@@ -131,7 +139,7 @@ def test_spectrum_u_with_map(capsys):
 
 
 def test_spectrum_support_map_on_regular(capsys):
-    g6 = encode_graph6(petersen_graph())
+    g6 = graph6(petersen_graph())
     code, out, _ = run_cli(capsys, "spectrum", "--target", "U+", "--graph6", g6)
     assert code == 0
     doc = json.loads(out)
@@ -142,7 +150,7 @@ def test_spectrum_support_map_on_regular(capsys):
 def test_spectrum_no_map_for_nonregular_support(capsys):
     # K2_3 is md2 but irregular: no closed-form map for the support target
     code, out, _ = run_cli(capsys, "spectrum", "--target", "U+", "--graph6",
-                           encode_graph6(complete_bipartite_graph(2, 3)))
+                           graph6(complete_bipartite_graph(2, 3)))
     assert code == 0
     doc = json.loads(out)
     assert doc["mapped"] is None
@@ -218,13 +226,35 @@ def test_zeta_text_format(capsys):
 
 
 def test_zeta_oracle_size_guard_exit_4(capsys):
-    big = encode_graph6(cycle_graph(12))
+    big = graph6(cycle_graph(12))
     code, _, err = run_cli(capsys, "zeta", "--graph6", big, "--oracle")
     assert code == 4
     assert "error:" in err
     # without the oracle the same graph is fine
     code, _, _ = run_cli(capsys, "zeta", "--graph6", big)
     assert code == 0
+
+
+def test_zeta_order_bound_exit_4(capsys):
+    code, out, err = run_cli(capsys, "zeta", "--graph6", C3, "--order", "1001")
+    assert (code, out) == (4, "")
+    assert "1000" in err and "1001" in err
+    code, out, _ = run_cli(capsys, "zeta", "--graph6", C3, "--order", "1000")
+    assert code == 0
+    assert len(json.loads(out)["series"]) == 1001
+
+
+@pytest.mark.parametrize("g6, order", [(K4, "13"), (graph6(cycle_graph(12)), "8")],
+                         ids=["order", "rows"])
+def test_zeta_oracle_limits_checked_before_series(capsys, monkeypatch, g6, order):
+    def refuse(*args):
+        raise AssertionError("series built before the oracle's guard")
+
+    monkeypatch.setattr("walkzeta.cli.series_inverse", refuse)
+    monkeypatch.setattr("walkzeta.cli.ihara_reciprocal_edge_form", refuse)
+    code, out, err = run_cli(capsys, "zeta", "--graph6", g6, "--order", order, "--oracle")
+    assert (code, out) == (4, "")
+    assert "cycle oracle limited to" in err
 
 
 def test_verify_smoke(capsys):
@@ -312,6 +342,20 @@ def test_file_format_comes_from_content(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "distinguish", str(bare), "K4", "--format", "text")
     assert code == 0
     assert "indistinct through support of U^3" in out
+
+
+@pytest.mark.parametrize("text", [K4 + "\n", "n 4\n0 1\n1 2\n2 3\n3 0\n"], ids=["graph6", "edges"])
+@pytest.mark.parametrize("argv", [("charpoly", "--input"), ("distinguish", "C4")], ids=["input", "spec"])
+def test_graph_file_byte_order_mark_is_skipped(capsys, tmp_path, text, argv):
+    path = tmp_path / "graph"
+    outputs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        path.write_text(text, encoding=encoding)
+        code, out, _ = run_cli(capsys, *argv, str(path))
+        assert code == 0, encoding
+        outputs.append(out)
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0] == outputs[1]
 
 
 def test_bad_inputs_exit_2(capsys, tmp_path):

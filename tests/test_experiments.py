@@ -7,13 +7,10 @@ import pytest
 from walkzeta import experiments
 from walkzeta.exact import Poly, charpoly_exact
 from walkzeta.graphs import Graph, parse_graph6
-from walkzeta.graphs import encode_graph6
 from walkzeta.identities import charpoly_support_via_adjacency_form, charpoly_u_via_degree_form
 from walkzeta.operators import operator_matrix
 from walkzeta.zeta import ihara_reciprocal_edge_form
 from walkzeta.experiments import (
-    ROOK_4X4_G6,
-    SHRIKHANDE_G6,
     CorpusEntry,
     builtin_corpus,
     complete_bipartite_graph,
@@ -30,6 +27,11 @@ from walkzeta.experiments import (
     strongly_regular_params,
     triangle_with_doubled_edge,
 )
+
+# graph6 forms of the strongly regular test pair; parse_graph6 of these
+# matches the algebraic constructions (pinned below)
+SHRIKHANDE_G6 = "OlfJHsHBGK_\\oHWKeBK_\\"
+ROOK_4X4_G6 = "O~`HW}GPHDaNaGPCcPWaN"
 
 
 def _edge_set(g: Graph):
@@ -114,8 +116,6 @@ def test_srg_pair_same_params_not_isomorphic():
 def test_srg_pair_graph6_constants():
     assert _edge_set(parse_graph6(SHRIKHANDE_G6)) == _edge_set(shrikhande_graph())
     assert _edge_set(parse_graph6(ROOK_4X4_G6)) == _edge_set(rook_graph_4x4())
-    assert encode_graph6(shrikhande_graph()) == SHRIKHANDE_G6
-    assert encode_graph6(rook_graph_4x4()) == ROOK_4X4_G6
 
 
 def test_random_arc_weights_nonzero_and_deterministic():

@@ -229,10 +229,10 @@ def test_trace_identity():
 def test_prime_cycle_classes_c3():
     classes = prime_cycle_classes(nonbacktracking_matrix(cycle_graph(3)), 8)
     primes = [c for c in classes if c.prime]
-    assert {c.length for c in primes} == {3}
+    assert {len(c.arcs) for c in primes} == {3}
     assert len(primes) == 2
     # length-6 powers of the two triangles are present but not prime
-    assert {c.length for c in classes if not c.prime} == {6}
+    assert {len(c.arcs) for c in classes if not c.prime} == {6}
 
 
 def test_prime_classes_pair_under_inversion():
@@ -333,9 +333,9 @@ def test_prime_cycle_classes_match_bruteforce_under_relabelling(graphs, order):
     order = _affordable_order(h, order)
     classes = prime_cycle_classes(nonbacktracking_matrix(h), order)
     assert classes == reduced_cycle_classes_bruteforce(nonbacktracking_by_definition(h.arcs), order)
-    shape = sorted((c.length, c.prime) for c in classes)
+    shape = sorted((len(c.arcs), c.prime) for c in classes)
     unrelabelled = prime_cycle_classes(nonbacktracking_matrix(g), order)
-    assert shape == sorted((c.length, c.prime) for c in unrelabelled)
+    assert shape == sorted((len(c.arcs), c.prime) for c in unrelabelled)
 
 
 @st.composite
@@ -381,7 +381,7 @@ def test_prime_class_counts_of_all_ones_matrix_are_lyndon_word_counts(k):
     for length in range(1, order + 1):
         divisors = [d for d in range(1, length + 1) if length % d == 0]
         lyndon[length] = sum(_moebius(d) * k ** (length // d) for d in divisors) // length
-        of_length = [c for c in classes if c.length == length]
+        of_length = [c for c in classes if len(c.arcs) == length]
         assert sum(c.prime for c in of_length) == lyndon[length], (k, length)
         assert len(of_length) == sum(lyndon[d] for d in divisors), (k, length)
 
