@@ -8,7 +8,6 @@ from .exact import (
     square_free_decomposition,
 )
 from .graphs import (
-    ArcSet,
     Graph,
     GraphFormatError,
     SizeGuardError,
@@ -42,7 +41,6 @@ from .spectra import (
     roots,
 )
 from .zeta import (
-    CycleClass,
     euler_product_oracle,
     ihara_reciprocal_bass_form,
     ihara_reciprocal_edge_form,

@@ -1,12 +1,12 @@
-"""Graph ingestion, arc sets and vertex-level matrices.
+"""Graph ingestion, arcs and vertex-level matrices.
 
 Graphs are finite undirected multigraphs on vertices 0..n-1.  Parallel
 edges are allowed and kept in order; loops are rejected at construction
 because arc inversion is not well defined for them here.  A ``Graph`` owns
 the facts every hypothesis gate reads: ``arcs``, ``degrees``, ``connected``
 and ``simple``, each computed once per graph.  Each edge {u, v} contributes
-two opposite arcs, and ``g.arcs`` is laid out so that arc ``i + m`` is the
-inverse of arc ``i``.
+two opposite arcs: ``g.arcs`` is the tuple of (origin, terminus) pairs,
+laid out so that arc ``i + m``, ``g.inverse_arc(i)``, reverses arc ``i``.
 
 Two text formats are supported: a plain edge list (one ``u v`` pair per
 line, ``#`` comments, optional leading ``n <count>`` line for isolated
@@ -76,9 +76,13 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def arcs(self) -> ArcSet:
-        """Arcs 0..m-1 follow the edge order, arcs m..2m-1 are their inverses."""
-        return ArcSet(self.edges + tuple((v, u) for u, v in self.edges))
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """(origin, terminus) of each arc: 0..m-1 follow the edges, m..2m-1 reverse them."""
+        return self.edges + tuple((v, u) for u, v in self.edges)
+
+    def inverse_arc(self, a: int) -> int:
+        """The arc that reverses arc a, m places away."""
+        return (a + self.m) % (2 * self.m)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -109,29 +113,6 @@ class Graph:
     def simple(self) -> bool:
         """No two edges join the same pair of vertices."""
         return len({frozenset(e) for e in self.edges}) == self.m
-
-
-@dataclass(frozen=True)
-class ArcSet:
-    """The 2m oriented arcs of a graph, inverse pairs m apart."""
-
-    arcs: tuple[tuple[int, int], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.arcs) // 2
-
-    def __len__(self) -> int:
-        return len(self.arcs)
-
-    def origin(self, a: int) -> int:
-        return self.arcs[a][0]
-
-    def terminus(self, a: int) -> int:
-        return self.arcs[a][1]
-
-    def inverse(self, a: int) -> int:
-        return (a + self.m) % len(self.arcs)
 
 
 def parse_edge_list(text: str) -> Graph:

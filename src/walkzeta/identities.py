@@ -74,7 +74,7 @@ def vertex_determinant(g: Graph, weights: Sequence) -> Poly:
     scaled, scale = _lift_arc_weights(g, weights)
     w = [[0] * g.n for _ in range(g.n)]
     sums = [-scale] * g.n  # s times the diagonal of D_w - I
-    for (o, t), x in zip(g.arcs.arcs, scaled):
+    for (o, t), x in zip(g.arcs, scaled):
         w[o][t] += x
         sums[o] += x
     return _linearised_charpoly(w, sums, scale)

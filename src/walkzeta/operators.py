@@ -43,17 +43,16 @@ def arc_operator(g: Graph, weights: Sequence) -> Matrix:
     denominators, so the step onto inverse(e) pays s.
     """
     scaled, scale = _lift_arc_weights(g, weights)
-    arcs = g.arcs
-    size = len(arcs)
+    size = len(g.arcs)
     leaving: dict[int, list[int]] = {}
-    for f in range(size):
-        leaving.setdefault(arcs.origin(f), []).append(f)
+    for f, (origin, _) in enumerate(g.arcs):
+        leaving.setdefault(origin, []).append(f)
     data = []
-    for e in range(size):
+    for e, (_, terminus) in enumerate(g.arcs):
         row = [0] * size
-        for f in leaving[arcs.terminus(e)]:
+        for f in leaving[terminus]:
             row[f] = scaled[f]
-        row[arcs.inverse(e)] -= scale
+        row[g.inverse_arc(e)] -= scale
         data.append(row)
     return Matrix.from_ints(data, scale)
 
@@ -62,7 +61,7 @@ def coin_weights(g: Graph) -> list[Fraction]:
     """The Grover coin weight 2/deg(o(e)) of each arc e of g.arcs."""
     if min(g.degrees) < 1:
         raise ValueError("transition matrix needs every vertex to have an arc")
-    return [Fraction(2, g.degrees[o]) for o, _ in g.arcs.arcs]
+    return [Fraction(2, g.degrees[o]) for o, _ in g.arcs]
 
 
 def transition_matrix(g: Graph) -> Matrix:

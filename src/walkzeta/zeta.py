@@ -17,8 +17,8 @@ identity, in the combinatorial proof of Foata and Zeilberger (Trans. AMS
 cycle classes of the digraph of any square matrix M, each weighted by the
 product of M's entries around it.  The oracle reads the matrix it is
 given, so it checks B - J0, U and B_w - J0 alike.  The walk extends only
-prenecklaces, by Duval's rule from the FKM necklace algorithm, so each
-class is enumerated once, as its least rotation, with its primality known.
+prenecklaces, by Duval's rule from the FKM necklace algorithm, and emits
+each prime class once, as its least rotation: a Lyndon word of indices.
 A truncated series is a plain list of its Fraction coefficients 0..order:
 the oracle returns one, and ``series_inverse`` expands 1/p(t) into one.
 """
@@ -56,14 +56,6 @@ def series_inverse(p: Poly, order: int) -> list[Fraction]:
         acc = sum(a[i] * out[k - i] for i in range(1, min(k, p.degree) + 1))
         out.append(-acc * inv0)
     return out
-
-
-class CycleClass(NamedTuple):
-    """Rotation class of a closed walk in a matrix's digraph, as its least
-    rotation."""
-
-    arcs: tuple[int, ...]
-    prime: bool
 
 
 def ihara_reciprocal_edge_form(g: Graph) -> Poly:
@@ -113,23 +105,22 @@ def _check_oracle_size(rows: int, order: int):
         raise SizeGuardError(f"cycle oracle limited to length {MAX_ORACLE_ORDER}, got {order}")
 
 
-def prime_cycle_classes(m: Matrix, order: int) -> list[CycleClass]:
-    """All rotation classes of closed walks up to the given length in the
-    digraph of m, which has an edge e -> f wherever m[e][f] is nonzero.
+def prime_cycle_classes(m: Matrix, order: int) -> list[tuple[int, ...]]:
+    """The prime rotation classes of closed walks up to the given length in
+    the digraph of m, which has an edge e -> f wherever m[e][f] is nonzero.
 
-    For an arc matrix such as B - J0 these are the reduced cycles: no step
-    backtracks, including around the wrap.  Each class is represented by
-    its least rotation, a necklace, and is marked prime when it is not a
-    power of a shorter walk.  The walk only extends prenecklaces, by the
-    rule of the FKM necklace algorithm (Cattell, Ruskey, Sawada, Serra and
-    Miers, J. Algorithms 2000): with p the length of the longest Lyndon
-    prefix of the path, the next index must be >= the one p steps back; p
-    stays when it equals that index and becomes the new length otherwise.
-    A closed path is a necklace exactly when p divides its length, and
-    prime exactly when p is its length, so each class comes out once, in
-    sorted order.  Order 0 gives no classes; a negative order or a
-    non-square matrix is a ValueError.  Guarded to 20 rows and length <= 12;
-    cost grows exponentially past that.
+    For an arc matrix such as B - J0 these are the prime reduced cycles: no
+    step backtracks, including around the wrap, and no class is a power of a
+    shorter walk.  Each class is the tuple of its least rotation, a Lyndon
+    word.  The walk only extends prenecklaces, by the rule of the FKM
+    necklace algorithm (Cattell, Ruskey, Sawada, Serra and Miers,
+    J. Algorithms 2000): with p the length of the longest Lyndon prefix of
+    the path, the next index must be >= the one p steps back; p stays when
+    it equals that index and becomes the new length otherwise.  A closed
+    path is a Lyndon word exactly when p is its length, so each prime class
+    comes out once, in sorted order.  Order 0 gives no classes; a negative
+    order or a non-square matrix is a ValueError.  Guarded to 20 rows and
+    length <= 12; cost grows exponentially past that.
     """
     if not m.is_square:
         raise ValueError("cycle oracle needs a square matrix")
@@ -138,13 +129,13 @@ def prime_cycle_classes(m: Matrix, order: int) -> list[CycleClass]:
     if order < 0:
         raise ValueError(f"cycle order must be >= 0, got {order}")
     successors = [[f for f, x in enumerate(row) if x] for row in m.ints]
-    classes: list[CycleClass] = []
+    classes: list[tuple[int, ...]] = []
     path: list[int] = []
 
     def grow(last: int, period: int):
         length = len(path)
-        if closes[last] and length % period == 0:
-            classes.append(CycleClass(tuple(path), period == length))
+        if closes[last] and period == length:
+            classes.append(tuple(path))
         if length < order:
             floor = path[length - period]
             for nxt in successors[last]:
@@ -173,9 +164,7 @@ def euler_product_oracle(m: Matrix, order: int) -> list[Fraction]:
     classes = prime_cycle_classes(m, order)
     lifted, scale = m.ints, m.scale
     coeffs = [1] + [0] * order
-    for walk, prime in classes:
-        if not prime:
-            continue
+    for walk in classes:
         length = len(walk)
         weight = prod(map(getitem, map(lifted.__getitem__, walk), walk[1:] + walk[:1]))
         for k in range(length, order + 1):

@@ -11,19 +11,20 @@ definitions over all arc pairs, and Yun's square-free split in Fraction
 arithmetic with a Euclidean gcd over Q, where the package splits in Z[x]
 with a primitive remainder sequence.
 
-The cycle classes of a matrix come from an unpruned walk from every start
-index that takes the minimum over all rotations of each closed walk and
-tests primality by comparing rotations.  The package prunes its walk to
-necklaces; this one stays unpruned so that it shares no rule with it.
+The prime cycle classes of a matrix come from an unpruned walk from every
+start index that takes the minimum over all rotations of each closed walk
+and keeps it when no nontrivial rotation equals it.  The package prunes its
+walk to Lyndon words; this one stays unpruned so that it shares no rule
+with it.
 
 The support of U^3 on a regular graph comes from a sign rule on each arc
 pair, in vertex terms, where the package takes the sign pattern of the
 integer matrix power.
 
 The arc matrices by definition share only the arc layout with the package:
-they read the order of ``g.arcs`` and the degrees ``g.degrees``, which
-``tests/test_graphs.py`` checks against networkx on the graphs that
-``relabelled_multigraphs`` draws.
+they read the order of ``g.arcs``, ``g.inverse_arc`` and the degrees
+``g.degrees``, which ``tests/test_graphs.py`` checks against networkx on
+the graphs that ``relabelled_multigraphs`` draws.
 
 ``matmul`` and ``trace`` are the tests' only matrix arithmetic, on integer
 rows and scales.  ``FractionPoly`` is the tests' only polynomial
@@ -41,9 +42,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from walkzeta.exact import Matrix, Poly
-from walkzeta.graphs import ArcSet, Graph
+from walkzeta.graphs import Graph
 from walkzeta.spectra import DEFAULT_TOLERANCE, SpectrumMultiset, compare
-from walkzeta.zeta import CycleClass
 
 
 class FractionPoly(Poly):
@@ -215,19 +215,20 @@ def transition_matrix_by_definition(g: Graph) -> Matrix:
     size = len(arcs)
     data = [[Fraction(0)] * size for _ in range(size)]
     for e in range(size):
-        coin = Fraction(2, degrees[arcs.origin(e)])
+        coin = Fraction(2, degrees[arcs[e][0]])
         for f in range(size):
-            if arcs.terminus(f) == arcs.origin(e):
-                data[e][f] = coin - 1 if f == arcs.inverse(e) else coin
+            if arcs[f][1] == arcs[e][0]:
+                data[e][f] = coin - 1 if f == g.inverse_arc(e) else coin
     return Matrix(data)
 
 
-def nonbacktracking_by_definition(arcs: ArcSet) -> Matrix:
+def nonbacktracking_by_definition(g: Graph) -> Matrix:
     """B - J0 as the 0/1 arc adjacency B minus the arc inversion J0."""
+    arcs = g.arcs
     size = len(arcs)
     return Matrix(
         [
-            [int(arcs.terminus(e) == arcs.origin(f)) - int(arcs.inverse(e) == f) for f in range(size)]
+            [int(arcs[e][1] == arcs[f][0]) - int(g.inverse_arc(e) == f) for f in range(size)]
             for e in range(size)
         ]
     )
@@ -251,28 +252,29 @@ def support_u3_by_sign_rule(g: Graph) -> Matrix:
     for u, v in g.edges:
         adj[u][v] = adj[v][u] = 1
     adj2 = [[sum(map(mul, row, col)) for col in zip(*adj)] for row in adj]
-    t, o = arcs.terminus, arcs.origin
 
     def entry(e, f):
+        (oe, te), (of, tf) = arcs[e], arcs[f]
         return (
-            8 * adj2[t(e)][o(f)]
-            - 4 * k * (adj[t(e)][t(f)] + adj[o(e)][o(f)])
-            + 2 * k**2 * (o(e) == t(f))
-            - k**3 * (f == arcs.inverse(e))
+            8 * adj2[te][of]
+            - 4 * k * (adj[te][tf] + adj[oe][of])
+            + 2 * k**2 * (oe == tf)
+            - k**3 * (f == g.inverse_arc(e))
         )
 
     size = len(arcs)
     return Matrix([[int(entry(e, f) > 0) for f in range(size)] for e in range(size)])
 
 
-def reduced_cycle_classes_bruteforce(m: Matrix, order: int) -> list[CycleClass]:
-    """Rotation classes of closed walks of length 1..order in the digraph of
-    m, which has an edge e -> f wherever m[e][f] is nonzero.
+def reduced_cycle_classes_bruteforce(m: Matrix, order: int) -> list[tuple[int, ...]]:
+    """Prime rotation classes of closed walks of length 1..order in the
+    digraph of m, which has an edge e -> f wherever m[e][f] is nonzero.
 
     Walks every path from every start index, so each class is found once
     per index it contains, and keeps the least rotation of each closed one.
-    A class is prime when no nontrivial rotation of it equals itself.  On
-    B - J0 the closed walks are the reduced cycles of the graph.
+    A class is prime when no nontrivial rotation of it equals itself; the
+    sorted prime classes are returned.  On B - J0 the closed walks are the
+    reduced cycles of the graph.
     """
     size = m.rows
     successors = [[f for f in range(size) if m[e, f] != 0] for e in range(size)]
@@ -287,10 +289,7 @@ def reduced_cycle_classes_bruteforce(m: Matrix, order: int) -> list[CycleClass]:
 
     for start in range(size if order > 0 else 0):
         grow((start,))
-    return [
-        CycleClass(c, all(c != c[p:] + c[:p] for p in range(1, len(c))))
-        for c in sorted(seen)
-    ]
+    return [c for c in sorted(seen) if all(c != c[p:] + c[:p] for p in range(1, len(c)))]
 
 
 def fraction_gcd(a: Poly, b: Poly) -> FractionPoly:

@@ -179,6 +179,20 @@ def test_spectrum_of_0x0_operator_is_empty(capsys):
     assert doc["spectrum"] == [] and doc["max_residual"] == 0
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_spectrum_map_disagreement_exit_3(capsys, fmt):
+    # K4's mapped spectrum lies about 1e-16 from the computed one, past a 1e-300 tolerance
+    code, out, _ = run_cli(capsys, "spectrum", "--graph6", K4, "--tolerance", "1e-300", "--format", fmt)
+    assert code == 3
+    if fmt == "json":
+        verdict = json.loads(out)["verdict"]
+        assert verdict["equal"] is False and 0 < verdict["max_pair_distance"] < 1e-8
+    elif fmt == "text":
+        assert "closed-form map DISAGREES" in out
+    else:
+        assert out.startswith("re,im,operator\n") and len(out.splitlines()) == 13
+
+
 def test_csv_rejected_outside_spectrum(capsys):
     # argparse refuses the choice, as for any option a command does not take
     for argv in (
@@ -223,6 +237,14 @@ def test_zeta_text_format(capsys):
     assert code == 0
     assert "forms agree: True" in out
     assert "series: 1 0 0 2 0 0 3" in out
+
+
+def test_zeta_text_format_with_oracle(capsys):
+    code, out, _ = run_cli(capsys, "zeta", "--graph6", K4, "--order", "6", "--oracle",
+                           "--format", "text")
+    assert code == 0
+    assert "oracle: 1 0 0 8 6 0 48" in out
+    assert "oracle matches: True" in out
 
 
 def test_zeta_oracle_size_guard_exit_4(capsys):
@@ -383,7 +405,9 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     (("zeta", "--input"), "0 1\n" * 2049, 4098),
     (("distinguish", "K5"), "0 1\n" * 2049, 4098),
     (("distinguish", "K100000", "K5"), None, 99999 * 100000),
-], ids=["huge-label", "huge-n", "parallel-edges", "distinguish-file", "distinguish-name"])
+    # graph6 of the edgeless graph on 2049 vertices: '~' and an 18-bit size, then 2049 * 2048 / 2 zero bits
+    (("zeta", "--input"), "~?_@" + "?" * 349696, 4098),
+], ids=["huge-label", "huge-n", "parallel-edges", "distinguish-file", "distinguish-name", "graph6-2049"])
 def test_size_guard_refuses_big_graphs_before_building_them(capsys, tmp_path, argv, text, rows):
     if text is not None:
         path = tmp_path / "big.edges"

@@ -73,6 +73,9 @@ def test_parse_edge_list_errors():
         parse_edge_list("n 2\n0 5")
     with pytest.raises(GraphFormatError):
         parse_edge_list("n 0")
+    for text in ("n", "n 2 3", "n x"):
+        with pytest.raises(GraphFormatError, match="line 1"):
+            parse_edge_list(text)
 
 
 def test_parse_graph6_fixtures():
@@ -99,6 +102,9 @@ def test_parse_graph6_errors():
         parse_graph6("Bx")  # nonzero padding: triangle needs only 3 bits
     with pytest.raises(GraphFormatError):
         parse_graph6("?")  # zero-vertex graph
+    for text in ("~", "~?", "~??", "~~?????"):  # 4- and 8-byte size fields cut short
+        with pytest.raises(GraphFormatError, match="truncated graph6 size field"):
+            parse_graph6(text)
 
 
 def test_parse_graph6_triangle():
@@ -108,15 +114,17 @@ def test_parse_graph6_triangle():
 
 
 def test_parse_graph6_reads_networkx_encoding_of_corpus():
-    for entry in builtin_corpus():
-        g = entry.graph
+    # from 63 vertices on, graph6 writes n in 18 bits after a leading '~';
+    # C2048 is the largest cycle the size guard admits
+    graphs = [(entry.name, entry.graph) for entry in builtin_corpus()]
+    for name, g in graphs + [(f"C{n}", cycle_graph(n)) for n in (63, 64, 2048)]:
         if not g.simple:
             continue
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges)
         back = parse_graph6(nx.to_graph6_bytes(h, header=False).decode())
-        assert back.n == g.n and _edge_set(back) == _edge_set(g), entry.name
+        assert back.n == g.n and _edge_set(back) == _edge_set(g), name
 
 
 def test_connected_and_simple_fixtures():
@@ -131,26 +139,25 @@ def test_connected_and_simple_fixtures():
 
 
 def test_arcs_fixtures():
-    arcs = complete_graph(2).arcs
-    assert arcs.arcs == ((0, 1), (1, 0))
-    assert arcs.inverse(0) == 1 and arcs.inverse(1) == 0
-    arcs = cycle_graph(3).arcs
-    assert len(arcs) == 6
-    assert all(arcs.inverse(i) == i + 3 for i in range(3))
+    k2 = complete_graph(2)
+    assert k2.arcs == ((0, 1), (1, 0))
+    assert k2.inverse_arc(0) == 1 and k2.inverse_arc(1) == 0
+    c3 = cycle_graph(3)
+    assert len(c3.arcs) == 6
+    assert all(c3.inverse_arc(i) == i + 3 for i in range(3))
     arcs = path_graph(3).arcs
-    assert [arcs.origin(a) for a in range(4)] == [0, 1, 1, 2]
-    assert [arcs.terminus(a) for a in range(4)] == [1, 2, 0, 1]
+    assert [arcs[a][0] for a in range(4)] == [0, 1, 1, 2]
+    assert [arcs[a][1] for a in range(4)] == [1, 2, 0, 1]
 
 
 def test_arc_involution_over_corpus():
     for entry in builtin_corpus()[:12]:
-        arcs = entry.graph.arcs
-        assert len(arcs) == 2 * entry.graph.m
-        for a in range(len(arcs)):
-            inv = arcs.inverse(a)
-            assert arcs.inverse(inv) == a
-            assert arcs.origin(inv) == arcs.terminus(a)
-            assert arcs.terminus(inv) == arcs.origin(a)
+        g = entry.graph
+        assert len(g.arcs) == 2 * g.m
+        for a in range(len(g.arcs)):
+            inv = g.inverse_arc(a)
+            assert g.inverse_arc(inv) == a
+            assert g.arcs[inv] == g.arcs[a][::-1]
 
 
 def test_vertex_matrices():
@@ -185,11 +192,11 @@ def test_graph_facts_match_networkx(graphs):
         assert graph.simple == (nx.Graph(ref).number_of_edges() == ref.number_of_edges())
         # the arcs are the edges taken both ways; arc a + m is the inverse of arc a
         arcs, m = graph.arcs, graph.m
-        assert Counter(arcs.arcs) == Counter(nx.MultiDiGraph(ref).edges())
-        assert arcs.arcs[:m] == graph.edges
+        assert Counter(arcs) == Counter(nx.MultiDiGraph(ref).edges())
+        assert arcs[:m] == graph.edges
         for a in range(2 * m):
-            assert arcs.inverse(a) == (a + m) % (2 * m)
-            assert arcs.arcs[arcs.inverse(a)] == arcs.arcs[a][::-1]
+            assert graph.inverse_arc(a) == (a + m) % (2 * m)
+            assert arcs[graph.inverse_arc(a)] == arcs[a][::-1]
 
 
 def test_graph_with_read_facts_is_interchangeable_with_a_fresh_one():
