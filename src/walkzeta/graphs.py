@@ -166,6 +166,15 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def _graph6_values(chunk: str) -> list[int]:
+    """The 6-bit value of each graph6 byte, which must lie in '?'..'~'."""
+    vals = [ord(ch) - 63 for ch in chunk]
+    for ch, v in zip(chunk, vals):
+        if not 0 <= v <= 63:
+            raise GraphFormatError(f"graph6 byte {ch!r} out of range")
+    return vals
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 string (simple graphs; optional standard header)."""
     s = text.strip()
@@ -174,37 +183,30 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(header):]
     if not s:
         raise GraphFormatError("empty graph6 string")
-    vals = []
-    for ch in s:
-        v = ord(ch) - 63
-        if not 0 <= v <= 63:
-            raise GraphFormatError(f"graph6 byte {ch!r} out of range")
-        vals.append(v)
-    if vals[0] < 63:
-        n = vals[0]
-        idx = 1
-    elif len(vals) >= 2 and vals[1] < 63:
-        if len(vals) < 4:
-            raise GraphFormatError("truncated graph6 size field")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        idx = 4
+    # the size field takes 1, 4 or 8 bytes; n is read and guarded before
+    # the n(n - 1)/2 bits of the body are decoded
+    if s[0] != "~":
+        width, skip = 1, 0
+    elif s[1:2] != "~":
+        width, skip = 4, 1
     else:
-        if len(vals) < 8:
-            raise GraphFormatError("truncated graph6 size field")
-        n = 0
-        for v in vals[2:8]:
-            n = (n << 6) | v
-        idx = 8
+        width, skip = 8, 2
+    field = _graph6_values(s[:width])
+    if len(field) < width:
+        raise GraphFormatError("truncated graph6 size field")
+    n = 0
+    for v in field[skip:]:
+        n = (n << 6) | v
     if n == 0:
         raise GraphFormatError("graph6 string encodes the empty graph")
+    check_dense_size(n, 0)
+    vals = _graph6_values(s[width:])
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(vals) - idx != nbytes:
-        raise GraphFormatError(
-            f"graph6 bit stream for n={n} needs {nbytes} bytes, got {len(vals) - idx}"
-        )
+    if len(vals) != nbytes:
+        raise GraphFormatError(f"graph6 bit stream for n={n} needs {nbytes} bytes, got {len(vals)}")
     bits = []
-    for v in vals[idx:]:
+    for v in vals:
         bits.extend((v >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
     if any(bits[nbits:]):
         raise GraphFormatError("nonzero padding bits in graph6 string")

@@ -19,16 +19,17 @@ product of M's entries around it.  The oracle reads the matrix it is
 given, so it checks B - J0, U and B_w - J0 alike.  The walk extends only
 prenecklaces, by Duval's rule from the FKM necklace algorithm, and emits
 each prime class once, as its least rotation: a Lyndon word of indices.
-A truncated series is a plain list of its Fraction coefficients 0..order:
-the oracle returns one, and ``series_inverse`` expands 1/p(t) into one.
+It carries the product of the entries along the path, and the oracle
+multiplies each class into the series as it is emitted, so it keeps no
+class list.  A truncated series is a plain list of its Fraction
+coefficients 0..order: the oracle returns one, and ``series_inverse``
+expands 1/p(t) into one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
-from operator import getitem
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exact import Matrix, Poly, charpoly_exact
 from .graphs import Graph, SizeGuardError
@@ -105,6 +106,48 @@ def _check_oracle_size(rows: int, order: int):
         raise SizeGuardError(f"cycle oracle limited to length {MAX_ORACLE_ORDER}, got {order}")
 
 
+def _walk_prime_classes(m: Matrix, order: int, emit: Callable[[list[int], int], object]):
+    """The walk of ``prime_cycle_classes``: emit(path, weight) once per
+    prime class, path its least rotation and weight the product of m.ints
+    around it, carried along the path.  closes[e] is the entry e -> start.
+    emit sees the walker's own path list and must copy what it keeps.
+    """
+    if not m.is_square:
+        raise ValueError("cycle oracle needs a square matrix")
+    size = m.rows
+    _check_oracle_size(size, order)
+    if order < 0:
+        raise ValueError(f"cycle order must be >= 0, got {order}")
+    lifted = m.ints
+    successors = [[f for f, x in enumerate(row) if x] for row in lifted]
+    path: list[int] = []
+
+    def grow(last: int, period: int, weight: int):
+        length = len(path)
+        if closes[last] and period == length:
+            emit(path, weight * closes[last])
+        if length < order:
+            floor = path[length - period]
+            row = lifted[last]
+            if length + 1 < order:
+                for nxt in successors[last]:
+                    if nxt >= floor:
+                        path.append(nxt)
+                        grow(nxt, period if nxt == floor else length + 1, weight * row[nxt])
+                        path.pop()
+            else:  # the last step: emit at once, or not at all
+                for nxt in successors[last]:
+                    if nxt > floor and closes[nxt]:
+                        path.append(nxt)
+                        emit(path, weight * row[nxt] * closes[nxt])
+                        path.pop()
+
+    for start in range(size if order else 0):
+        closes = [row[start] for row in lifted]
+        path = [start]
+        grow(start, 1, 1)
+
+
 def prime_cycle_classes(m: Matrix, order: int) -> list[tuple[int, ...]]:
     """The prime rotation classes of closed walks up to the given length in
     the digraph of m, which has an edge e -> f wherever m[e][f] is nonzero.
@@ -118,36 +161,17 @@ def prime_cycle_classes(m: Matrix, order: int) -> list[tuple[int, ...]]:
     the path, the next index must be >= the one p steps back; p stays when
     it equals that index and becomes the new length otherwise.  A closed
     path is a Lyndon word exactly when p is its length, so each prime class
-    comes out once, in sorted order.  Order 0 gives no classes; a negative
-    order or a non-square matrix is a ValueError.  Guarded to 20 rows and
-    length <= 12; cost grows exponentially past that.
+    comes out once, in sorted order.  With one step left the walk takes only
+    a step that closes the path and rises above the floor: any other last
+    step ends a path that cannot close, or one whose p stays short of its
+    length, so no prime class is lost.  ``euler_product_oracle`` runs the
+    same walk and keeps no class list; this one collects the classes.
+    Order 0 gives no classes; a negative order or a non-square matrix is a
+    ValueError.  Guarded to 20 rows and length <= 12; cost grows
+    exponentially past that.
     """
-    if not m.is_square:
-        raise ValueError("cycle oracle needs a square matrix")
-    size = m.rows
-    _check_oracle_size(size, order)
-    if order < 0:
-        raise ValueError(f"cycle order must be >= 0, got {order}")
-    successors = [[f for f, x in enumerate(row) if x] for row in m.ints]
     classes: list[tuple[int, ...]] = []
-    path: list[int] = []
-
-    def grow(last: int, period: int):
-        length = len(path)
-        if closes[last] and period == length:
-            classes.append(tuple(path))
-        if length < order:
-            floor = path[length - period]
-            for nxt in successors[last]:
-                if nxt >= floor:
-                    path.append(nxt)
-                    grow(nxt, period if nxt == floor else length + 1)
-                    path.pop()
-
-    for start in range(size if order else 0):
-        closes = [start in succ for succ in successors]
-        path = [start]
-        grow(start, 1)
+    _walk_prime_classes(m, order, lambda path, weight: classes.append(tuple(path)))
     return classes
 
 
@@ -160,13 +184,20 @@ def euler_product_oracle(m: Matrix, order: int) -> list[Fraction]:
     With L = m.ints and s = m.scale, so M = L / s, each class multiplies
     the integer coefficients in place by 1 + w t^l + w^2 t^(2l) + ... with
     w its weight in L, and coefficient k is divided by s^k at the end.
+    The walk of ``prime_cycle_classes`` carries w along the path and
+    multiplies each class in as it is emitted, so no class list is kept and
+    memory stays O(order) however many classes there are.  With one step
+    left it takes only a step that closes a prime class, since no other
+    last step can.
     """
-    classes = prime_cycle_classes(m, order)
-    lifted, scale = m.ints, m.scale
+    _check_oracle_size(m.rows, order)  # before order sizes the list
     coeffs = [1] + [0] * order
-    for walk in classes:
-        length = len(walk)
-        weight = prod(map(getitem, map(lifted.__getitem__, walk), walk[1:] + walk[:1]))
+
+    def multiply(path: list[int], weight: int):
+        length = len(path)
         for k in range(length, order + 1):
             coeffs[k] += weight * coeffs[k - length]
+
+    _walk_prime_classes(m, order, multiply)
+    scale = m.scale
     return [Fraction(c, scale**k) for k, c in enumerate(coeffs)]

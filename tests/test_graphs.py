@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from walkzeta.graphs import (
     Graph,
     GraphFormatError,
+    SizeGuardError,
     adjacency_matrix,
     parse_edge_list,
     parse_graph6,
@@ -105,6 +106,18 @@ def test_parse_graph6_errors():
     for text in ("~", "~?", "~??", "~~?????"):  # 4- and 8-byte size fields cut short
         with pytest.raises(GraphFormatError, match="truncated graph6 size field"):
             parse_graph6(text)
+
+
+def test_parse_graph6_guards_size_before_decoding():
+    # '~' and an 18-bit size field for n = 2049, with no body: the size
+    # guard speaks before the body's length is checked
+    with pytest.raises(SizeGuardError, match="graph needs 4098 matrix rows"):
+        parse_graph6("~?_@")
+    # '~~' and a 36-bit size field for n = 10^6
+    n = 10**6
+    field = "~~" + "".join(chr(63 + (n >> shift & 63)) for shift in range(30, -1, -6))
+    with pytest.raises(SizeGuardError, match="graph needs 2000000 matrix rows"):
+        parse_graph6(field)
 
 
 def test_parse_graph6_triangle():

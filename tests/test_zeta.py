@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -278,8 +279,9 @@ def test_oracle_size_guard():
     big = cycle_graph(12)  # 24 arcs
     with pytest.raises(SizeGuardError):
         prime_cycle_classes(nonbacktracking_matrix(big), 4)
-    with pytest.raises(SizeGuardError):
-        euler_product_oracle(nonbacktracking_matrix(cycle_graph(3)), 13)
+    for order in (13, 10**12):  # refused before the series is sized by the order
+        with pytest.raises(SizeGuardError):
+            euler_product_oracle(nonbacktracking_matrix(cycle_graph(3)), order)
     for wide in (Matrix([[0, 1, 1], [1, 0, 1]]), Matrix([[0, 1], [1, 0], [1, 1]])):
         with pytest.raises(ValueError):
             euler_product_oracle(wide, 4)
@@ -308,14 +310,15 @@ def test_prime_cycle_classes_match_bruteforce_on_corpus():
             assert prime_cycle_classes(nb, order) == expected, (entry.name, order)
 
 
-def _affordable_order(g, order, budget=10_000):
+def _affordable_order(m, order, budget=10_000):
     """The largest order <= the given one at which the brute force walks at
-    most `budget` paths; 20 parallel arcs reach 4.8 million paths at order 7."""
-    nb = nonbacktracking_matrix(g).ints
-    walks = [1] * len(nb)
-    total = len(nb)
+    most `budget` paths in the digraph of m; the B - J0 of 20 parallel arcs
+    reaches 4.8 million paths at order 7."""
+    support = [[x != 0 for x in row] for row in m.ints]
+    walks = [1] * len(support)
+    total = len(support)
     for k in range(2, order + 1):
-        walks = [sum(b * w for b, w in zip(row, walks)) for row in nb]
+        walks = [sum(b * w for b, w in zip(row, walks)) for row in support]
         total += sum(walks)
         if total > budget:
             return k - 1
@@ -326,7 +329,7 @@ def _affordable_order(g, order, budget=10_000):
 @given(relabelled_multigraphs(), st.integers(1, 7))
 def test_prime_cycle_classes_match_bruteforce_under_relabelling(graphs, order):
     g, h = graphs
-    order = _affordable_order(h, order)
+    order = _affordable_order(nonbacktracking_matrix(h), order)
     classes = prime_cycle_classes(nonbacktracking_matrix(h), order)
     assert classes == reduced_cycle_classes_bruteforce(nonbacktracking_by_definition(h), order)
     unrelabelled = prime_cycle_classes(nonbacktracking_matrix(g), order)
@@ -347,6 +350,30 @@ def square_matrices(draw):
 def test_oracle_matches_bruteforce_and_charpoly_on_square_matrices(m, order):
     # arc matrices have zero diagonals; loops and their powers are where the
     # necklace walk's period bookkeeping matters
+    assert prime_cycle_classes(m, order) == reduced_cycle_classes_bruteforce(m, order)
+    inverted = series_inverse(charpoly_exact(m).reversed(), order)
+    assert euler_product_oracle(m, order) == inverted
+
+
+@st.composite
+def sparse_square_matrices(draw):
+    """A square matrix of 7-9 rows with about a quarter of its entries
+    nonzero: small rationals of either sign."""
+    n = draw(st.integers(7, 9))
+    entry = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)))
+    rows = [[0] * n for _ in range(n)]
+    for i, j, x in draw(st.lists(entry, min_size=n * n // 4, max_size=n * n // 4)):
+        rows[i][j] = x
+    return Matrix(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_square_matrices(), st.integers(0, 8))
+def test_oracle_matches_bruteforce_and_charpoly_on_sparse_matrices(m, order):
+    # at 7-9 sparse rows most last steps cannot close, so the walk's
+    # last-step cut prunes; the brute force walks every path
+    order = _affordable_order(m, order, budget=20_000)
     assert prime_cycle_classes(m, order) == reduced_cycle_classes_bruteforce(m, order)
     inverted = series_inverse(charpoly_exact(m).reversed(), order)
     assert euler_product_oracle(m, order) == inverted
@@ -383,6 +410,22 @@ def test_corpus_small_members_satisfy_series_identity():
             continue
         inverted = series_inverse(ihara_reciprocal_edge_form(entry.graph), 6)
         assert euler_product_oracle(nonbacktracking_matrix(entry.graph), 6) == inverted
+
+
+def test_oracle_streams_k5_at_order_12():
+    # K5's B - J0 is 20 rows, the heaviest call the guard admits: 69,348
+    # prime classes through order 12, each multiplied in and none kept;
+    # prime_cycle_classes, which collects them, peaks at about 9.7 MB
+    nb = nonbacktracking_matrix(complete_graph(5))
+    inverted = series_inverse(ihara_reciprocal_edge_form(complete_graph(5)), 12)
+    tracemalloc.start()
+    try:
+        series = euler_product_oracle(nb, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series == inverted
+    assert peak < 1_000_000, peak
 
 
 def _guarded_corpus():
