@@ -5,6 +5,8 @@ The polynomial is first split into exact square-free factors by Yun's
 algorithm in Z[x] (``exact.square_free_decomposition``), so the iteration
 only ever sees simple roots and converges quadratically; the
 multiplicities come from the exact decomposition, not from clustering.
+Each factor's iteration starts at the eigenvalues of its companion matrix
+(LAPACK, through ``numpy.linalg.eigvals``), so it only polishes them.
 Each Aberth step evaluates p, p' and the round-off floor sum |a_i| |z|^i
 in one Horner sweep, bit-identical to three ``polyval`` calls.
 A factor with a coefficient outside the double range is first rescaled
@@ -81,18 +83,6 @@ def _sorted_values(values) -> tuple[complex, ...]:
     return tuple(sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag)))
 
 
-def _fujiwara_bound(monic_coeffs: np.ndarray) -> float:
-    """Root modulus bound 2 max |a_{n-i}|^(1/i) for an ascending monic array.
-
-    Far tighter than the Cauchy bound when coefficients span a wide range.
-    """
-    deg = len(monic_coeffs) - 1
-    bound = 2.0 * max(
-        abs(monic_coeffs[deg - i]) ** (1.0 / i) for i in range(1, deg + 1)
-    )
-    return bound if bound > 0 else 1.0
-
-
 def _horner_columns(coeffs: np.ndarray) -> tuple[list[np.ndarray], list[float]]:
     """The coefficients _horner sweeps, top power first, for an ascending array of degree d.
 
@@ -130,32 +120,46 @@ def _horner(columns: tuple[list[np.ndarray], list[float]], z: np.ndarray, az: np
 def _aberth(coeffs: np.ndarray, columns: tuple[list[np.ndarray], list[float]]) -> np.ndarray:
     """All roots of a square-free monic polynomial (ascending array) by Aberth's method.
 
+    The iteration starts at the eigenvalues of the companion matrix, which
+    LAPACK finds backward stably (Edelman and Murakami, Math. Comp. 64,
+    1995), so it is left to polish them, in one or two steps as a rule.
     A point is accepted when its Newton correction |p/p'| drops below
     ABERTH_NEWTON_TOL (relative to max(1, |z|)), or when |p(z)| falls under the
     round-off bound eps * sum |a_i| |z|^i, past which double precision
     cannot place the root any better.  p, p' and that bound come from one
     Horner sweep per iteration over columns, ``_horner_columns(coeffs)``.
+    The last Newton step is taken only where it is shorter than half the gap
+    to the nearest other point: at a point accepted by the round-off bound
+    alone p' may be about 0, and the step arbitrary.
     """
     deg = len(coeffs) - 1
     if deg == 1:
         return np.array([complex(-coeffs[0])])
     noise_scale = 4.0 * np.finfo(np.float64).eps
-    radius = _fujiwara_bound(coeffs)
-    # slight angular offset so the start is not symmetric about the real axis
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.45
-    z = radius * np.exp(1j * angles)
+    companion = np.diag(np.ones(deg - 1), -1)
+    companion[:, -1] = -coeffs[:-1]
+    try:
+        z = np.linalg.eigvals(companion).astype(np.complex128)
+    except np.linalg.LinAlgError as exc:
+        raise RootConvergenceError(f"companion-matrix eigenvalues failed: {exc}") from exc
     for _ in range(ABERTH_MAX_ITER):
         az = np.abs(z)
         pv, dv, floor = _horner(columns, z, az)
         dv = np.where(dv == 0, 1e-300, dv)
         newton = pv / dv
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
         done = (np.abs(newton) <= ABERTH_NEWTON_TOL * np.maximum(1.0, az)) | (
             np.abs(pv) <= noise_scale * floor
         )
         if done.all():
-            return z - newton
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
+            return np.where(np.abs(newton) < 0.5 * np.abs(diff).min(axis=1), z - newton, z)
+        clash = np.triu(diff == 0).any(axis=0)
+        if clash.any():
+            # a point equal to an earlier one would put 1/0 into the repulsion
+            # sum: move it off by 2^-26 of its size, at an angle of its own
+            z = z + clash * np.ldexp(np.maximum(1.0, az), -26) * np.exp(1j * np.arange(deg))
+            continue
         repulsion = (1.0 / diff).sum(axis=1)
         denom = 1.0 - newton * repulsion
         denom = np.where(denom == 0, 1e-300, denom)

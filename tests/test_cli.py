@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from walkzeta import spectra
@@ -127,24 +128,32 @@ def test_options_a_command_does_not_read_exit_2(capsys, argv):
     assert f"walkzeta {argv[0]}: error: unrecognized arguments: " in err
 
 
-def test_spectrum_u_with_map(capsys):
-    code, out, _ = run_cli(capsys, "spectrum", "--graph6", K4)
+# 4-regular on 16 vertices: char(U) and char(U+) have square-free factors of degree 30 and 31
+REGULAR_64_ARCS = "O@g@Cq_SAKGgD_?LhECKO"
+
+
+@pytest.mark.parametrize(("g6", "arcs"), [(K4, 12), (REGULAR_64_ARCS, 64)], ids=["K4", "64-arcs"])
+def test_spectrum_u_with_map(capsys, g6, arcs):
+    code, out, _ = run_cli(capsys, "spectrum", "--graph6", g6)
     assert code == 0
     doc = json.loads(out)
-    assert len(doc["spectrum"]) == 12
+    assert len(doc["spectrum"]) == arcs
     assert doc["mapped"] is not None
     assert doc["verdict"]["equal"] is True
-    assert doc["verdict"]["max_pair_distance"] <= 1e-8
+    assert doc["verdict"]["max_pair_distance"] <= 1e-9
     assert doc["max_residual"] < 1e-8
 
 
-def test_spectrum_support_map_on_regular(capsys):
-    g6 = graph6(petersen_graph())
+@pytest.mark.parametrize(
+    ("g6", "arcs"), [(graph6(petersen_graph()), 30), (REGULAR_64_ARCS, 64)], ids=["petersen", "64-arcs"]
+)
+def test_spectrum_support_map_on_regular(capsys, g6, arcs):
     code, out, _ = run_cli(capsys, "spectrum", "--target", "U+", "--graph6", g6)
     assert code == 0
     doc = json.loads(out)
-    assert len(doc["spectrum"]) == 30
+    assert len(doc["spectrum"]) == arcs
     assert doc["verdict"]["equal"] is True
+    assert doc["verdict"]["max_pair_distance"] <= 1e-9
 
 
 def test_spectrum_no_map_for_nonregular_support(capsys):
@@ -217,6 +226,17 @@ def test_root_finding_failure_exit_5(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert "error:" in err
+
+
+def test_companion_eigenvalue_failure_exit_5(capsys, monkeypatch):
+    # LinAlgError is a ValueError, which alone would read as bad input (exit 2)
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    code, out, err = run_cli(capsys, "spectrum", "--graph6", K4)
+    assert (code, out) == (5, "")
+    assert "companion-matrix eigenvalues failed" in err
 
 
 def test_zeta_c3_with_oracle(capsys):
@@ -446,6 +466,12 @@ def test_json_outputs_byte_identical(capsys):
     outputs = []
     for _ in range(2):
         code, out, _ = run_cli(capsys, "verify", "--corpus", "smoke", "--trials", "2")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    outputs = []
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "spectrum", "--graph6", REGULAR_64_ARCS)
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]

@@ -139,6 +139,24 @@ def test_roots_rejects_constant():
     assert spectrum.values == () and spectrum.max_residual == 0
 
 
+def test_last_newton_step_stays_inside_the_gap():
+    # the double coefficients are those of (x - 1)^2, so both roots are accepted
+    # by the round-off floor at once, where p' is about 0 and p/p' arbitrary
+    big = 10**17
+    got = roots((big * X - big) * (big * X - big - 1))
+    assert got.max_residual < 1e-14
+    assert all(abs(z - 1) <= 1e-7 for z in got.values) and len(got) == 2
+
+
+def test_coinciding_starts_are_moved_apart(monkeypatch):
+    # a start repeated and not accepted at once must not divide by zero
+    for starts in ([1.5, 1.5, 1.5], [1.5, 1.5, 3.0]):
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a, starts=starts: np.array(starts))
+        got = roots((X - 1) * (X - 2) * (X - 3))
+        assert compare(got, _multiset(1, 2, 3), 1e-12).equal
+        assert got.max_residual < 1e-14
+
+
 def test_real_roots():
     got = real_roots(X**2 - 2)
     assert got == pytest.approx([-math.sqrt(2), math.sqrt(2)], abs=1e-12)
