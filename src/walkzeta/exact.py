@@ -3,31 +3,27 @@
 Both types hold integers over one positive scale, made canonical once
 when built.  ``Poly`` holds ascending integer coefficients ``ints`` over a
 ``scale``, p = ints / scale; ``Matrix`` holds integer rows L over a scale
-s, M = L / s.  The kernels work in Python ints, so every result is exact.
+s, M = L / s.  Every kernel result is exact: Python ints or proven bounds.
 ``square_free_decomposition`` (Yun 1976) runs on primitive integer
 coefficient lists: each divisor is a primitive gcd, so each quotient is
 integral by Gauss's lemma, and each returned factor a is the monic
 a / lead(a).  There is one determinant kernel, ``charpolys_exact``, for
 a batch of square matrices of any sizes; ``charpoly_exact`` is a batch
-of one.  It reads each L and s and takes one of two paths, split at
-HESSENBERG_MIN_DIM = 13 rows:
+of one.  It makes one multimodular call per size: one prime list, sized
+from n and the batch's largest proven Hadamard bound, the (matrix mod
+prime) slices of the batch in numpy arrays, one residue kernel and one set
+of CRT weights.  The kernel is split at HESSENBERG_MIN_DIM = 49 rows:
 
-- below 13 rows, Berkowitz's division-free algorithm in Python ints, one
-  matrix at a time;
-- from 13 rows on, Hessenberg reduction mod primes sized from n (17 bits
-  for 23-63 rows, 16 for 64-181, 15 for 182-511), one kernel call per
-  size with one prime list, sized from the largest proven Hadamard bound
-  on the coefficients of the batch's matrices; the (matrix mod prime)
-  slices of the whole batch go at once into one numpy int64 array,
-  reducing O(n) entries per elimination step while the rest stay under a
-  proven int64 bound, then one set of CRT weights serves every matrix.
+- below 49 rows, power sums: about 2 sqrt(n) float64 matmuls per slice,
+  O(n^3.5) word operations, exact for primes below 2^22-2^24, then
+  Newton's identities;
+- from 49 rows on, Hessenberg reduction in int64, O(n^3), reducing O(n)
+  entries per elimination step, for primes below 2^17 at 23-63 rows, 2^16
+  at 64-181 and 2^15 at 182-511.
 
-Berkowitz costs O(n^4) big-integer operations, the numpy kernel O(n^3)
-word operations per prime plus a fixed cost of some 0.3 ms per call.
 On random 0/1, integer and rational matrices (2-CPU x86-64 Linux host,
-numpy 2.4) the two are level at 12 rows; the numpy kernel is 3.3-3.4
-times slower at 6 rows and 8-50 times faster at 40-96, and most closed
-forms of small graphs fall below the crossover.
+numpy 2.4, OpenBLAS) the power sums ran level with Hessenberg reduction to
+4 times faster at 8-144 rows, but from 49 rows on one slice outgrows CHUNK_BYTES.
 
 Every determinant the package needs is fed to the kernel as one constant
 matrix, built by its caller as integer rows over one scale: an arc-level
@@ -350,12 +346,12 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-HESSENBERG_MIN_DIM = 13  # Berkowitz below, the numpy kernel from here on (module docstring)
+HESSENBERG_MIN_DIM = 49  # power sums below; from here on a power-sum slice outgrows CHUNK_BYTES
 # The search for the primes of an n-row kernel call starts here and comes
-# down to _prime_bits(n), the int64 bound of its delayed reduction.
+# down to the bound of its residue kernel, _power_sum_bits or _prime_bits.
 PRIME_BITS = 31
-# The most bytes of one (primes, n, n) int64 block; more primes than fit
-# are reduced one chunk after another.  In a sweep of 2^17-2^21 bytes over
+# The most bytes of a kernel's working set on one chunk of (matrix mod prime)
+# slices, or on one slice that is larger.  In a sweep of 2^17-2^21 bytes over
 # 42-336 rows, 2^20 ran 64-192 rows up to twice as fast as 2^18, at twice
 # the peak memory; at 336 rows one prime fills either.
 CHUNK_BYTES = 2**18
@@ -371,6 +367,16 @@ def _prime_bits(n: int) -> int:
     """
     b = PRIME_BITS
     while (2**b + n * 4**b) * (1 + n * 2**b) >= 2**63:
+        b -= 1
+    return b
+
+
+def _power_sum_bits(n: int) -> int:
+    """The largest b <= PRIME_BITS with n (2 2^b)^2 < 2^53 and n^2 (2 2^b)^2 < 2^63: for
+    p < 2^b the powers of _power_sum_residues, below 2p, multiply exactly in float64
+    and take traces in int64."""
+    b = PRIME_BITS
+    while n * 4 ** (b + 1) >= 2**53 or n * n * 4 ** (b + 1) >= 2**63:
         b -= 1
     return b
 
@@ -399,28 +405,6 @@ def _primes_exceeding(bound: int, bits: int) -> list[int]:
     return primes[:count]
 
 
-def _berkowitz(lifted: list[list[int]]) -> list[int]:
-    """Descending coefficients of det(xI - L) by Berkowitz's algorithm (1984).
-
-    The leading block of L grows one row and column at a time: with A the
-    current k x k block, a the new diagonal entry, C the column above it and
-    R the row to its left, char of the grown block is the Toeplitz matrix of
-    (1, -a, -RC, -RAC, ..., -RA^(k-1)C) times char(A), by integer products
-    and sums only.
-    """
-    p = [1]  # descending coefficients of char of the leading k x k block
-    for k, row in enumerate(lifted):
-        block = [r[:k] for r in lifted[:k]]
-        left = row[:k]
-        q = [1, -row[k]]
-        v = [r[k] for r in lifted[:k]]
-        for _ in range(k):
-            q.append(-sum(map(mul, left, v)))
-            v = [sum(map(mul, b, v)) for b in block]
-        p = [sum(q[i - j] * p[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
-    return p
-
-
 def _coefficient_bound(lifted: list[list[int]]) -> int:
     """A proven bound on |coefficient| of det(xI - L), for an integer L.
 
@@ -436,33 +420,36 @@ def _coefficient_bound(lifted: list[list[int]]) -> int:
     return prod(isqrt(sum(x * x for x in row)) + 2 for row in lifted)
 
 
-def _hessenberg_charpolys(batch: list[list[list[int]]]) -> list[list[int]]:
+def _multimodular_charpolys(batch: list[list[list[int]]]) -> list[list[int]]:
     """Descending coefficients of det(xI - L) for each integer L of one size, multimodular.
 
-    The call takes one list of primes below 2^b, b = _prime_bits(n), with a
-    product M above twice the batch's largest _coefficient_bound, so every
-    coefficient is its residue mod M taken symmetrically about 0.  The
-    (L mod p) slices form a grid of matrices x primes, taken in chunks of
-    at most CHUNK_BYTES of int64 residues (_charpoly_residues), and one
-    list of CRT weights serves every L.
+    The residue kernel is _power_sum_residues below HESSENBERG_MIN_DIM rows
+    and _charpoly_residues from there on.  The call takes one list of
+    primes below 2^b, b from the kernel's rule, with a product M above twice
+    the batch's largest _coefficient_bound, so every coefficient is its
+    residue mod M taken symmetrically about 0.  The (L mod p) slices form a
+    grid of matrices x primes, taken in chunks whose kernel working set
+    stays within CHUNK_BYTES, and one list of CRT weights serves every L.
     """
     n = len(batch[0])
-    primes = _primes_exceeding(2 * max(map(_coefficient_bound, batch)), _prime_bits(n))
-    q = primes[0]  # the largest prime below 2^bits
-    assert (q + n * q * q) * (1 + n * q) < 2**63, "the lazy kernel would overflow int64"
+    if n < HESSENBERG_MIN_DIM:  # words: the slice, its ceil(sqrt(n)) baby powers and five products
+        kernel, bits, words = _power_sum_residues, _power_sum_bits(n), (isqrt(n) + 7) * n * n
+    else:
+        kernel, bits, words = _charpoly_residues, _prime_bits(n), n * n
+    primes = _primes_exceeding(2 * max(map(_coefficient_bound, batch)), bits)
     try:
         stack = np.array(batch, dtype=np.int64).reshape(len(batch), n, n)
     except OverflowError:  # an entry beyond int64: reduce it as a Python int
         stack = np.array(batch, dtype=object).reshape(len(batch), n, n)
     count = len(primes)
     moduli = np.array(primes, dtype=stack.dtype)
-    step = max(1, CHUNK_BYTES // (8 * n * n or 1))
+    step = max(1, CHUNK_BYTES // (8 * words or 1))
     residues = []
     for s in range(0, len(batch) * count, step):
         matrix, prime = np.divmod(np.arange(s, min(s + step, len(batch) * count)), count)
         h = stack[matrix]  # a copy, reduced in place
         h %= moduli[prime, None, None]
-        residues += _charpoly_residues(h.astype(np.int64, copy=False), moduli[prime].tolist())
+        residues += kernel(h.astype(np.int64, copy=False), moduli[prime].tolist())
     modulus = prod(primes)
     weights = [modulus // q * pow(modulus // q, -1, q) for q in primes]
     out = []
@@ -472,6 +459,48 @@ def _hessenberg_charpolys(batch: list[list[list[int]]]) -> list[list[int]]:
             v = sum(map(mul, column, weights)) % modulus
             coeffs.append(v - modulus if v > modulus // 2 else v)
         out.append(coeffs[::-1])
+    return out
+
+
+def _power_sum_residues(h: np.ndarray, primes: list[int]) -> list[list[int]]:
+    """Ascending coefficients of det(xI - H) mod each prime, one list per prime, by power sums.
+
+    h holds H mod primes[i] in h[i].  The baby powers H, ..., H^s,
+    s = ceil(sqrt(n)), and the giant powers H^2s, H^3s, ... are float64
+    matmuls (Preparata and Sarwate, Inform. Process. Lett. 7, 1978), each
+    reduced lazily to x - floor(x / p) p in (-p, 2p), so the next product is
+    exact while _power_sum_bits(n) holds.  tr(H^(i+sj)) = sum_ab (H^i)_ab
+    (H^sj)_ba, i + sj <= n, is an int64 contraction, and Newton's identities
+    k c_k = -sum_(i<=k) tr(H^i) c_(k-i) give the coefficient c_k of x^(n-k),
+    dividing by k mod p, since every prime exceeds n.
+    """
+    count, n = len(primes), h.shape[1]
+    q, s = max(primes), isqrt(max(n - 1, 0)) + 1
+    assert n * (2 * q) ** 2 < 2**53 and (2 * n * q) ** 2 < 2**63, "a power sum would be inexact"
+    assert min(primes) > n, "Newton's identities would divide by a multiple of a prime"
+    p = np.array(primes, dtype=np.float64)[:, None, None]
+
+    def times(x, y):
+        z = x @ y
+        t = z / p
+        z -= np.multiply(np.floor(t, out=t), p, out=t)
+        return z
+
+    power = a = h.astype(np.float64)
+    babies = np.empty((count, s, n, n), dtype=np.int64)  # transposed: a trace is a dot product
+    for i in range(s):
+        power = times(power, a) if i else a
+        babies[:, i] = power.transpose(0, 2, 1)
+    traces, giant = [np.trace(babies, axis1=2, axis2=3)], power
+    for j in range(1, -(-n // s)):
+        giant = times(giant, power) if j > 1 else power
+        dots = babies.reshape(count, s, n * n) @ giant.astype(np.int64).reshape(count, n * n, 1)
+        traces.append(dots[:, :, 0])
+    sums = np.concatenate(traces, axis=1)[:, :n] % np.array(primes, dtype=np.int64)[:, None]
+    out = [[1] for _ in primes]  # c_(k-1), ..., c_0 before step k, so c_n, ..., c_0 at the end
+    for c, power_sums, q in zip(out, sums.tolist(), primes):
+        for k in range(1, n + 1):
+            c.insert(0, -sum(map(mul, power_sums, c)) * pow(k, -1, q) % q)
     return out
 
 
@@ -500,6 +529,8 @@ def _charpoly_residues(h: np.ndarray, primes: list[int]) -> list[list[int]]:
     product of reduced residues per m and one reduction per new p_m.
     """
     count, n = len(primes), h.shape[1]
+    q = max(primes)
+    assert (q + n * q * q) * (1 + n * q) < 2**63, "the lazy kernel would overflow int64"
     p2 = np.array(primes, dtype=np.int64)[:, None]
     for j in range(n - 2):
         k = j + 1
@@ -539,22 +570,20 @@ def _charpoly_residues(h: np.ndarray, primes: list[int]) -> list[list[int]]:
 def charpolys_exact(matrices: Sequence[Matrix]) -> list[Poly]:
     """det(xI - M) for each M of a batch of square matrices, in input order.
 
-    M is L / s with L = m.ints and s = m.scale; char(L) comes from
-    Berkowitz, one matrix at a time, below HESSENBERG_MIN_DIM rows and from
-    one batched multimodular Hessenberg kernel call per size from there on,
-    and char(M)(x) = s^-n char(L)(sx): coefficient k of char(L) times s^k,
-    over s^n.  Each result is monic of degree n.
+    M is L / s with L = m.ints and s = m.scale; char(L) comes from one
+    batched multimodular call per size (_multimodular_charpolys), and
+    char(M)(x) = s^-n char(L)(sx): coefficient k of char(L) times s^k, over
+    s^n.  Each result is monic of degree n.
     """
     if any(not m.is_square for m in matrices):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    lists = [_berkowitz(m.ints) if m.rows < HESSENBERG_MIN_DIM else None for m in matrices]
-    for n in sorted({m.rows for m in matrices if m.rows >= HESSENBERG_MIN_DIM}):
+    lists = {}  # position -> descending char(L)
+    for n in sorted({m.rows for m in matrices}):
         positions = [i for i, m in enumerate(matrices) if m.rows == n]
-        for i, p in zip(positions, _hessenberg_charpolys([matrices[i].ints for i in positions])):
-            lists[i] = p
+        lists.update(zip(positions, _multimodular_charpolys([matrices[i].ints for i in positions])))
     polys = []
-    for m, p in zip(matrices, lists):
-        n, s = m.rows, m.scale
+    for i, m in enumerate(matrices):
+        n, s, p = m.rows, m.scale, lists[i]
         if len(p) != n + 1 or p[0] != 1:
             raise AssertionError("characteristic polynomial is malformed")
         polys.append(Poly.from_ints([c * s**k for k, c in enumerate(reversed(p))], s**n))

@@ -1,15 +1,19 @@
 """Independent slow oracles used only by the tests.
 
 These deliberately use different algorithms from the package, which reads
-every determinant off a characteristic polynomial computed by Berkowitz's
-algorithm or, from HESSENBERG_MIN_DIM = 13 rows on, by a multimodular
-Hessenberg kernel, and
-builds every arc matrix from per-vertex lists of leaving arcs: permutation
-expansion for determinants, the Faddeev-LeVerrier trace recursion for
+every determinant off a characteristic polynomial computed mod primes and
+combined by CRT: by power sums and Newton's identities below
+HESSENBERG_MIN_DIM rows and by Hessenberg reduction from there on.  The
+package builds every arc matrix from per-vertex lists of leaving arcs.
+The oracles are permutation expansion for determinants, Berkowitz's
+division-free algorithm and the Faddeev-LeVerrier recursion for
 characteristic polynomials, U and B - J0 entry by entry from their
 definitions over all arc pairs, and Yun's square-free split in Fraction
 arithmetic with a Euclidean gcd over Q, where the package splits in Z[x]
-with a primitive remainder sequence.
+with a primitive remainder sequence.  Faddeev-LeVerrier shares the trace
+recursion (Newton's identities) with the package's power-sum kernel, so
+below the crossover Berkowitz, which takes no traces and divides by
+nothing, is the check that shares no algorithm with the package.
 
 The prime cycle classes of a matrix come from an unpruned walk from every
 start index that takes the minimum over all rotations of each closed walk
@@ -195,6 +199,28 @@ def perm_det(m: Matrix) -> Fraction:
                 break
         total += term
     return total
+
+
+def berkowitz(lifted: list[list[int]]) -> list[int]:
+    """Descending coefficients of det(xI - L) by Berkowitz's algorithm (1984).
+
+    The leading block of L grows one row and column at a time: with A the
+    current k x k block, a the new diagonal entry, C the column above it and
+    R the row to its left, char of the grown block is the Toeplitz matrix of
+    (1, -a, -RC, -RAC, ..., -RA^(k-1)C) times char(A), by integer products
+    and sums only.
+    """
+    p = [1]  # descending coefficients of char of the leading k x k block
+    for k, row in enumerate(lifted):
+        block = [r[:k] for r in lifted[:k]]
+        left = row[:k]
+        q = [1, -row[k]]
+        v = [r[k] for r in lifted[:k]]
+        for _ in range(k):
+            q.append(-sum(map(mul, left, v)))
+            v = [sum(map(mul, b, v)) for b in block]
+        p = [sum(q[i - j] * p[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return p
 
 
 def faddeev_leverrier(a: Matrix) -> FractionPoly:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from walkzeta.exact import (
     square_free_decomposition,
 )
 
-from oracles import FractionPoly, faddeev_leverrier, fraction_gcd, matmul, perm_det
+from oracles import FractionPoly, berkowitz, faddeev_leverrier, fraction_gcd, matmul, perm_det
 from oracles import square_free_by_fractions, trace
 
 X = FractionPoly.x()
@@ -328,9 +329,18 @@ def _kernel_poly(kernel, m):
     return Poly([Fraction(c, m.scale**i) for i, c in enumerate(kernel(m.ints))][::-1])
 
 
+def _kernel_coeffs(ints, hessenberg):
+    """Descending char(L) from the shared driver, every size sent to one residue kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "HESSENBERG_MIN_DIM", 0 if hessenberg else 10**9)
+        return exact._multimodular_charpolys([ints])[0]
+
+
 def _check_kernels_agree(m):
-    (coeffs,) = exact._hessenberg_charpolys([m.ints])
-    assert coeffs == exact._berkowitz(m.ints)
+    """Both residue kernels equal the Berkowitz oracle on m.ints, whose coefficients are returned."""
+    coeffs = berkowitz(m.ints)
+    assert _kernel_coeffs(m.ints, hessenberg=False) == coeffs
+    assert _kernel_coeffs(m.ints, hessenberg=True) == coeffs
     return coeffs
 
 
@@ -345,13 +355,39 @@ def _random_kernel_inputs(rng, n):
 
 def test_hessenberg_kernel_matches_berkowitz_and_faddeev_leverrier():
     rng = random.Random(17)
-    for n in (0, 1, 2, 3, 5, 8, HESSENBERG_MIN_DIM - 1, HESSENBERG_MIN_DIM, 17, 24):
+    for n in (0, 1, 2, 3, 5, 8, 12, 13, 17, 24):
         for m in _random_kernel_inputs(rng, n):
             _check_kernels_agree(m)
             if n <= 8:
-                hessenberg = lambda ints: exact._hessenberg_charpolys([ints])[0]
+                hessenberg = lambda ints: _kernel_coeffs(ints, hessenberg=True)
                 assert _kernel_poly(hessenberg, m) == faddeev_leverrier(m)
-            assert charpoly_exact(m) == _kernel_poly(exact._berkowitz, m)
+            assert charpoly_exact(m) == _kernel_poly(berkowitz, m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, HESSENBERG_MIN_DIM + 8), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_power_sum_kernel_matches_berkowitz_and_hessenberg(n, kind, rng):
+    # a 0/1, integer or rational matrix on either side of the crossover
+    m = _random_kernel_inputs(rng, n)[kind]
+    _check_kernels_agree(m)
+    assert charpoly_exact(m) == _kernel_poly(berkowitz, m)
+
+
+def test_power_sum_kernel_special_matrices():
+    rng = random.Random(53)
+    for n in (1, 7, HESSENBERG_MIN_DIM - 1):
+        zero = Matrix([[0] * n for _ in range(n)])
+        assert _check_kernels_agree(zero) == [1] + [0] * n
+        # c I: every power sum is n c^k, and the minimal polynomial has degree 1
+        scalar = Matrix([[Fraction(-7, 3) * (i == j) for j in range(n)] for i in range(n)])
+        _check_kernels_agree(scalar)
+        assert charpoly_exact(scalar) == (X + Fraction(7, 3)) ** n
+        upper = Matrix([[rng.randint(-9, 9) * (j > i) for j in range(n)] for i in range(n)])
+        assert _check_kernels_agree(upper) == [1] + [0] * n
+        assert charpoly_exact(upper) == X**n
+    # an entry beyond int64: the slices are reduced from Python ints
+    huge = Matrix([[rng.randint(2**63, 2**70) * rng.choice((-1, 1)) for _ in range(9)] for _ in range(9)])
+    _check_kernels_agree(huge)
 
 
 def test_hessenberg_kernel_special_matrices():
@@ -416,41 +452,49 @@ def _mixed_batch(rng, n):
 
 
 def _shuffled_sizes_batch(rng):
-    """Random matrices of 5, 13, 5, 20 and 13 rows, across HESSENBERG_MIN_DIM, shuffled."""
-    batch = [m for n in (5, 13, 5, 20, 13) for m in _random_kernel_inputs(rng, n)[:2]]
+    """Random matrices of 5, 20 and HESSENBERG_MIN_DIM rows, across the crossover, shuffled."""
+    sizes = (5, HESSENBERG_MIN_DIM, 5, 20, HESSENBERG_MIN_DIM)
+    batch = [m for n in sizes for m in _random_kernel_inputs(rng, n)[:2]]
     rng.shuffle(batch)
     return batch
 
 
 def test_charpolys_exact_matches_one_matrix_at_a_time(monkeypatch):
     rng = random.Random(43)
-    for n in (8, HESSENBERG_MIN_DIM - 1, 16, 24):
+    for n in (8, 12, 16, 24):
         batch = _mixed_batch(rng, n)
         singles = [charpoly_exact(m) for m in batch]
-        assert singles == [_kernel_poly(exact._berkowitz, m) for m in batch]
+        assert singles == [_kernel_poly(berkowitz, m) for m in batch]
         assert exact.charpolys_exact(batch) == singles
-        if n >= HESSENBERG_MIN_DIM:
-            # chunks of one, two and three slices, which cut across matrices
-            for slices in (1, 2, 3):
-                monkeypatch.setattr(exact, "CHUNK_BYTES", slices * 8 * n * n)
-                assert exact.charpolys_exact(batch) == singles
-            monkeypatch.undo()
+        # the power sums one slice at a time
+        monkeypatch.setattr(exact, "CHUNK_BYTES", 1)
+        assert exact.charpolys_exact(batch) == singles
+        # Hessenberg reduction in chunks of one, two and three slices, which cut across matrices
+        monkeypatch.setattr(exact, "HESSENBERG_MIN_DIM", 0)
+        for slices in (1, 2, 3):
+            monkeypatch.setattr(exact, "CHUNK_BYTES", slices * 8 * n * n)
+            assert exact.charpolys_exact(batch) == singles
+        monkeypatch.undo()
     assert exact.charpolys_exact([]) == []
 
-    # a batch of several sizes: results in input order, one numpy call per size
+    # a batch of several sizes: results in input order, one driver call per
+    # size, each with the residue kernel of its side of the crossover
     batch = _shuffled_sizes_batch(rng)
     singles = [charpoly_exact(m) for m in batch]
     assert [p.degree for p in singles] == [m.rows for m in batch]
-    calls = []
-    kernel = exact._hessenberg_charpolys
+    calls = []  # (function, rows, matrices or slices)
+    for name in ("_multimodular_charpolys", "_power_sum_residues", "_charpoly_residues"):
 
-    def recording_kernel(lifted):
-        calls.append(sorted(map(len, lifted)))
-        return kernel(lifted)
+        def record(first, *rest, name=name, function=getattr(exact, name)):
+            calls.append((name, len(first[0]), len(first)))
+            return function(first, *rest)
 
-    monkeypatch.setattr(exact, "_hessenberg_charpolys", recording_kernel)
+        monkeypatch.setattr(exact, name, record)
     assert exact.charpolys_exact(batch) == singles
-    assert sorted(calls) == [[13] * 4, [20] * 2]
+    drivers = sorted(call[1:] for call in calls if call[0] == "_multimodular_charpolys")
+    assert drivers == [(5, 4), (20, 2), (HESSENBERG_MIN_DIM, 4)]
+    assert {call[1] for call in calls if call[0] == "_power_sum_residues"} == {5, 20}
+    assert {call[1] for call in calls if call[0] == "_charpoly_residues"} == {HESSENBERG_MIN_DIM}
 
 
 def test_charpolys_exact_rejects_non_square_batches():
@@ -474,6 +518,25 @@ def test_lazy_kernel_at_the_prime_size_boundary():
         for rows in (signs, minus_ones):
             _check_kernels_agree(Matrix(rows))
         assert charpoly_exact(Matrix(minus_ones)) == X ** (n - 1) * (X + n)
+
+
+def test_power_sum_bits_table():
+    # 24 bits at 2-7 rows, 23 at 8-31 and 22 at 32-48: the largest prime
+    # below 2^bits, times two, squared and times n, stays below 2^53, and
+    # the bound fails one bit up, so every size takes the largest primes
+    # that are exact
+    rows = range(2, HESSENBERG_MIN_DIM)
+    assert [exact._power_sum_bits(n) for n in rows] == [24 if n < 8 else 23 if n < 32 else 22 for n in rows]
+    for n in rows:
+        bits = exact._power_sum_bits(n)
+        q = exact._primes_exceeding(1, bits)[0]
+        assert n * (2 * q) ** 2 < 2**53 <= n * 4 ** (bits + 2) and (2 * n * q) ** 2 < 2**63 and q > n
+    zeros = np.zeros((1, 4, 4), dtype=np.int64)
+    with pytest.raises(AssertionError, match="inexact"):
+        exact._power_sum_residues(zeros, [2**25 + 35])
+    with pytest.raises(AssertionError, match="Newton"):
+        exact._power_sum_residues(zeros, [3])
+    assert exact._power_sum_residues(zeros, [5]) == [[0, 0, 0, 0, 1]]
 
 
 def test_primes_exceeding_stops_at_three():
@@ -509,25 +572,30 @@ def test_primes_exceeding_lists_every_odd_prime_below_2_bits():
 
 
 def test_hessenberg_charpolys_shares_one_prime_list(monkeypatch):
+    # the shared driver, once on each side of the crossover
     rng = random.Random(47)
-    n = 16
-    ones = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-    huge = [[rng.randint(2**63, 2**70) * rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)]
-    batch = [Matrix(ones), Matrix(huge)]
-    bound = max(exact._coefficient_bound(ones), exact._coefficient_bound(huge))
-    primes = exact._primes_exceeding(2 * bound, exact._prime_bits(n))
-    assert len(exact._primes_exceeding(2 * exact._coefficient_bound(ones), exact._prime_bits(n))) < len(primes)
-    singles = [charpoly_exact(m) for m in batch]
-    seen = []
-    residues = exact._charpoly_residues
+    for n, kernel, rule in (
+        (16, "_power_sum_residues", exact._power_sum_bits),
+        (HESSENBERG_MIN_DIM, "_charpoly_residues", exact._prime_bits),
+    ):
+        ones = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        huge = [[rng.randint(2**63, 2**70) * rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)]
+        batch = [Matrix(ones), Matrix(huge)]
+        bound = max(exact._coefficient_bound(ones), exact._coefficient_bound(huge))
+        primes = exact._primes_exceeding(2 * bound, rule(n))
+        assert len(exact._primes_exceeding(2 * exact._coefficient_bound(ones), rule(n))) < len(primes)
+        singles = [charpoly_exact(m) for m in batch]
+        seen = []
+        residues = getattr(exact, kernel)
 
-    def recording_residues(h, chunk):
-        seen.extend(chunk)
-        return residues(h, chunk)
+        def recording_residues(h, chunk, residues=residues):
+            seen.extend(chunk)
+            return residues(h, chunk)
 
-    monkeypatch.setattr(exact, "_charpoly_residues", recording_residues)
-    assert exact.charpolys_exact(batch) == singles
-    assert seen == primes * 2  # the 0/1 matrix, then the huge one, each under every prime
+        monkeypatch.setattr(exact, kernel, recording_residues)
+        assert exact.charpolys_exact(batch) == singles
+        assert seen == primes * 2  # the 0/1 matrix, then the huge one, each under every prime
+        monkeypatch.undo()
 
 
 def test_hessenberg_kernel_on_hadamard_matrix():
@@ -550,11 +618,12 @@ def test_coefficient_bound_and_primes_on_corpus_operators():
         for target in TARGETS:
             lifted = operator_matrix(entry.graph, target).ints
             bound = exact._coefficient_bound(lifted)
-            top = max(abs(c) for c in exact._berkowitz(lifted))
+            top = max(abs(c) for c in berkowitz(lifted))
             assert top <= bound and top.bit_length() <= bound.bit_length(), (entry.name, target)
             if bound > largest:
                 largest, dim = bound, len(lifted)
-    bits = exact._prime_bits(dim)  # the primes the kernel uses for that operator
+    assert dim < HESSENBERG_MIN_DIM
+    bits = exact._power_sum_bits(dim)  # the primes the kernel uses for that operator
     primes = exact._primes_exceeding(2 * largest, bits)
     assert len(set(primes)) == len(primes) > 1
     for q in primes:
