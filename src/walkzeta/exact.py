@@ -5,14 +5,15 @@ when built.  ``Poly`` holds ascending integer coefficients ``ints`` over a
 ``scale``, p = ints / scale; ``Matrix`` holds integer rows L over a scale
 s, M = L / s.  Every kernel result is exact: Python ints or proven bounds.
 ``square_free_decomposition`` (Yun 1976) runs on primitive integer
-coefficient lists: each divisor is a primitive gcd, so each quotient is
-integral by Gauss's lemma, and each returned factor a is the monic
-a / lead(a).  There is one determinant kernel, ``charpolys_exact``, for
-a batch of square matrices of any sizes; ``charpoly_exact`` is a batch
-of one.  It makes one multimodular call per size: one prime list, sized
-from n and the batch's largest proven Hadamard bound, the (matrix mod
-prime) slices of the batch in numpy arrays, one residue kernel and one set
-of CRT weights.  The kernel is split at HESSENBERG_MIN_DIM = 49 rows:
+coefficient lists: each divisor is a primitive heuristic gcd (Char, Geddes
+and Gonnet 1989) proven by exact division, whose quotients are the
+cofactors Yun needs, and each returned factor a is the monic a / lead(a).
+There is one determinant kernel, ``charpolys_exact``, for a batch of
+square matrices of any sizes; ``charpoly_exact`` is a batch of one.  It
+makes one multimodular call per size: one prime list, sized from n and the
+batch's largest proven Hadamard bound, the (matrix mod prime) slices of the
+batch in numpy arrays, one residue kernel and one set of CRT weights.  The
+kernel is split at HESSENBERG_MIN_DIM = 49 rows:
 
 - below 49 rows, power sums: about 2 sqrt(n) float64 matmuls per slice,
   O(n^3.5) word operations, exact for primes below 2^22-2^24, then
@@ -35,6 +36,7 @@ determinants.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from operator import mul
@@ -200,24 +202,12 @@ def _int_pseudo_rem(a: list[int], b: list[int]) -> tuple[list[int], int]:
     return rem, steps
 
 
-def _int_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd, leading coefficient positive, by a primitive remainder sequence.
-
-    a and b are integer coefficient lists, not both zero.
-    """
-    x, y = _int_primitive(list(a)), _int_primitive(list(b))
-    while y:
-        x, y = y, _int_primitive(_int_pseudo_rem(x, y)[0])
-    return x
-
-
-def _int_divexact(a: list[int], b: list[int], scale: int = 1) -> list[int]:
-    """a / b in Z[x] for a primitive b; ExactDivisionError unless b divides a.
+def _int_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b in Z[x] for a primitive b, or None unless b divides a.
 
     By Gauss's lemma a quotient by a primitive divisor is integral whenever
     it exists in Q[x], so a leading coefficient that does not divide, or a
-    nonzero remainder, means b does not divide a at all.  The error's
-    remainder is that of a / scale.
+    nonzero remainder, means b does not divide a at all.
     """
     rem = list(a)
     lead = b[-1]
@@ -226,14 +216,54 @@ def _int_divexact(a: list[int], b: list[int], scale: int = 1) -> list[int]:
     for k in range(len(quo) - 1, -1, -1):
         c, r = divmod(rem[k + tail], lead)
         if r:
-            break
+            return None
         quo[k] = c
         if c:
             rem[k : k + tail] = [x - c * v for x, v in zip(rem[k : k + tail], b)]
-    else:
-        if not any(rem[:tail]):
-            return quo
-    raise ExactDivisionError.dividing(a, b, scale)
+    return None if any(rem[:tail]) else quo
+
+
+def _int_divexact(a: list[int], b: list[int], scale: int = 1) -> list[int]:
+    """a / b for a primitive b; ExactDivisionError, remainder of a / scale, if inexact."""
+    quo = _int_quotient(a, b)
+    if quo is None:
+        raise ExactDivisionError.dividing(a, b, scale)
+    return quo
+
+
+def _int_gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a / g, b / g): g the primitive gcd, leading coefficient positive, of integer
+    coefficient lists a and b, a nonzero, by the heuristic gcd of Char, Geddes and
+    Gonnet (1989); gcd(a, 0) is the primitive part of a.
+
+    With xi >= 2 min(|a|, |b|) + 2 (max norms), the balanced xi-adic digits, in
+    (-xi/2, xi/2], of gcd(a(xi), b(xi)) form G, and g = pp(G) is taken only if it
+    divides a and b; the quotients are the cofactors.  Then g is the gcd: the gcd is
+    g h, and h(xi) divides cont(G), so |h(xi)| <= xi / 2.  A root z of h is one of a
+    and of b, so |z| < 1 + min(|a|, |b|) <= xi / 2 (Cauchy) and |h(xi)| > xi / 2
+    unless h is 1.  Otherwise xi grows, and that ends: with g the gcd,
+    gcd(a(xi), b(xi)) = k g(xi), where k > 0 divides an integer r = u a/g + v b/g != 0,
+    u and v in Z[x] (the resultant, unless both are constants), as a/g and b/g are
+    coprime.  So once xi > 2 |r| |g| the digits are those of k g.
+    """
+    if not b:
+        g = _int_primitive(list(a))
+        return g, _int_quotient(a, g), []
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        h = gcd(*(reduce(lambda v, c: v * xi + c, reversed(p), 0) for p in (a, b)))
+        digits = []
+        while h:
+            h, r = divmod(h, xi)
+            if 2 * r > xi:
+                r, h = r - xi, h + 1
+            digits.append(r)
+        g = _int_primitive(digits)
+        quo_a = _int_quotient(a, g)
+        quo_b = None if quo_a is None else _int_quotient(b, g)
+        if quo_b is not None:
+            return g, quo_a, quo_b
+        xi = xi * 73794 // 27011  # CGG's growth factor, about 2.73
 
 
 def _int_derivative(a: list[int]) -> list[int]:
@@ -260,10 +290,10 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
     Returns pairs (factor, multiplicity) with each factor monic, square free
     and pairwise coprime; the product of factor**multiplicity is p made
-    monic.  f is the primitive part of p.ints.  Every divisor is a
-    primitive gcd, so every quotient is integral (Gauss's lemma) and each
-    step stays in Python ints; a factor a becomes the monic a / lead(a)
-    only when it is returned.
+    monic.  f is the primitive part of p.ints.  Each step is one gcd a = gcd(c, d)
+    with its cofactors c / a and d / a, and the next d is d / a - (c / a)'.  Every
+    divisor is primitive, so every quotient is integral (Gauss's lemma) and stays in
+    Python ints; a factor a becomes the monic a / lead(a) only when it is returned.
     """
     if p.is_zero():
         raise ValueError("square-free decomposition of the zero polynomial")
@@ -271,17 +301,12 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     if len(f) < 2:
         return []
     out: list[tuple[Poly, int]] = []
-    df = _int_derivative(f)
-    g = _int_gcd(f, df)
-    c = _int_divexact(f, g)
-    d = _int_sub(_int_divexact(df, g), _int_derivative(c))
+    _, c, quo = _int_gcd_cofactors(f, _int_derivative(f))
     i = 1
     while len(c) > 1:
-        a = _int_gcd(c, d)
+        a, c, quo = _int_gcd_cofactors(c, _int_sub(quo, _int_derivative(c)))
         if len(a) > 1:
             out.append((Poly.from_ints(a, a[-1]), i))
-        c = _int_divexact(c, a)
-        d = _int_sub(_int_divexact(d, a), _int_derivative(c))
         i += 1
     return out
 

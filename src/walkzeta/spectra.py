@@ -2,9 +2,10 @@
 
 Roots are found by the Aberth simultaneous iteration in double precision.
 The polynomial is first split into exact square-free factors by Yun's
-algorithm in Z[x] (``exact.square_free_decomposition``), so the iteration
-only ever sees simple roots and converges quadratically; the
-multiplicities come from the exact decomposition, not from clustering.
+algorithm in Z[x] (``exact.square_free_decomposition``), each gcd a
+heuristic gcd proven by exact division, so the iteration only ever sees
+simple roots and converges quadratically; the multiplicities come from the
+exact decomposition, not from clustering.
 Each factor's iteration starts at the eigenvalues of its companion matrix
 (LAPACK, through ``numpy.linalg.eigvals``), so it only polishes them.
 Each Aberth step evaluates p, p' and the round-off floor sum |a_i| |z|^i
@@ -13,7 +14,9 @@ A factor with a coefficient outside the double range is first rescaled
 exactly by x = 2^e y, so its coefficients fit in doubles; a root that is
 itself outside the double range raises SpectrumDomainError.
 Closed-form maps lift random-walk or adjacency eigenvalues, each to the two
-roots of one quadratic, into arc-operator spectra for cross-checking.
+roots of one quadratic, into arc-operator spectra for cross-checking, and
+``compare`` pairs two multisets by the bottleneck matching, tested first at
+its proven lower bound, the largest nearest-value distance.
 """
 
 from __future__ import annotations
@@ -330,18 +333,27 @@ def compare(
     """Multiset comparison by the optimal (bottleneck) pairing.
 
     max_pair_distance is the least d for which the values can be paired
-    one to one with every pair within d: a binary search over the sorted
-    pair distances, each step tested for a perfect matching.
+    one to one with every pair within d.  Every pairing pairs each value
+    with one at least its nearest distance away, so d is at least low, the
+    largest of those nearest distances on either side, which is itself a pair
+    distance: low is tested first, and only if it admits no perfect matching
+    does a binary search run over the distinct distances above it.
     """
     if len(left) != len(right):
         return CompareResult(False, math.inf)
     if not left.values:
         return CompareResult(True, 0.0)
     dist = np.abs(np.subtract.outer(np.array(left.values), np.array(right.values)))
-    candidates = np.sort(dist, axis=None)  # the largest always admits a pairing
+    low = max(dist.min(axis=1).max(), dist.min(axis=0).max())
 
     def feasible(d) -> bool:
-        return _has_perfect_matching([np.flatnonzero(row <= d).tolist() for row in dist])
+        within = dist <= d
+        columns = np.nonzero(within)[1].tolist()
+        ends = np.cumsum(within.sum(axis=1)).tolist()
+        return _has_perfect_matching([columns[s:e] for s, e in zip([0] + ends, ends)])
 
-    worst = float(candidates[bisect_left(candidates, True, key=feasible)])
+    worst = float(low)
+    if not feasible(low):
+        candidates = np.unique(dist[dist > low])  # the largest always admits a pairing
+        worst = float(candidates[bisect_left(candidates, True, key=feasible)])
     return CompareResult(worst <= tolerance, worst)

@@ -4,7 +4,7 @@ from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from walkzeta import exact
 from walkzeta.exact import (
@@ -101,24 +101,58 @@ def test_poly_divmod():
     assert q == X + 1 and r == Poly((2,))
 
 
-def _int_gcd_monic(a, b):
-    """exact._int_gcd on the integer coefficients of a and b: primitive, leading
-    coefficient positive, and returned here made monic."""
-    g = exact._int_gcd(list(a.ints), list(b.ints))
+def _gcd_monic(a, b):
+    """exact._int_gcd_cofactors on the integer coefficients of a and b: the gcd
+    primitive with leading coefficient positive, the cofactors exact, and the
+    gcd returned here made monic."""
+    x, y = list(a.ints), list(b.ints)
+    g, quo_x, quo_y = exact._int_gcd_cofactors(x, y)
     assert gcd(*g) == 1 and g[-1] > 0
+    for p, quo in ((x, quo_x), (y, quo_y)):
+        assert Poly.from_ints(exact._int_mul(g, quo)) == Poly.from_ints(p)
     return Poly.from_ints(g, g[-1])
 
 
 def test_poly_gcd():
-    # the primitive remainder sequence of square_free_decomposition against Euclid in Fractions
+    # the heuristic gcd of square_free_decomposition against Euclid in Fractions
     a = (X - 1) * (X + 2)
     b = (X - 1) * (X + 3)
-    assert _int_gcd_monic(a, b) == fraction_gcd(a, b) == X - 1
-    assert _int_gcd_monic(a, FractionPoly.zero()) == fraction_gcd(a, FractionPoly.zero()) == a.monic()
-    assert _int_gcd_monic(X + 1, X + 2) == fraction_gcd(X + 1, X + 2) == FractionPoly.one()
+    assert _gcd_monic(a, b) == fraction_gcd(a, b) == X - 1
+    assert _gcd_monic(a, FractionPoly.zero()) == fraction_gcd(a, FractionPoly.zero()) == a.monic()
+    assert _gcd_monic(X + 1, X + 2) == fraction_gcd(X + 1, X + 2) == FractionPoly.one()
     # non-monic, fractional inputs still give a monic gcd
     a, b = Fraction(3, 7) * (X - 1) ** 2, Fraction(5, 2) * (X - 1)
-    assert _int_gcd_monic(a, b) == fraction_gcd(a, b) == X - 1
+    assert _gcd_monic(a, b) == fraction_gcd(a, b) == X - 1
+
+
+_SMALL_POLYS = st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(any)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SMALL_POLYS, _SMALL_POLYS, _SMALL_POLYS)
+def test_gcd_of_products_matches_fraction_oracle(common, u, v):
+    # a = common * u and b = common * v with u and v coprime have the gcd common, made monic
+    u, v = Poly.from_ints(u), Poly.from_ints(v)
+    assume(fraction_gcd(u, v) == 1)
+    common = Poly.from_ints(common)
+    a, b = FractionPoly.of(common) * u, FractionPoly.of(common) * v
+    assert _gcd_monic(a, b) == fraction_gcd(a, b) == FractionPoly.of(common).monic()
+
+
+def test_gcd_retries_a_spurious_first_candidate(monkeypatch):
+    # a = x(x - 1), b = (x - 1)(x^2 + 2): at the first xi = 4, gcd(a(4), b(4)) =
+    # gcd(12, 54) = 6 = 4 + 2 reads as x + 2, which divides neither
+    a, b = [0, -1, 1], [-2, 2, -1, 1]
+    quotients = []
+    quotient = exact._int_quotient
+
+    def recording(p, q):
+        quotients.append(quotient(p, q))
+        return quotients[-1]
+
+    monkeypatch.setattr(exact, "_int_quotient", recording)
+    assert exact._int_gcd_cofactors(a, b) == ([-1, 1], [0, 1], [2, 0, 1])
+    assert quotients[0] is None
 
 
 def test_square_free_decomposition():
@@ -131,6 +165,19 @@ def test_square_free_decomposition():
         rebuilt = rebuilt * FractionPoly.of(f) ** mult
     assert rebuilt == p.monic()
     assert (X - 5, 1) in parts and (X**2 + 1, 3) in parts
+
+
+def test_square_free_splits_a_high_multiplicity_product():
+    # the shape of char(U) at 192 arcs: (x - 1)^48 (x + 1)^50 times square-free factors
+    rng = random.Random(29)
+    f1, f2 = ([rng.randint(-99, 99) for _ in range(degree)] + [rng.randint(1, 99)] for degree in (45, 44))
+    p = exact._int_mul(f1, exact._int_mul(f2, f2))
+    for root, mult in ((1, 48), (-1, 50)):
+        for _ in range(mult):
+            p = exact._int_mul(p, [-root, 1])
+    parts = square_free_decomposition(Poly.from_ints(p))
+    expected = [(f1, 1), (f2, 2), ([-1, 1], 48), ([1, 1], 50)]
+    assert parts == [(Poly.from_ints(f, f[-1]), mult) for f, mult in expected]
 
 
 def test_square_free_random_products():

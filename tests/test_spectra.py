@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import sys
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from walkzeta.exact import Poly, charpoly_exact
@@ -290,6 +292,26 @@ def test_compare_pairs_optimally():
     assert got.equal
     assert got.max_pair_distance == pytest.approx(0.9)
     assert compare(right, left, tolerance=0.95) == got
+
+
+_GRID = st.builds(complex, st.integers(-2, 2), st.integers(-1, 1))  # ties are common on it
+
+
+@st.composite
+def _multiset_pairs(draw):
+    size = draw(st.integers(1, 6))
+    return tuple(_multiset(*draw(st.lists(_GRID, min_size=size, max_size=size))) for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@example((_multiset(0, 0, 3), _multiset(0, 3, 3)))  # every nearest distance is 0, the pairing 3
+@given(_multiset_pairs())
+def test_compare_is_the_bottleneck_over_all_pairings(pair):
+    left, right = pair
+    dist = np.abs(np.subtract.outer(np.array(left.values), np.array(right.values)))
+    pairings = itertools.permutations(range(len(left)))
+    best = min(max(dist[i, j] for i, j in enumerate(pairing)) for pairing in pairings)
+    assert compare(left, right).max_pair_distance == best
 
 
 def test_compare_is_symmetric():
