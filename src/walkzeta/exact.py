@@ -10,14 +10,16 @@ and Gonnet 1989) proven by exact division, whose quotients are the
 cofactors Yun needs, and each returned factor a is the monic a / lead(a).
 There is one determinant kernel, ``charpolys_exact``, for a batch of
 square matrices of any sizes; ``charpoly_exact`` is a batch of one.  It
-makes one multimodular call per size: one prime list, sized from n and the
-batch's largest proven Hadamard bound, the (matrix mod prime) slices of the
-batch in numpy arrays, one residue kernel and one set of CRT weights.  The
+returns P / D, P = D char(M) = det(xC - MC) for M = L / s, C the diagonal of
+the column (or row) denominators of M and D = det C, from one multimodular
+call per size: one prime list, sized from n and the batch's largest proven
+Goldstein-Graham bound and dividing no scale, the slices M mod p = L s^-1
+mod p in numpy arrays, one residue kernel and one set of CRT weights.  The
 kernel is split at HESSENBERG_MIN_DIM = 49 rows:
 
 - below 49 rows, power sums: about 2 sqrt(n) float64 matmuls per slice,
   O(n^3.5) word operations, exact for primes below 2^22-2^24, then
-  Newton's identities;
+  Newton's identities once, mod the product of the primes;
 - from 49 rows on, Hessenberg reduction in int64, O(n^3), reducing O(n)
   entries per elimination step, for primes below 2^17 at 23-63 rows, 2^16
   at 64-181 and 2^15 at 182-511.
@@ -413,91 +415,115 @@ def _is_prime(n: int) -> bool:
     return n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 
-def _primes_exceeding(bound: int, bits: int) -> list[int]:
-    """The largest odd primes below 2^bits, as few as make a product > bound."""
+def _primes_exceeding(bound: int, bits: int, scale: int = 1) -> list[int]:
+    """The largest odd primes below 2^bits that do not divide scale, as few as make a product > bound."""
     primes = _PRIMES.setdefault(bits, [])
-    count, product = 0, 1
+    chosen, product, i = [], 1, 0
     while product <= bound:
-        if count == len(primes):
+        if i == len(primes):
             c = primes[-1] - 2 if primes else 2**bits - 1
             while c >= 3 and not _is_prime(c):
                 c -= 2
             if c < 3:
                 raise ValueError(f"the odd primes below 2^{bits} multiply to less than {bound}")
             primes.append(c)
-        product *= primes[count]
-        count += 1
-    return primes[:count]
+        if scale % primes[i]:
+            chosen.append(primes[i])
+            product *= primes[i]
+        i += 1
+    return chosen
 
 
-def _coefficient_bound(lifted: list[list[int]]) -> int:
-    """A proven bound on |coefficient| of det(xI - L), for an integer L.
+def _coefficient_bounds(stack: np.ndarray, scales: list[int]) -> list[tuple[int, int]]:
+    """(B, D) for each M = L / s, L = stack[i], s = scales[i]: D det(xI - M) is integral, |coefficients| <= B.
 
-    The coefficient of x^(n-k) is (-1)^k times the sum of the k x k
-    principal minors of L.  By Hadamard's inequality the minor on rows S is
-    at most the product over i in S of the norms of its rows, and each of
-    those is at most ||r_i||, the Euclidean norm of the full row i of L.  So
-    the coefficient is at most e_k(||r_1||, ..., ||r_n||) <= prod(1 + ||r_i||)
-    in absolute value, and ||r_i|| <= isqrt(sum_j L_ij^2) + 1.  Only this
-    bound fixes how many primes are used: a CRT value that stops changing
-    as primes are added proves nothing.
+    Take c_j = s / gcd(s, column j of L), the denominator of column j,
+    C = diag(c_j), D = det C and the integer N = MC.  The x^k coefficient of
+    D det(xI - M) = det(xC - N) is the sum over k-sets S of prod_(j in S) c_j
+    det(-N[S', S']), S' the complement of S.  By Hadamard's inequality each
+    minor is at most prod_(j in S') ||N_j||, N's column norms, so every
+    coefficient is at most prod_j (c_j + ||N_j||) (Goldstein and Graham, SIAM
+    Review 16, 1974), and ||N_j|| <= isqrt(sum_i N_ij^2) + 1.  As char(M) =
+    char(M^T), rows serve as well, and the smaller bound is taken; on an
+    integer matrix D = 1.  Only this bound fixes how many primes are used: a
+    CRT value that stops changing as primes are added proves nothing.
     """
-    return prod(isqrt(sum(x * x for x in row)) + 2 for row in lifted)
+    if stack.shape[1] * max(-int(stack.min(initial=0)), int(stack.max(initial=0))) ** 2 >= 2**63:
+        stack = stack.astype(object)  # a sum of squares beyond int64: sum it in Python ints
+    squares = stack * stack
+
+    def bound(s, gcds, sums):  # one L: its scale, and the gcds and sums of squares of its lines
+        if s == 1:  # every c_j is 1
+            return prod([isqrt(t) + 2 for t in sums]), 1
+        h = [gcd(s, g) for g in gcds]  # c_j = s / h_j, and N_j = L_j / h_j
+        return prod([s // y + isqrt(t // (y * y)) + 1 for y, t in zip(h, sums)]), prod([s // y for y in h])
+
+    gcds = [np.gcd.reduce(stack, k).tolist() if max(scales) > 1 else [None] * len(scales) for k in (2, 1)]
+    rows, columns = (map(bound, scales, g, squares.sum(k).tolist()) for g, k in zip(gcds, (2, 1)))
+    return list(map(min, rows, columns))
 
 
-def _multimodular_charpolys(batch: list[list[list[int]]]) -> list[list[int]]:
-    """Descending coefficients of det(xI - L) for each integer L of one size, multimodular.
+def _multimodular_charpolys(batch: list[Matrix]) -> list[tuple[list[int], int]]:
+    """(P, D) for each M of a batch of one size: P ascending, the integer D det(xI - M).
 
-    The residue kernel is _power_sum_residues below HESSENBERG_MIN_DIM rows
-    and _charpoly_residues from there on.  The call takes one list of
-    primes below 2^b, b from the kernel's rule, with a product M above twice
-    the batch's largest _coefficient_bound, so every coefficient is its
-    residue mod M taken symmetrically about 0.  The (L mod p) slices form a
-    grid of matrices x primes, taken in chunks whose kernel working set
-    stays within CHUNK_BYTES, and one list of CRT weights serves every L.
+    D and the bound on P are _coefficient_bounds'.  The primes lie below 2^b,
+    b from the kernel's rule, divide no scale and multiply to a Q above twice
+    the largest bound.  The (M mod p) slices form a grid of matrices x primes,
+    taken in chunks whose kernel working set stays within CHUNK_BYTES.  Below
+    HESSENBERG_MIN_DIM rows the CRT combines power sums p_k, and Newton's
+    identities k c_k = -sum_(i<=k) p_i c_(k-i) run once mod Q, where each
+    k <= n is a unit; from there on it combines coefficients.  Each
+    coefficient mod Q, times D and taken symmetrically about 0, is P's.
     """
-    n = len(batch[0])
-    if n < HESSENBERG_MIN_DIM:  # words: the slice, its ceil(sqrt(n)) baby powers and five products
+    n = batch[0].rows
+    newton = n < HESSENBERG_MIN_DIM
+    if newton:  # words: the slice, its ceil(sqrt(n)) baby powers and five products
         kernel, bits, words = _power_sum_residues, _power_sum_bits(n), (isqrt(n) + 7) * n * n
     else:
         kernel, bits, words = _charpoly_residues, _prime_bits(n), n * n
-    primes = _primes_exceeding(2 * max(map(_coefficient_bound, batch)), bits)
     try:
-        stack = np.array(batch, dtype=np.int64).reshape(len(batch), n, n)
+        stack = np.array([m.ints for m in batch], dtype=np.int64).reshape(len(batch), n, n)
     except OverflowError:  # an entry beyond int64: reduce it as a Python int
-        stack = np.array(batch, dtype=object).reshape(len(batch), n, n)
+        stack = np.array([m.ints for m in batch], dtype=object).reshape(len(batch), n, n)
+    bounds = _coefficient_bounds(stack, [m.scale for m in batch])
+    scale = lcm(*(m.scale for m in batch))
+    primes = _primes_exceeding(2 * max(bounds)[0], bits, scale)
     count = len(primes)
     moduli = np.array(primes, dtype=stack.dtype)
+    inverses = np.array([[pow(m.scale, -1, q) for q in primes] for m in batch], dtype=stack.dtype)
     step = max(1, CHUNK_BYTES // (8 * words or 1))
     residues = []
     for s in range(0, len(batch) * count, step):
         matrix, prime = np.divmod(np.arange(s, min(s + step, len(batch) * count)), count)
-        h = stack[matrix]  # a copy, reduced in place
-        h %= moduli[prime, None, None]
+        h = stack[matrix] % moduli[prime, None, None]
+        if scale > 1:  # M mod p is L s^-1 mod p, below p^2 < 2^62 before it is reduced
+            h = h * inverses[matrix, prime, None, None] % moduli[prime, None, None]
         residues += kernel(h.astype(np.int64, copy=False), moduli[prime].tolist())
     modulus = prod(primes)
     weights = [modulus // q * pow(modulus // q, -1, q) for q in primes]
+    units = [pow(k, -1, modulus) for k in range(1, n + 1)] if newton else []
     out = []
-    for i in range(0, len(residues), count):  # the residues of one L under every prime
-        coeffs = []
-        for column in zip(*residues[i : i + count]):
-            v = sum(map(mul, column, weights)) % modulus
-            coeffs.append(v - modulus if v > modulus // 2 else v)
-        out.append(coeffs[::-1])
+    for (_, d), i in zip(bounds, range(0, len(residues), count)):  # the residues of one M under every prime
+        values = [sum(map(mul, column, weights)) % modulus for column in zip(*residues[i : i + count])]
+        if newton:  # c_(k-1), ..., c_0 before step k, so c_n, ..., c_0 at the end
+            sums, values = values, [1]
+            for unit in units:
+                values.insert(0, -sum(map(mul, sums, values)) * unit % modulus)
+        out.append(([(v * d + modulus // 2) % modulus - modulus // 2 for v in values], d))
     return out
 
 
 def _power_sum_residues(h: np.ndarray, primes: list[int]) -> list[list[int]]:
-    """Ascending coefficients of det(xI - H) mod each prime, one list per prime, by power sums.
+    """The power sums tr(H), ..., tr(H^n) mod each prime, one list per prime.
 
     h holds H mod primes[i] in h[i].  The baby powers H, ..., H^s,
     s = ceil(sqrt(n)), and the giant powers H^2s, H^3s, ... are float64
     matmuls (Preparata and Sarwate, Inform. Process. Lett. 7, 1978), each
     reduced lazily to x - floor(x / p) p in (-p, 2p), so the next product is
     exact while _power_sum_bits(n) holds.  tr(H^(i+sj)) = sum_ab (H^i)_ab
-    (H^sj)_ba, i + sj <= n, is an int64 contraction, and Newton's identities
-    k c_k = -sum_(i<=k) tr(H^i) c_(k-i) give the coefficient c_k of x^(n-k),
-    dividing by k mod p, since every prime exceeds n.
+    (H^sj)_ba, i + sj <= n, is an int64 contraction.  The driver turns them
+    into coefficients by Newton's identities, dividing by k <= n, so every
+    prime must exceed n.
     """
     count, n = len(primes), h.shape[1]
     q, s = max(primes), isqrt(max(n - 1, 0)) + 1
@@ -521,12 +547,7 @@ def _power_sum_residues(h: np.ndarray, primes: list[int]) -> list[list[int]]:
         giant = times(giant, power) if j > 1 else power
         dots = babies.reshape(count, s, n * n) @ giant.astype(np.int64).reshape(count, n * n, 1)
         traces.append(dots[:, :, 0])
-    sums = np.concatenate(traces, axis=1)[:, :n] % np.array(primes, dtype=np.int64)[:, None]
-    out = [[1] for _ in primes]  # c_(k-1), ..., c_0 before step k, so c_n, ..., c_0 at the end
-    for c, power_sums, q in zip(out, sums.tolist(), primes):
-        for k in range(1, n + 1):
-            c.insert(0, -sum(map(mul, power_sums, c)) * pow(k, -1, q) % q)
-    return out
+    return (np.concatenate(traces, axis=1)[:, :n] % np.array(primes, dtype=np.int64)[:, None]).tolist()
 
 
 def _charpoly_residues(h: np.ndarray, primes: list[int]) -> list[list[int]]:
@@ -593,26 +614,20 @@ def _charpoly_residues(h: np.ndarray, primes: list[int]) -> list[list[int]]:
 
 
 def charpolys_exact(matrices: Sequence[Matrix]) -> list[Poly]:
-    """det(xI - M) for each M of a batch of square matrices, in input order.
+    """det(xI - M) for each M of a batch of square matrices, in input order, monic of degree n.
 
-    M is L / s with L = m.ints and s = m.scale; char(L) comes from one
-    batched multimodular call per size (_multimodular_charpolys), and
-    char(M)(x) = s^-n char(L)(sx): coefficient k of char(L) times s^k, over
-    s^n.  Each result is monic of degree n.
+    It is P / D, from one batched multimodular call per size (_multimodular_charpolys).
     """
     if any(not m.is_square for m in matrices):
         raise ValueError("characteristic polynomial of a non-square matrix")
-    lists = {}  # position -> descending char(L)
+    cleared = {}  # position -> (P, D)
     for n in sorted({m.rows for m in matrices}):
         positions = [i for i, m in enumerate(matrices) if m.rows == n]
-        lists.update(zip(positions, _multimodular_charpolys([matrices[i].ints for i in positions])))
-    polys = []
-    for i, m in enumerate(matrices):
-        n, s, p = m.rows, m.scale, lists[i]
-        if len(p) != n + 1 or p[0] != 1:
-            raise AssertionError("characteristic polynomial is malformed")
-        polys.append(Poly.from_ints([c * s**k for k, c in enumerate(reversed(p))], s**n))
-    return polys
+        cleared.update(zip(positions, _multimodular_charpolys([matrices[i] for i in positions])))
+    results = [cleared[i] for i in range(len(matrices))]
+    if any(len(p) != m.rows + 1 or p[-1] != d for m, (p, d) in zip(matrices, results)):
+        raise AssertionError("characteristic polynomial is malformed")
+    return [Poly.from_ints(p, d) for p, d in results]
 
 
 def charpoly_exact(m: Matrix) -> Poly:

@@ -371,23 +371,34 @@ def test_charpoly_matches_faddeev_leverrier_on_small_walk_matrices():
     assert covered >= 4
 
 
-def _kernel_poly(kernel, m):
-    """char(M) from one integer kernel, scaled back as charpoly_exact does."""
-    return Poly([Fraction(c, m.scale**i) for i, c in enumerate(kernel(m.ints))][::-1])
+def _kernel_poly(coeffs, m):
+    """char(M) from the descending coefficients of char(L), L = m.ints = sM: coefficient k over s^k."""
+    return Poly([Fraction(c, m.scale**i) for i, c in enumerate(coeffs)][::-1])
 
 
-def _kernel_coeffs(ints, hessenberg):
-    """Descending char(L) from the shared driver, every size sent to one residue kernel."""
+def _kernel_coeffs(m, hessenberg):
+    """Descending char(L), L = m.ints, read off the shared driver's (D char(M), D), every size
+    sent to one residue kernel."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exact, "HESSENBERG_MIN_DIM", 0 if hessenberg else 10**9)
-        return exact._multimodular_charpolys([ints])[0]
+        ((p, d),) = exact._multimodular_charpolys([m])
+    assert len(p) == m.rows + 1 and p[-1] == d
+    return [Fraction(c * m.scale**k, d) for k, c in enumerate(reversed(p))]
+
+
+def _bound(m, dtype=None):
+    """(B, D) of one matrix from _coefficient_bounds, on an int64 stack as the driver builds it
+    when every entry fits, else on Python ints."""
+    fits = all(-(2**63) <= x < 2**63 for row in m.ints for x in row)
+    stack = np.array(m.ints, dtype=dtype or (np.int64 if fits else object)).reshape(1, m.rows, m.rows)
+    return exact._coefficient_bounds(stack, [m.scale])[0]
 
 
 def _check_kernels_agree(m):
     """Both residue kernels equal the Berkowitz oracle on m.ints, whose coefficients are returned."""
     coeffs = berkowitz(m.ints)
-    assert _kernel_coeffs(m.ints, hessenberg=False) == coeffs
-    assert _kernel_coeffs(m.ints, hessenberg=True) == coeffs
+    assert _kernel_coeffs(m, hessenberg=False) == coeffs
+    assert _kernel_coeffs(m, hessenberg=True) == coeffs
     return coeffs
 
 
@@ -406,9 +417,8 @@ def test_hessenberg_kernel_matches_berkowitz_and_faddeev_leverrier():
         for m in _random_kernel_inputs(rng, n):
             _check_kernels_agree(m)
             if n <= 8:
-                hessenberg = lambda ints: _kernel_coeffs(ints, hessenberg=True)
-                assert _kernel_poly(hessenberg, m) == faddeev_leverrier(m)
-            assert charpoly_exact(m) == _kernel_poly(berkowitz, m)
+                assert _kernel_poly(_kernel_coeffs(m, hessenberg=True), m) == faddeev_leverrier(m)
+            assert charpoly_exact(m) == _kernel_poly(berkowitz(m.ints), m)
 
 
 @settings(max_examples=20, deadline=None)
@@ -417,7 +427,7 @@ def test_power_sum_kernel_matches_berkowitz_and_hessenberg(n, kind, rng):
     # a 0/1, integer or rational matrix on either side of the crossover
     m = _random_kernel_inputs(rng, n)[kind]
     _check_kernels_agree(m)
-    assert charpoly_exact(m) == _kernel_poly(berkowitz, m)
+    assert charpoly_exact(m) == _kernel_poly(berkowitz(m.ints), m)
 
 
 def test_power_sum_kernel_special_matrices():
@@ -478,7 +488,7 @@ def test_hessenberg_pivot_vanishing_mod_first_prime():
     rows = [[rng.randint(1, 9) for _ in range(HESSENBERG_MIN_DIM)] for _ in range(HESSENBERG_MIN_DIM)]
     rows[1][0] = first  # the first subdiagonal entry is 0 mod the first prime only
     m = Matrix(rows)
-    assert exact._primes_exceeding(2 * exact._coefficient_bound(rows), bits)[0] == first
+    assert exact._primes_exceeding(2 * _bound(m)[0], bits)[0] == first
     _check_kernels_agree(m)
 
 
@@ -511,7 +521,7 @@ def test_charpolys_exact_matches_one_matrix_at_a_time(monkeypatch):
     for n in (8, 12, 16, 24):
         batch = _mixed_batch(rng, n)
         singles = [charpoly_exact(m) for m in batch]
-        assert singles == [_kernel_poly(berkowitz, m) for m in batch]
+        assert singles == [_kernel_poly(berkowitz(m.ints), m) for m in batch]
         assert exact.charpolys_exact(batch) == singles
         # the power sums one slice at a time
         monkeypatch.setattr(exact, "CHUNK_BYTES", 1)
@@ -533,7 +543,8 @@ def test_charpolys_exact_matches_one_matrix_at_a_time(monkeypatch):
     for name in ("_multimodular_charpolys", "_power_sum_residues", "_charpoly_residues"):
 
         def record(first, *rest, name=name, function=getattr(exact, name)):
-            calls.append((name, len(first[0]), len(first)))
+            # the driver takes a list of Matrix, a residue kernel an array of slices
+            calls.append((name, first[0].rows if isinstance(first, list) else first.shape[1], len(first)))
             return function(first, *rest)
 
         monkeypatch.setattr(exact, name, record)
@@ -583,7 +594,9 @@ def test_power_sum_bits_table():
         exact._power_sum_residues(zeros, [2**25 + 35])
     with pytest.raises(AssertionError, match="Newton"):
         exact._power_sum_residues(zeros, [3])
-    assert exact._power_sum_residues(zeros, [5]) == [[0, 0, 0, 0, 1]]
+    assert exact._power_sum_residues(zeros, [5]) == [[0, 0, 0, 0]]
+    # tr((2I)^k) = 4 2^k: 8, 16, 32, 64 mod 5
+    assert exact._power_sum_residues(2 * np.eye(4, dtype=np.int64)[None], [5]) == [[3, 1, 2, 4]]
 
 
 def test_primes_exceeding_stops_at_three():
@@ -628,9 +641,9 @@ def test_hessenberg_charpolys_shares_one_prime_list(monkeypatch):
         ones = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         huge = [[rng.randint(2**63, 2**70) * rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)]
         batch = [Matrix(ones), Matrix(huge)]
-        bound = max(exact._coefficient_bound(ones), exact._coefficient_bound(huge))
-        primes = exact._primes_exceeding(2 * bound, rule(n))
-        assert len(exact._primes_exceeding(2 * exact._coefficient_bound(ones), rule(n))) < len(primes)
+        (small, _), (large, _) = map(_bound, batch)
+        primes = exact._primes_exceeding(2 * large, rule(n))
+        assert len(exact._primes_exceeding(2 * small, rule(n))) < len(primes)
         singles = [charpoly_exact(m) for m in batch]
         seen = []
         residues = getattr(exact, kernel)
@@ -653,22 +666,35 @@ def test_hessenberg_kernel_on_hadamard_matrix():
     # H^2 = 16 I and trace 0: eigenvalues +-4, eight of each, |det| = 4^16
     assert charpoly_exact(m) == (X**2 - 16) ** 8
     assert _check_kernels_agree(m)[-1] == 4**16
-    assert exact._coefficient_bound(h) >= 4**16
+    bound, d = _bound(m)
+    assert d == 1 and bound >= 4**16
+    # entries of 2^40 fit int64 but their squares summed over a line do not: the bound sums them as Python ints
+    wide = Matrix([[x * 2**40 for x in row] for row in h])
+    assert _bound(wide) == _bound(wide, object) and _bound(wide)[0] >= (4 * 2**40) ** 16
+    assert charpoly_exact(wide) == (X**2 - 16 * 2**80) ** 8
+    # -2^63 fits int64, but its absolute value does not
+    edge = Matrix([[-(2**63), 1], [3, 2]])
+    assert _bound(edge) == _bound(edge, object) and _check_kernels_agree(edge) == [1, 2**63 - 2, -(2**64) - 3]
 
 
 def test_coefficient_bound_and_primes_on_corpus_operators():
     from walkzeta.experiments import builtin_corpus
     from walkzeta.operators import TARGETS, operator_matrix
 
+    assert len(TARGETS) == 7
     largest = dim = 0
     for entry in builtin_corpus():
         for target in TARGETS:
-            lifted = operator_matrix(entry.graph, target).ints
-            bound = exact._coefficient_bound(lifted)
-            top = max(abs(c) for c in berkowitz(lifted))
-            assert top <= bound and top.bit_length() <= bound.bit_length(), (entry.name, target)
+            m = operator_matrix(entry.graph, target)
+            bound, d = _bound(m)
+            # D char(M) from the Berkowitz oracle on L = sM: its coefficient k times D / s^k
+            cleared = [Fraction(c * d, m.scale**k) for k, c in enumerate(berkowitz(m.ints))]
+            assert cleared[0] == d and all(c.denominator == 1 for c in cleared), (entry.name, target)
+            assert max(map(abs, cleared)) <= bound, (entry.name, target)
+            if m.scale == 1:  # D = 1, and the bound is at most the row bound prod(||L_i|| + 2)
+                assert d == 1 and bound <= prod(isqrt(sum(x * x for x in row)) + 2 for row in m.ints)
             if bound > largest:
-                largest, dim = bound, len(lifted)
+                largest, dim = bound, m.rows
     assert dim < HESSENBERG_MIN_DIM
     bits = exact._power_sum_bits(dim)  # the primes the kernel uses for that operator
     primes = exact._primes_exceeding(2 * largest, bits)
@@ -676,3 +702,68 @@ def test_coefficient_bound_and_primes_on_corpus_operators():
     for q in primes:
         assert 2 ** (bits - 1) < q < 2**bits
         assert q % 2 and all(q % d for d in range(3, isqrt(q) + 1, 2))
+
+
+def _denominated_matrix(rng, n, kind):
+    """A rational n x n matrix with denominators 1-9 drawn once per row, once per column or per entry."""
+    rows, columns = ([rng.randint(1, 9) for _ in range(n)] for _ in range(2))
+
+    def denominator(i, j):
+        return rows[i] if kind == "rows" else columns[j] if kind == "columns" else rng.randint(1, 9)
+
+    return Matrix([[Fraction(rng.randint(-9, 9), denominator(i, j)) for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.sampled_from(("rows", "columns", "mixed")), st.randoms(use_true_random=False))
+def test_coefficient_bound_covers_cleared_charpoly(n, kind, rng):
+    m = _denominated_matrix(rng, n, kind)
+    bound, d = _bound(m)
+    oracle = faddeev_leverrier(m)
+    cleared = [c * d for c in oracle.coeffs]
+    assert cleared[-1] == d and all(c.denominator == 1 for c in cleared)
+    assert max(map(abs, cleared)) <= bound
+    # the rows of M^T are the columns of M, so the transpose runs the other orientation
+    assert _bound(m.transpose()) == (bound, d) == _bound(m, object)
+    assert charpoly_exact(m) == charpoly_exact(m.transpose()) == oracle
+
+
+def test_coefficient_bound_clears_weighted_arc_columns():
+    # column f of B_w - J0 carries only the denominator of w_f, a row the lcm of several
+    from walkzeta.experiments import random_arc_weights
+    from walkzeta.graphs import Graph
+    from walkzeta.operators import arc_operator
+
+    k7 = Graph(7, tuple((i, j) for j in range(7) for i in range(j)))
+    weights = random_arc_weights(k7, random.Random(61))
+    m = arc_operator(k7, weights)
+    assert m.rows == 42
+    bound, d = _bound(m)
+    assert d == prod(w.denominator for w in weights)
+    rows = prod(m.scale // gcd(m.scale, *row) for row in m.ints)
+    assert _bound(m.transpose()) == (bound, d) and rows > d
+    assert charpoly_exact(m) == charpoly_exact(m.transpose())
+
+
+def test_primes_dividing_a_scale_are_skipped():
+    # an entry 1/q, q the first prime the kernel would take at this size: M mod q does not exist
+    rng = random.Random(59)
+    n = 8
+    for kernel, rule in (("_power_sum_residues", exact._power_sum_bits), ("_charpoly_residues", exact._prime_bits)):
+        q = exact._primes_exceeding(1, rule(n))[0]
+        rows = [[_rand_fraction(rng) for _ in range(n)] for _ in range(n)]
+        rows[2][5] = Fraction(1, q)
+        m = Matrix(rows)
+        assert exact._primes_exceeding(1, rule(n), m.scale)[0] != q
+        seen = []
+        residues = getattr(exact, kernel)
+
+        def recording(h, primes, residues=residues):
+            seen.extend(primes)
+            return residues(h, primes)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact, "HESSENBERG_MIN_DIM", 0 if kernel == "_charpoly_residues" else 10**9)
+            patch.setattr(exact, kernel, recording)
+            assert charpoly_exact(m) == faddeev_leverrier(m)
+        assert seen and q not in seen
