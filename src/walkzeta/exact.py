@@ -8,14 +8,17 @@ s, M = L / s.  Every kernel result is exact: Python ints or proven bounds.
 coefficient lists: each divisor is a primitive heuristic gcd (Char, Geddes
 and Gonnet 1989) proven by exact division, whose quotients are the
 cofactors Yun needs, and each returned factor a is the monic a / lead(a).
+The one division that raises ``ExactDivisionError`` is by a monic
+(x^2 - 1)^k, in ``identities``.
 There is one determinant kernel, ``charpolys_exact``, for a batch of
 square matrices of any sizes; ``charpoly_exact`` is a batch of one.  It
 returns P / D, P = D char(M) = det(xC - MC) for M = L / s, C the diagonal of
 the column (or row) denominators of M and D = det C, from one multimodular
 call per size: one prime list, sized from n and the batch's largest proven
 Goldstein-Graham bound and dividing no scale, the slices M mod p = L s^-1
-mod p in numpy arrays, one residue kernel and one set of CRT weights.  The
-kernel is split at HESSENBERG_MIN_DIM = 49 rows:
+mod p in numpy arrays, one residue kernel and one set of CRT weights.  A
+bound that the odd primes below the kernel's 2^b cannot reach raises
+SizeGuardError.  The kernel is split at HESSENBERG_MIN_DIM = 49 rows:
 
 - below 49 rows, power sums: about 2 sqrt(n) float64 matmuls per slice,
   O(n^3.5) word operations, exact for primes below 2^22-2^24, then
@@ -54,17 +57,9 @@ class ExactDivisionError(ArithmeticError):
         super().__init__(f"{message}; remainder {remainder!r}")
         self.remainder = remainder
 
-    @classmethod
-    def dividing(cls, a: list[int], b: list[int], scale: int = 1) -> "ExactDivisionError":
-        """The error for (a / scale) / b, a and b integer lists, b nonzero.
 
-        After the k steps of the pseudo-division lead(b)^k a = qb + r, so
-        the remainder in Q[x] is r / (scale lead(b)^k), in integers.
-        """
-        rem, steps = _int_pseudo_rem(a, b)
-        d = scale * b[-1] ** steps
-        remainder = Poly.from_ints(rem if d > 0 else [-x for x in rem], abs(d))
-        return cls("inexact polynomial division", remainder)
+class SizeGuardError(Exception):
+    """A computation refused by a size guard before it starts."""
 
 
 class Poly:
@@ -184,26 +179,6 @@ def _int_primitive(ints: list[int]) -> list[int]:
     return ints
 
 
-def _int_pseudo_rem(a: list[int], b: list[int]) -> tuple[list[int], int]:
-    """(r, k): the pseudo-remainder r of integer polynomials (b nonzero) after k steps.
-
-    Each step multiplies by lead(b), so lead(b)^k a = qb + r.
-    """
-    rem = list(a)
-    lead_b = b[-1]
-    steps = 0
-    while len(rem) >= len(b) and rem:
-        steps += 1
-        shift = len(rem) - len(b)
-        lead_r = rem[-1]
-        if lead_b != 1:
-            rem[:shift] = [c * lead_b for c in rem[:shift]]
-        rem[shift:] = [c * lead_b - lead_r * v for c, v in zip(rem[shift:], b)]
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rem, steps
-
-
 def _int_quotient(a: list[int], b: list[int]) -> list[int] | None:
     """a / b in Z[x] for a primitive b, or None unless b divides a.
 
@@ -223,14 +198,6 @@ def _int_quotient(a: list[int], b: list[int]) -> list[int] | None:
         if c:
             rem[k : k + tail] = [x - c * v for x, v in zip(rem[k : k + tail], b)]
     return None if any(rem[:tail]) else quo
-
-
-def _int_divexact(a: list[int], b: list[int], scale: int = 1) -> list[int]:
-    """a / b for a primitive b; ExactDivisionError, remainder of a / scale, if inexact."""
-    quo = _int_quotient(a, b)
-    if quo is None:
-        raise ExactDivisionError.dividing(a, b, scale)
-    return quo
 
 
 def _int_gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
@@ -416,7 +383,10 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes_exceeding(bound: int, bits: int, scale: int = 1) -> list[int]:
-    """The largest odd primes below 2^bits that do not divide scale, as few as make a product > bound."""
+    """The largest odd primes below 2^bits that do not divide scale, as few as make a product > bound.
+
+    SizeGuardError if all of them multiply to no more than bound.
+    """
     primes = _PRIMES.setdefault(bits, [])
     chosen, product, i = [], 1, 0
     while product <= bound:
@@ -424,8 +394,11 @@ def _primes_exceeding(bound: int, bits: int, scale: int = 1) -> list[int]:
             c = primes[-1] - 2 if primes else 2**bits - 1
             while c >= 3 and not _is_prime(c):
                 c -= 2
-            if c < 3:
-                raise ValueError(f"the odd primes below 2^{bits} multiply to less than {bound}")
+            if c < 3:  # the bound in bits: its digits can pass Python's int-to-str limit
+                raise SizeGuardError(
+                    f"the primes must multiply past a {bound.bit_length()}-bit bound; the odd "
+                    f"primes below 2^{bits} that divide no scale multiply to {product.bit_length()} bits"
+                )
             primes.append(c)
         if scale % primes[i]:
             chosen.append(primes[i])

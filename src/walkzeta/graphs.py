@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exact import Matrix
+from .exact import Matrix, SizeGuardError
 
 
 # A graph's largest dense matrix, a vertex determinant's 2n-row linearisation
@@ -29,10 +29,6 @@ MAX_DENSE_ROWS = 4096
 
 class GraphFormatError(ValueError):
     """Malformed edge-list or graph6 input."""
-
-
-class SizeGuardError(Exception):
-    """A computation refused by a size guard before it starts."""
 
 
 def check_dense_size(n: int, m: int):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .exact import Matrix, Poly, _int_divexact, _int_mul, _int_sub, charpoly_exact
+from .exact import ExactDivisionError, Matrix, Poly, _int_mul, _int_sub, charpoly_exact
 from .graphs import Graph
 from .operators import _lift_arc_weights, coin_weights, random_walk_matrix
 
@@ -54,15 +54,22 @@ def _times_binomial(c: list[int], k: int) -> list[int]:
 def apply_circle_prefactor(det_poly: Poly, exponent: int) -> Poly:
     """Multiply by (x^2 - 1)**exponent; negative exponents divide exactly.
 
-    Works on the integer coefficients det_poly.ints and keeps its scale;
-    a division that leaves a remainder raises ExactDivisionError.
+    Works on the integer coefficients det_poly.ints and keeps its scale.  A
+    division is one long division by the monic (x^2 - 1)^k, so its quotient
+    and remainder are integral; a nonzero remainder raises ExactDivisionError.
     """
     c = list(det_poly.ints)
-    if exponent < 0:
-        c = _int_divexact(c, _times_binomial([1], -exponent), det_poly.scale)
-    else:
-        c = _times_binomial(c, exponent)
-    return Poly.from_ints(c, det_poly.scale)
+    if exponent >= 0:
+        return Poly.from_ints(_times_binomial(c, exponent), det_poly.scale)
+    divisor = _times_binomial([1], -exponent)
+    tail = len(divisor) - 1
+    quotient = [0] * max(len(c) - tail, 0)
+    for k in reversed(range(len(quotient))):
+        quotient[k] = q = c[k + tail]
+        c[k : k + tail] = [x - q * v for x, v in zip(c[k : k + tail], divisor)]
+    if any(c[:tail]):
+        raise ExactDivisionError("inexact polynomial division", Poly.from_ints(c[:tail], det_poly.scale))
+    return Poly.from_ints(quotient, det_poly.scale)
 
 
 def vertex_determinant(g: Graph, weights: Sequence) -> Poly:

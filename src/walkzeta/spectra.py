@@ -9,7 +9,7 @@ exact decomposition, not from clustering.
 Each factor's iteration starts at the eigenvalues of its companion matrix
 (LAPACK, through ``numpy.linalg.eigvals``), so it only polishes them.
 Each Aberth step evaluates p, p' and the round-off floor sum |a_i| |z|^i
-in one Horner sweep, bit-identical to three ``polyval`` calls.
+by ``numpy.polyval``.
 A factor with a coefficient outside the double range is first rescaled
 exactly by x = 2^e y, so its coefficients fit in doubles; a root that is
 itself outside the double range raises SpectrumDomainError.
@@ -86,41 +86,17 @@ def _sorted_values(values) -> tuple[complex, ...]:
     return tuple(sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag)))
 
 
-def _horner_columns(coeffs: np.ndarray) -> tuple[list[np.ndarray], list[float]]:
-    """The coefficients _horner sweeps, top power first, for an ascending array of degree d.
+def _evaluate(coeffs: np.ndarray, z: np.ndarray, az: np.ndarray):
+    """p(z), p'(z) and the round-off floor sum |a_i| az^i, for p's ascending coefficients.
 
-    Column i is a_i repeated d times and then b_i repeated d times, with
-    p' = sum b_i x^i (b_d = 0); the second list holds |a_i|.
-    """
-    deg = len(coeffs) - 1
-    deriv = np.append(np.arange(1, deg + 1) * coeffs[1:], 0.0)  # as numpy's polyder
-    columns = np.repeat(np.stack([coeffs, deriv], axis=1)[::-1], deg, axis=1)
-    return list(columns.astype(np.complex128)), np.abs(coeffs)[::-1].tolist()
-
-
-def _horner(columns: tuple[list[np.ndarray], list[float]], z: np.ndarray, az: np.ndarray):
-    """p(z), p'(z) and sum |a_i| az^i at the d points z, in one Horner sweep.
-
-    Each value is computed element by element in the order of
-    numpy's polyval, so all three are bit-identical to it: starting from 0
-    rather than from the top coefficient only adds an exact 0 * z step, as
-    does the leading 0 of p'.  p and p' share one complex row of 2d values;
-    the floor stays a real row, since in a complex one an overflow
+    The floor is evaluated on the real az: in complex, an overflow
     inf * (b + 0j) would turn into nan.
     """
-    coeff_columns, abs_coeffs = columns
-    z2 = np.concatenate([z, z])
-    values = np.zeros(len(z2), dtype=np.complex128)
-    floor = np.zeros(len(az))
-    for column, a in zip(coeff_columns, abs_coeffs):
-        values *= z2
-        values += column
-        floor *= az
-        floor += a
-    return values[: len(z)], values[len(z) :], floor
+    top = coeffs[::-1]
+    return np.polyval(top, z), np.polyval(np.polyder(top), z), np.polyval(np.abs(top), az)
 
 
-def _aberth(coeffs: np.ndarray, columns: tuple[list[np.ndarray], list[float]]) -> np.ndarray:
+def _aberth(coeffs: np.ndarray) -> np.ndarray:
     """All roots of a square-free monic polynomial (ascending array) by Aberth's method.
 
     The iteration starts at the eigenvalues of the companion matrix, which
@@ -129,8 +105,7 @@ def _aberth(coeffs: np.ndarray, columns: tuple[list[np.ndarray], list[float]]) -
     A point is accepted when its Newton correction |p/p'| drops below
     ABERTH_NEWTON_TOL (relative to max(1, |z|)), or when |p(z)| falls under the
     round-off bound eps * sum |a_i| |z|^i, past which double precision
-    cannot place the root any better.  p, p' and that bound come from one
-    Horner sweep per iteration over columns, ``_horner_columns(coeffs)``.
+    cannot place the root any better; ``_evaluate`` gives p, p' and that bound.
     The last Newton step is taken only where it is shorter than half the gap
     to the nearest other point: at a point accepted by the round-off bound
     alone p' may be about 0, and the step arbitrary.
@@ -147,7 +122,7 @@ def _aberth(coeffs: np.ndarray, columns: tuple[list[np.ndarray], list[float]]) -
         raise RootConvergenceError(f"companion-matrix eigenvalues failed: {exc}") from exc
     for _ in range(ABERTH_MAX_ITER):
         az = np.abs(z)
-        pv, dv, floor = _horner(columns, z, az)
+        pv, dv, floor = _evaluate(coeffs, z, az)
         dv = np.where(dv == 0, 1e-300, dv)
         newton = pv / dv
         diff = z[:, None] - z[None, :]
@@ -167,7 +142,7 @@ def _aberth(coeffs: np.ndarray, columns: tuple[list[np.ndarray], list[float]]) -
         denom = 1.0 - newton * repulsion
         denom = np.where(denom == 0, 1e-300, denom)
         z = z - newton / denom
-    residuals = np.abs(_horner(columns, z, np.abs(z))[0])
+    residuals = np.abs(_evaluate(coeffs, z, np.abs(z))[0])
     raise RootConvergenceError(
         f"Aberth did not converge in {ABERTH_MAX_ITER} iterations", residuals.tolist()
     )
@@ -212,11 +187,10 @@ def roots(p: Poly) -> SpectrumMultiset:
     for factor, multiplicity in square_free_decomposition(p):
         factor, e = _power_of_two_scaling(factor)
         coeffs = np.array([c / factor.scale for c in factor.ints], dtype=np.float64)
-        columns = _horner_columns(coeffs)
-        factor_roots = _aberth(coeffs, columns)
+        factor_roots = _aberth(coeffs)
         if coeffs[0] == 0:  # the simple root at zero is exact; Aberth lands within round-off
             factor_roots[np.argmin(np.abs(factor_roots))] = 0
-        pv, _, floor = _horner(columns, factor_roots, np.abs(factor_roots))
+        pv, _, floor = _evaluate(coeffs, factor_roots, np.abs(factor_roots))
         # |p(z)| / sum |a_i| |z|^i, 0 where both vanish (z = 0 = a_0)
         relative = np.divide(np.abs(pv), floor, out=np.zeros_like(floor), where=floor > 0)
         residual = max(residual, float(np.max(relative)))

@@ -7,7 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from walkzeta import spectra
+from walkzeta import exact, spectra
 from walkzeta.cli import main
 from walkzeta.exact import charpoly_exact
 from walkzeta.operators import transition_matrix
@@ -284,6 +284,15 @@ def test_zeta_order_bound_exit_4(capsys):
     code, out, _ = run_cli(capsys, "zeta", "--graph6", C3, "--order", "1000")
     assert code == 0
     assert len(json.loads(out)["series"]) == 1001
+
+
+def test_running_out_of_primes_exit_4(capsys, monkeypatch):
+    # below 2^2 the only odd prime is 3, which cannot exceed twice K3's bound
+    monkeypatch.setattr(exact, "_power_sum_bits", lambda n: 2)
+    code, out, err = run_cli(capsys, "charpoly", "--graph6", C3, "--target", "A")
+    assert (code, out) == (4, "")
+    assert "-bit bound" in err and "below 2^2" in err and "to 2 bits" in err
+    assert len(err) < 300
 
 
 @pytest.mark.parametrize("g6, order", [(K4, "13"), (graph6(cycle_graph(12)), "8")],

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import random
 
@@ -85,6 +85,22 @@ def test_apply_circle_prefactor():
         apply_circle_prefactor((X**2 - 1) * (X + 1), -2)
     assert err.value.remainder == (X**2 - 1) * (X + 1)
     assert apply_circle_prefactor(FractionPoly.zero(), -2) == FractionPoly.zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=12), st.integers(1, 30), st.integers(1, 4))
+@example([], 1, 4)  # the zero polynomial
+@example([3, 0, 1], 6, 2)  # a nonzero dividend of degree below 2k
+def test_circle_division_matches_fraction_division(ints, scale, k):
+    p, circle = FractionPoly.from_ints(ints, scale), (X**2 - 1) ** k
+    assert apply_circle_prefactor(p * circle, -k) == p
+    quotient, remainder = p.divmod(circle)
+    if remainder.is_zero():
+        assert apply_circle_prefactor(p, -k) == quotient
+    else:
+        with pytest.raises(ExactDivisionError) as err:
+            apply_circle_prefactor(p, -k)
+        assert err.value.remainder == remainder
 
 
 def _lifted_charpoly(a, c):
