@@ -4,7 +4,7 @@ The corpus mixes structured families (complete, cycle, path, bipartite,
 Petersen, one multigraph) with seeded random connected graphs, so every
 identity gets exercised on regular, irregular, tree and parallel-edge
 inputs.  The verification suite recomputes both sides of each identity
-from scratch and reports failures with witnesses.
+from scratch, one exact kernel batch per entry, and reports witnesses.
 
 The strongly-regular-graph experiment asks at which level of the hierarchy
 adjacency, support of U, support of U^2, support of U^3 two graphs first
@@ -26,16 +26,12 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import Poly, charpoly_exact, charpolys_exact
+from .exact import Matrix, Poly, charpoly_exact, charpolys_exact
 from .graphs import Graph, check_dense_size
-from .identities import (
-    charpoly_support2_from_support,
-    charpoly_support_via_adjacency_form,
-    charpoly_u_via_degree_form,
-    charpoly_u_via_walk_form,
-)
+from .identities import (charpoly_support2_from_support, charpoly_support_via_adjacency_form, circled,
+                         degree_form_matrix, vertex_matrix)
 from .operators import arc_operator, coin_weights, nonbacktracking_matrix, operator_matrix, positive_support
-from .zeta import ihara_reciprocal_bass_form, ihara_reciprocal_edge_form, weighted_zeta_reciprocal
+from .zeta import edge_reciprocal, vertex_reciprocal
 
 DEFAULT_SEED = 42
 DEFAULT_WEIGHT_TRIALS = 10
@@ -281,6 +277,7 @@ class _Operands:
     ut = functools.cached_property(lambda self: arc_operator(self.g, coin_weights(self.g)))
     char_u = functools.cached_property(lambda self: charpoly_exact(self.ut))
     support_ut = functools.cached_property(lambda self: positive_support(self.ut))
+    unit = functools.cached_property(lambda self: vertex_matrix(self.g, [1] * (2 * self.g.m)))  # W = A, D_w = D
 
     def weights(self, trial: int) -> list[Fraction]:
         """The random per-arc weights of one trial, seeded by seed, graph name and trial."""
@@ -291,50 +288,85 @@ class _Operands:
 # identity's hypothesis; sides(operands) yields the (label, left, right)
 # pairs it compares: the two closed forms of char(U), the edge and vertex
 # zeta forms, the weighted forms once per random per-arc weight trial, the
-# support identity and the support charpoly closed form.  The weighted
-# check runs on simple graphs only, so the check list stays the one
-# ``benchmarks/checks.py`` derives, though the identity holds on every graph.
+# support identity and the support charpoly closed form.  A side
+# (matrix, finish) is finish(g, char(matrix)), or char(matrix) for finish
+# None: the builder and finish of the library form it stands for.  Other
+# sides are compared as they are; char(U), the direct side, is one
+# charpoly_exact call of its own, outside the entry's batch.
+# The weighted check runs on simple graphs only, so the check list stays the
+# one ``benchmarks/checks.py`` derives, though the identity holds on every graph.
 _IDENTITY_CHECKS = (
     ("u_charpoly_walk_form", lambda g: True,
-     lambda s: [("direct vs closed form", s.char_u, charpoly_u_via_walk_form(s.g))]),
+     lambda s: [("direct vs closed form", s.char_u, (vertex_matrix(s.g, coin_weights(s.g)), circled))]),
     ("u_charpoly_degree_form", lambda g: True,
-     lambda s: [("direct vs closed form", s.char_u, charpoly_u_via_degree_form(s.g))]),
+     lambda s: [("direct vs closed form", s.char_u, (degree_form_matrix(s.g), circled))]),
     ("zeta_edge_vs_vertex", lambda g: True,
-     lambda s: [("edge vs vertex", ihara_reciprocal_edge_form(s.g), ihara_reciprocal_bass_form(s.g))]),
+     lambda s: [("edge vs vertex", (nonbacktracking_matrix(s.g), edge_reciprocal), (s.unit, vertex_reciprocal))]),
     ("weighted_zeta_forms", lambda g: g.simple,
-     lambda s: ((f"trial {t}, edge vs vertex", *weighted_zeta_reciprocal(s.g, s.weights(t)))
-                for t in range(s.weight_trials))),
+     lambda s: ((f"trial {t}, edge vs vertex", (arc_operator(s.g, w), edge_reciprocal),
+                 (vertex_matrix(s.g, w), vertex_reciprocal))
+                for t in range(s.weight_trials) for w in [s.weights(t)])),
     ("support_identity", lambda g: g.simple and g.connected and min(g.degrees) >= 2,
      lambda s: [("support differs from edge matrix", s.support_ut, nonbacktracking_matrix(s.g))]),
     ("support_charpoly_form", lambda g: min(g.degrees) >= 2,
-     lambda s: [("direct vs closed form", charpoly_exact(s.support_ut),
-                 charpoly_support_via_adjacency_form(s.g))]),
+     lambda s: [("direct vs closed form", (s.support_ut, None), (s.unit, circled))]),
 )
+
+
+def _finished(g: Graph, side, chars: list[Poly]):
+    """A (position in chars, finish) side as finish(g, chars[position]); any other side as it is."""
+    if not isinstance(side, tuple):
+        return side
+    position, finish = side
+    return finish(g, chars[position]) if finish else chars[position]
 
 
 def _entry_checks(entry: CorpusEntry, seed: int, weight_trials: int) -> list[IdentityCheck]:
     """Every check of ``_IDENTITY_CHECKS`` whose hypothesis holds on one corpus entry.
 
-    A check passes when each pair of sides is equal, and fails with the
-    witness of the first unequal pair.  Every side, the shared U and char(U)
-    included, is built inside its check, so an error while building one
-    fails that check with ``Type: message`` as its witness.  Top-level (not
-    a closure) so corpus entries can be farmed out to worker processes;
-    everything it needs rides in on the arguments.
+    Each check builds its pairs up to the first build that raises; then one
+    ``charpolys_exact`` call takes each distinct matrix of their (matrix,
+    finish) sides once.  A check passes when each pair is equal, and fails
+    with the witness of the first unequal pair, else with its build error
+    as ``Type: message``; if the kernel call raises, each check that fed it
+    fails with that error.  A check's elapsed time is its own build and
+    compare time plus the kernel's, shared out per side fed.  Top-level
+    (not a closure) so corpus entries can be farmed out to worker
+    processes; everything it needs rides in on the arguments.
     """
-    operands = _Operands(entry, seed, weight_trials)
-    checks: list[IdentityCheck] = []
+    operands, g = _Operands(entry, seed, weight_trials), entry.graph
+    batch: dict[Matrix, int] = {}  # distinct matrix -> its position in the kernel call
+    built = []  # (identity, pairs with each matrix as its position, build error or None, seconds, sides fed)
     for identity, applies, sides in _IDENTITY_CHECKS:
-        if not applies(entry.graph):
+        if not applies(g):
             continue
-        start = time.perf_counter()
+        start, pairs, error = time.perf_counter(), [], None
         try:
-            witness = next(
-                (_witness(label, left, right) for label, left, right in sides(operands) if left != right), None
-            )
+            for label, *two in sides(operands):
+                two = [(batch.setdefault(s[0], len(batch)), s[1]) if isinstance(s, tuple) else s for s in two]
+                pairs.append((label, *two))
         except Exception as exc:  # a crash is a failure with the error as witness
+            error = f"{type(exc).__name__}: {exc}"
+        fed = sum(isinstance(s, tuple) for pair in pairs for s in pair)
+        built.append((identity, pairs, error, time.perf_counter() - start, fed))
+    start = time.perf_counter()
+    try:
+        chars, kernel_error = charpolys_exact(list(batch)), None
+    except Exception as exc:
+        chars, kernel_error = [], f"{type(exc).__name__}: {exc}"
+    per_side = (time.perf_counter() - start) / max(1, sum(fed for *_, fed in built))
+    checks: list[IdentityCheck] = []
+    for identity, pairs, witness, elapsed, fed in built:
+        start = time.perf_counter()
+        if fed and kernel_error:
+            witness, pairs = kernel_error, []
+        try:
+            finished = ((label, _finished(g, a, chars), _finished(g, b, chars)) for label, a, b in pairs)
+            witness = next((_witness(*pair) for pair in finished if pair[1] != pair[2]), witness)
+        except Exception as exc:  # a finish that raises fails its check like a build
             witness = f"{type(exc).__name__}: {exc}"
-        checks.append(IdentityCheck(identity, entry.name, witness is None, witness, time.perf_counter() - start))
+        elapsed += time.perf_counter() - start + per_side * fed
+        checks.append(IdentityCheck(identity, entry.name, witness is None, witness, elapsed))
     return checks
 
 

@@ -7,16 +7,16 @@ of the arcs u -> v and D_w holds the out-arc sums.  Times the circle factor
 exponent is negative and the factor divides out exactly.  The Grover coin
 weights 2/deg(o(e)) give W = 2T, D_w = 2I and char(U); unit weights give
 W = A, D_w = D, the Ihara zeta's Bass form and, at minimum degree 2, the
-support of U-transpose.  ``apply_circle_prefactor`` is the one place the
-circle factor is applied.  ``charpoly_u_via_degree_form`` is a second
-closed form of char(U), from A and the degrees alone.
+support of U-transpose.  ``apply_circle_prefactor``, through ``circled``,
+is the one place the circle factor is applied.  ``charpoly_u_via_degree_form``
+is a second closed form of char(U), from A and the degrees alone.
 
 Each quadratic determinant det(x^2 I - xA + C), A = L / s and C a
-diagonal, is evaluated by the one exact kernel as the characteristic
-polynomial of its 2n x 2n linearisation [[A, -C], [I, 0]]
-(``_linearised_charpoly``), the device of Bass (1992) and Kotani-Sunada
-(2000) in their proofs of the Ihara-Bass formula; the callers hand it the
-integer rows of L, s C and s.
+diagonal, is the characteristic polynomial of its 2n x 2n linearisation
+[[A, -C], [I, 0]] (``_linearisation``), the device of Bass (1992) and
+Kotani-Sunada (2000) in their proofs of the Ihara-Bass formula.  The
+builders ``vertex_matrix`` and ``degree_form_matrix`` return it, so
+``experiments`` can batch their matrices for the one exact kernel.
 
 ``charpoly_support2_from_support`` takes char(support of U^2) from char(U+)
 with no kernel call; its docstring proves the identity it rests on.
@@ -31,17 +31,17 @@ from .graphs import Graph
 from .operators import _lift_arc_weights, coin_weights, random_walk_matrix
 
 
-def _linearised_charpoly(rows: list[list[int]], diag: list[int], scale: int) -> Poly:
-    """det(x^2 I - xA + C) for A = rows / scale and the diagonal C = diag / scale.
+def _linearisation(rows: list[list[int]], diag: list[int], scale: int) -> Matrix:
+    """L = [[A, -C], [I, 0]] for A = rows / scale and the diagonal C = diag / scale.
 
-    Monic of degree 2n: the characteristic polynomial of
-    L = [[A, -C], [I, 0]], since the Schur complement of the lower-right
-    block xI gives det(xI - L) = x^n det(xI - A + C/x).
+    Its characteristic polynomial is det(x^2 I - xA + C), monic of degree
+    2n, since the Schur complement of the lower-right block xI gives
+    det(xI - L) = x^n det(xI - A + C/x).
     """
     n = len(rows)
     top = [row + [-c if j == i else 0 for j in range(n)] for i, (row, c) in enumerate(zip(rows, diag))]
     bottom = [[scale if j == i else 0 for j in range(2 * n)] for i in range(n)]
-    return charpoly_exact(Matrix.from_ints(top + bottom, scale))
+    return Matrix.from_ints(top + bottom, scale)
 
 
 def _times_binomial(c: list[int], k: int) -> list[int]:
@@ -72,8 +72,13 @@ def apply_circle_prefactor(det_poly: Poly, exponent: int) -> Poly:
     return Poly.from_ints(quotient, det_poly.scale)
 
 
-def vertex_determinant(g: Graph, weights: Sequence) -> Poly:
-    """det(x^2 I - xW + D_w - I) for one weight per arc of g.arcs.
+def circled(g: Graph, det: Poly) -> Poly:
+    """det times the circle factor (x^2 - 1)^(m - n) of g."""
+    return apply_circle_prefactor(det, g.m - g.n)
+
+
+def vertex_matrix(g: Graph, weights: Sequence) -> Matrix:
+    """The linearisation of x^2 I - xW + D_w - I for one weight per arc of g.arcs.
 
     The only place per-arc weights become W and D_w, in integers over the
     lcm s of the weight denominators.
@@ -84,24 +89,34 @@ def vertex_determinant(g: Graph, weights: Sequence) -> Poly:
     for (o, t), x in zip(g.arcs, scaled):
         w[o][t] += x
         sums[o] += x
-    return _linearised_charpoly(w, sums, scale)
+    return _linearisation(w, sums, scale)
+
+
+def vertex_determinant(g: Graph, weights: Sequence) -> Poly:
+    """det(x^2 I - xW + D_w - I) for one weight per arc of g.arcs: char(vertex_matrix)."""
+    return charpoly_exact(vertex_matrix(g, weights))
 
 
 def charpoly_u_via_walk_form(g: Graph) -> Poly:
     """Characteristic polynomial of U: the vertex side at the coin weights."""
-    return apply_circle_prefactor(vertex_determinant(g, coin_weights(g)), g.m - g.n)
+    return circled(g, vertex_determinant(g, coin_weights(g)))
 
 
-def charpoly_u_via_degree_form(g: Graph) -> Poly:
-    """Characteristic polynomial of U from the degree-adjacency determinant.
+def degree_form_matrix(g: Graph) -> Matrix:
+    """The linearisation of (x^2 + 1) I - 2x A D^-1.
 
     det((x^2 + 1) D - 2x A), divided by the product of the degrees, is
     det((x^2 + 1) I - 2x A D^-1); A D^-1 is the transpose of T, so this
-    form does not share its matrix with the coin-weight vertex determinant.
+    form shares its matrix with the coin-weight vertex determinant only
+    on regular graphs, where T is symmetric.
     """
     t = random_walk_matrix(g).transpose()
-    det = _linearised_charpoly([[2 * x for x in row] for row in t.ints], [t.scale] * g.n, t.scale)
-    return apply_circle_prefactor(det, g.m - g.n)
+    return _linearisation([[2 * x for x in row] for row in t.ints], [t.scale] * g.n, t.scale)
+
+
+def charpoly_u_via_degree_form(g: Graph) -> Poly:
+    """Characteristic polynomial of U from the degree-adjacency determinant, char(degree_form_matrix)."""
+    return circled(g, charpoly_exact(degree_form_matrix(g)))
 
 
 def charpoly_support_via_adjacency_form(g: Graph) -> Poly:
@@ -112,7 +127,7 @@ def charpoly_support_via_adjacency_form(g: Graph) -> Poly:
     """
     if min(g.degrees) < 2:
         raise ValueError("support closed form requires minimum degree 2")
-    return apply_circle_prefactor(vertex_determinant(g, [1] * (2 * g.m)), g.m - g.n)
+    return circled(g, vertex_determinant(g, [1] * (2 * g.m)))
 
 
 def charpoly_support2_from_support(g: Graph, char_support: Poly) -> Poly:

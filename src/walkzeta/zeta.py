@@ -6,7 +6,8 @@ three-term determinant with its (1 - t^2) prefactor.  Both go through the
 one exact kernel: det(I - tM) is the coefficient reversal of char(M), and
 the vertex form is the reversal of ``identities.vertex_determinant``,
 det(x^2 I - xW + D_w - I) on the same per-arc weights, times the circle
-factor (x^2 - 1)^k, k = m - n.  The two agree on every graph, forests and
+factor (x^2 - 1)^k, k = m - n: ``edge_reciprocal`` and ``vertex_reciprocal``
+finish each from its charpoly.  The two agree on every graph, forests and
 disconnected graphs included.  The Ihara zeta is the unit-weight case, so
 W = A and D_w = D.  Reversal is multiplicative and takes x^2 - 1 to
 1 - t^2, so the factor is applied in one place,
@@ -33,7 +34,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .exact import Matrix, Poly, charpoly_exact
 from .graphs import Graph, SizeGuardError
-from .identities import apply_circle_prefactor, vertex_determinant
+from .identities import circled, vertex_determinant
 from .operators import arc_operator, nonbacktracking_matrix
 
 MAX_ORACLE_ARCS = 20
@@ -59,9 +60,19 @@ def series_inverse(p: Poly, order: int) -> list[Fraction]:
     return out
 
 
+def edge_reciprocal(g: Graph, char: Poly) -> Poly:
+    """det(I - tM) from char(M), for an arc matrix M of g: the coefficient reversal."""
+    return char.reversed()
+
+
+def vertex_reciprocal(g: Graph, det: Poly) -> Poly:
+    """The vertex form from det(x^2 I - xW + D_w - I): times the circle factor, reversed."""
+    return circled(g, det).reversed()
+
+
 def ihara_reciprocal_edge_form(g: Graph) -> Poly:
     """1/zeta as det(I - t(B - J0)) over the arcs: char(B - J0) reversed."""
-    return charpoly_exact(nonbacktracking_matrix(g)).reversed()
+    return edge_reciprocal(g, charpoly_exact(nonbacktracking_matrix(g)))
 
 
 def ihara_reciprocal_bass_form(g: Graph) -> Poly:
@@ -73,7 +84,7 @@ def ihara_reciprocal_bass_form(g: Graph) -> Poly:
     multiply over components.  It is always a polynomial: the edge form is
     one, so on a forest the negative power of 1 - t^2 divides exactly.
     """
-    return apply_circle_prefactor(vertex_determinant(g, [1] * (2 * g.m)), g.m - g.n).reversed()
+    return vertex_reciprocal(g, vertex_determinant(g, [1] * (2 * g.m)))
 
 
 class WeightedZetaForms(NamedTuple):
@@ -93,9 +104,8 @@ def weighted_zeta_reciprocal(g: Graph, weights: Sequence) -> WeightedZetaForms:
     The vertex form is a polynomial: the edge form is one, so the negative
     power of 1 - t^2 on a forest divides exactly.
     """
-    edge = charpoly_exact(arc_operator(g, weights)).reversed()
-    vertex = apply_circle_prefactor(vertex_determinant(g, weights), g.m - g.n).reversed()
-    return WeightedZetaForms(edge, vertex)
+    edge = edge_reciprocal(g, charpoly_exact(arc_operator(g, weights)))
+    return WeightedZetaForms(edge, vertex_reciprocal(g, vertex_determinant(g, weights)))
 
 
 def _check_oracle_size(rows: int, order: int):

@@ -1,15 +1,29 @@
 import json
 import random
+import time
 
 import networkx as nx
 import pytest
 
 from walkzeta import experiments
-from walkzeta.exact import Poly, charpoly_exact
+from walkzeta.exact import Matrix, Poly, SizeGuardError, charpoly_exact
 from walkzeta.graphs import Graph, parse_graph6
-from walkzeta.identities import charpoly_support_via_adjacency_form, charpoly_u_via_degree_form
-from walkzeta.operators import operator_matrix
-from walkzeta.zeta import ihara_reciprocal_edge_form
+from walkzeta.identities import (
+    charpoly_support_via_adjacency_form,
+    charpoly_u_via_degree_form,
+    charpoly_u_via_walk_form,
+    degree_form_matrix,
+    vertex_matrix,
+)
+from walkzeta.operators import (
+    arc_operator,
+    coin_weights,
+    nonbacktracking_matrix,
+    operator_matrix,
+    positive_support,
+    transition_matrix,
+)
+from walkzeta.zeta import ihara_reciprocal_bass_form, ihara_reciprocal_edge_form, weighted_zeta_reciprocal
 from walkzeta.experiments import (
     CorpusEntry,
     builtin_corpus,
@@ -197,29 +211,145 @@ def test_identity_suite_captures_crash_as_failure():
 
 
 def test_identity_suite_builds_shared_operands_once(monkeypatch):
-    calls = {"arc_operator": 0, "positive_support": 0}
+    calls = {"arc_operator": 0, "positive_support": 0, "vertex_matrix": 0}
     for name in calls:
         def counted(*args, _fn=getattr(experiments, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(experiments, name, counted)
-    report = run_identity_suite([CorpusEntry("K4", complete_graph(4))], weight_trials=1, workers=1)
+    report = run_identity_suite([CorpusEntry("K4", complete_graph(4))], weight_trials=2, workers=1)
     assert report.passed and len(report.checks) == 6
-    assert calls == {"arc_operator": 1, "positive_support": 1}
+    # U^T, its support and the unit-weight vertex matrix once each, the
+    # coin-weight vertex matrix once, and an edge and a vertex matrix per trial
+    assert calls == {"arc_operator": 1 + 2, "positive_support": 1, "vertex_matrix": 2 + 2}
+
+
+def _entry_matrices(entry, trials):
+    """Every distinct matrix the checks on one entry batch for the kernel, from the public builders."""
+    g = entry.graph
+    ut = arc_operator(g, coin_weights(g))  # char(U) itself is a charpoly_exact call of its own
+    out = {vertex_matrix(g, coin_weights(g)), degree_form_matrix(g), nonbacktracking_matrix(g)}
+    out.add(vertex_matrix(g, [1] * (2 * g.m)))
+    for t in range(trials if g.simple else 0):
+        weights = random_arc_weights(g, random.Random(f"42:{entry.name}:{t}"))
+        out |= {arc_operator(g, weights), vertex_matrix(g, weights)}
+    if min(g.degrees) >= 2:
+        out.add(positive_support(ut))
+    return out
+
+
+def test_identity_suite_feeds_the_kernel_once_per_entry(monkeypatch):
+    batches, singles = [], []
+    kernel, single = experiments.charpolys_exact, experiments.charpoly_exact
+
+    def recording(matrices):
+        batches.append(list(matrices))
+        return kernel(matrices)
+
+    def recording_single(m):
+        singles.append(m)
+        return single(m)
+
+    monkeypatch.setattr(experiments, "charpolys_exact", recording)
+    monkeypatch.setattr(experiments, "charpoly_exact", recording_single)
+    corpus = _small_corpus()
+    assert run_identity_suite(corpus, weight_trials=3, workers=1).passed
+    assert len(batches) == len(corpus)
+    for entry, batch in zip(corpus, batches):
+        assert len(set(batch)) == len(batch), entry.name
+        assert set(batch) == _entry_matrices(entry, 3), entry.name
+    assert singles == [arc_operator(e.graph, coin_weights(e.graph)) for e in corpus]  # char(U), once per entry
+    # K4 is regular and meets the support identity: 12 batched sides, 9 matrices
+    assert len(batches[[e.name for e in corpus].index("K4")]) == 9
+
+
+def test_identity_suite_kernel_error_fails_the_checks_that_fed_it(monkeypatch):
+    def refuse(matrices):
+        raise SizeGuardError("kernel refused")
+
+    monkeypatch.setattr(experiments, "charpolys_exact", refuse)
+    report = run_identity_suite([CorpusEntry("K4", complete_graph(4))], weight_trials=2, workers=1)
+    refused = "SizeGuardError: kernel refused"
+    assert [(c.identity, c.witness) for c in report.checks] == [
+        ("u_charpoly_walk_form", refused),
+        ("u_charpoly_degree_form", refused),
+        ("zeta_edge_vs_vertex", refused),
+        ("weighted_zeta_forms", refused),
+        ("support_identity", None),
+        ("support_charpoly_form", refused),
+    ]
+    assert [c.passed for c in report.checks] == [False] * 4 + [True, False]
+
+
+def test_identity_suite_splits_kernel_time_over_the_checks_that_fed_it(monkeypatch):
+    kernel = experiments.charpolys_exact
+
+    def slow(matrices):
+        time.sleep(0.05)
+        return kernel(matrices)
+
+    monkeypatch.setattr(experiments, "charpolys_exact", slow)
+    start = time.perf_counter()
+    checks = experiments._entry_checks(CorpusEntry("K4", complete_graph(4)), 42, 3)
+    wall = time.perf_counter() - start
+    assert 0.05 < sum(c.elapsed for c in checks) <= wall
+    # K4 at 3 trials feeds 12 sides to the batch: 6 from the weighted check,
+    # the closed form from each char(U) check, both sides of the zeta and
+    # support charpoly checks, none from the support identity
+    fed = {"weighted_zeta_forms": 6, "u_charpoly_walk_form": 1, "u_charpoly_degree_form": 1, "support_identity": 0}
+    for c in checks:
+        assert c.elapsed >= 0.05 * fed.get(c.identity, 2) / 12, c.identity
+
+
+def _side_value(g, side):
+    """A table side as the check compares it: a (matrix, finish) side finished from charpoly_exact."""
+    if not isinstance(side, tuple):
+        return side
+    matrix, finish = side
+    return experiments._finished(g, (0, finish), [charpoly_exact(matrix)])
+
+
+def test_identity_table_sides_are_the_public_forms():
+    # every side the table builds, finished from its charpoly, equals the
+    # library function it stands for, so the table cannot drift from it
+    corpus = [e for e in builtin_corpus() if e.graph.n <= 4 or e.name in {"K5", "K6", "K7"}]
+    assert {"K2", "K4", "K7", "C4", "P4", "triangle_double_edge"} <= {e.name for e in corpus}
+    for entry in corpus:
+        g, operands = entry.graph, experiments._Operands(entry, 42, 2)
+        u = charpoly_exact(transition_matrix(g))
+        public = {
+            "u_charpoly_walk_form": lambda: [(u, charpoly_u_via_walk_form(g))],
+            "u_charpoly_degree_form": lambda: [(u, charpoly_u_via_degree_form(g))],
+            "zeta_edge_vs_vertex": lambda: [(ihara_reciprocal_edge_form(g), ihara_reciprocal_bass_form(g))],
+            "weighted_zeta_forms": lambda: [
+                tuple(weighted_zeta_reciprocal(g, random_arc_weights(g, random.Random(f"42:{entry.name}:{t}"))))
+                for t in range(2)
+            ],
+            "support_identity": lambda: [(operator_matrix(g, "U+").transpose(), nonbacktracking_matrix(g))],
+            "support_charpoly_form": lambda: [
+                (charpoly_exact(operator_matrix(g, "U+")), charpoly_support_via_adjacency_form(g))
+            ],
+        }
+        for identity, applies, sides in experiments._IDENTITY_CHECKS:
+            if not applies(g):
+                continue
+            values = [tuple(_side_value(g, side) for side in two) for _, *two in sides(operands)]
+            assert values == public[identity](), (identity, entry.name)
 
 
 def test_identity_suite_witness_names_the_failing_trial_and_side(monkeypatch):
     k4 = complete_graph(4)
-    forms = experiments.weighted_zeta_reciprocal
+    second = random_arc_weights(k4, random.Random("42:K4:1"))
+    build, support = experiments.vertex_matrix, experiments.positive_support
 
-    def second_trial_differs(g, weights):
-        edge, bass = forms(g, weights)
-        if weights != random_arc_weights(g, random.Random("42:K4:1")):
-            return edge, bass
-        return edge, Poly.from_ints([*bass.ints[:-1], bass.ints[-1] + bass.scale], bass.scale)
+    def second_trial_differs(g, weights):  # trial 1's vertex side doubles its first arc weight
+        return build(g, [2 * weights[0], *weights[1:]] if weights == second else weights)
 
-    monkeypatch.setattr(experiments, "weighted_zeta_reciprocal", second_trial_differs)
-    monkeypatch.setattr(experiments, "nonbacktracking_matrix", lambda g: operator_matrix(cycle_graph(4), "B-J0"))
+    def relabelled(m):  # the support with its arcs read backwards: a new matrix, the same charpoly
+        return Matrix.from_ints([row[::-1] for row in support(m).ints[::-1]])
+
+    monkeypatch.setattr(experiments, "vertex_matrix", second_trial_differs)
+    monkeypatch.setattr(experiments, "positive_support", relabelled)
     report = run_identity_suite([CorpusEntry("K4", k4)], weight_trials=3, workers=1)
     failed = {c.identity: c.witness for c in report.failures()}
     assert set(failed) == {"weighted_zeta_forms", "support_identity"}
@@ -228,21 +358,32 @@ def test_identity_suite_witness_names_the_failing_trial_and_side(monkeypatch):
 
 
 def test_identity_suite_witness_names_the_first_differing_coefficient(monkeypatch):
-    k4 = complete_graph(4)
-    right = charpoly_u_via_degree_form(k4)
-    # coefficient 2 grows by one
-    wrong = Poly.from_ints([c + right.scale * (k == 2) for k, c in enumerate(right.ints)], right.scale)
-    monkeypatch.setattr(experiments, "charpoly_u_via_degree_form", lambda g: wrong)
-    edge = ihara_reciprocal_edge_form(k4)
-    longer = Poly.from_ints(list(edge.ints) + [0, 5], edge.scale)  # equal up to the top, then 5 t^(d+2)
-    monkeypatch.setattr(experiments, "ihara_reciprocal_bass_form", lambda g: longer)
-    report = run_identity_suite([CorpusEntry("K4", k4)], weight_trials=1, workers=1)
+    # the paw, a triangle with a pendant edge, is irregular and has a leaf,
+    # so its degree-form matrix and B - J0 each feed one check; m = n, so
+    # the circle factor is 1
+    paw = Graph(4, ((0, 1), (1, 2), (2, 0), (2, 3)))
+    degree, edge_matrix = degree_form_matrix(paw), nonbacktracking_matrix(paw)
+    kernel = experiments.charpolys_exact
+
+    def wrong(matrices):
+        out = kernel(matrices)
+        for i, (m, p) in enumerate(zip(matrices, out)):
+            if m == degree:  # coefficient 2 grows by one
+                out[i] = Poly.from_ints([c + p.scale * (k == 2) for k, c in enumerate(p.ints)], p.scale)
+            elif m == edge_matrix:  # its lowest term dropped, so the edge form loses its top one
+                low = next(k for k, c in enumerate(p.ints) if c)
+                out[i] = Poly.from_ints([0] * (low + 1) + list(p.ints[low + 1 :]), p.scale)
+        return out
+
+    monkeypatch.setattr(experiments, "charpolys_exact", wrong)
+    report = run_identity_suite([CorpusEntry("paw", paw)], weight_trials=1, workers=1)
     failed = {c.identity: c.witness for c in report.failures()}
     assert set(failed) == {"u_charpoly_degree_form", "zeta_edge_vs_vertex"}
-    a, b = right.to_strings()[2], wrong.to_strings()[2]
-    assert a != b and failed["u_charpoly_degree_form"] == f"direct vs closed form, coefficient 2: {a} vs {b}"
-    top = edge.degree + 2
-    assert failed["zeta_edge_vs_vertex"] == f"edge vs vertex, coefficient {top}: 0 vs 5"
+    right = charpoly_u_via_degree_form(paw)
+    a, b = right.to_strings()[2], str(right.coeffs[2] + 1)
+    assert failed["u_charpoly_degree_form"] == f"direct vs closed form, coefficient 2: {a} vs {b}"
+    edge = ihara_reciprocal_edge_form(paw)
+    assert failed["zeta_edge_vs_vertex"] == f"edge vs vertex, coefficient {edge.degree}: 0 vs {edge.to_strings()[-1]}"
 
 
 def test_distinguish_level0_fixture():

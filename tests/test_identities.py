@@ -104,12 +104,12 @@ def test_circle_division_matches_fraction_division(ints, scale, k):
 
 
 def _lifted_charpoly(a, c):
-    """The linearisation helper on Matrix a and diagonal c, lifted to integer rows over one scale."""
+    """char of the linearisation of Matrix a and diagonal c, lifted to integer rows over one scale."""
     lifted = Matrix([*a.data, c])
-    return identities._linearised_charpoly(lifted.ints[:-1], lifted.ints[-1], lifted.scale)
+    return charpoly_exact(identities._linearisation(lifted.ints[:-1], lifted.ints[-1], lifted.scale))
 
 
-def _check_linearised_charpoly(a, c):
+def _check_linearisation(a, c):
     n = a.rows
     p = FractionPoly.of(_lifted_charpoly(a, c))
     assert p.degree == 2 * n and p.ints[-1] == p.scale
@@ -135,7 +135,7 @@ def test_linearised_charpoly_matches_permutation_expansion():
         else:
             a = Matrix([[_rand_fraction(rng) for _ in range(n)] for _ in range(n)])
             c = [_rand_fraction(rng) for _ in range(n)]
-        _check_linearised_charpoly(a, c)
+        _check_linearisation(a, c)
 
 
 def test_linearised_charpoly_degenerate_cases():
@@ -144,11 +144,11 @@ def test_linearised_charpoly_degenerate_cases():
         assert _lifted_charpoly(Matrix([[0] * n] * n), [0] * n) == X ** (2 * n)
         # A = J: eigenvalue 0 repeated n - 1 times
         ones = Matrix([[1] * n for _ in range(n)])
-        _check_linearised_charpoly(ones, [Fraction(k, 2) for k in range(n)])
+        _check_linearisation(ones, [Fraction(k, 2) for k in range(n)])
     singular = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    _check_linearised_charpoly(singular, [0, 1, Fraction(-1, 3)])
-    _check_linearised_charpoly(singular, [0, 0, 0])
-    assert identities._linearised_charpoly([], [], 1) == FractionPoly.one()
+    _check_linearisation(singular, [0, 1, Fraction(-1, 3)])
+    _check_linearisation(singular, [0, 0, 0])
+    assert charpoly_exact(identities._linearisation([], [], 1)) == FractionPoly.one()
 
 
 def test_path3_tree_division():

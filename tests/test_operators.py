@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from walkzeta import exact, experiments
 from walkzeta.exact import Matrix, Poly, charpoly_exact
 from walkzeta.graphs import Graph, adjacency_matrix, parse_graph6
-from walkzeta.identities import _linearised_charpoly, vertex_determinant
+from walkzeta.identities import _linearisation, vertex_determinant, vertex_matrix
 from walkzeta.operators import (
     TARGETS,
     arc_operator,
@@ -163,8 +163,9 @@ def test_coin_weights_are_doubled_walk_matrix():
     # parallel edges included, and both weighted forms are det(I - tU)
     for g in (cycle_graph(5), complete_graph(3), path_graph(4), triangle_with_doubled_edge()):
         t = random_walk_matrix(g)
-        doubled = _linearised_charpoly([[2 * x for x in row] for row in t.ints], [t.scale] * g.n, t.scale)
-        assert vertex_determinant(g, coin_weights(g)) == doubled
+        doubled = _linearisation([[2 * x for x in row] for row in t.ints], [t.scale] * g.n, t.scale)
+        assert vertex_matrix(g, coin_weights(g)) == doubled
+        assert vertex_determinant(g, coin_weights(g)) == charpoly_exact(doubled)
         forms = weighted_zeta_reciprocal(g, coin_weights(g))
         det_u = charpoly_exact(transition_matrix(g)).reversed()
         assert forms.edge_form == forms.bass_form == det_u
