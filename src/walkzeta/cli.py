@@ -31,9 +31,9 @@ from .spectra import map_adjacency_spectrum, map_random_walk_spectrum
 from .zeta import (
     MAX_SERIES_ORDER,
     _check_oracle_size,
+    edge_reciprocal,
     euler_product_oracle,
     ihara_reciprocal_bass_form,
-    ihara_reciprocal_edge_form,
     series_inverse,
 )
 from .experiments import (
@@ -186,7 +186,8 @@ def cmd_zeta(args) -> int:
     g = _load_graph(args)
     if args.oracle:
         _check_oracle_size(2 * g.m, args.order)
-    edge = ihara_reciprocal_edge_form(g)
+    nb = nonbacktracking_matrix(g)  # B - J0, for the edge form and the oracle
+    edge = edge_reciprocal(g, charpoly_exact(nb))
     bass = ihara_reciprocal_bass_form(g)
     agree = bass == edge
     series = series_inverse(edge, args.order)
@@ -199,7 +200,7 @@ def cmd_zeta(args) -> int:
     )
     oracle_matches = None
     if args.oracle:
-        oracle = euler_product_oracle(nonbacktracking_matrix(g), args.order)
+        oracle = euler_product_oracle(nb, args.order)
         oracle_matches = oracle == series
         doc["oracle_series"] = [str(c) for c in oracle]
         doc["oracle_matches"] = oracle_matches

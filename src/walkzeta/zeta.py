@@ -20,16 +20,22 @@ product of M's entries around it.  The oracle reads the matrix it is
 given, so it checks B - J0, U and B_w - J0 alike.  The walk extends only
 prenecklaces, by Duval's rule from the FKM necklace algorithm, and emits
 each prime class once, as its least rotation: a Lyndon word of indices.
-It carries the product of the entries along the path, and the oracle
-multiplies each class into the series as it is emitted, so it keeps no
-class list.  A truncated series is a plain list of its Fraction
-coefficients 0..order: the oracle returns one, and ``series_inverse``
-expands 1/p(t) into one.
+It steps only to an index that can still close the path within the order:
+from each start, one breadth-first search over the predecessor lists
+gives the fewest steps back to the start through indices >= start, and a
+prenecklace that begins at the start holds no smaller index, so every
+path cut off could emit no class.  The walk carries the product of the
+entries along the path, and the oracle multiplies each class into the
+series as it is emitted, so it keeps no class list.  A truncated series is
+a plain list of its Fraction coefficients 0..order: the oracle returns
+one, and ``series_inverse`` expands 1/p(t) into one by a recurrence in
+Python ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .exact import Matrix, Poly, charpoly_exact
@@ -47,17 +53,24 @@ MAX_SERIES_ORDER = 1000
 def series_inverse(p: Poly, order: int) -> list[Fraction]:
     """Coefficients 0..order of the power series 1/p(t).
 
-    A zero constant term is a ZeroDivisionError.
+    With p = (a_0 + a_1 t + ...) / s over Python ints a_i, coefficient k is
+    s N_k / a_0^(k+1), where N_0 = 1 and N_k = -sum_i a_i a_0^(i-1) N_(k-i):
+    the recurrence runs in ints and each coefficient becomes one Fraction at
+    the end.  A zero constant term is a ZeroDivisionError and a negative
+    order a ValueError.
     """
-    a = p.coeffs
+    if order < 0:
+        raise ValueError(f"series order must be >= 0, got {order}")
+    a = p.ints
     if not a or a[0] == 0:
         raise ZeroDivisionError("series with zero constant term has no inverse")
-    inv0 = 1 / a[0]
-    out = [inv0]
-    for k in range(1, order + 1):
-        acc = sum(a[i] * out[k - i] for i in range(1, min(k, p.degree) + 1))
-        out.append(-acc * inv0)
-    return out
+    a0 = a[0]
+    steps = [a[i] * a0 ** (i - 1) for i in range(1, min(p.degree, order) + 1)]
+    nums = [1]
+    for _ in range(order):
+        nums.append(-sum(map(mul, steps, reversed(nums))))
+    scale = p.scale
+    return [Fraction(scale * n, a0 ** (k + 1)) for k, n in enumerate(nums)]
 
 
 def edge_reciprocal(g: Graph, char: Poly) -> Poly:
@@ -119,7 +132,13 @@ def _check_oracle_size(rows: int, order: int):
 def _walk_prime_classes(m: Matrix, order: int, emit: Callable[[list[int], int], object]):
     """The walk of ``prime_cycle_classes``: emit(path, weight) once per
     prime class, path its least rotation and weight the product of m.ints
-    around it, carried along the path.  closes[e] is the entry e -> start.
+    around it, carried along the path.  closes[e] is the entry e -> start,
+    and dist[e] the fewest steps from e back to start through indices
+    >= start, found once per start by a breadth-first search over the
+    predecessor lists; dist[e] = order means no such walk of fewer steps.
+    A step to nxt is taken only while dist[nxt] leaves room to close within
+    the order.  Every index of a prenecklace that begins at start is >=
+    start, so a pruned path has no completion and no class is lost.
     emit sees the walker's own path list and must copy what it keeps.
     """
     if not m.is_square:
@@ -130,6 +149,10 @@ def _walk_prime_classes(m: Matrix, order: int, emit: Callable[[list[int], int], 
         raise ValueError(f"cycle order must be >= 0, got {order}")
     lifted = m.ints
     successors = [[f for f, x in enumerate(row) if x] for row in lifted]
+    predecessors: list[list[int]] = [[] for _ in range(size)]
+    for e, row in enumerate(successors):
+        for f in row:
+            predecessors[f].append(e)
     path: list[int] = []
 
     def grow(last: int, period: int, weight: int):
@@ -140,8 +163,9 @@ def _walk_prime_classes(m: Matrix, order: int, emit: Callable[[list[int], int], 
             floor = path[length - period]
             row = lifted[last]
             if length + 1 < order:
+                budget = order - length
                 for nxt in successors[last]:
-                    if nxt >= floor:
+                    if nxt >= floor and dist[nxt] <= budget:
                         path.append(nxt)
                         grow(nxt, period if nxt == floor else length + 1, weight * row[nxt])
                         path.pop()
@@ -154,6 +178,17 @@ def _walk_prime_classes(m: Matrix, order: int, emit: Callable[[list[int], int], 
 
     for start in range(size if order else 0):
         closes = [row[start] for row in lifted]
+        dist = [order] * size
+        dist[start] = 0
+        queue = [start]
+        for u in queue:  # breadth first, so dist only grows along the queue
+            d = dist[u] + 1
+            if d >= order:
+                break
+            for e in predecessors[u]:
+                if e > start and dist[e] > d:
+                    dist[e] = d
+                    queue.append(e)
         path = [start]
         grow(start, 1, 1)
 
@@ -171,11 +206,16 @@ def prime_cycle_classes(m: Matrix, order: int) -> list[tuple[int, ...]]:
     the path, the next index must be >= the one p steps back; p stays when
     it equals that index and becomes the new length otherwise.  A closed
     path is a Lyndon word exactly when p is its length, so each prime class
-    comes out once, in sorted order.  With one step left the walk takes only
-    a step that closes the path and rises above the floor: any other last
-    step ends a path that cannot close, or one whose p stays short of its
-    length, so no prime class is lost.  ``euler_product_oracle`` runs the
-    same walk and keeps no class list; this one collects the classes.
+    comes out once, in sorted order.  The walk also steps to an index only
+    when it can get back to the start within the order, counting the fewest
+    steps through indices >= the start: every index of a prenecklace that
+    begins at the start is >= it, so a path cut off has no completion.
+    With one step left it takes only a step that closes the path and rises
+    above the floor: any other last step ends a path that cannot close, or
+    one whose p stays short of its length, so no prime class is lost, and
+    the classes and their order are those of the unpruned walk.
+    ``euler_product_oracle`` runs the same walk and keeps no class list;
+    this one collects the classes.
     Order 0 gives no classes; a negative order or a non-square matrix is a
     ValueError.  Guarded to 20 rows and length <= 12; cost grows
     exponentially past that.
@@ -196,9 +236,11 @@ def euler_product_oracle(m: Matrix, order: int) -> list[Fraction]:
     w its weight in L, and coefficient k is divided by s^k at the end.
     The walk of ``prime_cycle_classes`` carries w along the path and
     multiplies each class in as it is emitted, so no class list is kept and
-    memory stays O(order) however many classes there are.  With one step
-    left it takes only a step that closes a prime class, since no other
-    last step can.
+    memory stays O(order), beyond the successor and predecessor lists of
+    m's digraph, however many classes there are.  The walk visits only
+    paths that can still close within the order, and with one step left it
+    takes only a step that closes a prime class, since no other last step
+    can.
     """
     _check_oracle_size(m.rows, order)  # before order sizes the list
     coeffs = [1] + [0] * order

@@ -21,6 +21,10 @@ and keeps it when no nontrivial rotation equals it.  The package prunes its
 walk to Lyndon words; this one stays unpruned so that it shares no rule
 with it.
 
+The power series of 1/p(t) comes from the recurrence on p's Fraction
+coefficients, c_k = -(1/a_0) sum_i a_i c_(k-i), where the package runs an
+integer recurrence and divides once per coefficient at the end.
+
 The support of U^3 on a regular graph comes from a sign rule on each arc
 pair, in vertex terms, where the package takes the sign pattern of the
 integer matrix power.
@@ -316,6 +320,19 @@ def reduced_cycle_classes_bruteforce(m: Matrix, order: int) -> list[tuple[int, .
     for start in range(size if order > 0 else 0):
         grow((start,))
     return [c for c in sorted(seen) if all(c != c[p:] + c[:p] for p in range(1, len(c)))]
+
+
+def series_inverse_by_fractions(p: Poly, order: int) -> list[Fraction]:
+    """Coefficients 0..order of the power series 1/p(t), in Fractions."""
+    a = p.coeffs
+    if not a or a[0] == 0:
+        raise ZeroDivisionError("series with zero constant term has no inverse")
+    inv0 = 1 / a[0]
+    out = [inv0]
+    for k in range(1, order + 1):
+        acc = sum(a[i] * out[k - i] for i in range(1, min(k, p.degree) + 1))
+        out.append(-acc * inv0)
+    return out
 
 
 def fraction_gcd(a: Poly, b: Poly) -> FractionPoly:

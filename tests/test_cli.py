@@ -302,7 +302,7 @@ def test_zeta_oracle_limits_checked_before_series(capsys, monkeypatch, g6, order
         raise AssertionError("series built before the oracle's guard")
 
     monkeypatch.setattr("walkzeta.cli.series_inverse", refuse)
-    monkeypatch.setattr("walkzeta.cli.ihara_reciprocal_edge_form", refuse)
+    monkeypatch.setattr("walkzeta.cli.charpoly_exact", refuse)
     code, out, err = run_cli(capsys, "zeta", "--graph6", g6, "--order", order, "--oracle")
     assert (code, out) == (4, "")
     assert "cycle oracle limited to" in err

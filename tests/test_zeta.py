@@ -35,6 +35,7 @@ from walkzeta.experiments import (
 
 from oracles import FractionPoly, matmul, nonbacktracking_by_definition, perm_det, trace
 from oracles import reduced_cycle_classes_bruteforce, relabelled_multigraphs
+from oracles import series_inverse_by_fractions
 
 T = FractionPoly.x()
 
@@ -61,6 +62,23 @@ def test_power_series_arithmetic():
         series_inverse(T, 3)
     with pytest.raises(ZeroDivisionError):
         series_inverse(FractionPoly.zero(), 3)
+    with pytest.raises(ValueError):
+        series_inverse(Poly([2, 1]), -3)
+
+
+@st.composite
+def series_denominators(draw):
+    """A rational polynomial of degree 0-8, integers a_i over a scale of
+    1-30, the drawn a_0 neither 0 nor +-1."""
+    a0 = draw(st.integers(-40, 40).filter(lambda v: v not in (-1, 0, 1)))
+    rest = draw(st.lists(st.integers(-40, 40), max_size=8))
+    return Poly.from_ints([a0, *rest], draw(st.integers(1, 30)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_denominators(), st.integers(0, 20))
+def test_series_inverse_matches_fraction_recurrence(p, order):
+    assert series_inverse(p, order) == series_inverse_by_fractions(p, order)
 
 
 def test_power_series_log():
@@ -308,6 +326,41 @@ def test_prime_cycle_classes_match_bruteforce_on_corpus():
         for order in range(9):
             expected = reduced_cycle_classes_bruteforce(by_definition, order)
             assert prime_cycle_classes(nb, order) == expected, (entry.name, order)
+
+
+def _matrix_from_entries(size, entries):
+    rows = [[0] * size for _ in range(size)]
+    for (e, f), x in entries.items():
+        rows[e][f] = x
+    return Matrix(rows)
+
+
+DEAD_END_MATRICES = {
+    # 0 -> 1 -> 2 leads into the cycle 2 -> 3 -> 4 -> 5 -> 2 with the chord
+    # 4 -> 2; 0, 1 and the sink 6 lie on no cycle
+    "path_into_cycle": _matrix_from_entries(7, {
+        (0, 1): 3, (1, 2): Fraction(1, 2), (2, 3): 2, (3, 4): -1, (4, 5): 5,
+        (5, 2): Fraction(-2, 3), (4, 2): 7, (5, 6): 4}),
+    # every arc e -> f with e < f on 6 rows and the back edge 4 -> 1: the
+    # source 0 and the sink 5 lie on no cycle
+    "upper_triangular_and_back_edge": _matrix_from_entries(6, {
+        **{(e, f): (-1) ** (e + f) * (e + f) for e in range(6) for f in range(e + 1, 6)},
+        (4, 1): Fraction(1, 3)}),
+    # the arcs into the pendant path 2 - 3 - 4 lead only to a dead end
+    "triangle_with_pendant_path": nonbacktracking_matrix(
+        Graph(5, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4)))),
+}
+
+
+@pytest.mark.parametrize("name", DEAD_END_MATRICES)
+def test_oracle_on_digraphs_with_dead_ends(name):
+    # the walk prunes every index that cannot get back to the start within
+    # the order; here most of them never can
+    m = DEAD_END_MATRICES[name]
+    det = charpoly_exact(m).reversed()
+    for order in range(11):
+        assert prime_cycle_classes(m, order) == reduced_cycle_classes_bruteforce(m, order), order
+        assert euler_product_oracle(m, order) == series_inverse(det, order), order
 
 
 def _affordable_order(m, order, budget=10_000):
