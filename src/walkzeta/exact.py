@@ -4,32 +4,23 @@ Both types hold integers over one positive scale, made canonical once
 when built.  ``Poly`` holds ascending integer coefficients ``ints`` over a
 ``scale``, p = ints / scale; ``Matrix`` holds integer rows L over a scale
 s, M = L / s.  Every kernel result is exact: Python ints or proven bounds.
-``square_free_decomposition`` (Yun 1976) runs on primitive integer
-coefficient lists: each divisor is a primitive heuristic gcd (Char, Geddes
-and Gonnet 1989) proven by exact division, whose quotients are the
-cofactors Yun needs, and each returned factor a is the monic a / lead(a).
+``square_free_decomposition`` is Yun's (1976), on primitive integer
+coefficient lists with heuristic gcds (Char, Geddes and Gonnet 1989).
 The one division that raises ``ExactDivisionError`` is by a monic
 (x^2 - 1)^k, in ``identities``.
 There is one determinant kernel, ``charpolys_exact``, for a batch of
 square matrices of any sizes; ``charpoly_exact`` is a batch of one.  It
 returns P / D, P = D char(M) = det(xC - MC) for M = L / s, C the diagonal of
 the column (or row) denominators of M and D = det C, from one multimodular
-call per size: one prime list, sized from n and the batch's largest proven
-Goldstein-Graham bound and dividing no scale, the slices M mod p = L s^-1
-mod p in numpy arrays, one residue kernel and one set of CRT weights.  A
-bound that the odd primes below the kernel's 2^b cannot reach raises
-SizeGuardError.  The kernel is split at HESSENBERG_MIN_DIM = 49 rows:
+call per size (``_multimodular_charpolys``), under a proven
+Goldstein-Graham bound.  That call takes power sums while one power-sum
+slice, (floor(sqrt n) + 7) n^2 words, fits CHUNK_BYTES (below 49 rows at
+2^18), and Hessenberg reduction otherwise:
 
-- below 49 rows, power sums: about 2 sqrt(n) float64 matmuls per slice,
-  O(n^3.5) word operations, exact for primes below 2^22-2^24, then
-  Newton's identities once, mod the product of the primes;
-- from 49 rows on, Hessenberg reduction in int64, O(n^3), reducing O(n)
-  entries per elimination step, for primes below 2^17 at 23-63 rows, 2^16
-  at 64-181 and 2^15 at 182-511.
-
-On random 0/1, integer and rational matrices (2-CPU x86-64 Linux host,
-numpy 2.4, OpenBLAS) the power sums ran level with Hessenberg reduction to
-4 times faster at 8-144 rows, but from 49 rows on one slice outgrows CHUNK_BYTES.
+- power sums: about 2 sqrt(n) float64 matmuls per slice, O(n^3.5) word
+  operations, then Newton's identities once, mod the product of the primes;
+- Hessenberg reduction in int64, O(n^3), reducing O(n) entries per
+  elimination step.
 
 Every determinant the package needs is fed to the kernel as one constant
 matrix, built by its caller as integer rows over one scale: an arc-level
@@ -340,14 +331,13 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-HESSENBERG_MIN_DIM = 49  # power sums below; from here on a power-sum slice outgrows CHUNK_BYTES
 # The search for the primes of an n-row kernel call starts here and comes
 # down to the bound of its residue kernel, _power_sum_bits or _prime_bits.
 PRIME_BITS = 31
 # The most bytes of a kernel's working set on one chunk of (matrix mod prime)
-# slices, or on one slice that is larger.  In a sweep of 2^17-2^21 bytes over
-# 42-336 rows, 2^20 ran 64-192 rows up to twice as fast as 2^18, at twice
-# the peak memory; at 336 rows one prime fills either.
+# slices, or on one slice that is larger; it also picks the kernel.  In a
+# sweep of 2^17-2^21 bytes over 42-336 rows, 2^20 ran 64-192 rows up to twice
+# as fast as 2^18, at twice the peak memory; at 336 rows one prime fills either.
 CHUNK_BYTES = 2**18
 
 _PRIMES: dict[int, list[int]] = {}  # bits -> the primes below 2^bits, descending, found on demand
@@ -442,16 +432,17 @@ def _multimodular_charpolys(batch: list[Matrix]) -> list[tuple[list[int], int]]:
     D and the bound on P are _coefficient_bounds'.  The primes lie below 2^b,
     b from the kernel's rule, divide no scale and multiply to a Q above twice
     the largest bound.  The (M mod p) slices form a grid of matrices x primes,
-    taken in chunks whose kernel working set stays within CHUNK_BYTES.  Below
-    HESSENBERG_MIN_DIM rows the CRT combines power sums p_k, and Newton's
-    identities k c_k = -sum_(i<=k) p_i c_(k-i) run once mod Q, where each
-    k <= n is a unit; from there on it combines coefficients.  Each
+    taken in chunks whose kernel working set stays within CHUNK_BYTES.  Where
+    one power-sum slice fits CHUNK_BYTES the CRT combines power sums p_k, and
+    Newton's identities k c_k = -sum_(i<=k) p_i c_(k-i) run once mod Q, where
+    each k <= n is a unit; otherwise it combines Hessenberg coefficients.  Each
     coefficient mod Q, times D and taken symmetrically about 0, is P's.
     """
     n = batch[0].rows
-    newton = n < HESSENBERG_MIN_DIM
-    if newton:  # words: the slice, its ceil(sqrt(n)) baby powers and five products
-        kernel, bits, words = _power_sum_residues, _power_sum_bits(n), (isqrt(n) + 7) * n * n
+    words = (isqrt(n) + 7) * n * n  # a power-sum slice: itself, its ceil(sqrt(n)) baby powers and five products
+    newton = 8 * words <= CHUNK_BYTES
+    if newton:
+        kernel, bits = _power_sum_residues, _power_sum_bits(n)
     else:
         kernel, bits, words = _charpoly_residues, _prime_bits(n), n * n
     try:

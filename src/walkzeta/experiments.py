@@ -8,11 +8,10 @@ from scratch, one exact kernel batch per entry, and reports witnesses.
 
 The strongly-regular-graph experiment asks at which level of the hierarchy
 adjacency, support of U, support of U^2, support of U^3 two graphs first
-get different characteristic polynomials.  The classic test pair is the
-Shrikhande graph against the 4x4 rook graph: same parameters (16, 6, 2, 2),
-first separated at the third power.  Levels 1 and 2 come from vertex-level
-closed forms, level 2 from level 1 with no kernel call, so only levels 0
-and 3 hand the exact kernel an operator matrix.
+get different characteristic polynomials (``srg_distinguish``).  The
+classic test pair, the Shrikhande graph against the 4x4 rook graph, are
+Cayley graphs of Z4 x Z4 with the same parameters (16, 6, 2, 2), first
+separated at the third power.
 """
 
 from __future__ import annotations
@@ -72,26 +71,24 @@ def triangle_with_doubled_edge() -> Graph:
     return Graph(3, ((0, 1), (0, 1), (1, 2), (2, 0)))
 
 
+def _cayley_graph(moduli: tuple[int, ...], connection: set[tuple[int, ...]]) -> Graph:
+    """Cayley graph of Z_m1 x ... x Z_mk on a connection set closed under negation:
+    x ~ y iff y - x lies in it.  Elements are numbered in lexicographic order."""
+    elements = list(itertools.product(*map(range, moduli)))
+    edges = [(a, b) for (a, x), (b, y) in itertools.combinations(enumerate(elements), 2)
+             if tuple((v - u) % m for u, v, m in zip(x, y, moduli)) in connection]
+    return Graph(len(elements), tuple(edges))
+
+
 def shrikhande_graph() -> Graph:
     """Cayley graph of Z4 x Z4 with connection set +/-(1,0), (0,1), (1,1)."""
-    diffs = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    edges = []
-    for a in range(16):
-        for b in range(a + 1, 16):
-            d = ((b // 4 - a // 4) % 4, (b % 4 - a % 4) % 4)
-            if d in diffs:
-                edges.append((a, b))
-    return Graph(16, tuple(edges))
+    return _cayley_graph((4, 4), {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
 
 
 def rook_graph_4x4() -> Graph:
-    """4x4 rook graph: cells adjacent iff they share a row or a column."""
-    edges = []
-    for a in range(16):
-        for b in range(a + 1, 16):
-            if a // 4 == b // 4 or a % 4 == b % 4:
-                edges.append((a, b))
-    return Graph(16, tuple(edges))
+    """4x4 rook graph, cells adjacent iff they share a row or a column: the Cayley
+    graph of Z4 x Z4 with connection set {(a, 0), (0, a) : a != 0}."""
+    return _cayley_graph((4, 4), {(a, 0) for a in range(1, 4)} | {(0, a) for a in range(1, 4)})
 
 
 RANDOM_MAX_N = 8
@@ -329,45 +326,42 @@ def _entry_checks(entry: CorpusEntry, seed: int, weight_trials: int) -> list[Ide
     finish) sides once.  A check passes when each pair is equal, and fails
     with the witness of the first unequal pair, else with its build error
     as ``Type: message``; if the kernel call raises, each check that fed it
-    fails with that error.  A check's elapsed time is its own build and
-    compare time plus the kernel's, shared out per side fed.  Top-level
-    (not a closure) so corpus entries can be farmed out to worker
-    processes; everything it needs rides in on the arguments.
+    fails with that error.  The entry is timed once, and each check's
+    elapsed time is an equal share of it.  Top-level (not a closure) so
+    corpus entries can be farmed out to worker processes; everything it
+    needs rides in on the arguments.
     """
+    start = time.perf_counter()
     operands, g = _Operands(entry, seed, weight_trials), entry.graph
     batch: dict[Matrix, int] = {}  # distinct matrix -> its position in the kernel call
-    built = []  # (identity, pairs with each matrix as its position, build error or None, seconds, sides fed)
+    built = []  # (identity, pairs with each matrix as its position, build error or None)
     for identity, applies, sides in _IDENTITY_CHECKS:
         if not applies(g):
             continue
-        start, pairs, error = time.perf_counter(), [], None
+        pairs, error = [], None
         try:
             for label, *two in sides(operands):
                 two = [(batch.setdefault(s[0], len(batch)), s[1]) if isinstance(s, tuple) else s for s in two]
                 pairs.append((label, *two))
         except Exception as exc:  # a crash is a failure with the error as witness
             error = f"{type(exc).__name__}: {exc}"
-        fed = sum(isinstance(s, tuple) for pair in pairs for s in pair)
-        built.append((identity, pairs, error, time.perf_counter() - start, fed))
-    start = time.perf_counter()
+        built.append((identity, pairs, error))
     try:
         chars, kernel_error = charpolys_exact(list(batch)), None
     except Exception as exc:
         chars, kernel_error = [], f"{type(exc).__name__}: {exc}"
-    per_side = (time.perf_counter() - start) / max(1, sum(fed for *_, fed in built))
-    checks: list[IdentityCheck] = []
-    for identity, pairs, witness, elapsed, fed in built:
-        start = time.perf_counter()
-        if fed and kernel_error:
+    witnesses = []  # (identity, witness or None)
+    for identity, pairs, witness in built:
+        if kernel_error and any(isinstance(s, tuple) for pair in pairs for s in pair):
             witness, pairs = kernel_error, []
         try:
             finished = ((label, _finished(g, a, chars), _finished(g, b, chars)) for label, a, b in pairs)
             witness = next((_witness(*pair) for pair in finished if pair[1] != pair[2]), witness)
         except Exception as exc:  # a finish that raises fails its check like a build
             witness = f"{type(exc).__name__}: {exc}"
-        elapsed += time.perf_counter() - start + per_side * fed
-        checks.append(IdentityCheck(identity, entry.name, witness is None, witness, elapsed))
-    return checks
+        witnesses.append((identity, witness))
+    share = (time.perf_counter() - start) / max(1, len(witnesses))
+    return [IdentityCheck(identity, entry.name, witness is None, witness, share) for identity, witness in witnesses]
 
 
 def run_identity_suite(

@@ -6,10 +6,7 @@ algorithm in Z[x] (``exact.square_free_decomposition``), each gcd a
 heuristic gcd proven by exact division, so the iteration only ever sees
 simple roots and converges quadratically; the multiplicities come from the
 exact decomposition, not from clustering.
-Each factor's iteration starts at the eigenvalues of its companion matrix
-(LAPACK, through ``numpy.linalg.eigvals``), so it only polishes them.
-Each Aberth step evaluates p, p' and the round-off floor sum |a_i| |z|^i
-by ``numpy.polyval``.
+Each factor's iteration polishes the eigenvalues of its companion matrix.
 A factor with a coefficient outside the double range is first rescaled
 exactly by x = 2^e y, so its coefficients fit in doubles; a root that is
 itself outside the double range raises SpectrumDomainError.
@@ -42,10 +39,6 @@ _DOUBLE_MAX, _NORMAL_BITS = int(sys.float_info.max), 1 - sys.float_info.min_exp
 
 class RootConvergenceError(RuntimeError):
     """Aberth iteration failed to reach the residual target."""
-
-    def __init__(self, message: str, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
 
 
 class SpectrumDomainError(ValueError):
@@ -105,7 +98,8 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
     A point is accepted when its Newton correction |p/p'| drops below
     ABERTH_NEWTON_TOL (relative to max(1, |z|)), or when |p(z)| falls under the
     round-off bound eps * sum |a_i| |z|^i, past which double precision
-    cannot place the root any better; ``_evaluate`` gives p, p' and that bound.
+    cannot place the root any better, if that bound is finite: an overflowed
+    one is no bound at all.  ``_evaluate`` gives p, p' and the bound.
     The last Newton step is taken only where it is shorter than half the gap
     to the nearest other point: at a point accepted by the round-off bound
     alone p' may be about 0, and the step arbitrary.
@@ -127,9 +121,8 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
         newton = pv / dv
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
-        done = (np.abs(newton) <= ABERTH_NEWTON_TOL * np.maximum(1.0, az)) | (
-            np.abs(pv) <= noise_scale * floor
-        )
+        floored = (np.abs(pv) <= noise_scale * floor) & np.isfinite(floor)  # an overflowed floor bounds nothing
+        done = floored | (np.abs(newton) <= ABERTH_NEWTON_TOL * np.maximum(1.0, az))
         if done.all():
             return np.where(np.abs(newton) < 0.5 * np.abs(diff).min(axis=1), z - newton, z)
         clash = np.triu(diff == 0).any(axis=0)
@@ -142,10 +135,7 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
         denom = 1.0 - newton * repulsion
         denom = np.where(denom == 0, 1e-300, denom)
         z = z - newton / denom
-    residuals = np.abs(_evaluate(coeffs, z, np.abs(z))[0])
-    raise RootConvergenceError(
-        f"Aberth did not converge in {ABERTH_MAX_ITER} iterations", residuals.tolist()
-    )
+    raise RootConvergenceError(f"Aberth did not converge in {ABERTH_MAX_ITER} iterations")
 
 
 def _power_of_two_scaling(f: Poly) -> tuple[Poly, int]:

@@ -14,22 +14,14 @@ W = A and D_w = D.  Reversal is multiplicative and takes x^2 - 1 to
 ``identities.apply_circle_prefactor``.  A brute-force Euler product
 serves as a combinatorial cross-check on small matrices: by Amitsur's
 identity, in the combinatorial proof of Foata and Zeilberger (Trans. AMS
-1999), 1/det(I - tM) is a product over the prime
-cycle classes of the digraph of any square matrix M, each weighted by the
-product of M's entries around it.  The oracle reads the matrix it is
-given, so it checks B - J0, U and B_w - J0 alike.  The walk extends only
-prenecklaces, by Duval's rule from the FKM necklace algorithm, and emits
-each prime class once, as its least rotation: a Lyndon word of indices.
-It steps only to an index that can still close the path within the order:
-from each start, one breadth-first search over the predecessor lists
-gives the fewest steps back to the start through indices >= start, and a
-prenecklace that begins at the start holds no smaller index, so every
-path cut off could emit no class.  The walk carries the product of the
-entries along the path, and the oracle multiplies each class into the
-series as it is emitted, so it keeps no class list.  A truncated series is
-a plain list of its Fraction coefficients 0..order: the oracle returns
-one, and ``series_inverse`` expands 1/p(t) into one by a recurrence in
-Python ints.
+1999), 1/det(I - tM) is a product over the prime cycle classes of the
+digraph of any square matrix M, each weighted by the product of M's
+entries around it.  The oracle reads the matrix it is given, so it checks
+B - J0, U and B_w - J0 alike, and it multiplies each class into the series
+as the walk of ``_walk_prime_classes`` emits it, so it keeps no class
+list.  A truncated series is a plain list of its Fraction coefficients
+0..order: the oracle returns one, and ``series_inverse`` expands 1/p(t)
+into one by a recurrence in Python ints.
 """
 
 from __future__ import annotations
@@ -130,16 +122,30 @@ def _check_oracle_size(rows: int, order: int):
 
 
 def _walk_prime_classes(m: Matrix, order: int, emit: Callable[[list[int], int], object]):
-    """The walk of ``prime_cycle_classes``: emit(path, weight) once per
-    prime class, path its least rotation and weight the product of m.ints
-    around it, carried along the path.  closes[e] is the entry e -> start,
-    and dist[e] the fewest steps from e back to start through indices
-    >= start, found once per start by a breadth-first search over the
-    predecessor lists; dist[e] = order means no such walk of fewer steps.
-    A step to nxt is taken only while dist[nxt] leaves room to close within
-    the order.  Every index of a prenecklace that begins at start is >=
-    start, so a pruned path has no completion and no class is lost.
-    emit sees the walker's own path list and must copy what it keeps.
+    """emit(path, weight) once per prime rotation class of closed walks of
+    length 1..order in the digraph of m, which has an edge e -> f wherever
+    m[e][f] is nonzero, in sorted order: path is the class's least rotation,
+    a Lyndon word of indices, and weight the product of m.ints around it,
+    carried along the path.  emit sees the walker's own path list and must
+    copy what it keeps.
+
+    The walk only extends prenecklaces, by the rule of the FKM necklace
+    algorithm (Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms
+    2000): with p the length of the longest Lyndon prefix of the path, the
+    next index must be >= the one p steps back; p stays when it equals that
+    index and becomes the new length otherwise.  A closed path is a Lyndon
+    word exactly when p is its length, so each prime class comes out once.
+    Every index of a prenecklace that begins at start is >= start, so from
+    each start one breadth-first search over the predecessor lists gives
+    dist[e], the fewest steps from e back to start through indices >= start
+    (order where no such walk is shorter), and a step to nxt is taken only
+    while dist[nxt] leaves room to close within the order: a path cut off
+    has no completion.  closes[e] is the entry e -> start.  With one step
+    left the walk takes only a step that closes the path and rises above the
+    floor: any other last step ends a path that cannot close, or one whose
+    p stays short of its length.  So the pruning loses no class.
+    Order 0 gives no classes; a negative order or a non-square matrix is a
+    ValueError, and a matrix or order past the oracle's guard SizeGuardError.
     """
     if not m.is_square:
         raise ValueError("cycle oracle needs a square matrix")
@@ -195,30 +201,13 @@ def _walk_prime_classes(m: Matrix, order: int, emit: Callable[[list[int], int], 
 
 def prime_cycle_classes(m: Matrix, order: int) -> list[tuple[int, ...]]:
     """The prime rotation classes of closed walks up to the given length in
-    the digraph of m, which has an edge e -> f wherever m[e][f] is nonzero.
+    the digraph of m, each the tuple of its least rotation, in sorted order.
 
     For an arc matrix such as B - J0 these are the prime reduced cycles: no
     step backtracks, including around the wrap, and no class is a power of a
-    shorter walk.  Each class is the tuple of its least rotation, a Lyndon
-    word.  The walk only extends prenecklaces, by the rule of the FKM
-    necklace algorithm (Cattell, Ruskey, Sawada, Serra and Miers,
-    J. Algorithms 2000): with p the length of the longest Lyndon prefix of
-    the path, the next index must be >= the one p steps back; p stays when
-    it equals that index and becomes the new length otherwise.  A closed
-    path is a Lyndon word exactly when p is its length, so each prime class
-    comes out once, in sorted order.  The walk also steps to an index only
-    when it can get back to the start within the order, counting the fewest
-    steps through indices >= the start: every index of a prenecklace that
-    begins at the start is >= it, so a path cut off has no completion.
-    With one step left it takes only a step that closes the path and rises
-    above the floor: any other last step ends a path that cannot close, or
-    one whose p stays short of its length, so no prime class is lost, and
-    the classes and their order are those of the unpruned walk.
-    ``euler_product_oracle`` runs the same walk and keeps no class list;
-    this one collects the classes.
-    Order 0 gives no classes; a negative order or a non-square matrix is a
-    ValueError.  Guarded to 20 rows and length <= 12; cost grows
-    exponentially past that.
+    shorter walk.  The walk, its pruning and its errors are those of
+    ``_walk_prime_classes``.  Guarded to 20 rows and length <= 12; cost
+    grows exponentially past that.
     """
     classes: list[tuple[int, ...]] = []
     _walk_prime_classes(m, order, lambda path, weight: classes.append(tuple(path)))
@@ -231,16 +220,11 @@ def euler_product_oracle(m: Matrix, order: int) -> list[Fraction]:
     Amitsur's identity, proved combinatorially by Foata and Zeilberger
     (Trans. AMS 1999): 1/det(I - tM) is the product over prime classes C
     of 1/(1 - w(C) t^|C|), with w(C) the product of M's entries around C.
-    With L = m.ints and s = m.scale, so M = L / s, each class multiplies
-    the integer coefficients in place by 1 + w t^l + w^2 t^(2l) + ... with
-    w its weight in L, and coefficient k is divided by s^k at the end.
-    The walk of ``prime_cycle_classes`` carries w along the path and
-    multiplies each class in as it is emitted, so no class list is kept and
-    memory stays O(order), beyond the successor and predecessor lists of
-    m's digraph, however many classes there are.  The walk visits only
-    paths that can still close within the order, and with one step left it
-    takes only a step that closes a prime class, since no other last step
-    can.
+    With L = m.ints and s = m.scale, so M = L / s, each class that
+    ``_walk_prime_classes`` emits multiplies the integer coefficients in
+    place by 1 + w t^l + w^2 t^(2l) + ... with w its weight in L, and
+    coefficient k is divided by s^k at the end.  No class list is kept, so
+    memory stays O(order) beyond the walk's successor and predecessor lists.
     """
     _check_oracle_size(m.rows, order)  # before order sizes the list
     coeffs = [1] + [0] * order

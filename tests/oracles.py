@@ -2,8 +2,8 @@
 
 These deliberately use different algorithms from the package, which reads
 every determinant off a characteristic polynomial computed mod primes and
-combined by CRT: by power sums and Newton's identities below
-HESSENBERG_MIN_DIM rows and by Hessenberg reduction from there on.  The
+combined by CRT: by power sums and Newton's identities while one
+power-sum slice fits CHUNK_BYTES and by Hessenberg reduction otherwise.  The
 package builds every arc matrix from per-vertex lists of leaving arcs.
 The oracles are permutation expansion for determinants, Berkowitz's
 division-free algorithm and the Faddeev-LeVerrier recursion for

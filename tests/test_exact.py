@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from walkzeta import exact
 from walkzeta.exact import (
-    HESSENBERG_MIN_DIM,
     Matrix,
     Poly,
     SizeGuardError,
@@ -20,6 +19,7 @@ from oracles import FractionPoly, berkowitz, faddeev_leverrier, fraction_gcd, ma
 from oracles import square_free_by_fractions, trace
 
 X = FractionPoly.x()
+HESSENBERG_ROWS = 49  # the fewest rows the default CHUNK_BYTES sends to Hessenberg reduction
 LCM_210 = Matrix([[Fraction(1, d), Fraction(-d, 3), 1, 0] for d in (2, 3, 5, 7)])
 
 
@@ -351,11 +351,39 @@ def _kernel_poly(coeffs, m):
     return Poly([Fraction(c, m.scale**i) for i, c in enumerate(coeffs)][::-1])
 
 
+def _power_sum_slice_bytes(n):
+    """The bytes of one n-row power-sum slice: the slice, its ceil(sqrt(n)) baby powers and five products."""
+    return 8 * (isqrt(n) + 7) * n * n
+
+
+def _force_kernel(patch, n, hessenberg):
+    """Set CHUNK_BYTES so that n rows run Hessenberg reduction, which takes every budget
+    below one power-sum slice, or the power sums, which take every budget from one on;
+    the default is kept where it already picks that kernel."""
+    one = _power_sum_slice_bytes(n)
+    patch.setattr(exact, "CHUNK_BYTES", min(exact.CHUNK_BYTES, one - 1) if hessenberg else max(exact.CHUNK_BYTES, one))
+
+
+def _kernels_run(m):
+    """The names of the residue kernels that charpoly_exact(m) runs."""
+    seen = set()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_power_sum_residues", "_charpoly_residues"):
+
+            def record(h, primes, name=name, kernel=getattr(exact, name)):
+                seen.add(name)
+                return kernel(h, primes)
+
+            patch.setattr(exact, name, record)
+        charpoly_exact(m)
+    return seen
+
+
 def _kernel_coeffs(m, hessenberg):
     """Descending char(L), L = m.ints, read off the shared driver's (D char(M), D), every size
     sent to one residue kernel."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exact, "HESSENBERG_MIN_DIM", 0 if hessenberg else 10**9)
+        _force_kernel(patch, m.rows, hessenberg)
         ((p, d),) = exact._multimodular_charpolys([m])
     assert len(p) == m.rows + 1 and p[-1] == d
     return [Fraction(c * m.scale**k, d) for k, c in enumerate(reversed(p))]
@@ -397,7 +425,7 @@ def test_hessenberg_kernel_matches_berkowitz_and_faddeev_leverrier():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, HESSENBERG_MIN_DIM + 8), st.integers(0, 2), st.randoms(use_true_random=False))
+@given(st.integers(0, HESSENBERG_ROWS + 8), st.integers(0, 2), st.randoms(use_true_random=False))
 def test_power_sum_kernel_matches_berkowitz_and_hessenberg(n, kind, rng):
     # a 0/1, integer or rational matrix on either side of the crossover
     m = _random_kernel_inputs(rng, n)[kind]
@@ -407,7 +435,7 @@ def test_power_sum_kernel_matches_berkowitz_and_hessenberg(n, kind, rng):
 
 def test_power_sum_kernel_special_matrices():
     rng = random.Random(53)
-    for n in (1, 7, HESSENBERG_MIN_DIM - 1):
+    for n in (1, 7, HESSENBERG_ROWS - 1):
         zero = Matrix([[0] * n for _ in range(n)])
         assert _check_kernels_agree(zero) == [1] + [0] * n
         # c I: every power sum is n c^k, and the minimal polynomial has degree 1
@@ -457,10 +485,10 @@ def test_hessenberg_kernel_special_matrices():
 
 
 def test_hessenberg_pivot_vanishing_mod_first_prime():
-    bits = exact._prime_bits(HESSENBERG_MIN_DIM)  # the primes the kernel uses at this size
+    bits = exact._prime_bits(HESSENBERG_ROWS)  # the primes the kernel uses at this size
     first = exact._primes_exceeding(1, bits)[0]
     rng = random.Random(37)
-    rows = [[rng.randint(1, 9) for _ in range(HESSENBERG_MIN_DIM)] for _ in range(HESSENBERG_MIN_DIM)]
+    rows = [[rng.randint(1, 9) for _ in range(HESSENBERG_ROWS)] for _ in range(HESSENBERG_ROWS)]
     rows[1][0] = first  # the first subdiagonal entry is 0 mod the first prime only
     m = Matrix(rows)
     assert exact._primes_exceeding(2 * _bound(m)[0], bits)[0] == first
@@ -484,8 +512,8 @@ def _mixed_batch(rng, n):
 
 
 def _shuffled_sizes_batch(rng):
-    """Random matrices of 5, 20 and HESSENBERG_MIN_DIM rows, across the crossover, shuffled."""
-    sizes = (5, HESSENBERG_MIN_DIM, 5, 20, HESSENBERG_MIN_DIM)
+    """Random matrices of 5, 20 and HESSENBERG_ROWS rows, across the crossover, shuffled."""
+    sizes = (5, HESSENBERG_ROWS, 5, 20, HESSENBERG_ROWS)
     batch = [m for n in sizes for m in _random_kernel_inputs(rng, n)[:2]]
     rng.shuffle(batch)
     return batch
@@ -499,11 +527,12 @@ def test_charpolys_exact_matches_one_matrix_at_a_time(monkeypatch):
         assert singles == [_kernel_poly(berkowitz(m.ints), m) for m in batch]
         assert exact.charpolys_exact(batch) == singles
         # the power sums one slice at a time
-        monkeypatch.setattr(exact, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(exact, "CHUNK_BYTES", _power_sum_slice_bytes(n))
         assert exact.charpolys_exact(batch) == singles
-        # Hessenberg reduction in chunks of one, two and three slices, which cut across matrices
-        monkeypatch.setattr(exact, "HESSENBERG_MIN_DIM", 0)
+        # Hessenberg reduction, on budgets below one power-sum slice, in chunks of one,
+        # two and three slices, which cut across matrices
         for slices in (1, 2, 3):
+            assert slices * 8 * n * n < _power_sum_slice_bytes(n)
             monkeypatch.setattr(exact, "CHUNK_BYTES", slices * 8 * n * n)
             assert exact.charpolys_exact(batch) == singles
         monkeypatch.undo()
@@ -525,9 +554,24 @@ def test_charpolys_exact_matches_one_matrix_at_a_time(monkeypatch):
         monkeypatch.setattr(exact, name, record)
     assert exact.charpolys_exact(batch) == singles
     drivers = sorted(call[1:] for call in calls if call[0] == "_multimodular_charpolys")
-    assert drivers == [(5, 4), (20, 2), (HESSENBERG_MIN_DIM, 4)]
+    assert drivers == [(5, 4), (20, 2), (HESSENBERG_ROWS, 4)]
     assert {call[1] for call in calls if call[0] == "_power_sum_residues"} == {5, 20}
-    assert {call[1] for call in calls if call[0] == "_charpoly_residues"} == {HESSENBERG_MIN_DIM}
+    assert {call[1] for call in calls if call[0] == "_charpoly_residues"} == {HESSENBERG_ROWS}
+
+
+def test_kernel_crossover_is_where_a_power_sum_slice_outgrows_chunk_bytes(monkeypatch):
+    # at the default CHUNK_BYTES a 48-row power-sum slice fits and a 49-row one does not
+    assert _power_sum_slice_bytes(HESSENBERG_ROWS - 1) <= exact.CHUNK_BYTES < _power_sum_slice_bytes(HESSENBERG_ROWS)
+    rng = random.Random(67)
+    ones = {n: Matrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]) for n in (0, 1, 7, 30, 48, 49, 64)}
+    assert _kernels_run(ones[HESSENBERG_ROWS - 1]) == {"_power_sum_residues"}
+    assert _kernels_run(ones[HESSENBERG_ROWS]) == {"_charpoly_residues"}
+    # the rule itself: a budget of one power-sum slice runs the power sums, one byte less Hessenberg reduction
+    for n, m in ones.items():
+        monkeypatch.setattr(exact, "CHUNK_BYTES", _power_sum_slice_bytes(n))
+        assert _kernels_run(m) == {"_power_sum_residues"}, n
+        monkeypatch.setattr(exact, "CHUNK_BYTES", _power_sum_slice_bytes(n) - 1)
+        assert _kernels_run(m) == {"_charpoly_residues"}, n
 
 
 def test_charpolys_exact_rejects_non_square_batches():
@@ -558,7 +602,7 @@ def test_power_sum_bits_table():
     # below 2^bits, times two, squared and times n, stays below 2^53, and
     # the bound fails one bit up, so every size takes the largest primes
     # that are exact
-    rows = range(2, HESSENBERG_MIN_DIM)
+    rows = range(2, HESSENBERG_ROWS)
     assert [exact._power_sum_bits(n) for n in rows] == [24 if n < 8 else 23 if n < 32 else 22 for n in rows]
     for n in rows:
         bits = exact._power_sum_bits(n)
@@ -611,7 +655,7 @@ def test_hessenberg_charpolys_shares_one_prime_list(monkeypatch):
     rng = random.Random(47)
     for n, kernel, rule in (
         (16, "_power_sum_residues", exact._power_sum_bits),
-        (HESSENBERG_MIN_DIM, "_charpoly_residues", exact._prime_bits),
+        (HESSENBERG_ROWS, "_charpoly_residues", exact._prime_bits),
     ):
         ones = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         huge = [[rng.randint(2**63, 2**70) * rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)]
@@ -670,7 +714,7 @@ def test_coefficient_bound_and_primes_on_corpus_operators():
                 assert d == 1 and bound <= prod(isqrt(sum(x * x for x in row)) + 2 for row in m.ints)
             if bound > largest:
                 largest, dim = bound, m.rows
-    assert dim < HESSENBERG_MIN_DIM
+    assert dim < HESSENBERG_ROWS
     bits = exact._power_sum_bits(dim)  # the primes the kernel uses for that operator
     primes = exact._primes_exceeding(2 * largest, bits)
     assert len(set(primes)) == len(primes) > 1
@@ -738,7 +782,7 @@ def test_primes_dividing_a_scale_are_skipped():
             return residues(h, primes)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exact, "HESSENBERG_MIN_DIM", 0 if kernel == "_charpoly_residues" else 10**9)
+            _force_kernel(patch, n, kernel == "_charpoly_residues")
             patch.setattr(exact, kernel, recording)
             assert charpoly_exact(m) == faddeev_leverrier(m)
         assert seen and q not in seen

@@ -127,6 +127,14 @@ def test_srg_pair_same_params_not_isomorphic():
     assert not nx.is_isomorphic(_to_nx(s), _to_nx(r))
 
 
+def test_cayley_graph_on_other_groups():
+    # Cay(Z3^2, {+-(1,0), +-(0,1)}) is the 3x3 rook graph, SRG(9, 4, 1, 2); Cay(Z7, {+-1}) is C7
+    rook33 = experiments._cayley_graph((3, 3), {(1, 0), (2, 0), (0, 1), (0, 2)})
+    assert strongly_regular_params(rook33) == (9, 4, 1, 2)
+    c7 = experiments._cayley_graph((7,), {(1,), (6,)})
+    assert c7.n == 7 and _edge_set(c7) == _edge_set(cycle_graph(7))
+
+
 def test_srg_pair_graph6_constants():
     assert _edge_set(parse_graph6(SHRIKHANDE_G6)) == _edge_set(shrikhande_graph())
     assert _edge_set(parse_graph6(ROOK_4X4_G6)) == _edge_set(rook_graph_4x4())
@@ -281,7 +289,7 @@ def test_identity_suite_kernel_error_fails_the_checks_that_fed_it(monkeypatch):
     assert [c.passed for c in report.checks] == [False] * 4 + [True, False]
 
 
-def test_identity_suite_splits_kernel_time_over_the_checks_that_fed_it(monkeypatch):
+def test_identity_suite_check_times_sum_to_the_entry_time(monkeypatch):
     kernel = experiments.charpolys_exact
 
     def slow(matrices):
@@ -292,13 +300,8 @@ def test_identity_suite_splits_kernel_time_over_the_checks_that_fed_it(monkeypat
     start = time.perf_counter()
     checks = experiments._entry_checks(CorpusEntry("K4", complete_graph(4)), 42, 3)
     wall = time.perf_counter() - start
-    assert 0.05 < sum(c.elapsed for c in checks) <= wall
-    # K4 at 3 trials feeds 12 sides to the batch: 6 from the weighted check,
-    # the closed form from each char(U) check, both sides of the zeta and
-    # support charpoly checks, none from the support identity
-    fed = {"weighted_zeta_forms": 6, "u_charpoly_walk_form": 1, "u_charpoly_degree_form": 1, "support_identity": 0}
-    for c in checks:
-        assert c.elapsed >= 0.05 * fed.get(c.identity, 2) / 12, c.identity
+    assert len(checks) == 6
+    assert 0.05 <= sum(c.elapsed for c in checks) <= wall
 
 
 def _side_value(g, side):

@@ -144,6 +144,15 @@ def test_coinciding_starts_are_moved_apart(monkeypatch):
         assert got.max_residual < 1e-14
 
 
+def test_overflowed_floor_accepts_no_point(monkeypatch):
+    # at a start of 1e200 the round-off floor sum |a_i| |z|^i overflows to inf, and so does
+    # p(z): such a point is no root, and the iteration cannot place it
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array([1.0, 2.0, 1e200]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(spectra.RootConvergenceError, match="did not converge"):
+            roots((X - 1) * (X - 2) * (X - 3))
+
+
 def test_real_roots():
     got = real_roots(X**2 - 2)
     assert got == pytest.approx([-math.sqrt(2), math.sqrt(2)], abs=1e-12)
