@@ -322,10 +322,16 @@ class Matrix:
         return hash((self.scale, tuple(map(tuple, self.ints))))
 
     def transpose(self) -> "Matrix":
-        """The transpose; ValueError for r x 0 with r > 0, since rows cannot hold 0 x r."""
+        """The transpose; ValueError for r x 0 with r > 0, since rows cannot hold 0 x r.
+
+        It has the same entries over the same scale, so it is canonical
+        already and is not reduced again.
+        """
         if self.rows and not self.cols:
             raise ValueError(f"cannot transpose a {self.rows}x0 matrix")
-        return Matrix.from_ints(zip(*self.ints), self.scale)
+        m = Matrix.__new__(Matrix)
+        m._fill([list(col) for col in zip(*self.ints)], self.scale)
+        return m
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"

@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .exact import Matrix, Poly, charpoly_exact, charpolys_exact
 from .graphs import Graph, check_dense_size
-from .identities import (charpoly_support2_from_support, charpoly_support_via_adjacency_form, circled,
-                         degree_form_matrix, vertex_matrix)
+from .identities import (charpoly_support2_from_support, charpoly_support_from_adjacency, circled, degree_form_matrix,
+                         vertex_matrix)
 from .operators import arc_operator, coin_weights, nonbacktracking_matrix, operator_matrix, positive_support
 from .zeta import edge_reciprocal, vertex_reciprocal
 
@@ -377,7 +377,8 @@ def run_identity_suite(
 
     workers=None uses one process per CPU; entries are independent and
     seeded per graph, so the report is identical (minus timings) at any
-    worker count, aggregated in corpus order.
+    worker count, aggregated in corpus order.  The pool takes the entries
+    in about four chunks per worker, not one task each.
     """
     corpus = builtin_corpus(seed) if corpus is None else corpus
     if workers is None:
@@ -389,7 +390,7 @@ def run_identity_suite(
         # imported here: it takes about a tenth of the package's import time
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_entry = list(pool.map(task, corpus))
+            per_entry = list(pool.map(task, corpus, chunksize=-(-len(corpus) // (4 * workers))))
     else:
         per_entry = [task(entry) for entry in corpus]
     for checks in per_entry:
@@ -442,22 +443,22 @@ def srg_distinguish(g: Graph, h: Graph) -> DistinguishResult:
 
     Levels: 0 adjacency, 1 support of U, 2 support of U^2, 3 support of
     U^3, compared by exact characteristic polynomial.  Returns level None
-    when all four agree.  Levels 0 and 3 are one ``charpolys_exact`` call
-    on both graphs' ``operator_matrix``, of one size or not.  Level 1 is
-    the 2n-row closed form ``charpoly_support_via_adjacency_form``: on a
-    simple graph of minimum degree 2 the support of U is the pattern of
-    (B - J0)^T.  Level 2 makes no kernel call: it is level 1 with its roots
-    squared and shifted (``charpoly_support2_from_support``), so it can
-    never separate two graphs that level 1 does not.  On regular graphs
-    both are functions of the spectrum of A (Godsil-Guo 2011), and level 3
-    is the first that can separate cospectral graphs.
+    when all four agree.  Only levels 0 and 3 reach the exact kernel, each
+    as one ``charpolys_exact`` call on both graphs' ``operator_matrix``, of
+    one size or not.  On regular graphs levels 1 and 2 are functions of the
+    spectrum of A (Godsil-Guo 2011), so they make no kernel call: level 1
+    is composed from level 0's pair (``charpoly_support_from_adjacency``),
+    and level 2 is level 1 with its roots squared and shifted
+    (``charpoly_support2_from_support``), so it can never separate two
+    graphs that level 1 does not.  Level 3 is the first that can separate
+    cospectral graphs.
     """
     _check_srg_hypotheses(g, "left graph")
     _check_srg_hypotheses(h, "right graph")
     charpolys: dict[str, tuple[list[str], list[str]]] = {}
     for idx, (name, target) in enumerate(DISTINGUISH_LEVELS):
-        if target == "U+":
-            left, right = charpoly_support_via_adjacency_form(g), charpoly_support_via_adjacency_form(h)
+        if target == "U+":  # from level 0's pair
+            left, right = charpoly_support_from_adjacency(g, left), charpoly_support_from_adjacency(h, right)
         elif target == "U2+":  # from level 1's pair
             left, right = charpoly_support2_from_support(g, left), charpoly_support2_from_support(h, right)
         else:

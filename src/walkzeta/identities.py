@@ -18,8 +18,10 @@ Kotani-Sunada (2000) in their proofs of the Ihara-Bass formula.  The
 builders ``vertex_matrix`` and ``degree_form_matrix`` return it, so
 ``experiments`` can batch their matrices for the one exact kernel.
 
-``charpoly_support2_from_support`` takes char(support of U^2) from char(U+)
-with no kernel call; its docstring proves the identity it rests on.
+On regular graphs two levels of the support hierarchy need no kernel call:
+``charpoly_support_from_adjacency`` composes char(U+) from char(A), and
+``charpoly_support2_from_support`` takes char(support of U^2) from char(U+);
+each docstring proves the identity it rests on.
 """
 
 from __future__ import annotations
@@ -128,6 +130,28 @@ def charpoly_support_via_adjacency_form(g: Graph) -> Poly:
     if min(g.degrees) < 2:
         raise ValueError("support closed form requires minimum degree 2")
     return circled(g, vertex_determinant(g, [1] * (2 * g.m)))
+
+
+def charpoly_support_from_adjacency(g: Graph, char_a: Poly) -> Poly:
+    """Characteristic polynomial of the support of U-transpose from char_a, that of A.
+
+    On a k-regular graph, k >= 2, the vertex side at unit weights is
+    det(x^2 I - xA + (k - 1) I) = x^n char_A((x^2 + k - 1) / x)
+    = sum_i a_i (x^2 + k - 1)^i x^(n - i), for char_A = sum_i a_i y^i, so
+    it is the same closed form as ``charpoly_support_via_adjacency_form``
+    with no kernel call.  The sum runs by Horner's rule in integers,
+    h <- h (x^2 + k - 1) + a_i x^(n - i) from h = a_n, and is then
+    circled.  Raises ValueError unless g is regular of degree >= 2.
+    """
+    k = min(g.degrees)
+    if not k == max(g.degrees) >= 2:
+        raise ValueError("support closed form from adjacency requires a regular graph of degree >= 2")
+    a = char_a.ints
+    h = [a[g.n]]
+    for i in reversed(range(g.n)):
+        h = [(k - 1) * x + y for x, y in zip(h + [0, 0], [0, 0] + h)]
+        h[g.n - i] += a[i]
+    return circled(g, Poly.from_ints(h, char_a.scale))
 
 
 def charpoly_support2_from_support(g: Graph, char_support: Poly) -> Poly:

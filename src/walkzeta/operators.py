@@ -15,6 +15,7 @@ positive supports of powers.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Sequence
 
@@ -98,10 +99,11 @@ def power_support(m: Matrix, k: int) -> Matrix:
     """Positive support of m**k for k in {1, 2, 3}, computed exactly.
 
     The integer rows L = m.ints are m times a positive scale, so the sign
-    pattern of L^k is that of m**k.  L^k is one numpy product: in int64
-    when no entry can reach 2^63, that is max|L|^k * n^(k-1) < 2^63, and in
-    Python ints (dtype=object) otherwise.  A 0 x 0 matrix is its own
-    support at every k.
+    pattern of L^k is that of m**k.  L^k is one numpy product: in float64
+    (BLAS) when no partial sum can reach 2^53, that is
+    max|L|^k * n^(k-1) < 2^53, so every product and sum is an exactly
+    represented integer, and in Python ints (dtype=object) otherwise.  A
+    0 x 0 matrix is its own support at every k.
     """
     if k not in (1, 2, 3):
         raise ValueError("power_support supports k in {1, 2, 3}")
@@ -109,9 +111,9 @@ def power_support(m: Matrix, k: int) -> Matrix:
         raise ValueError("power_support needs a square matrix")
     if k == 1 or not m.rows:
         return positive_support(m)
-    top = max(abs(x) for row in m.ints for x in row)
-    fits = top**k * m.rows ** (k - 1) < 2**63
-    lift = np.array(m.ints, dtype=np.int64 if fits else object)
+    top = max(map(abs, chain.from_iterable(m.ints)))
+    fits = top**k * m.rows ** (k - 1) < 2**53
+    lift = np.array(m.ints, dtype=np.float64 if fits else object)
     power = lift @ lift if k == 2 else lift @ lift @ lift
     return Matrix.from_ints((power > 0).astype(int).tolist())
 

@@ -102,7 +102,8 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
     one is no bound at all.  ``_evaluate`` gives p, p' and the bound.
     The last Newton step is taken only where it is shorter than half the gap
     to the nearest other point: at a point accepted by the round-off bound
-    alone p' may be about 0, and the step arbitrary.
+    alone p' may be about 0, and the step arbitrary.  A point that is not
+    finite raises RootConvergenceError at once.
     """
     deg = len(coeffs) - 1
     if deg == 1:
@@ -115,6 +116,8 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise RootConvergenceError(f"companion-matrix eigenvalues failed: {exc}") from exc
     for _ in range(ABERTH_MAX_ITER):
+        if not np.isfinite(z).all():  # one nan point would turn every repulsion sum nan
+            raise RootConvergenceError("Aberth did not converge: a point left the double range")
         az = np.abs(z)
         pv, dv, floor = _evaluate(coeffs, z, az)
         dv = np.where(dv == 0, 1e-300, dv)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from walkzeta.graphs import Graph, parse_graph6
 from walkzeta.identities import (
     apply_circle_prefactor,
     charpoly_support2_from_support,
+    charpoly_support_from_adjacency,
     charpoly_support_via_adjacency_form,
     charpoly_u_via_degree_form,
     charpoly_u_via_walk_form,
@@ -283,6 +285,31 @@ def test_support2_form_requires_simple_min_degree_three(g):
     # irregular of minimum degree 2, and a multigraph: neither 2-regular nor of minimum degree 3
     with pytest.raises(ValueError):
         charpoly_support2_from_support(g, charpoly_support_via_adjacency_form(g))
+
+
+def _random_regular_graphs():
+    """Seeded networkx k-regular graphs, k = 2-5, on k + 1 to 12 vertices, connected or not."""
+    for k in range(2, 6):
+        for n in range(k + 1, 13):
+            if n * k % 2 == 0:
+                g = nx.random_regular_graph(k, n, seed=1000 * k + n)
+                yield pytest.param(Graph(n, tuple(sorted(tuple(sorted(e)) for e in g.edges))), id=f"k{k}n{n}")
+
+
+@pytest.mark.parametrize("g", _random_regular_graphs())
+def test_support_from_adjacency_matches_dense_charpoly(g):
+    # composed from char(A) with no kernel call, against the dense 2m-row
+    # charpoly of U+ and the 2n-row linearisation
+    composed = charpoly_support_from_adjacency(g, charpoly_exact(operator_matrix(g, "A")))
+    assert composed == charpoly_exact(operator_matrix(g, "U+"))
+    assert composed == charpoly_support_via_adjacency_form(g)
+
+
+@pytest.mark.parametrize("g", [K4_MINUS_EDGE, complete_bipartite_graph(2, 3), path_graph(4), complete_graph(2)],
+                         ids=["K4_minus_edge", "K2_3", "P4", "K2"])
+def test_support_from_adjacency_requires_regular_degree_two(g):
+    with pytest.raises(ValueError):
+        charpoly_support_from_adjacency(g, charpoly_exact(operator_matrix(g, "A")))
 
 
 def test_support_determinant_degree():

@@ -250,6 +250,15 @@ def test_power_support_matches_rational_power():
         assert power_support(u, 3) == positive_support(matmul(square, u))
 
 
+def test_power_support_falls_back_to_ints_past_float_exactness():
+    # (L^2)[0][0] = 2^60 + 1 - 2^60 = 1, which float64 summed in order rounds
+    # to 0; max|L|^2 * 3 passes 2^53, so the product runs in Python ints
+    a = 2**30
+    m = Matrix.from_ints([[a, 1, -a], [1, 1, 0], [a, 0, 0]])
+    assert power_support(m, 2).ints[0][0] == 1
+    assert power_support(m, 2) == positive_support(matmul(m, m))
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -280,10 +289,10 @@ def test_operator_matrix_table_and_distinguish_levels(monkeypatch):
         operator_matrix(complete_graph(4), "U4+")
 
     # Levels 0 and 3 are one charpolys_exact call on both graphs'
-    # operator_matrix results.  Level 1 is the closed form, whose kernel calls
-    # are 2n-row linearisations, one per graph, and level 2 is level 1's pair
-    # with its roots squared, with no kernel call.  Record every batch the
-    # kernel is fed, from srg_distinguish and through charpoly_exact alike.
+    # operator_matrix results.  Level 1 is composed from level 0's pair and
+    # level 2 is level 1's pair with its roots squared, neither with a kernel
+    # call.  Record every batch the kernel is fed, from srg_distinguish and
+    # through charpoly_exact alike.
     fed = []
     batched = exact.charpolys_exact
 
@@ -297,9 +306,9 @@ def test_operator_matrix_table_and_distinguish_levels(monkeypatch):
     result = srg_distinguish(g, h)
     monkeypatch.undo()
     assert result.level_name == "support_u3"
-    assert [[m.rows for m in matrices] for matrices, _ in fed] == [[16, 16], [32], [32], [96, 96]]
+    assert [[m.rows for m in matrices] for matrices, _ in fed] == [[16, 16], [96, 96]]
     levels = dict(experiments.DISTINGUISH_LEVELS)
-    for name, (matrices, polys) in zip(("adjacency", "support_u3"), (fed[0], fed[3])):
+    for name, (matrices, polys) in zip(("adjacency", "support_u3"), fed):
         assert matrices == [operator_matrix(g, levels[name]), operator_matrix(h, levels[name])], name
         assert result.charpolys[name] == tuple(p.to_strings() for p in polys), name
     # the closed forms at levels 1 and 2 against the 96-row charpolys of U+ and U2+

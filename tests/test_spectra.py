@@ -153,6 +153,18 @@ def test_overflowed_floor_accepts_no_point(monkeypatch):
             roots((X - 1) * (X - 2) * (X - 3))
 
 
+def test_point_leaving_the_double_range_ends_the_iteration(monkeypatch):
+    # the start 1e200 turns nan after one step, and a nan point would make
+    # every repulsion sum nan: the iteration stops there, not after its cap
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array([1.0, 2.0, 1e200]))
+    evaluate, calls = spectra._evaluate, []
+    monkeypatch.setattr(spectra, "_evaluate", lambda *args: calls.append(1) or evaluate(*args))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(spectra.RootConvergenceError, match="left the double range"):
+            spectra._aberth(np.array([-6.0, 11.0, -6.0, 1.0]))
+    assert len(calls) == 1
+
+
 def test_real_roots():
     got = real_roots(X**2 - 2)
     assert got == pytest.approx([-math.sqrt(2), math.sqrt(2)], abs=1e-12)
