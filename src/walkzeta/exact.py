@@ -113,26 +113,32 @@ class Poly:
         return Poly.from_ints(self.ints[::-1], self.scale)
 
     def to_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        """Each coefficient as ``str(Fraction(c, scale))`` prints it, from the integers:
+        c at scale 1, else c / g over scale / g for g = gcd(c, scale), the
+        denominator dropped where it is 1."""
+        s = self.scale
+        if s == 1:
+            return [str(c) for c in self.ints]
+        return [f"{c // g}" if g == s else f"{c // g}/{s // g}" for c in self.ints for g in (gcd(c, s),)]
 
     def format(self, var: str = "t") -> str:
         """Human-readable form like '1 - 2*t^3 + t^6'."""
         if self.is_zero():
             return "0"
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, c in enumerate(self.to_strings()):
+            if c == "0":
                 continue
-            mag = abs(c)
+            mag = c.lstrip("-")
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 power = var if k == 1 else f"{var}^{k}"
-                body = power if mag == 1 else f"{mag}*{power}"
+                body = power if mag == "1" else f"{mag}*{power}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(f"-{body}" if c[0] == "-" else body)
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"- {body}" if c[0] == "-" else f"+ {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -288,7 +294,11 @@ class Matrix:
     @classmethod
     def from_ints(cls, ints: Iterable[Iterable[int]], scale: int = 1) -> "Matrix":
         """The matrix ints / scale, for rows of Python ints and a positive scale."""
-        ints, scale = _reduced([list(row) for row in ints], scale)
+        return cls._canonical(*_reduced([list(row) for row in ints], scale))
+
+    @classmethod
+    def _canonical(cls, ints: list[list[int]], scale: int) -> "Matrix":
+        """The matrix ints / scale for a pair its caller has proven canonical, with no gcd pass."""
         m = cls.__new__(cls)
         m._fill(ints, scale)
         return m
@@ -329,9 +339,7 @@ class Matrix:
         """
         if self.rows and not self.cols:
             raise ValueError(f"cannot transpose a {self.rows}x0 matrix")
-        m = Matrix.__new__(Matrix)
-        m._fill([list(col) for col in zip(*self.ints)], self.scale)
-        return m
+        return Matrix._canonical([list(col) for col in zip(*self.ints)], self.scale)
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"

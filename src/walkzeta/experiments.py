@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .exact import Matrix, Poly, charpoly_exact, charpolys_exact
 from .graphs import Graph, check_dense_size
-from .identities import (charpoly_support2_from_support, charpoly_support_from_adjacency, circled, degree_form_matrix,
-                         vertex_matrix)
+from .identities import (charpoly_support2_from_determinant, circled, degree_form_matrix,
+                         support_determinant_from_adjacency, vertex_matrix)
 from .operators import arc_operator, coin_weights, nonbacktracking_matrix, operator_matrix, positive_support
 from .zeta import edge_reciprocal, vertex_reciprocal
 
@@ -446,21 +446,24 @@ def srg_distinguish(g: Graph, h: Graph) -> DistinguishResult:
     when all four agree.  Only levels 0 and 3 reach the exact kernel, each
     as one ``charpolys_exact`` call on both graphs' ``operator_matrix``, of
     one size or not.  On regular graphs levels 1 and 2 are functions of the
-    spectrum of A (Godsil-Guo 2011), so they make no kernel call: level 1
-    is composed from level 0's pair (``charpoly_support_from_adjacency``),
-    and level 2 is level 1 with its roots squared and shifted
-    (``charpoly_support2_from_support``), so it can never separate two
-    graphs that level 1 does not.  Level 3 is the first that can separate
-    cospectral graphs.
+    spectrum of A (Godsil-Guo 2011), so they make no kernel call: each
+    graph's vertex side at unit weights, h = det(x^2 I - xA + (k - 1) I),
+    is composed once from level 0's char(A)
+    (``support_determinant_from_adjacency``).  Level 1 is h circled, and
+    level 2 is h after one Graeffe root-squaring step, shifted, times
+    (x - c - 1)^(2(m - n)) (``charpoly_support2_from_determinant``), so it
+    can never separate two graphs that level 1 does not.  Level 3 is the
+    first that can separate cospectral graphs.
     """
     _check_srg_hypotheses(g, "left graph")
     _check_srg_hypotheses(h, "right graph")
     charpolys: dict[str, tuple[list[str], list[str]]] = {}
     for idx, (name, target) in enumerate(DISTINGUISH_LEVELS):
         if target == "U+":  # from level 0's pair
-            left, right = charpoly_support_from_adjacency(g, left), charpoly_support_from_adjacency(h, right)
-        elif target == "U2+":  # from level 1's pair
-            left, right = charpoly_support2_from_support(g, left), charpoly_support2_from_support(h, right)
+            dets = support_determinant_from_adjacency(g, left), support_determinant_from_adjacency(h, right)
+            left, right = circled(g, dets[0]), circled(h, dets[1])
+        elif target == "U2+":  # from level 1's determinants
+            left, right = charpoly_support2_from_determinant(g, dets[0]), charpoly_support2_from_determinant(h, dets[1])
         else:
             left, right = charpolys_exact([operator_matrix(g, target), operator_matrix(h, target)])
         charpolys[name] = (left.to_strings(), right.to_strings())

@@ -19,13 +19,15 @@ builders ``vertex_matrix`` and ``degree_form_matrix`` return it, so
 ``experiments`` can batch their matrices for the one exact kernel.
 
 On regular graphs two levels of the support hierarchy need no kernel call:
-``charpoly_support_from_adjacency`` composes char(U+) from char(A), and
-``charpoly_support2_from_support`` takes char(support of U^2) from char(U+);
+``support_determinant_from_adjacency`` composes the vertex side at unit
+weights, h, from char(A); circled, h is char(U+), and
+``charpoly_support2_from_determinant`` takes char(support of U^2) from h;
 each docstring proves the identity it rests on.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Sequence
 
 from .exact import ExactDivisionError, Matrix, Poly, _int_mul, _int_sub, charpoly_exact
@@ -132,16 +134,15 @@ def charpoly_support_via_adjacency_form(g: Graph) -> Poly:
     return circled(g, vertex_determinant(g, [1] * (2 * g.m)))
 
 
-def charpoly_support_from_adjacency(g: Graph, char_a: Poly) -> Poly:
-    """Characteristic polynomial of the support of U-transpose from char_a, that of A.
+def support_determinant_from_adjacency(g: Graph, char_a: Poly) -> Poly:
+    """The vertex side at unit weights of a regular g, det(x^2 I - xA + (k - 1) I), from char_a, that of A.
 
-    On a k-regular graph, k >= 2, the vertex side at unit weights is
-    det(x^2 I - xA + (k - 1) I) = x^n char_A((x^2 + k - 1) / x)
+    On a k-regular graph, k >= 2, it is x^n char_A((x^2 + k - 1) / x)
     = sum_i a_i (x^2 + k - 1)^i x^(n - i), for char_A = sum_i a_i y^i, so
-    it is the same closed form as ``charpoly_support_via_adjacency_form``
-    with no kernel call.  The sum runs by Horner's rule in integers,
-    h <- h (x^2 + k - 1) + a_i x^(n - i) from h = a_n, and is then
-    circled.  Raises ValueError unless g is regular of degree >= 2.
+    it is ``vertex_determinant(g, [1] * 2m)`` with no kernel call: circled,
+    the characteristic polynomial of U+ (``charpoly_support_via_adjacency_form``).
+    The sum runs by Horner's rule in integers, h <- h (x^2 + k - 1) + a_i x^(n - i)
+    from h = a_n.  Raises ValueError unless g is regular of degree >= 2.
     """
     k = min(g.degrees)
     if not k == max(g.degrees) >= 2:
@@ -151,11 +152,11 @@ def charpoly_support_from_adjacency(g: Graph, char_a: Poly) -> Poly:
     for i in reversed(range(g.n)):
         h = [(k - 1) * x + y for x, y in zip(h + [0, 0], [0, 0] + h)]
         h[g.n - i] += a[i]
-    return circled(g, Poly.from_ints(h, char_a.scale))
+    return Poly.from_ints(h, char_a.scale)
 
 
-def charpoly_support2_from_support(g: Graph, char_support: Poly) -> Poly:
-    """Characteristic polynomial of the support of U^2 from char_support, that of U+.
+def charpoly_support2_from_determinant(g: Graph, h: Poly) -> Poly:
+    """Characteristic polynomial of the support of U^2 from h, the vertex side at unit weights.
 
     With Tm and Om the arc-to-terminus and arc-to-origin incidence
     matrices, B = Tm Om^T, B J0 = Tm Tm^T, J0 B = Om Om^T and
@@ -170,18 +171,22 @@ def charpoly_support2_from_support(g: Graph, char_support: Poly) -> Poly:
     minimum degree 3 and c = 0 on a 2-regular graph; raises ValueError
     unless g is simple and one of the two.
 
-    Graeffe's root squaring: p = char_support has the even degree 2m, and
-    writing p(x) = e(x^2) + x o(x^2), p(x) p(-x) = e(x^2)^2 - x^2 o(x^2)^2,
-    so q = e^2 - x o^2 has the squares of p's roots.  The result is
-    q(x - c), by Horner's rule.
+    char(U+) = h (x^2 - 1)^(m - n) on these graphs, with h =
+    ``vertex_determinant(g, [1] * 2m)`` of degree 2n, and root squaring is
+    multiplicative.  Graeffe's step on h(x) = e(x^2) + x o(x^2) is
+    h(x) h(-x) = e(x^2)^2 - x^2 o(x^2)^2, so q = e^2 - x o^2 has the squares
+    of h's roots, and the circle factor's roots +1 and -1 square to
+    (x - 1)^(2(m - n)).  The result is q(x - c), by Horner's rule, times
+    the binomial expansion of (x - c - 1)^(2(m - n)).
     """
     if not (g.simple and (min(g.degrees) >= 3 or set(g.degrees) == {2})):
         raise ValueError("support of U^2 closed form requires a simple graph, 2-regular or of minimum degree 3")
-    p = list(char_support.ints)
+    p = list(h.ints)
     q = _int_sub(_int_mul(p[::2], p[::2]), [0] + _int_mul(p[1::2], p[1::2]))
     c = 1 if min(g.degrees) >= 3 else 0
     shifted: list[int] = []
     for a in reversed(q):
         shifted = [x - c * y for x, y in zip([a] + shifted, shifted + [0])]
-    return Poly.from_ints(shifted, char_support.scale**2)
-
+    k = 2 * (g.m - g.n)
+    circle = [comb(k, i) * (-c - 1) ** (k - i) for i in range(k + 1)]  # (x - c - 1)^k
+    return Poly.from_ints(_int_mul(shifted, circle), h.scale**2)

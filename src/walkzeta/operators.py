@@ -15,7 +15,6 @@ positive supports of powers.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from typing import Sequence
 
@@ -42,6 +41,11 @@ def arc_operator(g: Graph, weights: Sequence) -> Matrix:
     the transpose for the coin weights 2/deg(o(f)).  Each row is built from
     the arcs leaving terminus(e), in integers over the lcm s of the weight
     denominators, so the step onto inverse(e) pays s.
+
+    The pair is canonical as built, so it takes no gcd pass: a common
+    divisor of s and every entry would divide each scaled weight, since
+    column f holds scaled[f] - s at row inverse(f), the arc that feeds f
+    and backtracks onto it, and ``_lift`` makes gcd(s, scaled weights) = 1.
     """
     scaled, scale = _lift_arc_weights(g, weights)
     size = len(g.arcs)
@@ -55,7 +59,7 @@ def arc_operator(g: Graph, weights: Sequence) -> Matrix:
             row[f] = scaled[f]
         row[g.inverse_arc(e)] -= scale
         data.append(row)
-    return Matrix.from_ints(data, scale)
+    return Matrix._canonical(data, scale)
 
 
 def coin_weights(g: Graph) -> list[Fraction]:
@@ -99,11 +103,12 @@ def power_support(m: Matrix, k: int) -> Matrix:
     """Positive support of m**k for k in {1, 2, 3}, computed exactly.
 
     The integer rows L = m.ints are m times a positive scale, so the sign
-    pattern of L^k is that of m**k.  L^k is one numpy product: in float64
-    (BLAS) when no partial sum can reach 2^53, that is
-    max|L|^k * n^(k-1) < 2^53, so every product and sum is an exactly
-    represented integer, and in Python ints (dtype=object) otherwise.  A
-    0 x 0 matrix is its own support at every k.
+    pattern of L^k is that of m**k.  L is lifted to numpy once, to int64, or
+    to Python ints (dtype=object) where an entry passes int64, and max|L| is
+    read off that array.  L^k is one numpy product: in float64 (BLAS) when
+    no partial sum can reach 2^53, that is max|L|^k * n^(k-1) < 2^53, so
+    every product and sum is an exactly represented integer, and in Python
+    ints otherwise.  A 0 x 0 matrix is its own support at every k.
     """
     if k not in (1, 2, 3):
         raise ValueError("power_support supports k in {1, 2, 3}")
@@ -111,11 +116,14 @@ def power_support(m: Matrix, k: int) -> Matrix:
         raise ValueError("power_support needs a square matrix")
     if k == 1 or not m.rows:
         return positive_support(m)
-    top = max(map(abs, chain.from_iterable(m.ints)))
-    fits = top**k * m.rows ** (k - 1) < 2**53
-    lift = np.array(m.ints, dtype=np.float64 if fits else object)
+    try:
+        lift = np.array(m.ints, dtype=np.int64)
+    except OverflowError:
+        lift = np.array(m.ints, dtype=object)
+    top = max(int(lift.max()), -int(lift.min()))  # -min in Python ints: abs(-2^63) wraps in int64
+    lift = lift.astype(np.float64 if top**k * m.rows ** (k - 1) < 2**53 else object)
     power = lift @ lift if k == 2 else lift @ lift @ lift
-    return Matrix.from_ints((power > 0).astype(int).tolist())
+    return Matrix._canonical((power > 0).astype(int).tolist(), 1)
 
 
 TARGETS = ("U", "U+", "U2+", "U3+", "A", "T", "B-J0")

@@ -90,7 +90,7 @@ def _evaluate(coeffs: np.ndarray, z: np.ndarray, az: np.ndarray):
 
 
 def _aberth(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of a square-free monic polynomial (ascending array) by Aberth's method.
+    """All roots of a square-free monic polynomial (ascending array) of degree >= 2 by Aberth's method.
 
     The iteration starts at the eigenvalues of the companion matrix, which
     LAPACK finds backward stably (Edelman and Murakami, Math. Comp. 64,
@@ -106,8 +106,6 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
     finite raises RootConvergenceError at once.
     """
     deg = len(coeffs) - 1
-    if deg == 1:
-        return np.array([complex(-coeffs[0])])
     noise_scale = 4.0 * np.finfo(np.float64).eps
     companion = np.diag(np.ones(deg - 1), -1)
     companion[:, -1] = -coeffs[:-1]
@@ -180,13 +178,16 @@ def roots(p: Poly) -> SpectrumMultiset:
     for factor, multiplicity in square_free_decomposition(p):
         factor, e = _power_of_two_scaling(factor)
         coeffs = np.array([c / factor.scale for c in factor.ints], dtype=np.float64)
-        factor_roots = _aberth(coeffs)
-        if coeffs[0] == 0:  # the simple root at zero is exact; Aberth lands within round-off
-            factor_roots[np.argmin(np.abs(factor_roots))] = 0
-        pv, _, floor = _evaluate(coeffs, factor_roots, np.abs(factor_roots))
-        # |p(z)| / sum |a_i| |z|^i, 0 where both vanish (z = 0 = a_0)
-        relative = np.divide(np.abs(pv), floor, out=np.zeros_like(floor), where=floor > 0)
-        residual = max(residual, float(np.max(relative)))
+        if factor.degree == 1:  # z = -a_0 is exact, z + a_0 = 0 in doubles, so its residual is 0
+            factor_roots = np.array([-coeffs[0] if coeffs[0] else 0.0], dtype=np.complex128)
+        else:
+            factor_roots = _aberth(coeffs)
+            if coeffs[0] == 0:  # the simple root at zero is exact; Aberth lands within round-off
+                factor_roots[np.argmin(np.abs(factor_roots))] = 0
+            pv, _, floor = _evaluate(coeffs, factor_roots, np.abs(factor_roots))
+            # |p(z)| / sum |a_i| |z|^i, 0 where both vanish (z = 0 = a_0)
+            relative = np.divide(np.abs(pv), floor, out=np.zeros_like(floor), where=floor > 0)
+            residual = max(residual, float(np.max(relative)))
         if e:
             with np.errstate(over="ignore"):
                 factor_roots = np.ldexp(factor_roots.real, e) + 1j * np.ldexp(factor_roots.imag, e)

@@ -92,6 +92,21 @@ def test_poly_string_roundtrip():
 def test_poly_format():
     assert (X**6 - 2 * X**3 + 1).format("t") == "1 - 2*t^3 + t^6"
     assert FractionPoly.zero().format() == "0"
+    assert Poly([Fraction(-1, 2), -1, 0, Fraction(3, 4), 1]).format("x") == "-1/2 - x + 3/4*x^3 + x^4"
+    assert Poly([0, -1, Fraction(-2, 3), Fraction(1, 3)]).format() == "-t - 2/3*t^2 + 1/3*t^3"
+    assert Poly([-1]).format() == "-1" and Poly([Fraction(5, 2)]).format() == "5/2"
+
+
+def test_poly_strings_match_fraction_strings():
+    # to_strings prints from the integers what str(Fraction) prints: zero,
+    # negative values, whole multiples of the scale and scale 1 included
+    rng = random.Random(84)
+    for scale in (1, 2, 6, 7, 360, 2**70, 3**40 * 10):
+        for top in (50, 10**30):
+            ints = [0, 1, -1, scale, -scale, 2 * scale, *(rng.randint(-top, top) for _ in range(40)), 1]
+            p = Poly.from_ints(ints, scale)
+            assert p.to_strings() == [str(Fraction(c, scale)) for c in ints]
+            assert p.to_strings() == [str(c) for c in p.coeffs]
 
 
 def test_poly_divmod():

@@ -11,11 +11,12 @@ from walkzeta.exact import ExactDivisionError, Matrix, charpoly_exact
 from walkzeta.graphs import Graph, parse_graph6
 from walkzeta.identities import (
     apply_circle_prefactor,
-    charpoly_support2_from_support,
-    charpoly_support_from_adjacency,
+    charpoly_support2_from_determinant,
     charpoly_support_via_adjacency_form,
     charpoly_u_via_degree_form,
     charpoly_u_via_walk_form,
+    circled,
+    support_determinant_from_adjacency,
     vertex_determinant,
 )
 from walkzeta.operators import (
@@ -224,8 +225,8 @@ SUPPORT2_GRAPHS = [
 
 @pytest.mark.parametrize("g", SUPPORT2_GRAPHS)
 def test_support2_form_matches_direct_charpoly(g):
-    support = charpoly_support_via_adjacency_form(g)
-    assert charpoly_support2_from_support(g, support) == charpoly_exact(operator_matrix(g, "U2+"))
+    h = vertex_determinant(g, [1] * (2 * g.m))
+    assert charpoly_support2_from_determinant(g, h) == charpoly_exact(operator_matrix(g, "U2+"))
 
 
 def test_support2_form_shrikhande_and_rook_value():
@@ -233,7 +234,7 @@ def test_support2_form_shrikhande_and_rook_value():
     expected = (X - 2) ** 64 * (X**2 - 28 * X + 52) * (X**2 + 4 * X + 20) ** 15
     for name in ("shrikhande", "rook44"):
         g = named_graph(name)
-        assert charpoly_support2_from_support(g, charpoly_support_via_adjacency_form(g)) == expected, name
+        assert charpoly_support2_from_determinant(g, vertex_determinant(g, [1] * (2 * g.m))) == expected, name
 
 
 @st.composite
@@ -255,8 +256,8 @@ def simple_graphs_min_degree_3(draw):
 @given(simple_graphs_min_degree_3())
 def test_support2_form_on_random_graphs_of_min_degree_3(g):
     assert min(g.degrees) >= 3
-    support = charpoly_support_via_adjacency_form(g)
-    assert charpoly_support2_from_support(g, support) == charpoly_exact(operator_matrix(g, "U2+"))
+    h = vertex_determinant(g, [1] * (2 * g.m))
+    assert charpoly_support2_from_determinant(g, h) == charpoly_exact(operator_matrix(g, "U2+"))
 
 
 def _support_squared(g, shift):
@@ -284,7 +285,7 @@ K4_MINUS_EDGE = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
 def test_support2_form_requires_simple_min_degree_three(g):
     # irregular of minimum degree 2, and a multigraph: neither 2-regular nor of minimum degree 3
     with pytest.raises(ValueError):
-        charpoly_support2_from_support(g, charpoly_support_via_adjacency_form(g))
+        charpoly_support2_from_determinant(g, vertex_determinant(g, [1] * (2 * g.m)))
 
 
 def _random_regular_graphs():
@@ -298,18 +299,25 @@ def _random_regular_graphs():
 
 @pytest.mark.parametrize("g", _random_regular_graphs())
 def test_support_from_adjacency_matches_dense_charpoly(g):
-    # composed from char(A) with no kernel call, against the dense 2m-row
-    # charpoly of U+ and the 2n-row linearisation
-    composed = charpoly_support_from_adjacency(g, charpoly_exact(operator_matrix(g, "A")))
-    assert composed == charpoly_exact(operator_matrix(g, "U+"))
-    assert composed == charpoly_support_via_adjacency_form(g)
+    # composed from char(A) with no kernel call, against the 2n-row
+    # linearisation and, circled, the dense 2m-row charpoly of U+
+    h = support_determinant_from_adjacency(g, charpoly_exact(operator_matrix(g, "A")))
+    assert h == vertex_determinant(g, [1] * (2 * g.m))
+    assert circled(g, h) == charpoly_exact(operator_matrix(g, "U+"))
+
+
+@pytest.mark.parametrize("g", _random_regular_graphs())
+def test_support2_from_adjacency_matches_dense_charpoly(g):
+    # level 2 as srg_distinguish takes it, from the determinant composed from char(A)
+    h = support_determinant_from_adjacency(g, charpoly_exact(operator_matrix(g, "A")))
+    assert charpoly_support2_from_determinant(g, h) == charpoly_exact(operator_matrix(g, "U2+"))
 
 
 @pytest.mark.parametrize("g", [K4_MINUS_EDGE, complete_bipartite_graph(2, 3), path_graph(4), complete_graph(2)],
                          ids=["K4_minus_edge", "K2_3", "P4", "K2"])
 def test_support_from_adjacency_requires_regular_degree_two(g):
     with pytest.raises(ValueError):
-        charpoly_support_from_adjacency(g, charpoly_exact(operator_matrix(g, "A")))
+        support_determinant_from_adjacency(g, charpoly_exact(operator_matrix(g, "A")))
 
 
 def test_support_determinant_degree():

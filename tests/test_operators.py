@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -259,6 +261,45 @@ def test_power_support_falls_back_to_ints_past_float_exactness():
     assert power_support(m, 2) == positive_support(matmul(m, m))
 
 
+def test_power_support_takes_python_ints_past_int64():
+    # entries of 2^63 and 2^1024 pass int64, and 2^1024 the double range too
+    for big in (2**63, 2**1024):
+        m = Matrix.from_ints([[big, -1, 0], [1, 0, -big], [-3, big, 1]])
+        square = matmul(m, m)
+        assert power_support(m, 2) == positive_support(square)
+        assert power_support(m, 3) == positive_support(matmul(square, m))
+    # -2^63 fits int64 but its modulus does not (abs wraps in int64): read
+    # as 2^63, so the square runs in Python ints, while float64 summed in
+    # order rounds (L^2)[0][2] = -2^63 + 1 + 2^63 to 0
+    a = 2**63
+    m = Matrix.from_ints([[0, -a, 0, 1, -a], [0, 0, 1, 0, 0], [0] * 5, [0, 0, 1, 0, 0], [0, 0, -1, 0, 0]])
+    assert power_support(m, 2).ints[0][2] == 1
+    assert power_support(m, 2) == positive_support(matmul(m, m))
+
+
+def test_arc_operator_is_canonical_as_built():
+    # arc_operator takes no gcd pass, so reducing its pair again must change
+    # nothing: degree-1 vertices, parallel edges, zero weights and a weight
+    # lcm above 2^63
+    rng = random.Random(36)
+    primes = (999983, 1000003, 1000033, 1000037, 1000039)
+    graphs = [path_graph(4), triangle_with_doubled_edge(), Graph(3, ((0, 1), (0, 1), (1, 2))),
+              Graph(2, ((0, 1), (0, 1))), named_graph("K2_3"), petersen_graph()]
+    for g in graphs:
+        arcs = 2 * g.m
+        trials = [
+            [0] * arcs,
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(arcs)],
+            [Fraction(rng.choice((0, 1, -4, 6)), rng.choice((2, 4, 6))) for _ in range(arcs)],
+            [Fraction(rng.randint(-9, 9) or 1, p) for p in (primes * arcs)[:arcs]],
+        ]
+        assert lcm(*(w.denominator for w in trials[-1])) > 2**63
+        for weights in trials:
+            op = arc_operator(g, weights)
+            assert Matrix.from_ints(op.ints, op.scale) == op
+            assert op == Matrix([[op[e, f] for f in range(arcs)] for e in range(arcs)])
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -289,10 +330,10 @@ def test_operator_matrix_table_and_distinguish_levels(monkeypatch):
         operator_matrix(complete_graph(4), "U4+")
 
     # Levels 0 and 3 are one charpolys_exact call on both graphs'
-    # operator_matrix results.  Level 1 is composed from level 0's pair and
-    # level 2 is level 1's pair with its roots squared, neither with a kernel
-    # call.  Record every batch the kernel is fed, from srg_distinguish and
-    # through charpoly_exact alike.
+    # operator_matrix results.  Levels 1 and 2 are composed from level 0's
+    # pair, through each graph's support determinant, with no kernel call.
+    # Record every batch the kernel is fed, from srg_distinguish and through
+    # charpoly_exact alike.
     fed = []
     batched = exact.charpolys_exact
 

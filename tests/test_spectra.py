@@ -118,6 +118,18 @@ def test_roots_rejects_root_outside_double_range():
         roots(Poly([Fraction(1, 10**700), 1]))
 
 
+def test_linear_factors_need_no_iteration():
+    # a linear factor's root is -a_0 exactly, with residual 0, and each
+    # factor of its own multiplicity is linear here
+    got = roots(X * (X - 3) ** 2 * (X + Fraction(1, 7)) ** 3)
+    assert got.values == (complex(-1 / 7),) * 3 + (0j,) + (3 + 0j,) * 2
+    assert got.max_residual == 0.0
+    # -a_0 = 10**400 overflows a double and 10**-400 underflows to zero
+    for root in (10**400, Fraction(1, 10**400)):
+        with pytest.raises(SpectrumDomainError):
+            roots(Poly([-root, 1]))
+
+
 def test_roots_rejects_constant():
     # only the zero polynomial is rejected; a nonzero constant has no roots
     with pytest.raises(ValueError):
