@@ -10,8 +10,9 @@ Usage examples::
 
 Exit codes: 0 success, 2 bad input, an option the command does not take
 or failed validation, 3 identity violation, 4 size-guard violation, 5
-numeric root finding did not converge.  JSON output has a fixed key order
-and no wall-clock data, so identical invocations are byte identical.
+numeric root finding or an eigenvalue solver did not converge.  JSON
+output has a fixed key order and no wall-clock data, so identical
+invocations are byte identical.
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ import json
 import math
 import os
 import sys
+from itertools import groupby
+
+import numpy as np
 
 from .exact import charpoly_exact
-from .graphs import Graph, GraphFormatError, SizeGuardError, parse_edge_list, parse_graph6
+from .graphs import Graph, GraphFormatError, SizeGuardError, adjacency_matrix, parse_edge_list, parse_graph6
 from .identities import vertex_determinant
 from .operators import TARGETS, coin_weights, nonbacktracking_matrix, operator_matrix
-from .spectra import DEFAULT_TOLERANCE, RootConvergenceError, compare, real_roots, roots
+from .spectra import DEFAULT_TOLERANCE, RootConvergenceError, compare, roots
 from .spectra import map_adjacency_spectrum, map_random_walk_spectrum
 from .zeta import (
     MAX_SERIES_ORDER,
@@ -139,15 +143,19 @@ def cmd_spectrum(args) -> int:
     poly = charpoly_exact(operator_matrix(g, args.target))
     spectrum = roots(poly)
 
-    vertex = mapped = verdict = None
-    if args.target == "U" and g.m >= g.n:
-        vertex, lift = "T", lambda eigs: map_random_walk_spectrum(eigs, g.m, g.n, args.tolerance)
-    elif (
+    mapped = verdict = None
+    if args.target == "U" and g.m >= g.n or (
         args.target == "U+" and g.simple and g.connected and min(g.degrees) == max(g.degrees) >= 2
     ):
-        vertex, lift = "A", lambda eigs: map_adjacency_spectrum(eigs, g.degrees[0], g.m, g.n)
-    if vertex is not None:
-        mapped = lift(real_roots(charpoly_exact(operator_matrix(g, vertex)), args.tolerance))
+        # the closed form's vertex side, from LAPACK's symmetric solver: A for U+, and for U
+        # D^(-1/2) A D^(-1/2), similar to T, whose spectrum lies in [-1, 1]
+        a = np.array(adjacency_matrix(g).ints, dtype=np.float64)
+        if args.target == "U":
+            root_d = np.sqrt(g.degrees)
+            walk = np.clip(np.linalg.eigvalsh(a / np.outer(root_d, root_d)), -1.0, 1.0)
+            mapped = map_random_walk_spectrum(walk, g.m, g.n, args.tolerance)
+        else:
+            mapped = map_adjacency_spectrum(np.linalg.eigvalsh(a), g.degrees[0], g.m, g.n)
         verdict = compare(spectrum, mapped, args.tolerance)
 
     if args.format == "csv":
@@ -168,8 +176,8 @@ def cmd_spectrum(args) -> int:
         _print_json(doc)
     else:
         print(_header(args, f"target={args.target}", f"n={g.n}", f"m={g.m}"))
-        for z, count in spectrum.clustered():
-            print(f"  {z.real:+.10f} {z.imag:+.10f}i  x{count}")
+        for z, copies in groupby(spectrum.values):  # a multiple root is copies of one double
+            print(f"  {z.real:+.10f} {z.imag:+.10f}i  x{len(list(copies))}")
         if verdict is not None:
             status = "agrees" if verdict.equal else "DISAGREES"
             print(f"closed-form map {status} (max pair distance {verdict.max_pair_distance:.3e})")
@@ -322,7 +330,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, SizeGuardError):
             return EXIT_SIZE
-        return EXIT_ROOTS if isinstance(exc, RootConvergenceError) else EXIT_INPUT
+        return EXIT_ROOTS if isinstance(exc, (RootConvergenceError, np.linalg.LinAlgError)) else EXIT_INPUT
 
 
 def entry_point():

@@ -237,11 +237,10 @@ def _int_derivative(a: list[int]) -> list[int]:
 
 
 def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+    """The product of two ascending coefficient lists, in Python ints; [] if either is empty."""
+    if not a or not b:
+        return []
+    return np.convolve(np.array(a, dtype=object), np.array(b, dtype=object)).tolist()
 
 
 def _int_sub(a: list[int], b: list[int]) -> list[int]:

@@ -5,13 +5,17 @@ The polynomial is first split into exact square-free factors by Yun's
 algorithm in Z[x] (``exact.square_free_decomposition``), each gcd a
 heuristic gcd proven by exact division, so the iteration only ever sees
 simple roots and converges quadratically; the multiplicities come from the
-exact decomposition, not from clustering.
+exact decomposition, not from clustering: a root of multiplicity k is k
+copies of one double.
 Each factor's iteration polishes the eigenvalues of its companion matrix.
 A factor with a coefficient outside the double range is first rescaled
 exactly by x = 2^e y, so its coefficients fit in doubles; a root that is
 itself outside the double range raises SpectrumDomainError.
 Closed-form maps lift random-walk or adjacency eigenvalues, each to the two
-roots of one quadratic, into arc-operator spectra for cross-checking, and
+roots of one quadratic, into arc-operator spectra for cross-checking.  The
+``spectrum`` command reads those vertex eigenvalues from LAPACK's symmetric
+solver, so the check shares no root finder with what it checks;
+``real_roots`` gives them by this module's route, as a reference.
 ``compare`` pairs two multisets by the bottleneck matching, tested first at
 its proven lower bound, the largest nearest-value distance.
 """
@@ -29,7 +33,6 @@ from .exact import Poly, square_free_decomposition
 
 DEFAULT_TOLERANCE = 1e-8
 RADICAND_SNAP = 1e-11  # below this, a radicand is treated as exactly zero
-CLUSTER_EPS = 1e-6  # display groups values at most this far apart
 ABERTH_NEWTON_TOL = 1e-12
 ABERTH_MAX_ITER = 400
 # the largest double, exactly, and the least normal one is 2^-_NORMAL_BITS, so range
@@ -55,18 +58,6 @@ class SpectrumMultiset:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def clustered(self) -> list[tuple[complex, int]]:
-        """Group nearby values for display; does not affect comparisons."""
-        groups: list[tuple[complex, int]] = []
-        for z in sorted(self.values, key=lambda w: (w.real, w.imag)):
-            for idx, (rep, count) in enumerate(groups):
-                if abs(z - rep) <= CLUSTER_EPS:
-                    groups[idx] = (rep, count + 1)
-                    break
-            else:
-                groups.append((z, 1))
-        return groups
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,21 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from walkzeta import exact, spectra
+from walkzeta import cli, exact, spectra
 from walkzeta.cli import main
 from walkzeta.exact import charpoly_exact
-from walkzeta.operators import transition_matrix
+from walkzeta.operators import operator_matrix, transition_matrix
+from walkzeta.spectra import SpectrumMultiset, compare, real_roots, roots
 from walkzeta.experiments import (
+    builtin_corpus,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -202,6 +206,74 @@ def test_spectrum_map_disagreement_exit_3(capsys, fmt):
         assert out.startswith("re,im,operator\n") and len(out.splitlines()) == 13
 
 
+def test_spectrum_text_counts_the_exact_copies(capsys, monkeypatch):
+    # a multiple root is copies of one double, so two simple roots 1e-7 apart stay two lines
+    values = (complex(-1), complex(-1), complex(1), complex(1 + 1e-7))
+    monkeypatch.setattr(cli, "roots", lambda p: SpectrumMultiset(values))
+    code, out, _ = run_cli(capsys, "spectrum", "--target", "A", "--graph6", K4, "--format", "text")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "  -1.0000000000 +0.0000000000i  x2",
+        "  +1.0000000000 +0.0000000000i  x1",
+        "  +1.0000001000 +0.0000000000i  x1",
+    ]
+
+
+def test_k4_text_groups_the_fourfold_root(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--graph6", K4, "--format", "text")
+    assert code == 0
+    assert "  +1.0000000000 +0.0000000000i  x4" in out.splitlines()
+
+
+def _recording(monkeypatch, name):
+    """Replace walkzeta.cli's name by a wrapper that records each call's first argument."""
+    seen, real = [], getattr(cli, name)
+
+    def record(*args, **kwargs):
+        seen.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, record)
+    return seen
+
+
+def test_spectrum_vertex_side_matches_the_exact_pipeline(capsys, monkeypatch, tmp_path):
+    # the symmetric solver's T and A spectra against the roots of their exact charpolys
+    walk = _recording(monkeypatch, "map_random_walk_spectrum")
+    adjacency = _recording(monkeypatch, "map_adjacency_spectrum")
+    checked = 0
+    for entry in builtin_corpus():
+        g = entry.graph
+        path = tmp_path / f"{entry.name}.edges"
+        path.write_text(f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+        for target, vertex, seen, lift in (
+            ("U", "T", walk, lambda eigs: spectra.map_random_walk_spectrum(eigs, g.m, g.n)),
+            ("U+", "A", adjacency, lambda eigs: spectra.map_adjacency_spectrum(eigs, g.degrees[0], g.m, g.n)),
+        ):
+            seen.clear()
+            code, out, _ = run_cli(capsys, "spectrum", "--target", target, "--input", str(path))
+            doc = json.loads(out)
+            assert (doc["verdict"] is None) == (not seen), (entry.name, target)
+            if not seen:
+                continue
+            exact_eigs = real_roots(charpoly_exact(operator_matrix(g, vertex)))
+            solver = SpectrumMultiset(tuple(complex(x) for x in seen[0]))
+            assert compare(solver, SpectrumMultiset(tuple(map(complex, exact_eigs))), 1e-12).equal
+            verdict = compare(roots(charpoly_exact(operator_matrix(g, target))), lift(exact_eigs))
+            assert (code, doc["verdict"]["equal"]) == ((0, True) if verdict.equal else (3, False))
+            checked += 1
+    assert checked == 50  # 33 corpus graphs with m >= n, 17 connected, simple and k-regular, k >= 2
+
+
+@pytest.mark.parametrize("target", ["U", "U+"])
+@pytest.mark.parametrize("g6", [K4, REGULAR_64_ARCS], ids=["K4", "64-arcs"])
+def test_spectrum_makes_one_charpoly_call(capsys, monkeypatch, g6, target):
+    calls = _recording(monkeypatch, "charpoly_exact")
+    code, out, _ = run_cli(capsys, "spectrum", "--target", target, "--graph6", g6)
+    assert code == 0 and json.loads(out)["verdict"]["equal"] is True
+    assert len(calls) == 1
+
+
 def test_csv_rejected_outside_spectrum(capsys):
     # argparse refuses the choice, as for any option a command does not take
     for argv in (
@@ -226,6 +298,16 @@ def test_root_finding_failure_exit_5(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert "error:" in err
+
+
+def test_symmetric_solver_failure_exit_5(capsys, monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    code, out, err = run_cli(capsys, "spectrum", "--graph6", K4)
+    assert (code, out) == (5, "")
+    assert err == "error: Eigenvalues did not converge\n"
 
 
 def test_companion_eigenvalue_failure_exit_5(capsys, monkeypatch):
@@ -487,9 +569,12 @@ def test_json_outputs_byte_identical(capsys):
 
 
 def test_module_entry_point():
+    # the subprocess sees this checkout's src whether or not walkzeta is installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "walkzeta.cli", "zeta", "--graph6", C3],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["forms_agree"] is True

@@ -116,6 +116,23 @@ def test_poly_divmod():
     assert q == X + 1 and r == Poly((2,))
 
 
+def test_int_mul_matches_the_schoolbook_loop():
+    def schoolbook(a, b):
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    rng = random.Random(87)
+    for _ in range(300):
+        a, b = ([rng.randint(-2**rng.choice((3, 70, 1000)), 2**70) for _ in range(rng.randint(1, 30))]
+                for _ in range(2))
+        got = exact._int_mul(a, b)
+        assert got == schoolbook(a, b) and all(type(c) is int for c in got)
+    assert exact._int_mul([], [1, 2]) == exact._int_mul([3], []) == exact._int_mul([], []) == []
+
+
 def _gcd_monic(a, b):
     """exact._int_gcd_cofactors on the integer coefficients of a and b: the gcd
     primitive with leading coefficient positive, the cofactors exact, and the

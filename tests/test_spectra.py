@@ -350,12 +350,6 @@ def test_conjugate_closed():
     assert not conjugate_closed(_multiset(1j))
 
 
-def test_clustered_display():
-    got = roots((X - 1) ** 2 * (X + 1))
-    groups = got.clustered()
-    assert sorted((round(z.real), c) for z, c in groups) == [(-1, 1), (1, 2)]
-
-
 def test_unit_circle_property():
     spectrum = roots(charpoly_exact(transition_matrix(petersen_graph())))
     assert all(abs(abs(z) - 1) < 1e-10 for z in spectrum.values)
