@@ -10,9 +10,10 @@ Usage examples::
 
 Exit codes: 0 success, 2 bad input, an option the command does not take
 or failed validation, 3 identity violation, 4 size-guard violation, 5
-numeric root finding or an eigenvalue solver did not converge.  JSON
-output has a fixed key order and no wall-clock data, so identical
-invocations are byte identical.
+numeric root finding or an eigenvalue solver did not converge, 141 a
+reader closed stdout before the output was written (nothing goes to
+stderr).  JSON output has a fixed key order and no wall-clock data, so
+identical invocations are byte identical.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ EXIT_INPUT = 2
 EXIT_IDENTITY = 3
 EXIT_SIZE = 4
 EXIT_ROOTS = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader closed
 
 DEFAULT_ORDER = 8
 
@@ -326,6 +328,8 @@ def main(argv=None) -> int:
         _COMMAND_PARSERS[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
+    except BrokenPipeError:  # a reader that closed stdout: not bad input, see entry_point
+        raise
     except (ValueError, KeyError, OSError, RootConvergenceError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, SizeGuardError):
@@ -334,7 +338,18 @@ def main(argv=None) -> int:
 
 
 def entry_point():
-    sys.exit(main())
+    """main() as a command: a reader that closes stdout early ends it quietly with EXIT_PIPE.
+
+    Python's recipe (the signal module's notes on SIGPIPE): stdout is pointed
+    at devnull, so the interpreter's last flush has nowhere to fail.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

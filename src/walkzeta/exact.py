@@ -13,12 +13,16 @@ square matrices of any sizes; ``charpoly_exact`` is a batch of one.  It
 returns P / D, P = D char(M) = det(xC - MC) for M = L / s, C the diagonal of
 the column (or row) denominators of M and D = det C, from one multimodular
 call per size (``_multimodular_charpolys``), under a proven
-Goldstein-Graham bound.  That call takes power sums while one power-sum
+Goldstein-Graham bound.  Each matrix of the call runs under the shortest
+prefix of its descending primes whose product passes twice the matrix's
+own bound, so 0/1 and rational matrices share a call without the 0/1 ones
+paying for the others' primes.  That call takes power sums while one power-sum
 slice, (floor(sqrt n) + 7) n^2 words, fits CHUNK_BYTES (below 49 rows at
 2^18), and Hessenberg reduction otherwise:
 
 - power sums: about 2 sqrt(n) float64 matmuls per slice, O(n^3.5) word
-  operations, then Newton's identities once, mod the product of the primes;
+  operations, then Newton's identities once per matrix, mod the product
+  of its primes;
 - Hessenberg reduction in int64, O(n^3), reducing O(n) entries per
   elimination step.
 
@@ -31,9 +35,10 @@ determinants.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -442,13 +447,15 @@ def _coefficient_bounds(stack: np.ndarray, scales: list[int]) -> list[tuple[int,
 def _multimodular_charpolys(batch: list[Matrix]) -> list[tuple[list[int], int]]:
     """(P, D) for each M of a batch of one size: P ascending, the integer D det(xI - M).
 
-    D and the bound on P are _coefficient_bounds'.  The primes lie below 2^b,
-    b from the kernel's rule, divide no scale and multiply to a Q above twice
-    the largest bound.  The (M mod p) slices form a grid of matrices x primes,
-    taken in chunks whose kernel working set stays within CHUNK_BYTES.  Where
-    one power-sum slice fits CHUNK_BYTES the CRT combines power sums p_k, and
-    Newton's identities k c_k = -sum_(i<=k) p_i c_(k-i) run once mod Q, where
-    each k <= n is a unit; otherwise it combines Hessenberg coefficients.  Each
+    D and the bound B on P are _coefficient_bounds'.  The primes lie below
+    2^b, b from the kernel's rule, divide no scale of the batch and descend;
+    each M takes the shortest prefix of them whose product Q exceeds its own
+    2B, so a 0/1 matrix batched with rational ones runs under the few primes
+    it needs.  The (M mod p) slices, each M with its prefix, are taken in
+    chunks whose kernel working set stays within CHUNK_BYTES.  Where one
+    power-sum slice fits CHUNK_BYTES the CRT combines power sums p_k, and
+    Newton's identities k c_k = -sum_(i<=k) p_i c_(k-i) run once per M mod its
+    Q, where each k <= n is a unit; otherwise it combines Hessenberg coefficients.  Each
     coefficient mod Q, times D and taken symmetrically about 0, is P's.
     """
     n = batch[0].rows
@@ -465,23 +472,32 @@ def _multimodular_charpolys(batch: list[Matrix]) -> list[tuple[list[int], int]]:
     bounds = _coefficient_bounds(stack, [m.scale for m in batch])
     scale = lcm(*(m.scale for m in batch))
     primes = _primes_exceeding(2 * max(bounds)[0], bits, scale)
-    count = len(primes)
-    moduli = np.array(primes, dtype=stack.dtype)
-    inverses = np.array([[pow(m.scale, -1, q) for q in primes] for m in batch], dtype=stack.dtype)
+    products = list(accumulate(primes, mul))  # the modulus of each prefix
+    counts = [bisect_right(products, 2 * b) + 1 for b, _ in bounds]
+    matrix = np.repeat(np.arange(len(batch)), counts)  # the (matrix, prime) grid, one row per matrix
+    prime = np.concatenate([np.arange(c) for c in counts])
+    moduli = np.array(primes, dtype=stack.dtype)[prime]
+    if scale > 1:  # M mod p is L s^-1 mod p, below p^2 < 2^62 before it is reduced
+        inverses = np.array([pow(batch[i].scale, -1, q) for i, q in zip(matrix.tolist(), moduli.tolist())],
+                            dtype=stack.dtype)
     step = max(1, CHUNK_BYTES // (8 * words or 1))
     residues = []
-    for s in range(0, len(batch) * count, step):
-        matrix, prime = np.divmod(np.arange(s, min(s + step, len(batch) * count)), count)
-        h = stack[matrix] % moduli[prime, None, None]
-        if scale > 1:  # M mod p is L s^-1 mod p, below p^2 < 2^62 before it is reduced
-            h = h * inverses[matrix, prime, None, None] % moduli[prime, None, None]
-        residues += kernel(h.astype(np.int64, copy=False), moduli[prime].tolist())
-    modulus = prod(primes)
-    weights = [modulus // q * pow(modulus // q, -1, q) for q in primes]
-    units = [pow(k, -1, modulus) for k in range(1, n + 1)] if newton else []
-    out = []
-    for (_, d), i in zip(bounds, range(0, len(residues), count)):  # the residues of one M under every prime
-        values = [sum(map(mul, column, weights)) % modulus for column in zip(*residues[i : i + count])]
+    for s in range(0, len(matrix), step):
+        chunk = slice(s, s + step)
+        h = stack[matrix[chunk]] % moduli[chunk, None, None]
+        if scale > 1:
+            h = h * inverses[chunk, None, None] % moduli[chunk, None, None]
+        residues += kernel(h.astype(np.int64, copy=False), moduli[chunk].tolist())
+    plans = {}  # prefix length -> its modulus, CRT weights and the inverses of 1, ..., n
+    for count in set(counts):
+        modulus = products[count - 1]
+        weights = [modulus // q * pow(modulus // q, -1, q) for q in primes[:count]]
+        plans[count] = modulus, weights, [pow(k, -1, modulus) for k in range(1, n + 1)] if newton else []
+    out, start = [], 0
+    for (_, d), count in zip(bounds, counts):  # the residues of one M under each prime of its prefix
+        modulus, weights, units = plans[count]
+        values = [sum(map(mul, column, weights)) % modulus for column in zip(*residues[start : start + count])]
+        start += count
         if newton:  # c_(k-1), ..., c_0 before step k, so c_n, ..., c_0 at the end
             sums, values = values, [1]
             for unit in units:

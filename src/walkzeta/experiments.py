@@ -4,7 +4,10 @@ The corpus mixes structured families (complete, cycle, path, bipartite,
 Petersen, one multigraph) with seeded random connected graphs, so every
 identity gets exercised on regular, irregular, tree and parallel-edge
 inputs.  The verification suite recomputes both sides of each identity
-from scratch, one exact kernel batch per entry, and reports witnesses.
+from scratch and reports witnesses.  Its entries, ordered by size, are cut
+into a few tasks per worker, and each task feeds the exact kernel its
+entries' distinct matrices in one batch, so matrices of equal size share
+a call.
 
 The strongly-regular-graph experiment asks at which level of the hierarchy
 adjacency, support of U, support of U^2, support of U^3 two graphs first
@@ -289,7 +292,7 @@ class _Operands:
 # (matrix, finish) is finish(g, char(matrix)), or char(matrix) for finish
 # None: the builder and finish of the library form it stands for.  Other
 # sides are compared as they are; char(U), the direct side, is one
-# charpoly_exact call of its own, outside the entry's batch.
+# charpoly_exact call of its own, outside the task's batch.
 # The weighted check runs on simple graphs only, so the check list stays the
 # one ``benchmarks/checks.py`` derives, though the identity holds on every graph.
 _IDENTITY_CHECKS = (
@@ -318,50 +321,64 @@ def _finished(g: Graph, side, chars: list[Poly]):
     return finish(g, chars[position]) if finish else chars[position]
 
 
-def _entry_checks(entry: CorpusEntry, seed: int, weight_trials: int) -> list[IdentityCheck]:
-    """Every check of ``_IDENTITY_CHECKS`` whose hypothesis holds on one corpus entry.
+def _task_checks(entries: list[CorpusEntry], seed: int, weight_trials: int) -> list[list[IdentityCheck]]:
+    """Every check of ``_IDENTITY_CHECKS`` whose hypothesis holds on each of a task's entries, a list per entry.
 
     Each check builds its pairs up to the first build that raises; then one
-    ``charpolys_exact`` call takes each distinct matrix of their (matrix,
-    finish) sides once.  A check passes when each pair is equal, and fails
-    with the witness of the first unequal pair, else with its build error
-    as ``Type: message``; if the kernel call raises, each check that fed it
-    fails with that error.  The entry is timed once, and each check's
-    elapsed time is an equal share of it.  Top-level (not a closure) so
-    corpus entries can be farmed out to worker processes; everything it
-    needs rides in on the arguments.
+    ``charpolys_exact`` call takes each distinct matrix of the task's
+    (matrix, finish) sides once.  If that call raises, each entry's matrices
+    are retried as a batch of their own, and each check that fed a batch that
+    still raises fails with its error.  A check passes when each pair is
+    equal, and fails with the witness of the first unequal pair, else with
+    its build error as ``Type: message``.  The task is timed once, and each
+    check's elapsed time is an equal share of it.  Top-level (not a closure)
+    so tasks can be farmed out to worker processes; everything it needs rides
+    in on the arguments.
     """
     start = time.perf_counter()
-    operands, g = _Operands(entry, seed, weight_trials), entry.graph
     batch: dict[Matrix, int] = {}  # distinct matrix -> its position in the kernel call
-    built = []  # (identity, pairs with each matrix as its position, build error or None)
-    for identity, applies, sides in _IDENTITY_CHECKS:
-        if not applies(g):
-            continue
-        pairs, error = [], None
-        try:
-            for label, *two in sides(operands):
-                two = [(batch.setdefault(s[0], len(batch)), s[1]) if isinstance(s, tuple) else s for s in two]
-                pairs.append((label, *two))
-        except Exception as exc:  # a crash is a failure with the error as witness
-            error = f"{type(exc).__name__}: {exc}"
-        built.append((identity, pairs, error))
+    built = []  # per entry: its graph, the positions it feeds, and (identity, pairs, build error or None)
+    for entry in entries:
+        operands, g, checks = _Operands(entry, seed, weight_trials), entry.graph, []
+        for identity, applies, sides in _IDENTITY_CHECKS:
+            if not applies(g):
+                continue
+            pairs, error = [], None
+            try:
+                for label, *two in sides(operands):
+                    two = [(batch.setdefault(s[0], len(batch)), s[1]) if isinstance(s, tuple) else s for s in two]
+                    pairs.append((label, *two))
+            except Exception as exc:  # a crash is a failure with the error as witness
+                error = f"{type(exc).__name__}: {exc}"
+            checks.append((identity, pairs, error))
+        fed = sorted({s[0] for _, pairs, _ in checks for pair in pairs for s in pair if isinstance(s, tuple)})
+        built.append((g, fed, checks))
+    matrices, errors = list(batch), [None] * len(built)
     try:
-        chars, kernel_error = charpolys_exact(list(batch)), None
-    except Exception as exc:
-        chars, kernel_error = [], f"{type(exc).__name__}: {exc}"
-    witnesses = []  # (identity, witness or None)
-    for identity, pairs, witness in built:
-        if kernel_error and any(isinstance(s, tuple) for pair in pairs for s in pair):
-            witness, pairs = kernel_error, []
-        try:
-            finished = ((label, _finished(g, a, chars), _finished(g, b, chars)) for label, a, b in pairs)
-            witness = next((_witness(*pair) for pair in finished if pair[1] != pair[2]), witness)
-        except Exception as exc:  # a finish that raises fails its check like a build
-            witness = f"{type(exc).__name__}: {exc}"
-        witnesses.append((identity, witness))
-    share = (time.perf_counter() - start) / max(1, len(witnesses))
-    return [IdentityCheck(identity, entry.name, witness is None, witness, share) for identity, witness in witnesses]
+        chars = charpolys_exact(matrices)
+    except Exception:  # entry by entry, so only the checks whose own matrices raise fail
+        chars = [None] * len(matrices)
+        for k, (_, fed, _) in enumerate(built):
+            try:
+                for i, char in zip(fed, charpolys_exact([matrices[i] for i in fed])):
+                    chars[i] = char
+            except Exception as exc:
+                errors[k] = f"{type(exc).__name__}: {exc}"
+    witnesses = []  # per entry: (identity, witness or None)
+    for (g, _, checks), kernel_error in zip(built, errors):
+        witnesses.append([])
+        for identity, pairs, witness in checks:
+            if kernel_error and any(isinstance(s, tuple) for pair in pairs for s in pair):
+                witness, pairs = kernel_error, []
+            try:
+                finished = ((label, _finished(g, a, chars), _finished(g, b, chars)) for label, a, b in pairs)
+                witness = next((_witness(*pair) for pair in finished if pair[1] != pair[2]), witness)
+            except Exception as exc:  # a finish that raises fails its check like a build
+                witness = f"{type(exc).__name__}: {exc}"
+            witnesses[-1].append((identity, witness))
+    share = (time.perf_counter() - start) / max(1, sum(map(len, witnesses)))
+    return [[IdentityCheck(identity, entry.name, witness is None, witness, share) for identity, witness in checks]
+            for entry, checks in zip(entries, witnesses)]
 
 
 def run_identity_suite(
@@ -375,26 +392,32 @@ def run_identity_suite(
     The checks are the rows of ``_IDENTITY_CHECKS`` whose hypothesis holds,
     in table order for each graph, the graphs in corpus order.
 
-    workers=None uses one process per CPU; entries are independent and
-    seeded per graph, so the report is identical (minus timings) at any
-    worker count, aggregated in corpus order.  The pool takes the entries
-    in about four chunks per worker, not one task each.
+    The entries, ordered by (n, m), largest first, are cut into about four
+    tasks per worker; each task feeds the kernel its entries' distinct
+    matrices in one batch (``_task_checks``), so equal sizes share a call.
+    workers=None uses one process per CPU, and workers=1 runs the same tasks
+    in this process; entries are seeded per graph, so the report is
+    identical (minus timings) at any worker count, put back in corpus order.
     """
     corpus = builtin_corpus(seed) if corpus is None else corpus
     if workers is None:
         workers = os.cpu_count() or 1
     report = VerificationReport(seed=seed, weight_trials=weight_trials)
     suite_start = time.perf_counter()
-    task = functools.partial(_entry_checks, seed=seed, weight_trials=weight_trials)
-    if workers > 1 and len(corpus) > 1:
+    order = sorted(range(len(corpus)), key=lambda i: (corpus[i].graph.n, corpus[i].graph.m), reverse=True)
+    size = max(1, -(-len(corpus) // (4 * max(1, workers))))
+    tasks = [[corpus[i] for i in order[s : s + size]] for s in range(0, len(order), size)]
+    run = functools.partial(_task_checks, seed=seed, weight_trials=weight_trials)
+    if workers > 1 and len(tasks) > 1:
         # imported here: it takes about a tenth of the package's import time
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_entry = list(pool.map(task, corpus, chunksize=-(-len(corpus) // (4 * workers))))
+            per_task = list(pool.map(run, tasks, chunksize=1))
     else:
-        per_entry = [task(entry) for entry in corpus]
-    for checks in per_entry:
-        report.checks.extend(checks)
+        per_task = [run(task) for task in tasks]
+    per_entry = dict(zip(order, itertools.chain.from_iterable(per_task)))
+    for i in range(len(corpus)):
+        report.checks.extend(per_entry[i])
     report.elapsed = time.perf_counter() - suite_start
     return report
 

@@ -578,3 +578,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["forms_agree"] is True
+
+
+def test_closed_stdout_ends_quietly_with_its_own_exit_code(tmp_path):
+    # K12 to order 1000 writes about 516 KB; the reader takes 10 bytes and closes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "walkzeta.cli", "zeta", "--graph6", "K~~~~~~~~~~~", "--order", "1000"]
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert cli.EXIT_PIPE == 141
+    assert head == b'{\n  "comma' and err == b""
+    # any other OSError is still bad input
+    missing = subprocess.run([*command[:3], "charpoly", "--input", str(tmp_path / "missing.edges")],
+                             capture_output=True, text=True, env=env)
+    assert missing.returncode == 2 and missing.stderr.startswith("error: [Errno 2] No such file")

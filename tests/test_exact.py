@@ -591,6 +591,36 @@ def test_charpolys_exact_matches_one_matrix_at_a_time(monkeypatch):
     assert {call[1] for call in calls if call[0] == "_charpoly_residues"} == {HESSENBERG_ROWS}
 
 
+def _any_kind_matrix(rng, n, kind):
+    """A random n x n matrix: 0/1, entries past int64, or rational with denominators 1-9 or
+    the first primes either residue kernel takes at n rows, which the batch's primes skip."""
+    if kind == 0:
+        return Matrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)])
+    if kind == 1:
+        return Matrix([[rng.randint(2**63, 2**70) * rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)])
+    if kind == 2:
+        return _rand_matrix(rng, n)
+    firsts = [exact._primes_exceeding(1, rule(n))[0] for rule in (exact._power_sum_bits, exact._prime_bits)]
+    return Matrix([[Fraction(rng.randint(-9, 9), rng.choice(firsts)) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from((1, 5, 9, 16)), st.integers(0, 3)), min_size=1, max_size=8),
+    st.sampled_from((None, 1, 3)),
+    st.randoms(use_true_random=False),
+)
+def test_mixed_batches_match_one_matrix_at_a_time(shapes, slices, rng):
+    # 0/1, huge-entry and rational matrices with repeated sizes, each under its own prime
+    # prefix, at the default budget or in chunks of one or three of the largest slices
+    batch = [_any_kind_matrix(rng, n, kind) for n, kind in shapes]
+    singles = [charpoly_exact(m) for m in batch]
+    with pytest.MonkeyPatch.context() as patch:
+        if slices:
+            patch.setattr(exact, "CHUNK_BYTES", slices * 8 * max(n for n, _ in shapes) ** 2)
+        assert exact.charpolys_exact(batch) == singles
+
+
 def test_kernel_crossover_is_where_a_power_sum_slice_outgrows_chunk_bytes(monkeypatch):
     # at the default CHUNK_BYTES a 48-row power-sum slice fits and a 49-row one does not
     assert _power_sum_slice_bytes(HESSENBERG_ROWS - 1) <= exact.CHUNK_BYTES < _power_sum_slice_bytes(HESSENBERG_ROWS)
@@ -682,8 +712,9 @@ def test_primes_exceeding_lists_every_odd_prime_below_2_bits():
             assert exact._primes_exceeding(prod(expected[:count]) - 1, bits) == expected[:count]
 
 
-def test_hessenberg_charpolys_shares_one_prime_list(monkeypatch):
-    # the shared driver, once on each side of the crossover
+def test_charpolys_run_each_matrix_under_its_own_prime_prefix(monkeypatch):
+    # the shared driver, once on each side of the crossover: a 0/1 matrix batched
+    # with a huge-entry one takes only the primes its own bound needs
     rng = random.Random(47)
     for n, kernel, rule in (
         (16, "_power_sum_residues", exact._power_sum_bits),
@@ -694,7 +725,8 @@ def test_hessenberg_charpolys_shares_one_prime_list(monkeypatch):
         batch = [Matrix(ones), Matrix(huge)]
         (small, _), (large, _) = map(_bound, batch)
         primes = exact._primes_exceeding(2 * large, rule(n))
-        assert len(exact._primes_exceeding(2 * small, rule(n))) < len(primes)
+        own = exact._primes_exceeding(2 * small, rule(n))
+        assert 0 < len(own) < len(primes) and own == primes[: len(own)]
         singles = [charpoly_exact(m) for m in batch]
         seen = []
         residues = getattr(exact, kernel)
@@ -705,7 +737,10 @@ def test_hessenberg_charpolys_shares_one_prime_list(monkeypatch):
 
         monkeypatch.setattr(exact, kernel, recording_residues)
         assert exact.charpolys_exact(batch) == singles
-        assert seen == primes * 2  # the 0/1 matrix, then the huge one, each under every prime
+        assert seen == own + primes  # the 0/1 matrix under its own prefix, then the huge one under every prime
+        seen.clear()
+        assert exact.charpolys_exact(batch[::-1]) == singles[::-1]
+        assert seen == primes + own
         monkeypatch.undo()
 
 

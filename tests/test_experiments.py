@@ -246,7 +246,7 @@ def _entry_matrices(entry, trials):
     return out
 
 
-def test_identity_suite_feeds_the_kernel_once_per_entry(monkeypatch):
+def test_identity_suite_feeds_the_kernel_once_per_task(monkeypatch):
     batches, singles = [], []
     kernel, single = experiments.charpolys_exact, experiments.charpoly_exact
 
@@ -260,15 +260,21 @@ def test_identity_suite_feeds_the_kernel_once_per_entry(monkeypatch):
 
     monkeypatch.setattr(experiments, "charpolys_exact", recording)
     monkeypatch.setattr(experiments, "charpoly_exact", recording_single)
-    corpus = _small_corpus()
-    assert run_identity_suite(corpus, weight_trials=3, workers=1).passed
-    assert len(batches) == len(corpus)
-    for entry, batch in zip(corpus, batches):
-        assert len(set(batch)) == len(batch), entry.name
-        assert set(batch) == _entry_matrices(entry, 3), entry.name
-    assert singles == [arc_operator(e.graph, coin_weights(e.graph)) for e in corpus]  # char(U), once per entry
+    corpus = {e.name: e for e in _small_corpus()}
+    report = run_identity_suite(list(corpus.values()), weight_trials=3, workers=1)
+    assert report.passed
+    assert list(dict.fromkeys(c.graph for c in report.checks)) == list(corpus)  # reported in corpus order
+    # five entries by (n, m), largest first, in tasks of ceil(5 / 4) = 2
+    tasks = [["K2_3", "K4"], ["triangle_double_edge", "C3"], ["P3"]]
+    assert len(batches) == len(tasks)
+    for names, batch in zip(tasks, batches):
+        assert len(set(batch)) == len(batch), names
+        assert set(batch) == set().union(*(_entry_matrices(corpus[name], 3) for name in names)), names
+    # char(U) once per entry, in task order
+    graphs = [corpus[name].graph for names in tasks for name in names]
+    assert singles == [arc_operator(g, coin_weights(g)) for g in graphs]
     # K4 is regular and meets the support identity: 12 batched sides, 9 matrices
-    assert len(batches[[e.name for e in corpus].index("K4")]) == 9
+    assert len(_entry_matrices(corpus["K4"], 3)) == 9
 
 
 def test_identity_suite_kernel_error_fails_the_checks_that_fed_it(monkeypatch):
@@ -289,19 +295,46 @@ def test_identity_suite_kernel_error_fails_the_checks_that_fed_it(monkeypatch):
     assert [c.passed for c in report.checks] == [False] * 4 + [True, False]
 
 
-def test_identity_suite_check_times_sum_to_the_entry_time(monkeypatch):
-    kernel = experiments.charpolys_exact
+def test_identity_suite_kernel_error_stays_with_its_entry(monkeypatch):
+    # C3's degree-form matrix makes the kernel raise: the task's batch fails, each
+    # entry is retried on its own, and only C3's checks carry the error
+    c3 = cycle_graph(3)
+    bad, kernel, calls = degree_form_matrix(c3), experiments.charpolys_exact, []
+
+    def refuse_c3(matrices):
+        calls.append(len(matrices))
+        if bad in matrices:
+            raise SizeGuardError("kernel refused")
+        return kernel(matrices)
+
+    monkeypatch.setattr(experiments, "charpolys_exact", refuse_c3)
+    entries = [CorpusEntry("K4", complete_graph(4)), CorpusEntry("C3", c3), CorpusEntry("C4", cycle_graph(4))]
+    per_entry = experiments._task_checks(entries, 42, 2)
+    sizes = [len(_entry_matrices(e, 2)) for e in entries]
+    assert calls == [sum(sizes), *sizes]  # the task's batch, then one batch per entry
+    assert [[c.graph for c in checks] for checks in per_entry] == [[e.name] * 6 for e in entries]
+    assert all(c.passed for c in per_entry[0] + per_entry[2])
+    refused = "SizeGuardError: kernel refused"
+    assert [c.witness for c in per_entry[1]] == [refused] * 4 + [None, refused]
+
+
+def test_identity_suite_check_times_sum_to_the_task_time(monkeypatch):
+    kernel, calls = experiments.charpolys_exact, []
 
     def slow(matrices):
+        calls.append(len(matrices))
         time.sleep(0.05)
         return kernel(matrices)
 
     monkeypatch.setattr(experiments, "charpolys_exact", slow)
+    entries = [CorpusEntry("K4", complete_graph(4)), CorpusEntry("C5", cycle_graph(5))]
     start = time.perf_counter()
-    checks = experiments._entry_checks(CorpusEntry("K4", complete_graph(4)), 42, 3)
+    per_entry = experiments._task_checks(entries, 42, 3)
     wall = time.perf_counter() - start
-    assert len(checks) == 6
-    assert 0.05 <= sum(c.elapsed for c in checks) <= wall
+    assert len(calls) == 1 and [len(checks) for checks in per_entry] == [6, 6]
+    times = [c.elapsed for checks in per_entry for c in checks]
+    assert len(set(times)) == 1  # an equal share of the task each
+    assert 0.05 <= sum(times) <= wall
 
 
 def _side_value(g, side):
