@@ -37,14 +37,12 @@ from .spectra import (
     compare,
     map_adjacency_spectrum,
     map_random_walk_spectrum,
-    real_roots,
     roots,
 )
 from .zeta import (
     euler_product_oracle,
     ihara_reciprocal_bass_form,
     ihara_reciprocal_edge_form,
-    prime_cycle_classes,
     series_inverse,
     weighted_zeta_reciprocal,
 )

@@ -113,31 +113,6 @@ def _random_connected_graph(rng: random.Random) -> Graph:
             return g
 
 
-def strongly_regular_params(g: Graph) -> tuple[int, int, int, int] | None:
-    """(n, k, lambda, mu) if the graph is strongly regular, else None.
-
-    Complete graphs are excluded (mu has no witness pairs).
-    """
-    if not (g.simple and g.connected) or min(g.degrees) != max(g.degrees):
-        return None
-    nbrs = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    lambdas = set()
-    mus = set()
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            common = len(nbrs[u] & nbrs[v])
-            if v in nbrs[u]:
-                lambdas.add(common)
-            else:
-                mus.add(common)
-    if len(lambdas) == 1 and len(mus) == 1:
-        return (g.n, g.degrees[0], lambdas.pop(), mus.pop())
-    return None
-
-
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str
@@ -469,10 +444,11 @@ def srg_distinguish(g: Graph, h: Graph) -> DistinguishResult:
     when all four agree.  Only levels 0 and 3 reach the exact kernel, each
     as one ``charpolys_exact`` call on both graphs' ``operator_matrix``, of
     one size or not.  On regular graphs levels 1 and 2 are functions of the
-    spectrum of A (Godsil-Guo 2011), so they make no kernel call: each
-    graph's vertex side at unit weights, h = det(x^2 I - xA + (k - 1) I),
-    is composed once from level 0's char(A)
-    (``support_determinant_from_adjacency``).  Level 1 is h circled, and
+    spectrum of A (Godsil-Guo 2011), so they make no kernel call and agree
+    whenever level 0 does: the vertex side at unit weights,
+    h = det(x^2 I - xA + (k - 1) I), is composed once per pair from level
+    0's shared char(A) (``support_determinant_from_adjacency``), and its
+    forms are reported for both graphs.  Level 1 is h circled, and
     level 2 is h after one Graeffe root-squaring step, shifted, times
     (x - c - 1)^(2(m - n)) (``charpoly_support2_from_determinant``), so it
     can never separate two graphs that level 1 does not.  Level 3 is the
@@ -482,11 +458,12 @@ def srg_distinguish(g: Graph, h: Graph) -> DistinguishResult:
     _check_srg_hypotheses(h, "right graph")
     charpolys: dict[str, tuple[list[str], list[str]]] = {}
     for idx, (name, target) in enumerate(DISTINGUISH_LEVELS):
-        if target == "U+":  # from level 0's pair
-            dets = support_determinant_from_adjacency(g, left), support_determinant_from_adjacency(h, right)
-            left, right = circled(g, dets[0]), circled(h, dets[1])
-        elif target == "U2+":  # from level 1's determinants
-            left, right = charpoly_support2_from_determinant(g, dets[0]), charpoly_support2_from_determinant(h, dets[1])
+        # levels 1 and 2 serve both graphs: equal char(A) on regular graphs fixes n, k and m
+        if target == "U+":
+            det = support_determinant_from_adjacency(g, left)
+            left = right = circled(g, det)
+        elif target == "U2+":
+            left = right = charpoly_support2_from_determinant(g, det)
         else:
             left, right = charpolys_exact([operator_matrix(g, target), operator_matrix(h, target)])
         charpolys[name] = (left.to_strings(), right.to_strings())

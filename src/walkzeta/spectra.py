@@ -14,8 +14,7 @@ itself outside the double range raises SpectrumDomainError.
 Closed-form maps lift random-walk or adjacency eigenvalues, each to the two
 roots of one quadratic, into arc-operator spectra for cross-checking.  The
 ``spectrum`` command reads those vertex eigenvalues from LAPACK's symmetric
-solver, so the check shares no root finder with what it checks;
-``real_roots`` gives them by this module's route, as a reference.
+solver, so the check shares no root finder with what it checks.
 ``compare`` pairs two multisets by the bottleneck matching, tested first at
 its proven lower bound, the largest nearest-value distance.
 """
@@ -187,15 +186,6 @@ def roots(p: Poly) -> SpectrumMultiset:
         for z in factor_roots:
             vals.extend([complex(z)] * multiplicity)
     return SpectrumMultiset(_sorted_values(vals), residual)
-
-
-def real_roots(p: Poly, tolerance: float = DEFAULT_TOLERANCE) -> list[float]:
-    """Roots of a real-rooted polynomial, sorted; rejects complex strays."""
-    spectrum = roots(p)
-    worst = max((abs(z.imag) for z in spectrum.values), default=0.0)
-    if worst > tolerance:
-        raise SpectrumDomainError(f"polynomial is not real-rooted within {tolerance}: imag {worst}")
-    return sorted(z.real for z in spectrum.values)
 
 
 def _lift(eigs, m: int, n: int, kind: str, centre_radicand) -> SpectrumMultiset:

@@ -199,21 +199,6 @@ def _walk_prime_classes(m: Matrix, order: int, emit: Callable[[list[int], int], 
         grow(start, 1, 1)
 
 
-def prime_cycle_classes(m: Matrix, order: int) -> list[tuple[int, ...]]:
-    """The prime rotation classes of closed walks up to the given length in
-    the digraph of m, each the tuple of its least rotation, in sorted order.
-
-    For an arc matrix such as B - J0 these are the prime reduced cycles: no
-    step backtracks, including around the wrap, and no class is a power of a
-    shorter walk.  The walk, its pruning and its errors are those of
-    ``_walk_prime_classes``.  Guarded to 20 rows and length <= 12; cost
-    grows exponentially past that.
-    """
-    classes: list[tuple[int, ...]] = []
-    _walk_prime_classes(m, order, lambda path, weight: classes.append(tuple(path)))
-    return classes
-
-
 def euler_product_oracle(m: Matrix, order: int) -> list[Fraction]:
     """Coefficients 0..order of 1/det(I - tm), as an Euler product.
 

@@ -40,18 +40,26 @@ arithmetic: a ``Poly`` with Fraction operators, so that expected values
 read as ``X**2 - 1``.  ``conjugate_closed`` compares a spectrum with its
 conjugate; ``relabelled_multigraphs`` draws a connected multigraph and a
 relabelling of it.
+
+Three helpers are references the commands never run, kept here with the
+tests that use them: ``prime_cycle_classes`` collects the package's own
+pruned walk, for the brute-force walk to check; ``real_roots`` reads a
+real-rooted polynomial's roots by the package's root finder; and
+``strongly_regular_params`` reads SRG parameters from networkx.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from operator import mul
 
+import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
 from walkzeta.exact import Matrix, Poly
 from walkzeta.graphs import Graph
-from walkzeta.spectra import DEFAULT_TOLERANCE, SpectrumMultiset, compare
+from walkzeta.spectra import DEFAULT_TOLERANCE, SpectrumDomainError, SpectrumMultiset, compare, roots
+from walkzeta.zeta import _walk_prime_classes
 
 
 class FractionPoly(Poly):
@@ -296,6 +304,14 @@ def support_u3_by_sign_rule(g: Graph) -> Matrix:
     return Matrix([[int(entry(e, f) > 0) for f in range(size)] for e in range(size)])
 
 
+def prime_cycle_classes(m: Matrix, order: int) -> list[tuple[int, ...]]:
+    """The package's pruned walk, ``zeta._walk_prime_classes``, collected: each
+    prime class as the tuple of its least rotation, in sorted order."""
+    classes: list[tuple[int, ...]] = []
+    _walk_prime_classes(m, order, lambda path, weight: classes.append(tuple(path)))
+    return classes
+
+
 def reduced_cycle_classes_bruteforce(m: Matrix, order: int) -> list[tuple[int, ...]]:
     """Prime rotation classes of closed walks of length 1..order in the
     digraph of m, which has an edge e -> f wherever m[e][f] is nonzero.
@@ -368,6 +384,32 @@ def square_free_by_fractions(p: Poly) -> list[tuple[FractionPoly, int]]:
         d = fraction_divexact(d, f) - c.derivative()
         i += 1
     return out
+
+
+def real_roots(p: Poly, tolerance: float = DEFAULT_TOLERANCE) -> list[float]:
+    """Roots of a real-rooted polynomial by the package's root finder, sorted; rejects complex strays."""
+    spectrum = roots(p)
+    worst = max((abs(z.imag) for z in spectrum.values), default=0.0)
+    if worst > tolerance:
+        raise SpectrumDomainError(f"polynomial is not real-rooted within {tolerance}: imag {worst}")
+    return sorted(z.real for z in spectrum.values)
+
+
+def strongly_regular_params(g: Graph) -> tuple[int, int, int, int] | None:
+    """(n, k, lambda, mu) if g is simple and strongly regular, else None, by networkx.
+
+    networkx takes a strongly regular graph to be a connected distance-regular
+    one of diameter 2, so complete and disconnected graphs give None too; the
+    intersection array [k, k - lambda - 1; 1, mu] gives the parameters.
+    """
+    if not g.simple:
+        return None
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges)
+    if not nx.is_strongly_regular(h):
+        return None
+    (k, b1), (_, mu) = nx.intersection_array(h)
+    return g.n, k, k - b1 - 1, mu
 
 
 def conjugate_closed(spectrum: SpectrumMultiset, tolerance: float = DEFAULT_TOLERANCE) -> bool:

@@ -29,7 +29,6 @@ from walkzeta.spectra import (
     compare,
     map_adjacency_spectrum,
     map_random_walk_spectrum,
-    real_roots,
     roots,
 )
 from walkzeta.zeta import (
@@ -44,11 +43,10 @@ from walkzeta.experiments import (
     rook_graph_4x4,
     shrikhande_graph,
     srg_distinguish,
-    strongly_regular_params,
 )
 from walkzeta.zeta import weighted_zeta_reciprocal
 
-from oracles import conjugate_closed, matmul, trace
+from oracles import conjugate_closed, matmul, real_roots, strongly_regular_params, trace
 
 TOLERANCE = 1e-8
 SEED = 42

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from walkzeta import cli, exact, spectra
 from walkzeta.cli import main
 from walkzeta.exact import charpoly_exact
 from walkzeta.operators import operator_matrix, transition_matrix
-from walkzeta.spectra import SpectrumMultiset, compare, real_roots, roots
+from walkzeta.spectra import SpectrumMultiset, compare, roots
 from walkzeta.experiments import (
     builtin_corpus,
     complete_bipartite_graph,
@@ -21,6 +22,8 @@ from walkzeta.experiments import (
     cycle_graph,
     petersen_graph,
 )
+
+from oracles import real_roots
 
 K2 = "A_"
 C3 = "Bw"
@@ -566,6 +569,18 @@ def test_json_outputs_byte_identical(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+# SHA-256 of `distinguish shrikhande rook44`; CI checks the installed command against it too
+DISTINGUISH_SHRIKHANDE_ROOK44_SHA256 = "2468fabccff9d3645a99026268a4ae941375854b0aa616018508aa7bf512725f"
+
+
+def test_distinguish_shrikhande_rook44_golden_document(capsys):
+    # exact integers only, so the bytes do not depend on BLAS
+    code, out, _ = run_cli(capsys, "distinguish", "shrikhande", "rook44")
+    assert code == 0
+    assert len(out.encode()) == 26037
+    assert hashlib.sha256(out.encode()).hexdigest() == DISTINGUISH_SHRIKHANDE_ROOK44_SHA256
 
 
 def test_module_entry_point():

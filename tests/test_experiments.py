@@ -38,9 +38,10 @@ from walkzeta.experiments import (
     run_identity_suite,
     shrikhande_graph,
     srg_distinguish,
-    strongly_regular_params,
     triangle_with_doubled_edge,
 )
+
+from oracles import strongly_regular_params
 
 # graph6 forms of the strongly regular test pair; parse_graph6 of these
 # matches the algebraic constructions (pinned below)

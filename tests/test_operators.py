@@ -20,7 +20,6 @@ from walkzeta.operators import (
     random_walk_matrix,
     transition_matrix,
 )
-from walkzeta.spectra import real_roots
 from walkzeta.zeta import ihara_reciprocal_edge_form, weighted_zeta_reciprocal
 from walkzeta.experiments import (
     builtin_corpus,
@@ -36,7 +35,7 @@ from walkzeta.experiments import (
 )
 
 from oracles import matmul, nonbacktracking_by_definition, transition_matrix_by_definition
-from oracles import relabelled_multigraphs, support_u3_by_sign_rule
+from oracles import real_roots, relabelled_multigraphs, support_u3_by_sign_rule
 from test_experiments import COSPECTRAL_PAIRS
 
 
@@ -353,6 +352,34 @@ def test_operator_matrix_table_and_distinguish_levels(monkeypatch):
         assert matrices == [operator_matrix(g, levels[name]), operator_matrix(h, levels[name])], name
         assert result.charpolys[name] == tuple(p.to_strings() for p in polys), name
     # the closed forms at levels 1 and 2 against the 96-row charpolys of U+ and U2+
+    for name in ("support_u", "support_u2"):
+        direct = tuple(charpoly_exact(operator_matrix(x, levels[name])).to_strings() for x in (g, h))
+        assert result.charpolys[name] == direct, name
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [(shrikhande_graph(), rook_graph_4x4()), tuple(map(parse_graph6, COSPECTRAL_PAIRS[-1]))],
+    ids=["shrikhande-rook44", "48-arcs"],
+)
+def test_distinguish_composes_levels_1_and_2_once_per_pair(monkeypatch, g, h):
+    # once level 0 agrees, one h = support_determinant_from_adjacency serves both graphs
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for name in ("support_determinant_from_adjacency", "charpoly_support2_from_determinant"):
+        monkeypatch.setattr(experiments, name, counting(getattr(experiments, name)))
+    result = srg_distinguish(g, h)
+    monkeypatch.undo()
+    assert result.level_name == "support_u3"
+    assert calls == ["support_determinant_from_adjacency", "charpoly_support2_from_determinant"]
+    # both graphs' levels 1 and 2 against their dense 2m-row charpolys of U+ and U2+
+    levels = dict(experiments.DISTINGUISH_LEVELS)
     for name in ("support_u", "support_u2"):
         direct = tuple(charpoly_exact(operator_matrix(x, levels[name])).to_strings() for x in (g, h))
         assert result.charpolys[name] == direct, name

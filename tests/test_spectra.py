@@ -19,12 +19,11 @@ from walkzeta.spectra import (
     compare,
     map_adjacency_spectrum,
     map_random_walk_spectrum,
-    real_roots,
     roots,
 )
 from walkzeta.experiments import complete_graph, cycle_graph, petersen_graph
 
-from oracles import FractionPoly, conjugate_closed
+from oracles import FractionPoly, conjugate_closed, real_roots
 
 X = FractionPoly.x()
 

@@ -19,7 +19,6 @@ from walkzeta.zeta import (
     euler_product_oracle,
     ihara_reciprocal_bass_form,
     ihara_reciprocal_edge_form,
-    prime_cycle_classes,
     series_inverse,
     weighted_zeta_reciprocal,
 )
@@ -34,7 +33,7 @@ from walkzeta.experiments import (
 )
 
 from oracles import FractionPoly, matmul, nonbacktracking_by_definition, perm_det, trace
-from oracles import reduced_cycle_classes_bruteforce, relabelled_multigraphs
+from oracles import prime_cycle_classes, reduced_cycle_classes_bruteforce, relabelled_multigraphs
 from oracles import series_inverse_by_fractions
 
 T = FractionPoly.x()
