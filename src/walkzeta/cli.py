@@ -19,11 +19,11 @@ identical invocations are byte identical.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from itertools import groupby
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -114,8 +114,33 @@ def _resolve_graph_spec(spec: str) -> Graph:
         raise GraphFormatError(f"{spec_error} ({exc})") from None
 
 
-def _print_json(doc: dict):
-    print(json.dumps(doc, indent=2))
+# the reprs json spells otherwise
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "True": "true", "False": "false", "None": "null"}
+
+
+def _json(value, pad: str = "\n") -> str:
+    """value as json.dumps(value, indent=2) writes it, pad the newline and indent it starts at,
+    for dicts with str keys, lists, tuples, str, int, float, bool and None: one recursive
+    pass, where json.dumps runs a pure-Python generator chain whenever indent is set."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+    elif isinstance(value, str):
+        return _json_string(value)
+    elif isinstance(value, dict):
+        inner = pad + "  "
+        items = [f"{_json_string(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}" if items else "{}"
+    elif isinstance(value, (list, tuple)):
+        inner = pad + "  "
+        items = [_json(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]" if items else "[]"
+    elif isinstance(value, bool) or value is None:
+        text = repr(value)
+    elif isinstance(value, int):
+        text = int.__repr__(value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return _JSON_WORDS.get(text, text)
 
 
 def cmd_charpoly(args) -> int:
@@ -129,7 +154,7 @@ def cmd_charpoly(args) -> int:
             "walk_determinant": det.to_strings(),
         }
     if args.format == "json":
-        _print_json(doc)
+        print(_json(doc))
     else:
         print(_header(args, f"target={args.target}", f"n={g.n}", f"m={g.m}"))
         print(poly.format("x"))
@@ -175,7 +200,7 @@ def cmd_spectrum(args) -> int:
         else {"equal": verdict.equal, "max_pair_distance": verdict.max_pair_distance},
     )
     if args.format == "json":
-        _print_json(doc)
+        print(_json(doc))
     else:
         print(_header(args, f"target={args.target}", f"n={g.n}", f"m={g.m}"))
         for z, copies in groupby(spectrum.values):  # a multiple root is copies of one double
@@ -216,7 +241,7 @@ def cmd_zeta(args) -> int:
         doc["oracle_matches"] = oracle_matches
 
     if args.format == "json":
-        _print_json(doc)
+        print(_json(doc))
     else:
         print(_header(args, f"n={g.n}", f"m={g.m}"))
         print(f"edge form: {edge.format('t')}")
@@ -239,7 +264,7 @@ def cmd_verify(args) -> int:
         corpus = [e for e in corpus if e.graph.n <= 4]
     report = run_identity_suite(corpus, seed=args.seed, weight_trials=args.trials)
     if args.format == "json":
-        _print_json(_envelope(args, corpus=args.corpus, report=report.to_dict()))
+        print(_json(_envelope(args, corpus=args.corpus, report=report.to_dict())))
     else:
         print(_header(args, f"corpus={args.corpus}"))
         print(report.to_text())
@@ -251,7 +276,7 @@ def cmd_distinguish(args) -> int:
     h = _resolve_graph_spec(args.right)
     result = srg_distinguish(g, h)
     if args.format == "json":
-        _print_json(_envelope(args, left=args.left, right=args.right, result=result.to_dict()))
+        print(_json(_envelope(args, left=args.left, right=args.right, result=result.to_dict())))
     else:
         print(_header(args, args.left, "vs", args.right))
         if result.distinguished:

@@ -5,7 +5,8 @@ when built.  ``Poly`` holds ascending integer coefficients ``ints`` over a
 ``scale``, p = ints / scale; ``Matrix`` holds integer rows L over a scale
 s, M = L / s.  Every kernel result is exact: Python ints or proven bounds.
 ``square_free_decomposition`` is Yun's (1976), on primitive integer
-coefficient lists with heuristic gcds (Char, Geddes and Gonnet 1989).
+coefficient lists with heuristic gcds (Char, Geddes and Gonnet 1989); it
+stops as soon as one multiplicity is left, which takes no gcd.
 The one division that raises ``ExactDivisionError`` is by a monic
 (x^2 - 1)^k, in ``identities``.
 There is one determinant kernel, ``charpolys_exact``, for a batch of
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate, chain
 from math import gcd, isqrt, lcm, prod
 from operator import mul
@@ -215,14 +215,20 @@ def _int_gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int]
     unless h is 1.  Otherwise xi grows, and that ends: with g the gcd,
     gcd(a(xi), b(xi)) = k g(xi), where k > 0 divides an integer r = u a/g + v b/g != 0,
     u and v in Z[x] (the resultant, unless both are constants), as a/g and b/g are
-    coprime.  So once xi > 2 |r| |g| the digits are those of k g.
+    coprime.  So once xi > 2 |r| |g| the digits are those of k g.  A constant
+    candidate is g = 1, returned with a and b as they are.
     """
     if not b:
         g = _int_primitive(list(a))
         return g, _int_quotient(a, g), []
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
     while True:
-        h = gcd(*(reduce(lambda v, c: v * xi + c, reversed(p), 0) for p in (a, b)))
+        h = 0
+        for p in (a, b):  # gcd(a(xi), b(xi)), each value by Horner's rule
+            v = 0
+            for c in reversed(p):
+                v = v * xi + c
+            h = gcd(h, v)
         digits = []
         while h:
             h, r = divmod(h, xi)
@@ -230,6 +236,8 @@ def _int_gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int]
                 r, h = r - xi, h + 1
             digits.append(r)
         g = _int_primitive(digits)
+        if g == [1]:
+            return g, a, b
         quo_a = _int_quotient(a, g)
         quo_b = None if quo_a is None else _int_quotient(b, g)
         if quo_b is not None:
@@ -264,6 +272,9 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     with its cofactors c / a and d / a, and the next d is d / a - (c / a)'.  Every
     divisor is primitive, so every quotient is integral (Gauss's lemma) and stays in
     Python ints; a factor a becomes the monic a / lead(a) only when it is returned.
+    The loop ends with no gcd once d = t c' for an integer t: c = prod_(k>=i) a_k is then
+    one factor, of multiplicity i + t, as mod each a_k of degree >= 1 (square free, coprime
+    to the others) d - t c' = sum_(k>=i) (k - i - t) a_k' prod_(j!=k) a_j is k - i - t times a unit.
     """
     if p.is_zero():
         raise ValueError("square-free decomposition of the zero polynomial")
@@ -274,7 +285,13 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     _, c, quo = _int_gcd_cofactors(f, _int_derivative(f))
     i = 1
     while len(c) > 1:
-        a, c, quo = _int_gcd_cofactors(c, _int_sub(quo, _int_derivative(c)))
+        slope = _int_derivative(c)
+        d = _int_sub(quo, slope)
+        t = d[-1] // slope[-1] if d else 0
+        if not d or d == [t * y for y in slope]:  # d = t c': c is one factor
+            out.append((Poly.from_ints(c, c[-1]), i + t))
+            break
+        a, c, quo = _int_gcd_cofactors(c, d)
         if len(a) > 1:
             out.append((Poly.from_ints(a, a[-1]), i))
         i += 1

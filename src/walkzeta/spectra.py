@@ -72,11 +72,24 @@ def _sorted_values(values) -> tuple[complex, ...]:
 def _evaluate(coeffs: np.ndarray, z: np.ndarray, az: np.ndarray):
     """p(z), p'(z) and the round-off floor sum |a_i| az^i, for p's ascending coefficients.
 
+    One Horner loop: p and p' step together as the rows of a 2 x len(z)
+    array, p' with its coefficients k a_k and a leading 0, and the floor
+    beside them, so each value is the one np.polyval gives, bit for bit.
     The floor is evaluated on the real az: in complex, an overflow
     inf * (b + 0j) would turn into nan.
     """
-    top = coeffs[::-1]
-    return np.polyval(top, z), np.polyval(np.polyder(top), z), np.polyval(np.abs(top), az)
+    deg = len(coeffs) - 1
+    top = np.zeros((deg + 1, 2, 1), dtype=np.complex128)  # step k adds a_(deg-k) and (deg-k+1) a_(deg-k+1)
+    top[:, 0, 0] = coeffs[::-1]
+    top[1:, 1, 0] = coeffs[:0:-1] * np.arange(deg, 0, -1)
+    values = np.zeros((2, len(z)), dtype=np.complex128)
+    floor = np.zeros_like(az)
+    for pair, a in zip(top, np.abs(coeffs[::-1])):
+        values *= z
+        values += pair
+        floor *= az
+        floor += a
+    return values[0], values[1], floor
 
 
 def _aberth(coeffs: np.ndarray) -> np.ndarray:

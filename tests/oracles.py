@@ -46,6 +46,11 @@ tests that use them: ``prime_cycle_classes`` collects the package's own
 pruned walk, for the brute-force walk to check; ``real_roots`` reads a
 real-rooted polynomial's roots by the package's root finder; and
 ``strongly_regular_params`` reads SRG parameters from networkx.
+
+Two references are the package's own fast paths written the plain way:
+``square_free_by_plain_yun`` runs Yun's loop to its last multiplicity,
+one gcd each, and ``polyval_evaluate`` takes p, p' and the round-off floor
+from three ``np.polyval`` calls.
 """
 
 from fractions import Fraction
@@ -56,7 +61,7 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from walkzeta.exact import Matrix, Poly
+from walkzeta.exact import Matrix, Poly, _int_derivative, _int_gcd_cofactors, _int_primitive, _int_sub
 from walkzeta.graphs import Graph
 from walkzeta.spectra import DEFAULT_TOLERANCE, SpectrumDomainError, SpectrumMultiset, compare, roots
 from walkzeta.zeta import _walk_prime_classes
@@ -384,6 +389,27 @@ def square_free_by_fractions(p: Poly) -> list[tuple[FractionPoly, int]]:
         d = fraction_divexact(d, f) - c.derivative()
         i += 1
     return out
+
+
+def square_free_by_plain_yun(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's loop in Z[x] with one heuristic gcd per multiplicity up to the
+    highest: ``square_free_decomposition`` without its early exit."""
+    f = _int_primitive(list(p.ints))
+    out = []
+    _, c, quo = _int_gcd_cofactors(f, _int_derivative(f))
+    i = 1
+    while len(c) > 1:
+        a, c, quo = _int_gcd_cofactors(c, _int_sub(quo, _int_derivative(c)))
+        if len(a) > 1:
+            out.append((Poly.from_ints(a, a[-1]), i))
+        i += 1
+    return out
+
+
+def polyval_evaluate(coeffs: np.ndarray, z: np.ndarray, az: np.ndarray):
+    """p(z), p'(z) and sum |a_i| az^i for ascending coeffs, by three np.polyval calls."""
+    top = coeffs[::-1]
+    return np.polyval(top, z), np.polyval(np.polyder(top), z), np.polyval(np.abs(top), az)
 
 
 def real_roots(p: Poly, tolerance: float = DEFAULT_TOLERANCE) -> list[float]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walkzeta import cli, exact, spectra
 from walkzeta.cli import main
@@ -569,6 +571,35 @@ def test_json_outputs_byte_identical(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+_JSON_STRINGS = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t", "\u00e9\u2603\U0001d11e", "\ud800"])
+_JSON_FLOATS = (st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])).flatmap(
+    lambda x: st.sampled_from([x, np.float64(x)]))
+_JSON_INTS = st.integers() | st.integers(2**64 - 2, 2**64 + 2) | st.integers(-2**64 - 2, -2**64 + 2)
+_JSON_SCALARS = _JSON_STRINGS | _JSON_INTS | _JSON_FLOATS | st.booleans() | st.none()
+_JSON_DOCUMENTS = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+                               | st.dictionaries(_JSON_STRINGS, inner), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCUMENTS)
+def test_json_writer_matches_json_dumps(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("charpoly", "--graph6", K4),
+    ("spectrum", "--graph6", K4),
+    ("spectrum", "--graph6", K4, "--tolerance", "1e-300"),
+    ("spectrum", "--target", "U+", "--graph6", REGULAR_64_ARCS),
+    ("zeta", "--graph6", C3, "--oracle"),
+    ("verify", "--corpus", "smoke", "--trials", "1"),
+    ("distinguish", "petersen", "C5"),
+])
+def test_command_output_is_json_dumps_of_itself(capsys, argv):
+    _, out, _ = run_cli(capsys, *argv)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 # SHA-256 of `distinguish shrikhande rook44`; CI checks the installed command against it too

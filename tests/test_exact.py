@@ -16,7 +16,7 @@ from walkzeta.exact import (
 )
 
 from oracles import FractionPoly, berkowitz, faddeev_leverrier, fraction_gcd, matmul, perm_det
-from oracles import square_free_by_fractions, trace
+from oracles import square_free_by_fractions, square_free_by_plain_yun, trace
 
 X = FractionPoly.x()
 HESSENBERG_ROWS = 49  # the fewest rows the default CHUNK_BYTES sends to Hessenberg reduction
@@ -263,6 +263,32 @@ def test_square_free_matches_fraction_oracle(factors, scale):
         assert f.leading() == 1 and fraction_gcd(f, f.derivative()) == 1
         rebuilt = rebuilt * f**mult
     assert rebuilt == p.monic()
+
+
+_INT_FACTORS = st.lists(st.integers(-9, 9), min_size=1, max_size=3).flatmap(
+    lambda low: st.integers(1, 4).map(lambda lead: [*low, lead]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_INT_FACTORS, st.integers(1, 12)), min_size=1, max_size=3), st.integers(1, 10**6))
+def test_square_free_early_exit_matches_plain_yun(factors, scale):
+    # prod a_k^k over a scale, the a_k random integer polynomials, so not always square free or coprime
+    ints = [1]
+    for f, mult in factors:
+        for _ in range(mult):
+            ints = exact._int_mul(ints, f)
+    p = Poly.from_ints(ints, scale)
+    assert square_free_decomposition(p) == square_free_by_plain_yun(p)
+
+
+def test_square_free_stops_at_the_last_multiplicity(monkeypatch):
+    # (x^2 - 1)^9 x (x + 2)^2: gcd(f, f'), then x and x + 2; x^2 - 1 is left with d = 6 c'
+    calls = []
+    cofactors = exact._int_gcd_cofactors
+    monkeypatch.setattr(exact, "_int_gcd_cofactors", lambda a, b: calls.append(1) or cofactors(a, b))
+    p = (X**2 - 1) ** 9 * X * (X + 2) ** 2
+    assert square_free_decomposition(p) == [(X, 1), (X + 2, 2), (X**2 - 1, 9)]
+    assert len(calls) <= 3
 
 
 def test_det_fixtures():

@@ -23,7 +23,7 @@ from walkzeta.spectra import (
 )
 from walkzeta.experiments import complete_graph, cycle_graph, petersen_graph
 
-from oracles import FractionPoly, conjugate_closed, real_roots
+from oracles import FractionPoly, conjugate_closed, polyval_evaluate, real_roots
 
 X = FractionPoly.x()
 
@@ -76,6 +76,33 @@ def test_round_off_floor_overflows_to_inf_never_nan():
         pv, _, floor = spectra._evaluate(coeffs, z, np.abs(z))
     assert np.isinf(floor).any() and not np.isnan(floor).any()
     assert not np.isfinite(pv).all()
+
+
+_HUGE = sys.float_info.max
+
+
+@st.composite
+def _evaluation_cases(draw):
+    """Ascending coefficients of degree 2-60, some of them 0, and as many points;
+    at a scale near the top of the double range the floor overflows to inf."""
+    deg = draw(st.integers(2, 60))
+    value = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+    coeffs = np.array(draw(st.lists(value, min_size=deg, max_size=deg)) + [1.0])
+    coeffs *= draw(st.sampled_from([1.0, 1e-3, 1e305]))  # |coefficients| <= 1e308
+    point = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+    return coeffs, np.array(draw(st.lists(point, min_size=deg, max_size=deg)), dtype=np.complex128)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_evaluation_cases())
+@example((np.array([0.9 * _HUGE, -0.7 * _HUGE, 0.5 * _HUGE, 0.3 * _HUGE, 1.0]),
+          np.array([0.5 + 2j, -3 + 0.25j, 1e-3 - 1j, 0.1j])))
+def test_evaluate_is_polyval_bit_for_bit(case):
+    coeffs, z = case
+    with np.errstate(all="ignore"):
+        got, want = spectra._evaluate(coeffs, z, np.abs(z)), polyval_evaluate(coeffs, z, np.abs(z))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_zero_root_is_exact():
